@@ -12,9 +12,7 @@ Subcommands::
     python -m repro metrics crc32 --format prom   # metrics registry export
     python -m repro attribution --benchmarks crc32 # predicted-vs-observed
     python -m repro telemetry trace.jsonl      # validate a telemetry file
-    python -m repro serve --state-dir .serve   # persistent job daemon
-    python -m repro submit experiment spec.json --wait  # talk to it
-    python -m repro loadtest --clients 200     # hammer a running daemon
+    python -m repro resume run.jsonl           # finish a killed run
 
 `experiments` forwards to :mod:`repro.harness.experiments`; everything
 else is a thin veneer over the library API so each command doubles as a
@@ -403,22 +401,6 @@ def _cmd_metrics(args) -> int:
     from .obs.metrics import run_registry, validate_metrics
     from .pipeline.core import OoOCore
 
-    if getattr(args, "server", None):
-        # Proxy a running daemon's registry instead of simulating.
-        from .serve.client import SyncClient
-        payload = SyncClient(_serve_address(args)).metrics(args.format)
-        if args.format == "json":
-            validate_metrics(payload)
-            text = _json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        else:
-            text = payload
-        if args.out:
-            from pathlib import Path
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-
     runner = Runner(store=_store_for(args))
     config = config_by_name(args.config)
     if args.selector == "none":
@@ -540,41 +522,18 @@ def _cmd_cache(args) -> int:
         print("no cache directory: pass --cache-dir or set "
               "$REPRO_CACHE_DIR", file=sys.stderr)
         return 1
-    if args.action == "migrate":
-        from .dist.sqlite_store import SqliteManifestBackend
-        backend = SqliteManifestBackend(cache_dir)
-        count = backend.reindex(force=True)
-        backend.close()
-        print(f"indexed {count} artifacts into "
-              f"{cache_dir}/manifest.sqlite")
-        return 0
-    store = ArtifactStore(cache_dir, backend=args.backend)
+    store = ArtifactStore(cache_dir)
     if args.action == "stats":
         summary = store.disk_summary()
         total_count = sum(e["count"] for e in summary.values())
         total_bytes = sum(e["bytes"] for e in summary.values())
-        print(f"artifact store at {store.root} "
-              f"({store.backend_name} backend)")
+        print(f"artifact store at {store.root}")
         print(f"{'kind':<12s} {'count':>7s} {'bytes':>12s}")
         for kind in sorted(summary):
             entry = summary[kind]
             print(f"{kind:<12s} {entry['count']:>7d} {entry['bytes']:>12d}")
         print(f"{'total':<12s} {total_count:>7d} {total_bytes:>12d}")
         print(f"code-version salt: {store.salt}")
-        if args.compare or args.bench_out:
-            from .dist.sqlite_store import compare_backends
-            timing = compare_backends(store.root)
-            print(f"stats timing: dir {timing['dir_stats_s'] * 1e3:.2f}ms "
-                  f"sqlite {timing['sqlite_stats_s'] * 1e3:.2f}ms "
-                  f"({timing['speedup']:.1f}x, "
-                  f"{timing['artifacts']} artifacts)")
-            if args.bench_out:
-                import json as _json
-                from pathlib import Path
-                doc = {k: v for k, v in timing.items() if k != "summary"}
-                Path(args.bench_out).write_text(
-                    _json.dumps(doc, indent=2, sort_keys=True) + "\n")
-                print(f"wrote {args.bench_out}")
     elif args.action == "clear":
         print(f"removed {store.clear()} artifacts from {store.root}")
     elif args.action == "dedup":
@@ -594,15 +553,11 @@ def _cmd_resume(args) -> int:
     from .dist.ledger import LedgerError
     from .dist.resume import resume_run
     from .exec import ProgressPrinter
-    dispatch = None
-    if args.dispatch:
-        from .dist.dispatch import make_dispatch
-        dispatch = make_dispatch(args.dispatch, jobs=args.jobs or 1)
     try:
         summary = resume_run(
             args.ledger, jobs=args.jobs,
             on_event=None if args.quiet else ProgressPrinter(),
-            dispatch=dispatch, allow_stale=args.force)
+            allow_stale=args.force)
     except LedgerError as error:
         print(f"repro: resume: {error}", file=sys.stderr)
         return 1
@@ -614,91 +569,11 @@ def _cmd_resume(args) -> int:
     return 1 if summary["failed"] else 0
 
 
-def _cmd_serve(args) -> int:
-    import asyncio
-    from pathlib import Path
-
-    from .serve.server import ServerConfig, serve_forever
-    config = ServerConfig(
-        state_dir=Path(args.state_dir),
-        socket_path=Path(args.socket) if args.socket else None,
-        host=args.host, port=args.port,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        job_slots=args.job_slots, pool_workers=args.pool,
-        max_queued=args.max_queued, max_running=args.max_running,
-        budget=args.budget, quiet=args.quiet,
-        max_results=args.max_results, result_ttl=args.result_ttl,
-        max_job_events=args.max_job_events, dispatch=args.dispatch,
-        batch_threads=args.batch_threads)
-    return asyncio.run(serve_forever(config))
-
-
-def _serve_address(args) -> str:
-    from .serve.client import resolve_address
-    return resolve_address(args.server)
-
-
-def _cmd_submit(args) -> int:
-    import json as _json
-
-    from .serve.client import ServeError, SyncClient
-    if args.spec == "-":
-        spec = _json.load(sys.stdin)
-    elif args.spec.lstrip().startswith("{"):
-        spec = _json.loads(args.spec)
-    else:
-        from pathlib import Path
-        spec = _json.loads(Path(args.spec).read_text())
-    client = SyncClient(_serve_address(args), client_id=args.client)
-    try:
-        summary = client.submit(args.kind, spec, priority=args.priority)
-    except ServeError as error:
-        print(f"repro: submit rejected: {error}", file=sys.stderr)
-        return 1
-    print(f"submitted {summary['id']} ({summary['state']})")
-    if args.follow:
-        client.follow(summary["id"],
-                      lambda rec: print(_json.dumps(rec, sort_keys=True)))
-    if args.wait or args.follow:
-        doc = client.wait(summary["id"])
-        print(_json.dumps(doc, indent=2, sort_keys=True))
-        return 0 if doc["state"] == "done" else 1
-    return 0
-
-
-def _cmd_loadtest(args) -> int:
-    import asyncio
-    import json as _json
-
-    from .serve.loadtest import run_loadtest
-    report = asyncio.run(run_loadtest(
-        _serve_address(args), clients=args.clients,
-        jobs_per_client=args.jobs_per_client, mix=args.mix,
-        stagger=args.stagger, timeout=args.timeout,
-        warmup=not args.no_warmup))
-    print(report.render())
-    if args.out:
-        from pathlib import Path
-        Path(args.out).write_text(
-            _json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
-    problems = report.check(
-        max_failed=args.gate_max_failed,
-        min_warm_ratio=args.gate_min_warm_ratio,
-        max_first_event_p95=args.gate_first_event_p95)
-    for problem in problems:
-        print(f"loadtest: FAIL {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "experiments":
         from .harness.experiments import main as experiments_main
         return experiments_main(argv[1:])
-    if argv and argv[0] == "worker":
-        from .dist.worker import main as worker_main
-        return worker_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -861,10 +736,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                            help="export format (default json)")
     p_metrics.add_argument("--out", default=None, metavar="PATH",
                            help="write the export here instead of stdout")
-    p_metrics.add_argument("--server", default=None, metavar="ADDR",
-                           help="export a running daemon's registry "
-                                "(unix:/path, host:port, or a serve "
-                                "state dir) instead of simulating")
     _add_cache_flags(p_metrics)
     p_metrics.set_defaults(fn=_cmd_metrics)
 
@@ -944,128 +815,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_cache = sub.add_parser("cache",
                              help="artifact store maintenance")
     p_cache.add_argument("action", choices=["stats", "clear", "prune",
-                                            "migrate", "dedup"])
+                                            "dedup"])
     p_cache.add_argument("--cache-dir", default=None,
                          help="store directory (default: $REPRO_CACHE_DIR)")
-    p_cache.add_argument("--backend", default=None,
-                         choices=["dir", "sqlite"],
-                         help="store index backend (default: "
-                              "$REPRO_STORE_BACKEND, else dir)")
     p_cache.add_argument("--max-age-days", type=float, default=None,
                          help="prune: drop artifacts older than this")
     p_cache.add_argument("--kinds", nargs="*", default=None,
                          help="prune: restrict to artifact kinds "
                               "(trace profile candidates plan baseline "
                               "run run-dynamic subset)")
-    p_cache.add_argument("--compare", action="store_true",
-                         help="stats: time the dir walk against the "
-                              "sqlite manifest on this store")
-    p_cache.add_argument("--bench-out", default=None, metavar="PATH",
-                         help="stats: write the backend timing comparison "
-                              "JSON here (implies --compare)")
     p_cache.set_defaults(fn=_cmd_cache)
-
-    p_serve = sub.add_parser(
-        "serve", help="persistent job daemon: submit experiments over a "
-                      "local socket, warm-path reuse across jobs "
-                      "(see docs/serving.md)")
-    p_serve.add_argument("--state-dir", default=".repro-serve",
-                         help="journal, socket and default cache live "
-                              "here (default .repro-serve)")
-    p_serve.add_argument("--socket", default=None, metavar="PATH",
-                         help="unix socket path "
-                              "(default <state-dir>/serve.sock)")
-    p_serve.add_argument("--host", default=None,
-                         help="serve TCP on this host instead of a "
-                              "unix socket")
-    p_serve.add_argument("--port", type=int, default=0,
-                         help="TCP port (0 = ephemeral; requires --host)")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="artifact store directory "
-                              "(default <state-dir>/cache)")
-    p_serve.add_argument("--job-slots", type=int, default=4,
-                         help="jobs running concurrently (default 4)")
-    p_serve.add_argument("--pool", type=int, default=0,
-                         help="shared worker-process pool size "
-                              "(0 = per-job pools)")
-    p_serve.add_argument("--max-queued", type=int, default=32,
-                         help="per-client queued-job quota (default 32)")
-    p_serve.add_argument("--max-running", type=int, default=2,
-                         help="per-client running-job quota (default 2)")
-    p_serve.add_argument("--budget", type=int, default=512,
-                         help="MGT template budget for served runs")
-    p_serve.add_argument("--quiet", action="store_true",
-                         help="suppress progress lines on stderr")
-    p_serve.add_argument("--max-results", type=int, default=256,
-                         help="terminal jobs retained in the job table "
-                              "before LRU eviction (default 256)")
-    p_serve.add_argument("--result-ttl", type=float, default=3600.0,
-                         help="seconds a finished job's result stays "
-                              "queryable (default 3600)")
-    p_serve.add_argument("--max-job-events", type=int, default=10_000,
-                         help="per-job event-log window; older events "
-                              "are truncated (default 10000)")
-    p_serve.add_argument("--dispatch", default=None, metavar="SPEC",
-                         help="run DAGs on a worker fleet: workers:HOST"
-                              ":PORT (workers join with 'repro worker')")
-    p_serve.add_argument("--batch-threads", type=int, default=0,
-                         help="batched native dispatch for single-process "
-                              "jobs: each wave of timing points runs as "
-                              "one C call over N threads (0 = off)")
-    p_serve.set_defaults(fn=_cmd_serve)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit one job to a running daemon")
-    p_submit.add_argument("kind",
-                          choices=["experiment", "bench", "fuzz",
-                                   "limit-study"])
-    p_submit.add_argument("spec",
-                          help="inline JSON, a spec file path, or '-' "
-                               "for stdin")
-    p_submit.add_argument("--server", default=".repro-serve",
-                          help="daemon address or state dir "
-                               "(default .repro-serve)")
-    p_submit.add_argument("--client", default="cli",
-                          help="client id for quota accounting")
-    p_submit.add_argument("--priority", default="normal",
-                          choices=["interactive", "normal", "batch"])
-    p_submit.add_argument("--wait", action="store_true",
-                          help="block until terminal, print the result")
-    p_submit.add_argument("--follow", action="store_true",
-                          help="stream the job's telemetry events "
-                               "(implies --wait)")
-    p_submit.set_defaults(fn=_cmd_submit)
-
-    p_load = sub.add_parser(
-        "loadtest", help="drive concurrent clients against a running "
-                         "daemon and gate on the report")
-    p_load.add_argument("--server", default=".repro-serve",
-                        help="daemon address or state dir "
-                             "(default .repro-serve)")
-    p_load.add_argument("--clients", type=int, default=100,
-                        help="concurrent simulated clients (default 100)")
-    p_load.add_argument("--jobs-per-client", type=int, default=2,
-                        help="jobs each client submits (default 2)")
-    p_load.add_argument("--mix", action="store_true",
-                        help="mix short fuzz jobs into the stream")
-    p_load.add_argument("--stagger", type=float, default=0.0,
-                        help="per-client start offset in seconds")
-    p_load.add_argument("--timeout", type=float, default=120.0,
-                        help="per-job completion timeout (default 120s)")
-    p_load.add_argument("--no-warmup", action="store_true",
-                        help="skip the pilot warm pass (measure the "
-                             "cold stampede)")
-    p_load.add_argument("--out", default=None, metavar="PATH",
-                        help="also write the report JSON here")
-    p_load.add_argument("--gate-max-failed", type=int, default=0,
-                        help="fail if more jobs fail (default 0)")
-    p_load.add_argument("--gate-min-warm-ratio", type=float, default=None,
-                        help="fail if the server warm-hit ratio is lower")
-    p_load.add_argument("--gate-first-event-p95", type=float, default=None,
-                        metavar="SECONDS",
-                        help="fail if submit-to-first-event p95 exceeds "
-                             "this")
-    p_load.set_defaults(fn=_cmd_loadtest)
 
     p_resume = sub.add_parser(
         "resume", help="resume a killed run from its --ledger journal, "
@@ -1074,9 +833,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_resume.add_argument("ledger", help="ledger path from --ledger")
     p_resume.add_argument("--jobs", type=int, default=None,
                           help="override the dead run's fan-out")
-    p_resume.add_argument("--dispatch", default=None, metavar="SPEC",
-                          help="dispatch backend: 'local' or "
-                               "'workers:ADDR' (repro worker fleet)")
     p_resume.add_argument("--force", action="store_true",
                           help="proceed even if the code-version salt "
                                "changed (re-runs everything)")
@@ -1084,14 +840,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="suppress the scheduler progress stream")
     p_resume.set_defaults(fn=_cmd_resume)
 
-    # "experiments" and "worker" are documented here even though they are
-    # dispatched above.
+    # "experiments" is documented here even though it is dispatched above.
     sub.add_parser("experiments",
                    help="regenerate paper figures "
                         "(see repro.harness.experiments)")
-    sub.add_parser("worker",
-                   help="join a dispatch coordinator and execute leased "
-                        "DAG nodes (see repro.dist.worker)")
 
     args = parser.parse_args(argv)
     try:

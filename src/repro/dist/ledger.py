@@ -5,15 +5,14 @@ behind but whatever artifacts happened to land in the store; restarting
 meant re-planning the whole grid and trusting warm-path pruning to skip
 finished work. The ledger makes the run itself durable: a header line
 records everything needed to rebuild the task graph (runner parameters,
-store location and backend, code-version salt, the serialized workload),
-then one line per node completion as the scheduler reports it, then a
-completion marker. ``repro resume <ledger>`` replays the file and
-schedules only what is still missing.
+store location, code-version salt, the serialized workload), then one
+line per node completion as the scheduler reports it, then a completion
+marker. ``repro resume <ledger>`` replays the file and schedules only
+what is still missing.
 
-Like the serve journal, the format is append-only, flushed per line,
-and replay-tolerant: a torn tail line (the write the SIGKILL
-interrupted) is ignored, and repeated records for the same node are
-idempotent (last status wins).
+The format is append-only, flushed per line, and replay-tolerant: a torn
+tail line (the write the SIGKILL interrupted) is ignored, and repeated
+records for the same node are idempotent (last status wins).
 
 The durability invariant (SNIPPETS.md, hypergraph): *if a step can be
 skipped on resume, the step must have durable outputs.* The ledger's
@@ -62,7 +61,6 @@ class RunLedger:
                runner_params: Dict[str, Any],
                salt: str,
                cache_dir: Optional[str],
-               store_backend: str = "dir",
                extra: Optional[Dict[str, Any]] = None) -> "RunLedger":
         """Start a fresh ledger (truncating any previous file at ``path``)."""
         header = {
@@ -72,7 +70,6 @@ class RunLedger:
             "created": time.time(),
             "salt": salt,
             "cache_dir": cache_dir,
-            "store_backend": store_backend,
             "runner": dict(runner_params),
             "workload": workload,
         }
@@ -172,8 +169,8 @@ class RunLedger:
     def sink(self, inner: Optional[Callable[[Dict[str, Any]], None]] = None
              ) -> Callable[[Dict[str, Any]], None]:
         """An ``on_event`` callback that journals terminal node events
-        and forwards everything to ``inner`` (the progress printer or a
-        serve event log)."""
+        and forwards everything to ``inner`` (e.g. the progress
+        printer)."""
 
         def on_event(event: Dict[str, Any]) -> None:
             if event.get("kind") in _TERMINAL and event.get("task"):
@@ -189,7 +186,7 @@ def assert_skippable(tasks, durable_ids: Iterable[str],
     """The durability lint: every node being skipped must be durable.
 
     ``durable_ids`` is the set of task ids whose outputs live in the
-    artifact store (``warm.task_artifact`` resolved an address for
+    artifact store (``resume.task_artifact`` resolved an address for
     them); anything else — ``check`` nodes, unrecognized stages — has no
     durable output, so skipping it would silently drop its effect.
     Raises :class:`LedgerError` naming the offenders.

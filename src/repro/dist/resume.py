@@ -1,15 +1,16 @@
 """``repro resume`` — restart a killed run from its ledger.
 
 The ledger header holds everything needed to rebuild the dead run's
-task graph: runner parameters, store root and backend, code-version
-salt, and the serialized workload. Resume rebuilds the graph, then lets
-the **store** decide what is left to do: every node whose durable output
-probes present is pruned (the same ``prune_cached`` pass the serve warm
-path uses, so probes can never disagree with the compute paths), and
-only the remainder is scheduled. The ledger's own ``done`` records are
-advisory — a node journaled done whose artifact has since been pruned
-re-runs; a node the journal never saw whose artifact exists (published
-by a worker the coordinator lost) is skipped anyway.
+task graph: runner parameters, store root, code-version salt, and the
+serialized workload. Resume rebuilds the graph, then lets the **store**
+decide what is left to do: every node whose durable output probes
+present is pruned (:func:`prune_cached`, which keys its probes with the
+runner's own ``*_params`` builders, so a probe can never disagree with
+the compute paths), and only the remainder is scheduled. The ledger's
+own ``done`` records are advisory — a node journaled done whose artifact
+has since been pruned re-runs; a node the journal never saw whose
+artifact exists (published by a worker just before the kill) is skipped
+anyway.
 
 The durability invariant is enforced twice: ``prune_cached`` cannot
 prune a node without a store address by construction, and
@@ -23,9 +24,93 @@ full re-run. ``allow_stale=True`` proceeds anyway.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dist.ledger import LedgerError, RunLedger, assert_skippable
+from repro.exec.dag import Task
+from repro.exec.store import MISS
+from repro.pipeline.config import config_by_name
+
+
+def task_artifact(runner, task: Task) -> Optional[Tuple[str, Dict]]:
+    """The ``(kind, params)`` store address of a DAG node's artifact.
+
+    Returns ``None`` for nodes that are not backed by a store artifact
+    (``check`` validation nodes recompute by design) — those are never
+    pruned.
+    """
+    spec = task.args[0] if task.args else {}
+    stage = task.stage
+    if stage == "trace":
+        return "trace", runner.trace_params(spec["bench"], spec["input"])
+    if stage == "candidates":
+        return "candidates", runner.candidates_params(spec["bench"],
+                                                      spec["input"])
+    if stage == "profile":
+        return "profile", runner.profile_params(
+            spec["bench"], config_by_name(spec["config"]), spec["input"],
+            spec.get("global_slack", False))
+    if stage == "baseline":
+        return "baseline", runner.baseline_params(
+            spec["bench"], config_by_name(spec["config"]), spec["input"])
+    if stage == "plan":
+        return "plan", runner.plan_params(
+            spec["bench"], spec["selector"], spec["input"],
+            config_by_name(spec.get("profile_config") or "reduced"),
+            spec.get("profile_input") or spec["input"],
+            spec.get("global_slack", False))
+    if stage == "timing":
+        if spec.get("point_kind") == "slack-dynamic":
+            policy = dict(spec.get("policy") or {})
+            mode = policy.pop("mode", "full")
+            outlining = policy.pop("outlining_penalty", True)
+            return "run-dynamic", runner.dynamic_params(
+                spec["bench"], config_by_name(spec["config"]),
+                spec["input"], mode, outlining, policy)
+        return "run", runner.run_params(
+            spec["bench"], spec["selector"],
+            config_by_name(spec["config"]), spec["input"],
+            config_by_name(spec.get("profile_config") or "reduced"),
+            spec.get("profile_input") or spec["input"],
+            spec.get("global_slack", False), None)
+    if stage == "subset":
+        return "subset", runner.subset_params(
+            spec["bench"], spec["input"], config_by_name(spec["config"]),
+            spec["n_candidates"], spec["mask"], spec["baseline_ipc"])
+    return None
+
+
+def prune_cached(runner, tasks: Sequence[Task]
+                 ) -> Tuple[List[Task], List[str]]:
+    """Split a DAG into (nodes to schedule, node ids already durable).
+
+    A node is pruned when its artifact probes present; surviving
+    dependents drop the pruned edge and re-materialize the upstream
+    value through the store inside their own task function (one memory-
+    layer hit in the worker). ``build_tasks`` emits dependencies before
+    dependents, so one forward pass suffices.
+    """
+    pruned: List[str] = []
+    kept: List[Task] = []
+    for task in tasks:
+        address = task_artifact(runner, task)
+        if address is not None:
+            kind, params = address
+            if runner.store.get(runner.store.key(kind, params),
+                                kind) is not MISS:
+                pruned.append(task.id)
+                continue
+        kept.append(task)
+    if pruned:
+        dead = set(pruned)
+        kept = [
+            Task(id=task.id, fn=task.fn, args=task.args,
+                 deps=tuple(dep for dep in task.deps if dep not in dead),
+                 stage=task.stage, retries=task.retries,
+                 timeout=task.timeout)
+            for task in kept
+        ]
+    return kept, pruned
 
 
 def workload_for_points(points, check: bool = False,
@@ -54,20 +139,19 @@ def open_ledger(path, runner, workload: Dict[str, Any],
         salt=runner.store.salt,
         cache_dir=str(runner.store.root) if runner.store.persistent
         else None,
-        store_backend=runner.store.backend_name, extra=extra)
+        extra=extra)
 
 
 def resume_run(path, jobs: Optional[int] = None,
                on_event: Optional[Callable[[Dict], None]] = None,
-               dispatch=None, allow_stale: bool = False,
+               allow_stale: bool = False,
                retries: int = 1, timeout: Optional[float] = None
                ) -> Dict[str, Any]:
     """Replay a ledger and execute exactly the missing work.
 
     Returns a summary dict: ``{"kind", "total", "skipped", "scheduled",
     "completed", "failed", "report"}``. ``jobs`` overrides the dead
-    run's fan-out; ``dispatch`` substitutes a dispatch backend (resume
-    on a worker fleet).
+    run's fan-out.
     """
     from repro.harness.runner import Runner
 
@@ -86,8 +170,7 @@ def resume_run(path, jobs: Optional[int] = None,
 
     if kind == "experiments":
         return _resume_experiments(path, header, workload, runner, jobs,
-                                   on_event, dispatch, retries, timeout,
-                                   journaled)
+                                   on_event, retries, timeout, journaled)
     if kind == "limit-study":
         return _resume_limit_study(path, header, workload, runner, jobs,
                                    on_event)
@@ -95,10 +178,9 @@ def resume_run(path, jobs: Optional[int] = None,
 
 
 def _resume_experiments(path, header, workload, runner, jobs,
-                        on_event, dispatch, retries, timeout,
+                        on_event, retries, timeout,
                         journaled: Dict[str, str]) -> Dict[str, Any]:
     from repro.exec.grid import build_tasks, point_from_doc, run_points
-    from repro.serve.warm import prune_cached, task_artifact
 
     points = [point_from_doc(doc) for doc in workload.get("points", [])]
     check = bool(workload.get("check", False))
@@ -118,7 +200,7 @@ def _resume_experiments(path, header, workload, runner, jobs,
         report = run_points(runner, points, jobs=jobs, retries=retries,
                             timeout=timeout, on_event=on_event,
                             raise_on_failure=False, check=check,
-                            ledger=ledger, dispatch=dispatch, tasks=kept)
+                            ledger=ledger, tasks=kept)
     finally:
         ledger.close()
     return {"kind": "experiments", "total": len(tasks),

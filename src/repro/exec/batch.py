@@ -66,7 +66,7 @@ class _Prepared:
     finalize: Callable             # stats -> artifact
     summarize: Callable            # artifact -> task summary dict
     entry: tuple                   # ckern.run_batch descriptor
-    start: float                   # perf_counter at prepare start
+    prepare_s: float               # seconds spent in _prepare
 
 
 def _prepare(task) -> Optional[_Prepared]:
@@ -136,7 +136,7 @@ def _prepare(task) -> Optional[_Prepared]:
     if entry is None:
         return None
     return _Prepared(task.id, runner, kind, params, core, finalize,
-                     summarize, entry, start)
+                     summarize, entry, time.perf_counter() - start)
 
 
 def run_batch_wave(tasks: Sequence, threads: int
@@ -145,9 +145,12 @@ def run_batch_wave(tasks: Sequence, threads: int
 
     Returns ``{task id: (summary dict, duration)}`` for every point the
     kernel completed; the caller reruns missing ids through the normal
-    per-point path. Never raises for a single point's sake — a setup
-    failure (missing benchmark, broken plan) is left for the serial
-    rerun to surface with the scheduler's retry policy attached.
+    per-point path. A point's duration is its own prepare and publish
+    time plus an equal share of the one native call, so the durations
+    of a wave sum to at most its wall time. Never raises for a single
+    point's sake — a setup failure (missing benchmark, broken plan) is
+    left for the serial rerun to surface with the scheduler's retry
+    policy attached.
     """
     from ..pipeline import ckern
     results: Dict[str, tuple] = {}
@@ -173,10 +176,13 @@ def run_batch_wave(tasks: Sequence, threads: int
     if not prepared:
         return results
 
+    start = time.perf_counter()
     batch = ckern.run_batch([p.entry for p in prepared], threads)
     if batch is None:
         return results
+    share = (time.perf_counter() - start) / len(prepared)
     for p, point in zip(prepared, batch):
+        publish_start = time.perf_counter()
         rc, out, events, n_words, overflowed = point
         try:
             stats = p.core.apply_kernel_result(rc, out, events, n_words,
@@ -191,5 +197,6 @@ def run_batch_wave(tasks: Sequence, threads: int
         p.runner.store.put(p.runner.store.key(p.kind, p.params), artifact,
                            p.kind, p.params)
         results[p.task_id] = (p.summarize(artifact),
-                              time.perf_counter() - p.start)
+                              p.prepare_s + share
+                              + time.perf_counter() - publish_start)
     return results

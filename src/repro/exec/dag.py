@@ -33,13 +33,19 @@ times at the end.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (CancelledError, FIRST_COMPLETED, Future,
+                                ProcessPoolExecutor, wait)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from repro.dist.dispatch import (DispatchBackend, LocalPoolBackend,
-                                 WorkerLost, _invoke)
+
+def _invoke(fn: Callable, args: Tuple) -> Tuple[Any, float]:
+    """Run one task and clock it (in-process or inside a pool worker)."""
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
 
 
 @dataclass
@@ -128,13 +134,11 @@ class ProgressPrinter:
 
 
 class Scheduler:
-    """Runs a task DAG serially or across a dispatch backend."""
+    """Runs a task DAG serially, in native batches, or on a process pool."""
 
     def __init__(self, jobs: int = 1, retries: int = 1,
                  backoff: float = 0.1, timeout: Optional[float] = None,
                  on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
-                 pool: Optional[ProcessPoolExecutor] = None,
-                 dispatch: Optional[DispatchBackend] = None,
                  threads: int = 0):
         self.jobs = max(1, int(jobs))
         self.retries = retries
@@ -150,23 +154,6 @@ class Scheduler:
         #: point the kernel cannot finish run through the ordinary
         #: serial path with the same retry policy.
         self.threads = max(0, int(threads))
-        #: Optional externally-owned process pool. When set, parallel
-        #: runs submit into it instead of spawning a private pool —
-        #: ``jobs`` still caps *this* scheduler's in-flight tasks, so
-        #: several schedulers (e.g. server jobs) can share one pool.
-        #: The scheduler never shuts an external pool down; on timeout
-        #: it cannot terminate the pool's workers either, so runaway
-        #: tasks are abandoned rather than killed.
-        self.pool = pool
-        #: Optional :class:`~repro.dist.dispatch.DispatchBackend`.
-        #: ``None`` (the default) builds a fresh
-        #: :class:`~repro.dist.dispatch.LocalPoolBackend` per run —
-        #: today's process-pool semantics exactly. A socket backend
-        #: (``repro.dist.remote``) fans the same graph out to ``repro
-        #: worker`` processes instead; every fault-tolerance path
-        #: (retry, degrade-to-serial on :class:`WorkerLost`, deadline
-        #: sweep) is backend-agnostic.
-        self.dispatch = dispatch
 
     # -- graph preparation -----------------------------------------------------
 
@@ -342,33 +329,30 @@ class Scheduler:
 
     def _run_parallel(self, table: Dict[str, Task], order: List[str],
                       report: ExecReport) -> None:
-        dispatch = self.dispatch if self.dispatch is not None \
-            else LocalPoolBackend(jobs=self.jobs, pool=self.pool)
-        dispatch.open()
-        # handle → (task, submit time, attempt); submissions are throttled
-        # to backend capacity so "submitted" ≈ "started" and deadlines are
-        # fair.
-        in_flight: Dict[Any, Tuple[Task, float, int]] = {}
+        # Built per run, inside :meth:`run`: forked workers inherit the
+        # parent's state as of this call.
+        pool = ProcessPoolExecutor(max_workers=self.jobs)
+        # future → (task, submit time, attempt); submissions are throttled
+        # to ``jobs`` so "submitted" ≈ "started" and deadlines are fair.
+        in_flight: Dict[Future, Tuple[Task, float, int]] = {}
         attempts: Dict[str, int] = {}
         pending: List[str] = list(order)
         degrade = False
 
         def submit(task: Task) -> None:
-            handle = dispatch.submit(task)
-            in_flight[handle] = (task, time.monotonic(), attempts.get(task.id, 0))
+            future = pool.submit(_invoke, task.fn, task.args)
+            in_flight[future] = (task, time.monotonic(),
+                                 attempts.get(task.id, 0))
             self._emit("submit", task, self._state(table, report,
                                                    running=len(in_flight)))
 
         try:
             while (pending or in_flight) and not degrade:
-                # Fill free capacity with ready tasks, in topological
-                # order. Capacity is re-polled each pass: elastic
-                # backends grow/shrink as workers join or die.
-                capacity = max(1, dispatch.capacity())
+                # Fill free workers with ready tasks, in topological order.
                 still_pending: List[str] = []
                 for tid in pending:
                     task = table[tid]
-                    if len(in_flight) >= capacity:
+                    if len(in_flight) >= self.jobs:
                         still_pending.append(tid)
                     elif any(dep in report.failures for dep in task.deps):
                         self._skip_for_deps(task, report, table)
@@ -382,16 +366,16 @@ class Scheduler:
                         continue
                     break
 
-                completed = dispatch.wait(list(in_flight), timeout=0.05)
-                for handle in completed:
-                    task, _submitted, attempt = in_flight.pop(handle)
+                completed, _ = wait(list(in_flight), timeout=0.05,
+                                    return_when=FIRST_COMPLETED)
+                for future in completed:
+                    task, _submitted, attempt = in_flight.pop(future)
                     try:
-                        result, duration = dispatch.result(handle)
-                    except WorkerLost:
-                        # The executor died underneath the task (dead
-                        # worker process, torn-down pool, empty worker
-                        # fleet). It is unusable; finish serially.
-                        attempts[task.id] = attempt  # retried serially below
+                        result, duration = future.result()
+                    except (BrokenProcessPool, CancelledError):
+                        # The worker died mid-task (segfault, os._exit,
+                        # OOM kill) or the future was torn down. The pool
+                        # is unusable; finish serially.
                         pending.insert(0, task.id)
                         degrade = True
                         break
@@ -422,12 +406,12 @@ class Scheduler:
                 if not degrade:
                     now = time.monotonic()
                     timed_out = False
-                    for handle, (task, submitted, _a) in list(in_flight.items()):
+                    for future, (task, submitted, _a) in list(in_flight.items()):
                         limit = self.timeout if task.timeout is None \
                             else task.timeout
                         if limit is not None and now - submitted > limit \
-                                and not dispatch.cancel(handle):
-                            in_flight.pop(handle)
+                                and not future.cancel():
+                            in_flight.pop(future)
                             report.failures[task.id] = \
                                 f"timeout after {limit:.1f}s"
                             self._emit("failed", task,
@@ -435,9 +419,12 @@ class Scheduler:
                                                    running=len(in_flight)))
                             degrade = timed_out = True
                     if timed_out:
-                        dispatch.handle_timeout()
+                        # A stuck worker would block interpreter exit (the
+                        # pool joins its processes at shutdown).
+                        for proc in list(pool._processes.values()):
+                            proc.terminate()
         finally:
-            dispatch.close(list(in_flight))
+            pool.shutdown(wait=False, cancel_futures=True)
 
         if degrade or pending or in_flight:
             # Anything still unfinished (including tasks whose futures were

@@ -348,7 +348,6 @@ def run_points(runner, points: Sequence[Point], jobs: int,
                raise_on_failure: bool = False,
                check: bool = False,
                ledger=None,
-               dispatch=None,
                tasks: Optional[List[Task]] = None,
                threads: int = 0) -> ExecReport:
     """Prewarm the runner's store by executing the point DAG in parallel.
@@ -361,17 +360,13 @@ def run_points(runner, points: Sequence[Point], jobs: int,
 
     ``ledger`` (a :class:`repro.dist.ledger.RunLedger`) journals every
     terminal node event so a killed run can be resumed with ``repro
-    resume``. ``dispatch`` (a :class:`repro.dist.dispatch.DispatchBackend`)
-    replaces the default local process pool — e.g. a socket coordinator
-    fanning out to ``repro worker`` fleets. ``tasks`` overrides the DAG
-    (the resume path passes the already-pruned graph).
+    resume``. ``tasks`` overrides the DAG (the resume path passes the
+    already-pruned graph).
 
     Functional traces the parent already holds are shipped to workers
     through shared memory (:mod:`repro.exec.shm`) rather than pickled;
     the segments are unlinked before returning, whatever happens to the
-    workers. Remote dispatch skips shm publishing — a worker on another
-    host cannot attach this process's segments — and rehydrates traces
-    through the shared store instead.
+    workers.
 
     ``threads`` (from ``--jobs threads:N``, see :func:`parse_jobs`)
     selects batched native dispatch instead of process fan-out: the
@@ -385,11 +380,9 @@ def run_points(runner, points: Sequence[Point], jobs: int,
         raise ValueError(
             "parallel execution needs a persistent store: construct the "
             "Runner with ArtifactStore(cache_dir) or use --cache-dir")
-    if dispatch is not None and not runner.store.persistent:
-        raise ValueError("remote dispatch needs a persistent store")
     registry = None
     shm_traces: Dict[Tuple[str, str], Dict] = {}
-    if jobs > 1 and dispatch is None:
+    if jobs > 1:
         from .shm import ShmRegistry
         registry = ShmRegistry()
         shm_traces = publish_point_traces(runner, points, registry)
@@ -397,8 +390,7 @@ def run_points(runner, points: Sequence[Point], jobs: int,
         on_event = ledger.sink(on_event)
     try:
         scheduler = Scheduler(jobs=jobs, retries=retries, timeout=timeout,
-                              on_event=on_event, dispatch=dispatch,
-                              threads=threads)
+                              on_event=on_event, threads=threads)
         if tasks is None:
             tasks = build_tasks(points, runner, check=check,
                                 shm_traces=shm_traces)

@@ -18,11 +18,14 @@ Ownership protocol:
   :class:`ShmRegistry` and is the only process that ever unlinks them —
   ``release_all()`` runs in the driver's ``finally`` so segments never
   outlive the run, even when a worker is killed mid-task;
-* **workers** attach read-only-by-convention and immediately
-  de-register the segment from their ``resource_tracker`` (Python 3.12
-  and earlier register on *attach* too, and a dying worker's tracker
-  would otherwise unlink the parent's live segment — or warn about a
-  "leak" it does not own);
+* **workers** attach read-only-by-convention and never unregister.
+  Pool workers share the parent's ``resource_tracker`` (under fork,
+  spawn and forkserver alike), and Python 3.12 and earlier register a
+  segment on *attach* as well as on create. The tracker keeps a set of
+  names, so those extra registrations are no-ops and the parent's one
+  unlink clears the name. A worker-side unregister would instead race
+  its siblings': two unregisters of one name make the tracker process
+  print a ``KeyError`` traceback;
 * every failure path (no ``/dev/shm``, segment vanished, unpicklable
   layout) returns ``None`` and the caller silently falls back to the
   ordinary pickle-through-the-store transport.
@@ -52,15 +55,6 @@ def _shared_memory():
         return shared_memory
     except ImportError:  # pragma: no cover - always present on CPython
         return None
-
-
-def _untrack(shm) -> None:
-    """Forget an *attached* segment: the parent owns unlink, not us."""
-    try:
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # noqa: BLE001 - tracker internals vary by version
-        pass
 
 
 def segment_size(packed: PackedTrace, n_memory: int) -> int:
@@ -157,15 +151,6 @@ class ShmRegistry:
             shm.close()
         except BufferError:  # a live export; unlink still reclaims it
             pass
-        # Fork-started workers share this process's resource tracker, so
-        # their attach/untrack dance may have dropped our registration;
-        # put it back (register is idempotent) or unlink()'s own
-        # unregister makes the tracker process print a KeyError.
-        try:
-            from multiprocessing import resource_tracker
-            resource_tracker.register(shm._name, "shared_memory")
-        except Exception:  # noqa: BLE001 - tracker internals vary
-            pass
         try:
             shm.unlink()
         except (FileNotFoundError, OSError):
@@ -198,7 +183,6 @@ def attach_trace(descriptor: Dict[str, Any]) -> Optional[Trace]:
         shm = shared_memory.SharedMemory(name=name)
     except (FileNotFoundError, OSError):
         return None
-    _untrack(shm)
     # The columns below stay exported for the life of the process, so a
     # close() at GC / interpreter shutdown would raise BufferError;
     # neuter it — the OS reclaims the mapping at process exit anyway.

@@ -18,19 +18,13 @@ scheduler worker processes share upstream work. Disk writes are atomic
 publish a torn artifact, and unreadable payloads are treated as misses
 and deleted rather than propagated.
 
-The disk layer is pluggable behind :class:`ArtifactBackend`. All
-backends share one byte-identical blob layout::
+The disk layer, :class:`ArtifactBackend`, owns the blob layout::
 
     <root>/ab/<sha256>.pkl    # pickled payload  (sharded by 2-hex prefix)
     <root>/ab/<sha256>.json   # sidecar: kind, params, created, size, sha
 
-What differs is the *index*: :class:`DirBackend` (the default and the
-historical behavior) answers ``stats``/``prune``/``dedup`` by walking the
-sidecars, while :class:`repro.dist.sqlite_store.SqliteManifestBackend`
-keeps a SQLite manifest alongside the blobs so those queries stay O(rows
-matched) at millions of artifacts. Because every backend writes the same
-blobs *and* sidecars, a store directory can be opened with either backend
-at any time; the manifest is an index, not a format change.
+The sidecars are the index: maintenance (``stats``/``prune``/``dedup``)
+walks them.
 """
 
 from __future__ import annotations
@@ -154,11 +148,6 @@ def resolve_cache_dir(arg: Optional[str],
     return arg or os.environ.get("REPRO_CACHE_DIR") or None
 
 
-def resolve_store_backend(arg: Optional[str] = None) -> str:
-    """CLI policy for the disk backend: flag > ``$REPRO_STORE_BACKEND`` > dir."""
-    return arg or os.environ.get("REPRO_STORE_BACKEND") or "dir"
-
-
 def _atomic_write(path: Path, data: bytes) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=path.parent,
                                     prefix=".tmp-", suffix=".part")
@@ -191,22 +180,17 @@ def iter_sidecars(root: Path) -> Iterable[Tuple[str, Dict[str, Any]]]:
 class ArtifactBackend:
     """Disk layer of an :class:`ArtifactStore`.
 
-    A backend moves payload bytes and answers index queries; keys,
-    pickling, the memory layer, and corruption policy all stay in the
-    store. The blob layout (sharded ``.pkl`` + ``.json`` sidecar pairs,
-    atomic writes) is implemented here once and shared by every backend
-    so that payload bytes are identical no matter which index fronts
-    them; subclasses provide :meth:`entries` and may override the
-    maintenance queries with something faster than a directory walk.
+    Moves payload bytes (sharded ``.pkl`` + ``.json`` sidecar pairs,
+    atomic writes) and answers maintenance queries by walking the
+    sidecars; keys, pickling, the memory layer, and corruption policy
+    all stay in the store.
     """
-
-    name = "?"
 
     def __init__(self, root: Union[str, os.PathLike]):
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
 
-    # -- blob layout (identical across backends) ------------------------------
+    # -- blob layout ----------------------------------------------------------
 
     def payload_path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
@@ -236,14 +220,11 @@ class ArtifactBackend:
             except OSError:
                 pass
 
-    def touch(self, key: str) -> None:
-        """Record an access (for LRU-style pruning). No-op by default."""
-
     # -- index ----------------------------------------------------------------
 
     def entries(self) -> Iterable[Tuple[str, Dict[str, Any]]]:
-        """Every ``(key, meta)`` in the index, sorted by key."""
-        raise NotImplementedError
+        """Every ``(key, meta)`` on disk, sorted by key."""
+        return iter_sidecars(self.root)
 
     def summary(self) -> Dict[str, Dict[str, int]]:
         """Per-kind ``{count, bytes}``."""
@@ -299,7 +280,7 @@ class ArtifactBackend:
         for key, meta in self.entries():
             sha = meta.get("sha")
             if not sha:
-                # Pre-manifest sidecars carry no payload digest.
+                # Sidecars from before the digest was recorded.
                 try:
                     sha = hashlib.sha256(
                         self.payload_path(key).read_bytes()).hexdigest()
@@ -343,38 +324,6 @@ class ArtifactBackend:
                 report["groups"] += 1
         return report
 
-    def close(self) -> None:
-        """Release backend resources (db handles). No-op by default."""
-
-
-class DirBackend(ArtifactBackend):
-    """The historical flat-directory backend: the sidecars *are* the index.
-
-    Every maintenance query walks ``<root>/??/*.json`` — perfectly fine
-    for thousands of artifacts, O(walk) at millions, which is what the
-    SQLite manifest backend exists to fix.
-    """
-
-    name = "dir"
-
-    def entries(self) -> Iterable[Tuple[str, Dict[str, Any]]]:
-        return iter_sidecars(self.root)
-
-
-def make_backend(spec: Union[str, ArtifactBackend, None],
-                 root: Union[str, os.PathLike]) -> ArtifactBackend:
-    """Resolve a backend spec (name, instance, or ``None``) for ``root``."""
-    if isinstance(spec, ArtifactBackend):
-        return spec
-    name = resolve_store_backend(spec)
-    if name == "dir":
-        return DirBackend(root)
-    if name == "sqlite":
-        from repro.dist.sqlite_store import SqliteManifestBackend
-        return SqliteManifestBackend(root)
-    raise ValueError(f"unknown store backend: {name!r} "
-                     f"(expected 'dir' or 'sqlite')")
-
 
 class ArtifactStore:
     """Two-layer (memory + optional disk) content-addressed cache.
@@ -382,19 +331,12 @@ class ArtifactStore:
     ``root=None`` gives a memory-only store with the exact semantics of
     the old in-``Runner`` memo dicts. With a ``root``, artifacts also
     persist to disk and are shared with any process pointed at the same
-    directory. ``backend`` selects the disk index: ``"dir"`` (default),
-    ``"sqlite"``, or a ready :class:`ArtifactBackend` instance.
+    directory.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None,
-                 salt: Optional[str] = None,
-                 backend: Union[str, ArtifactBackend, None] = None):
-        if isinstance(backend, ArtifactBackend):
-            self.backend: Optional[ArtifactBackend] = backend
-        elif root is not None:
-            self.backend = make_backend(backend, root)
-        else:
-            self.backend = None
+                 salt: Optional[str] = None):
+        self.backend = ArtifactBackend(root) if root is not None else None
         self.root = self.backend.root if self.backend is not None else None
         self.salt = salt if salt is not None else code_version()
         self._memory: Dict[str, Any] = {}
@@ -405,20 +347,10 @@ class ArtifactStore:
         #: every hit emits a ``store`` cache-hit instant. ``None`` (the
         #: default) keeps the store observation-free.
         self.telemetry = None
-        #: Optional callback fired when a corrupt disk payload is
-        #: dropped and recovered as a miss: ``on_corrupt(key, error)``.
-        #: Corruption recovery is otherwise invisible outside
-        #: ``stats.corrupt_dropped`` — long-lived processes (the serve
-        #: daemon) hook this to count and log recoveries as they happen.
-        self.on_corrupt: Optional[Callable[[str, Exception], None]] = None
 
     @property
     def persistent(self) -> bool:
         return self.backend is not None
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name if self.backend is not None else "memory"
 
     # -- keys -----------------------------------------------------------------
 
@@ -435,16 +367,11 @@ class ArtifactStore:
     def _payload_path(self, key: str) -> Path:
         return self.backend.payload_path(key)
 
-    def _sidecar_path(self, key: str) -> Path:
-        return self.backend.sidecar_path(key)
-
     # -- lookup / insert ------------------------------------------------------
 
-    def _drop_corrupt(self, key: str, error: Exception) -> None:
+    def _drop_corrupt(self, key: str) -> None:
         self.stats.corrupt_dropped += 1
         self.backend.delete(key)
-        if self.on_corrupt is not None:
-            self.on_corrupt(key, error)
 
     def get(self, key: str, kind: str = "?") -> Any:
         """The stored value, or :data:`MISS`.
@@ -460,19 +387,18 @@ class ArtifactStore:
         if self.backend is not None:
             try:
                 payload = self.backend.read(key)
-            except Exception as error:
+            except Exception:
                 payload = None
-                self._drop_corrupt(key, error)
+                self._drop_corrupt(key)
             if payload is not None:
                 try:
                     value = pickle.loads(payload)
-                except Exception as error:
-                    self._drop_corrupt(key, error)
+                except Exception:
+                    self._drop_corrupt(key)
                 else:
                     self._memory[key] = value
                     self.stats.disk_hits += 1
                     self.stats.record(kind, hit=True)
-                    self.backend.touch(key)
                     return value
         self.stats.misses += 1
         self.stats.record(kind, hit=False)
@@ -524,36 +450,13 @@ class ArtifactStore:
             telemetry.instant("cache-hit", "store", {"kind": kind})
         return value
 
-    def contains(self, key: str) -> bool:
-        """Durable-output probe: memory hit or a disk payload on record.
-
-        Unlike :meth:`get`, never unpickles (and so never pays for or
-        validates the payload) — this is the cheap existence test the
-        warm-path pruner and resume machinery use.
-        """
-        if key in self._memory:
-            return True
-        if self.backend is None:
-            return False
-        return self.backend.payload_path(key).exists()
-
     # -- maintenance ----------------------------------------------------------
 
-    def _sidecars(self) -> Iterable[Tuple[str, Dict[str, Any]]]:
-        if self.backend is None:
-            return
-        yield from self.backend.entries()
-
     def disk_summary(self) -> Dict[str, Dict[str, int]]:
-        """Per-kind ``{count, bytes}`` from the backend index."""
+        """Per-kind ``{count, bytes}`` from the sidecars."""
         if self.backend is None:
             return {}
         return self.backend.summary()
-
-    def _delete(self, key: str) -> None:
-        if self.backend is not None:
-            self.backend.delete(key)
-        self._memory.pop(key, None)
 
     def clear(self) -> int:
         """Drop every artifact (memory and disk); returns artifacts removed."""

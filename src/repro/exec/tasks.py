@@ -37,22 +37,18 @@ def runner_params(runner) -> Dict[str, Any]:
         "max_insts": runner.max_insts,
         "cache_dir": str(runner.store.root) if runner.store.persistent
         else None,
-        "store_backend": runner.store.backend_name
-        if runner.store.persistent else None,
     }
 
 
 def _runner(spec: Dict[str, Any]):
     from ..harness.runner import Runner
     key = (spec["budget"], spec["max_mg_size"], spec["warm_caches"],
-           spec["max_insts"], spec["cache_dir"],
-           spec.get("store_backend"))
+           spec["max_insts"], spec["cache_dir"])
     if key not in _RUNNERS:
         _RUNNERS[key] = Runner(
             budget=spec["budget"], max_mg_size=spec["max_mg_size"],
             warm_caches=spec["warm_caches"], max_insts=spec["max_insts"],
-            store=ArtifactStore(spec["cache_dir"],
-                                backend=spec.get("store_backend")))
+            store=ArtifactStore(spec["cache_dir"]))
     runner = _RUNNERS[key]
     _seed_shared_traces(runner, spec)
     return runner

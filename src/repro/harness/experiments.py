@@ -405,18 +405,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore --cache-dir/$REPRO_CACHE_DIR; "
                              "memory-only memoization")
-    parser.add_argument("--store-backend", default=None,
-                        choices=["dir", "sqlite"],
-                        help="artifact store index backend (default: "
-                             "$REPRO_STORE_BACKEND, else dir)")
     parser.add_argument("--ledger", default=None, metavar="PATH",
                         help="journal DAG completion to PATH so a killed "
                              "run resumes with `repro resume PATH` "
                              "(single figure only; see docs/distributed.md)")
-    parser.add_argument("--dispatch", default=None, metavar="SPEC",
-                        help="dispatch backend: 'local' (default) or "
-                             "'workers:HOST:PORT' / 'workers:/path.sock' "
-                             "to coordinate a `repro worker` fleet")
     parser.add_argument("--save-json", default=None, metavar="PATH",
                         help="archive the regenerated curves as JSON "
                              "(see repro.harness.reporting)")
@@ -441,8 +433,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("experiments: --ledger needs a single figure (one ledger "
               "describes one workload)", file=_sys.stderr)
         return 2
-    if (args.ledger or args.dispatch) and cache_dir is None:
-        print("experiments: --ledger/--dispatch need a persistent store; "
+    if args.ledger and cache_dir is None:
+        print("experiments: --ledger needs a persistent store; "
               "pass --cache-dir or set $REPRO_CACHE_DIR",
               file=_sys.stderr)
         return 2
@@ -458,8 +450,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     benches = _population(args.suites, args.limit,
                           include_synthetic=not args.no_synthetic)
     runner = Runner(budget=args.budget,
-                    store=ArtifactStore(cache_dir,
-                                        backend=args.store_backend),
+                    store=ArtifactStore(cache_dir),
                     jobs=jobs)
     telemetry = None
     if args.telemetry:
@@ -476,8 +467,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         for name in names:
             start = time.time()
-            if jobs > 1 or threads or args.check or args.ledger \
-                    or args.dispatch:
+            if jobs > 1 or threads or args.check or args.ledger:
                 points = grid_points(name, benches)
                 if points:
                     from ..exec.dag import TaskError
@@ -494,18 +484,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                             workload_for_points(points, check=args.check,
                                                 label=name),
                             extra={"jobs": jobs})
-                    dispatch = None
-                    if args.dispatch:
-                        from ..dist.dispatch import make_dispatch
-                        dispatch = make_dispatch(args.dispatch,
-                                                 jobs=jobs)
                     try:
                         report = run_points(runner, points, jobs=jobs,
                                             on_event=on_event,
                                             check=args.check,
                                             raise_on_failure=args.check,
                                             ledger=ledger,
-                                            dispatch=dispatch,
                                             threads=threads)
                     except TaskError as error:
                         print(f"experiments: check failed: {error}",

@@ -112,13 +112,12 @@ class Runner:
     def from_params(cls, params: Dict, jobs: int = 1) -> "Runner":
         """Rebuild a runner from :func:`repro.exec.tasks.runner_params`.
 
-        The inverse used by resume (`repro resume` reconstructs the
-        runner a dead run's ledger header describes) and by dispatch
-        workers; both sides share one params vocabulary so a rebuilt
-        runner can never key artifacts differently than the original.
+        The inverse used by ``repro resume``, which reconstructs the
+        runner a dead run's ledger header describes; both sides share
+        one params vocabulary so a rebuilt runner can never key
+        artifacts differently than the original.
         """
-        store = ArtifactStore(params.get("cache_dir"),
-                              backend=params.get("store_backend"))
+        store = ArtifactStore(params.get("cache_dir"))
         return cls(budget=params["budget"],
                    max_mg_size=params["max_mg_size"],
                    warm_caches=params["warm_caches"],
@@ -133,8 +132,8 @@ class Runner:
     # -- artifact-key params ---------------------------------------------------
     #
     # Every memoized phase builds its store key from one of the builders
-    # below, and nothing else: external probes (the serve warm path, see
-    # :mod:`repro.serve.warm`) construct the identical params to ask
+    # below, and nothing else: external probes (the resume pruner, see
+    # :mod:`repro.dist.resume`) construct the identical params to ask
     # "is this artifact already materialized?" without computing anything.
     # Adding a parameter to a compute path means adding it here, once.
 

@@ -481,81 +481,6 @@ def collect_store(registry: MetricsRegistry, store) -> None:
                          f"{kind} artifact misses").inc(miss)
 
 
-def collect_server(registry: MetricsRegistry, server) -> None:
-    """Harvest a running :class:`~repro.serve.server.ServeApp`.
-
-    Duck-typed (``server.stats`` counters plus ``server.queue`` gauges)
-    so this module never imports the serve package.
-    """
-    stats = server.stats
-    registry.counter("server.jobs_submitted",
-                     "Jobs admitted to the queue").inc(stats.submitted)
-    registry.counter("server.jobs_completed",
-                     "Jobs finished successfully").inc(stats.completed)
-    registry.counter("server.jobs_failed",
-                     "Jobs finished with an error").inc(stats.failed)
-    registry.counter("server.jobs_cancelled",
-                     "Jobs cancelled before completion").inc(stats.cancelled)
-    registry.counter("server.jobs_rejected",
-                     "Submissions rejected by quota").inc(stats.rejected)
-    registry.counter("server.warm_hits",
-                     "Jobs answered with zero scheduled nodes").inc(
-        stats.warm_hits)
-    registry.counter("server.nodes_scheduled",
-                     "DAG nodes actually executed").inc(
-        stats.nodes_scheduled)
-    registry.counter("server.nodes_pruned",
-                     "DAG nodes served from the store").inc(
-        stats.nodes_pruned)
-    registry.counter("server.store_corruptions",
-                     "Corrupt artifacts recovered as misses").inc(
-        stats.store_corruptions)
-    registry.counter("server.results_evicted",
-                     "Terminal jobs evicted from the job table").inc(
-        getattr(stats, "results_evicted", 0))
-    registry.counter("server.events_truncated",
-                     "Job events dropped by log truncation").inc(
-        getattr(stats, "events_truncated", 0))
-    registry.gauge("server.queue_depth",
-                   "Jobs queued, not yet dispatched").set(
-        server.queue.depth)
-    registry.gauge("server.active_jobs",
-                   "Jobs currently running").set(server.queue.active)
-    registry.gauge("server.warm_hit_ratio",
-                   "Warm hits / completed jobs").set(stats.warm_hit_ratio)
-
-
-def collect_dist(registry: MetricsRegistry, stats) -> None:
-    """Harvest dispatch-backend counters as ``dist.*`` metrics.
-
-    Duck-typed over :class:`~repro.dist.dispatch.DispatchStats` (or any
-    mapping / ``as_dict()`` carrier) so this module never imports the
-    dist package.
-    """
-    doc = stats.as_dict() if hasattr(stats, "as_dict") else dict(stats)
-    descriptions = {
-        "submitted": "Tasks handed to the dispatch backend",
-        "completed": "Tasks finished by workers",
-        "failed": "Tasks that raised on a worker",
-        "leases": "Task leases granted to workers",
-        "steals": "Leases stolen from stragglers",
-        "expiries": "Leases expired past their deadline",
-        "reassigned": "Tasks rescheduled after a lost worker",
-        "workers_joined": "Workers that joined the coordinator",
-        "workers_lost": "Workers lost to heartbeat timeout",
-    }
-    extra = doc.pop("extra", None) or {}
-    for name, value in sorted(doc.items()):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        registry.counter(f"dist.{name}",
-                         descriptions.get(name, f"dispatch {name}")).inc(
-            value)
-    for name, value in sorted(extra.items()):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            registry.gauge(f"dist.{name}", f"dispatch {name}").set(value)
-
-
 def collect_tune(registry: MetricsRegistry, stats) -> None:
     """Harvest autotuner counters as ``tune.*`` metrics.
 

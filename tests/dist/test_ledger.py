@@ -11,7 +11,7 @@ def _create(path, workload=None):
     return RunLedger.create(
         path, workload=workload or {"kind": "experiments", "points": []},
         runner_params={"max_insts": 1}, salt="s" * 16,
-        cache_dir="/tmp/cache", store_backend="dir")
+        cache_dir="/tmp/cache")
 
 
 class TestRoundTrip:
@@ -24,7 +24,7 @@ class TestRoundTrip:
         ledger.close()
         header, status, completed = RunLedger.load(path)
         assert header["salt"] == "s" * 16
-        assert header["store_backend"] == "dir"
+        assert header["cache_dir"] == "/tmp/cache"
         assert status == {"trace/crc32": "done",
                           "baseline/crc32": "failed"}
         assert completed is True

@@ -20,10 +20,14 @@ import pytest
 
 from repro.dist.ledger import LedgerError, RunLedger
 from repro.dist.resume import (
-    open_ledger, resume_run, workload_for_limit_study, workload_for_points,
+    open_ledger, prune_cached, resume_run, task_artifact,
+    workload_for_limit_study, workload_for_points,
 )
 from repro.exec import tasks as task_fns
-from repro.exec.grid import baseline_point, run_points, selector_point
+from repro.exec.dag import Scheduler
+from repro.exec.grid import (
+    baseline_point, build_tasks, run_points, selector_point,
+)
 from repro.exec.store import ArtifactStore, iter_sidecars
 from repro.harness.runner import Runner
 from repro.minigraph.selectors import StructAll
@@ -53,6 +57,73 @@ def _run_with_ledger(tmp_path):
     # a stale memory layer.
     task_fns._RUNNERS.clear()
     return ledger_path
+
+
+# -- store probes: which nodes resume may skip --------------------------------
+
+PROBE_POINTS = [
+    baseline_point("crc32", "reduced", "train"),
+    selector_point("crc32", {"kind": "struct-all"}, "reduced", "train"),
+]
+
+
+@pytest.fixture(scope="module")
+def warm_runner(tmp_path_factory):
+    """A runner whose store has already executed ``PROBE_POINTS``."""
+    runner = Runner(store=ArtifactStore(tmp_path_factory.mktemp("warm")))
+    Scheduler(jobs=1).run(build_tasks(PROBE_POINTS, runner))
+    return runner
+
+
+def test_every_store_backed_node_has_an_address(warm_runner):
+    tasks = build_tasks(PROBE_POINTS, warm_runner, check=True)
+    addressed = {t.stage: task_artifact(warm_runner, t) is not None
+                 for t in tasks}
+    assert addressed["trace"] and addressed["baseline"]
+    assert addressed["plan"] and addressed["timing"]
+    assert not addressed["check"]          # recomputes by design
+
+
+def test_cold_dag_keeps_everything():
+    runner = Runner(store=ArtifactStore())    # empty memory-only store
+    tasks = build_tasks(PROBE_POINTS, runner)
+    kept, pruned = prune_cached(runner, tasks)
+    assert pruned == []
+    assert [t.id for t in kept] == [t.id for t in tasks]
+
+
+def test_executed_dag_prunes_to_nothing(warm_runner):
+    """Repeat work schedules nothing."""
+    tasks = build_tasks(PROBE_POINTS, warm_runner)
+    kept, pruned = prune_cached(warm_runner, tasks)
+    assert kept == []
+    assert sorted(pruned) == sorted(t.id for t in tasks)
+
+
+def test_partial_prune_drops_dead_edges(warm_runner):
+    """A DAG mixing warm and cold points keeps only the cold subgraph,
+    with dependency edges into pruned nodes removed."""
+    mixed = PROBE_POINTS + [
+        selector_point("crc32", {"kind": "struct-none"}, "reduced",
+                       "train"),
+    ]
+    tasks = build_tasks(mixed, warm_runner)
+    kept, pruned = prune_cached(warm_runner, tasks)
+    assert kept, "the struct-none plan/run must still be cold"
+    kept_ids = {t.id for t in kept}
+    dead = set(pruned)
+    for task in kept:
+        for dep in task.deps:
+            assert dep in kept_ids and dep not in dead
+    # And the kept subgraph actually executes on its own.
+    report = Scheduler(jobs=1).run(kept)
+    assert len(report.results) == len(kept)
+
+
+def test_check_nodes_are_never_pruned(warm_runner):
+    tasks = build_tasks(PROBE_POINTS, warm_runner, check=True)
+    kept, _ = prune_cached(warm_runner, tasks)
+    assert {t.stage for t in kept} == {"check"}
 
 
 class TestResume:
@@ -104,6 +175,21 @@ class TestResume:
         # allow_stale proceeds (and, same code, same store: all durable).
         summary = resume_run(ledger_path, allow_stale=True)
         assert summary["failed"] == 0
+
+    def test_header_with_store_backend_key_still_resumes(self, tmp_path):
+        """Ledgers written before the store had one disk layout carry
+        ``store_backend`` in the header and the runner params."""
+        ledger_path = _run_with_ledger(tmp_path)
+        lines = ledger_path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["store_backend"] = "dir"
+        header["runner"]["store_backend"] = "dir"
+        lines[0] = json.dumps(header, sort_keys=True)
+        ledger_path.write_text("\n".join(lines) + "\n")
+        summary = resume_run(ledger_path)
+        assert summary["failed"] == 0
+        assert summary["scheduled"] == 0
+        assert summary["skipped"] == summary["total"]
 
     def test_unknown_workload_kind_refused(self, tmp_path):
         runner = Runner(store=ArtifactStore(tmp_path / "cache"))

@@ -10,6 +10,7 @@ serial path's failure semantics.
 
 import pytest
 
+from repro.exec import tasks as task_fns
 from repro.exec.grid import (baseline_point, dynamic_point, parse_jobs,
                              run_points, selector_point)
 from repro.harness.runner import Runner
@@ -135,3 +136,17 @@ def test_threaded_summaries_match_task_shapes():
             assert set(summary) == {"ipc"}
         elif stage == "profile":
             assert set(summary) == {"entries"}
+
+
+@needs_kernel
+def test_threaded_stage_wall_fits_in_elapsed(monkeypatch):
+    """Batched points share one native call; their per-stage durations
+    must not count that call once per point."""
+    # Fresh task runners: memory stores warmed by earlier tests would
+    # turn every point into a store hit.
+    monkeypatch.setattr(task_fns, "_RUNNERS", {})
+    before = ckern.counters["batch_points"]
+    report = run_points(Runner(), _points(), jobs=1, threads=2)
+    assert not report.failures
+    assert ckern.counters["batch_points"] > before
+    assert sum(report.stage_wall.values()) <= report.elapsed

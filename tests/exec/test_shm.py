@@ -10,7 +10,11 @@ when a worker is killed mid-flight — and every failure path degrades
 silently to the ordinary pickle-through-the-store transport.
 """
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,16 +32,14 @@ from repro.pipeline.config import reduced_config
 from repro.pipeline.core import OoOCore
 
 
+needs_dev_shm = pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                                   reason="POSIX shared memory in /dev/shm")
+
+
 def _segment_exists(name: str) -> bool:
-    from multiprocessing import shared_memory
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    from repro.exec.shm import _untrack
-    _untrack(segment)
-    segment.close()
-    return True
+    # Look, don't attach: attaching would register the name with this
+    # process's resource tracker.
+    return os.path.exists(os.path.join("/dev/shm", name.lstrip("/")))
 
 
 # -- task bodies (module-level: pickled into pool workers) --------------------
@@ -145,6 +147,7 @@ def test_attach_after_release_falls_back(runner):
     assert attach_trace(stale) is None
 
 
+@needs_dev_shm
 def test_worker_death_leaves_no_segments(tmp_path, runner):
     """A worker killed mid-flight must not leak the segment: the parent
     owns unlink, the run degrades to serial, and the survivor retry
@@ -198,6 +201,7 @@ def test_build_tasks_threads_descriptors_into_specs(tmp_path):
         registry.release_all()
 
 
+@needs_dev_shm
 def test_parallel_run_over_shm_matches_serial(tmp_path):
     """run_points with prewarmed (published) traces must produce the
     same artifacts as a fresh serial runner, and unlink every segment."""
@@ -232,3 +236,63 @@ def test_parallel_run_over_shm_matches_serial(tmp_path):
         assert parallel.run_selector(bench, StructAll(),
                                      reduced_config()).ipc == \
             serial.run_selector(bench, StructAll(), reduced_config()).ipc
+
+
+# -- resource tracker ---------------------------------------------------------
+
+_CONCURRENT_ATTACH = """
+import json, multiprocessing, sys
+sys.path.insert(0, {src!r})
+from repro.exec.shm import ShmRegistry, attach_trace
+from repro.harness.runner import Runner
+
+
+def attach(barrier, descriptor, queue):
+    barrier.wait()
+    trace = attach_trace(descriptor)
+    queue.put(None if trace is None else len(trace.records))
+
+
+if __name__ == "__main__":
+    ctx = multiprocessing.get_context("fork")
+    trace = Runner(max_insts=5000).trace("crc32")
+    registry = ShmRegistry()
+    segments, queue, lengths = [], ctx.Queue(), []
+    for round_ in range({rounds}):
+        # A distinct max_insts per round: one fresh segment each.
+        descriptor = registry.publish(trace, "crc32", "train",
+                                      5000 + round_)
+        segments.append(descriptor["segment"])
+        barrier = ctx.Barrier({procs})
+        procs = [ctx.Process(target=attach,
+                             args=(barrier, descriptor, queue))
+                 for _ in range({procs})]
+        for proc in procs:
+            proc.start()
+        lengths += [queue.get(timeout=60) for _ in procs]
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0, proc.exitcode
+    registry.release_all()
+    print(json.dumps({{"segments": segments,
+                      "expected": len(trace.records),
+                      "lengths": lengths}}))
+"""
+
+
+@needs_dev_shm
+def test_concurrent_attach_keeps_the_resource_tracker_quiet():
+    """Forked processes attaching one segment at the same moment share
+    the parent's resource tracker. Their attach registrations must not
+    unbalance it: no tracker traceback on stderr, and ``release_all``
+    leaves nothing in ``/dev/shm``."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    script = _CONCURRENT_ATTACH.format(src=src, rounds=4, procs=6)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["lengths"] == [doc["expected"]] * (4 * 6)
+    for name in doc["segments"]:
+        assert not _segment_exists(name), f"leaked segment {name}"

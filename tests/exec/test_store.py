@@ -239,3 +239,34 @@ def test_code_version_matches_source_digest_of_tree():
 
     root = Path(repro.__file__).resolve().parent
     assert code_version() == source_digest(root)
+
+
+def test_dedup_hard_links_identical_payloads(tmp_path):
+    """Distinct keys with identical bytes end up sharing one inode;
+    reads and sidecars are untouched."""
+    store = ArtifactStore(tmp_path)
+    keys = [store.key("plan", {"n": n}) for n in range(3)]
+    other = store.key("plan", {"n": "other"})
+    for key in keys:
+        store.put(key, {"same": [1, 2, 3]}, "plan", {"k": key})
+    store.put(other, {"different": True}, "plan")
+    sidecars = {key: store.backend.sidecar_path(key).read_bytes()
+                for key in keys + [other]}
+
+    report = store.dedup()
+    assert report["groups"] == 1
+    assert report["linked"] == 2
+    assert report["bytes_saved"] == 2 * store._payload_path(keys[0]) \
+        .stat().st_size
+    inodes = {store._payload_path(key).stat().st_ino for key in keys}
+    assert len(inodes) == 1
+    assert store._payload_path(other).stat().st_ino not in inodes
+    for key, sidecar in sidecars.items():
+        assert store.backend.sidecar_path(key).read_bytes() == sidecar
+
+    fresh = ArtifactStore(tmp_path)
+    for key in keys:
+        assert fresh.get(key, "plan") == {"same": [1, 2, 3]}
+    assert fresh.get(other, "plan") == {"different": True}
+    assert fresh.stats.corrupt_dropped == 0
+    assert store.dedup()["linked"] == 0      # idempotent
