@@ -156,23 +156,15 @@ def _parallel_subset_points(runner: Runner, bench: str, input_name: str,
                             progress=None) -> List[SubsetPoint]:
     """Fan the exhaustive subset sweep out over worker processes.
 
-    Each mask evaluation is one task; trace and candidate enumeration
-    are shared through the runner's persistent artifact store. Results
-    are ordered by mask, so the outcome is independent of ``jobs``.
+    Each mask evaluation is one task; the trace and candidate
+    enumeration reach the workers through the runner's persistent
+    artifact store, loaded once per worker process. Results are ordered
+    by mask, so the outcome is independent of ``jobs``.
     """
     from ..exec.dag import Scheduler, Task
-    from ..exec.shm import ShmRegistry
     from ..exec.tasks import run_subset, runner_params
 
     base = runner_params(runner)
-    # The driver has already materialized the trace (site ranking reads
-    # it), so ship it to the workers zero-copy instead of having every
-    # process unpickle the same multi-megabyte artifact.
-    registry = ShmRegistry()
-    descriptor = registry.publish(runner.trace(bench, input_name),
-                                  bench, input_name, runner.max_insts)
-    if descriptor is not None:
-        base = dict(base, shm_traces=[descriptor])
     tasks = [
         Task(id=f"subset/{bench}/{input_name}/{mask}", fn=run_subset,
              args=(dict(base, bench=bench, input=input_name,
@@ -181,10 +173,7 @@ def _parallel_subset_points(runner: Runner, bench: str, input_name: str,
              stage="subset")
         for mask in range(n_subsets)
     ]
-    try:
-        report = Scheduler(jobs=jobs, on_event=progress).run(tasks)
-    finally:
-        registry.release_all()
+    report = Scheduler(jobs=jobs, on_event=progress).run(tasks)
     points = [SubsetPoint(r["mask"], r["coverage"], r["relative_ipc"])
               for r in report.results.values()]
     points.sort(key=lambda p: p.mask)
@@ -207,8 +196,8 @@ def run_limit_study(runner: Optional[Runner] = None, bench: str = "adpcm",
     processes; results are identical to the serial path. ``progress``
     receives the scheduler's per-task event stream (see
     :class:`~repro.exec.dag.Scheduler`); callers that render progress —
-    the CLI, the serve daemon's per-job event logs — attach their own
-    sink instead of sharing one process-wide stderr stream.
+    the CLI, a run ledger's event sink — attach their own sink instead
+    of sharing one process-wide stderr stream.
     """
     runner = runner or Runner()
     config = config or reduced_config()

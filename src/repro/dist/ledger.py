@@ -186,7 +186,7 @@ def assert_skippable(tasks, durable_ids: Iterable[str],
     """The durability lint: every node being skipped must be durable.
 
     ``durable_ids`` is the set of task ids whose outputs live in the
-    artifact store (``resume.task_artifact`` resolved an address for
+    artifact store (``exec.tasks.task_artifact`` resolved an address for
     them); anything else — ``check`` nodes, unrecognized stages — has no
     durable output, so skipping it would silently drop its effect.
     Raises :class:`LedgerError` naming the offenders.

@@ -4,13 +4,13 @@ The ledger header holds everything needed to rebuild the dead run's
 task graph: runner parameters, store root, code-version salt, and the
 serialized workload. Resume rebuilds the graph, then lets the **store**
 decide what is left to do: every node whose durable output probes
-present is pruned (:func:`prune_cached`, which keys its probes with the
-runner's own ``*_params`` builders, so a probe can never disagree with
-the compute paths), and only the remainder is scheduled. The ledger's
-own ``done`` records are advisory — a node journaled done whose artifact
-has since been pruned re-runs; a node the journal never saw whose
-artifact exists (published by a worker just before the kill) is skipped
-anyway.
+present is pruned (:func:`prune_cached`, which probes the address
+:func:`repro.exec.tasks.task_artifact` gives each node, the same address
+the compute paths and the batched dispatcher use), and only the
+remainder is scheduled. The ledger's own ``done`` records are advisory —
+a node journaled done whose artifact has since been pruned re-runs; a
+node the journal never saw whose artifact exists (published by a worker
+just before the kill) is skipped anyway.
 
 The durability invariant is enforced twice: ``prune_cached`` cannot
 prune a node without a store address by construction, and
@@ -29,55 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.dist.ledger import LedgerError, RunLedger, assert_skippable
 from repro.exec.dag import Task
 from repro.exec.store import MISS
-from repro.pipeline.config import config_by_name
-
-
-def task_artifact(runner, task: Task) -> Optional[Tuple[str, Dict]]:
-    """The ``(kind, params)`` store address of a DAG node's artifact.
-
-    Returns ``None`` for nodes that are not backed by a store artifact
-    (``check`` validation nodes recompute by design) — those are never
-    pruned.
-    """
-    spec = task.args[0] if task.args else {}
-    stage = task.stage
-    if stage == "trace":
-        return "trace", runner.trace_params(spec["bench"], spec["input"])
-    if stage == "candidates":
-        return "candidates", runner.candidates_params(spec["bench"],
-                                                      spec["input"])
-    if stage == "profile":
-        return "profile", runner.profile_params(
-            spec["bench"], config_by_name(spec["config"]), spec["input"],
-            spec.get("global_slack", False))
-    if stage == "baseline":
-        return "baseline", runner.baseline_params(
-            spec["bench"], config_by_name(spec["config"]), spec["input"])
-    if stage == "plan":
-        return "plan", runner.plan_params(
-            spec["bench"], spec["selector"], spec["input"],
-            config_by_name(spec.get("profile_config") or "reduced"),
-            spec.get("profile_input") or spec["input"],
-            spec.get("global_slack", False))
-    if stage == "timing":
-        if spec.get("point_kind") == "slack-dynamic":
-            policy = dict(spec.get("policy") or {})
-            mode = policy.pop("mode", "full")
-            outlining = policy.pop("outlining_penalty", True)
-            return "run-dynamic", runner.dynamic_params(
-                spec["bench"], config_by_name(spec["config"]),
-                spec["input"], mode, outlining, policy)
-        return "run", runner.run_params(
-            spec["bench"], spec["selector"],
-            config_by_name(spec["config"]), spec["input"],
-            config_by_name(spec.get("profile_config") or "reduced"),
-            spec.get("profile_input") or spec["input"],
-            spec.get("global_slack", False), None)
-    if stage == "subset":
-        return "subset", runner.subset_params(
-            spec["bench"], spec["input"], config_by_name(spec["config"]),
-            spec["n_candidates"], spec["mask"], spec["baseline_ipc"])
-    return None
+from repro.exec.tasks import task_artifact
 
 
 def prune_cached(runner, tasks: Sequence[Task]

@@ -70,67 +70,43 @@ class _Prepared:
 
 
 def _prepare(task) -> Optional[_Prepared]:
-    """Set one task's point up for the batch, or None for serial.
+    """Set one batchable task's point up for the batch, or None for serial.
 
-    None covers every reason the batch cannot help: the artifact is
-    already stored (the serial rerun is a memo hit), the point kind has
-    no prepared form, or the constructed core is not kernel-eligible
-    (``REPRO_PURE_PY``, no compiler, tap-incapable observer).
+    The store probe and the later ``put`` use the address
+    :func:`~repro.exec.tasks.task_artifact` gives the node, so they
+    agree with the serial compute path and the resume pruner. None
+    covers every reason the batch cannot help: the artifact is already
+    stored (the serial rerun is a memo hit), or the constructed core is
+    not kernel-eligible (``REPRO_PURE_PY``, no compiler, tap-incapable
+    observer).
     """
     start = time.perf_counter()
     spec = task.args[0]
     runner = task_fns._runner(spec)
+    kind, params = task_fns.task_artifact(runner, task)
+    if runner.store.get(runner.store.key(kind, params), kind) is not MISS:
+        return None
     bench = runner._bench(spec["bench"])
     input_name = spec["input"]
     config = task_fns._config(spec["config"])
 
     if task.fn is task_fns.run_profile:
-        global_slack = spec.get("global_slack", False)
-        kind = "profile"
-        params = runner.profile_params(bench.name, config, input_name,
-                                       global_slack)
-        if runner.store.get(runner.store.key(kind, params), kind) \
-                is not MISS:
-            return None
         core, finalize = runner.profile_prepared(
-            bench, config, input_name, global_slack=global_slack)
+            bench, config, input_name,
+            global_slack=spec.get("global_slack", False))
         summarize = task_fns.profile_summary
-    elif task.fn is task_fns.run_baseline \
-            or spec.get("point_kind") == "baseline":
-        kind = "baseline"
-        params = runner.baseline_params(bench.name, config, input_name)
-        if runner.store.get(runner.store.key(kind, params), kind) \
-                is not MISS:
-            return None
+    elif task.fn is task_fns.run_baseline:
         core, finalize = runner.baseline_prepared(bench, config, input_name)
-        summarize = task_fns.baseline_summary \
-            if task.fn is task_fns.run_baseline \
-            else task_fns.timing_baseline_summary
-    elif task.fn is task_fns.run_timing:
-        selector = task_fns.selector_from_spec(spec["selector"])
-        from ..pipeline.config import config_by_name
-        profile_config = task_fns._config(spec["profile_config"]) \
-            if spec.get("profile_config") else None
-        profile_input = spec.get("profile_input")
-        global_slack = spec.get("global_slack", False)
-        kind = "run"
-        # Key on the *resolved* profiling parameters, exactly as
-        # Runner.run_selector does.
-        params = runner.run_params(
-            bench.name, selector.spec(), config, input_name,
-            profile_config if profile_config is not None
-            else config_by_name("reduced"),
-            profile_input or input_name, global_slack, None)
-        if runner.store.get(runner.store.key(kind, params), kind) \
-                is not MISS:
-            return None
-        core, finalize = runner.selector_prepared(
-            bench, selector, config, input_name=input_name,
-            profile_config=profile_config, profile_input=profile_input,
-            global_slack=global_slack)
-        summarize = task_fns.timing_summary
+        summarize = task_fns.baseline_summary
     else:
-        return None
+        core, finalize = runner.selector_prepared(
+            bench, task_fns.selector_from_spec(spec["selector"]), config,
+            input_name=input_name,
+            profile_config=task_fns._config(spec["profile_config"])
+            if spec.get("profile_config") else None,
+            profile_input=spec.get("profile_input"),
+            global_slack=spec.get("global_slack", False))
+        summarize = task_fns.timing_summary
 
     entry = core.kernel_batch_entry(DEFAULT_MAX_CYCLES)
     if entry is None:

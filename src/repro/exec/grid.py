@@ -166,9 +166,7 @@ def dynamic_point(bench: str, config: str, input_name: str = "train",
 
 
 def build_tasks(points: Sequence[Point], runner,
-                check: bool = False,
-                shm_traces: Optional[Dict[Tuple[str, str], Dict]] = None
-                ) -> List[Task]:
+                check: bool = False) -> List[Task]:
     """Expand points into a deduplicated trace→profile→plan→timing DAG.
 
     With ``check`` every selector and slack-dynamic point also gets a
@@ -178,35 +176,21 @@ def build_tasks(points: Sequence[Point], runner,
     divergence (:func:`repro.exec.tasks.run_check`). Check nodes depend
     only on the plan and trace, so they run concurrently with the timing
     runs they vouch for.
-
-    ``shm_traces`` maps (bench, input) pairs to shared-memory trace
-    descriptors published by :func:`run_points`; every spec that reads a
-    published trace carries the matching descriptors so workers attach
-    the columns zero-copy instead of unpickling the disk artifact.
     """
     base = task_fns.runner_params(runner)
-    shm_traces = shm_traces or {}
     table: Dict[str, Task] = {}
-
-    def shm_for(bench: str, *inputs: Optional[str]) -> Dict:
-        descriptors = [shm_traces[(bench, name)]
-                       for name in dict.fromkeys(inputs)
-                       if name is not None and (bench, name) in shm_traces]
-        return {"shm_traces": descriptors} if descriptors else {}
 
     def add(task: Task) -> str:
         table.setdefault(task.id, task)
         return task.id
 
     def trace_task(bench: str, input_name: str) -> str:
-        spec = dict(base, bench=bench, input=input_name,
-                    **shm_for(bench, input_name))
+        spec = dict(base, bench=bench, input=input_name)
         return add(Task(id=f"trace/{bench}/{input_name}",
                         fn=task_fns.run_trace, args=(spec,), stage="trace"))
 
     def candidates_task(bench: str, input_name: str) -> str:
-        spec = dict(base, bench=bench, input=input_name,
-                    **shm_for(bench, input_name))
+        spec = dict(base, bench=bench, input=input_name)
         return add(Task(
             id=f"candidates/{bench}/{input_name}/{runner.max_mg_size}",
             fn=task_fns.run_candidates, args=(spec,),
@@ -215,8 +199,7 @@ def build_tasks(points: Sequence[Point], runner,
     def profile_task(bench: str, input_name: str, config: str,
                      global_slack: bool) -> str:
         spec = dict(base, bench=bench, input=input_name, config=config,
-                    global_slack=global_slack,
-                    **shm_for(bench, input_name))
+                    global_slack=global_slack)
         return add(Task(
             id=f"profile/{bench}/{input_name}/{config}/{global_slack}",
             fn=task_fns.run_profile, args=(spec,),
@@ -235,8 +218,7 @@ def build_tasks(points: Sequence[Point], runner,
         spec = dict(base, bench=point.bench, input=point.input_name,
                     selector=selector, profile_config=point.profile_config,
                     profile_input=point.profile_input,
-                    global_slack=point.global_slack,
-                    **shm_for(point.bench, point.input_name, profile_input))
+                    global_slack=point.global_slack)
         return add(Task(
             id=f"plan/{point.bench}/{point.input_name}/{_sel_tag(selector)}"
                f"/{profile_config}/{profile_input}/{point.global_slack}",
@@ -250,8 +232,7 @@ def build_tasks(points: Sequence[Point], runner,
         spec = dict(base, bench=point.bench, input=point.input_name,
                     selector=selector, profile_config=point.profile_config,
                     profile_input=point.profile_input,
-                    global_slack=point.global_slack,
-                    **shm_for(point.bench, point.input_name, profile_input))
+                    global_slack=point.global_slack)
         return add(Task(
             id=f"check/{point.bench}/{point.input_name}/{_sel_tag(selector)}"
                f"/{profile_config}/{profile_input}/{point.global_slack}",
@@ -271,8 +252,7 @@ def build_tasks(points: Sequence[Point], runner,
                                            point.config, point.input_name))
         if point.kind == "baseline":
             spec = dict(base, bench=point.bench, input=point.input_name,
-                        config=point.config,
-                        **shm_for(point.bench, point.input_name))
+                        config=point.config)
             add(Task(id=f"baseline/{point.bench}/{point.input_name}"
                         f"/{point.config}",
                      fn=task_fns.run_baseline, args=(spec,),
@@ -286,8 +266,7 @@ def build_tasks(points: Sequence[Point], runner,
                     trace_task(point.bench, point.input_name))
             spec = dict(base, point_kind="slack-dynamic", bench=point.bench,
                         input=point.input_name, config=point.config,
-                        policy=_thaw(point.policy),
-                        **shm_for(point.bench, point.input_name))
+                        policy=_thaw(point.policy))
             policy_tag = ",".join(f"{k}={v}" for k, v in point.policy) \
                 or "default"
             add(Task(id=f"timing/{point.bench}/{point.input_name}"
@@ -303,9 +282,7 @@ def build_tasks(points: Sequence[Point], runner,
                     input=point.input_name, config=point.config,
                     selector=selector, profile_config=point.profile_config,
                     profile_input=point.profile_input,
-                    global_slack=point.global_slack,
-                    **shm_for(point.bench, point.input_name,
-                              point.profile_input or point.input_name))
+                    global_slack=point.global_slack)
         add(Task(id=f"timing/{point.bench}/{point.input_name}"
                     f"/{point.config}/{_sel_tag(selector)}"
                     f"/{point.profile_config}/{point.profile_input}"
@@ -313,33 +290,6 @@ def build_tasks(points: Sequence[Point], runner,
                  fn=task_fns.run_timing, args=(spec,), deps=deps,
                  stage="timing"))
     return list(table.values())
-
-
-def publish_point_traces(runner, points: Sequence[Point],
-                         registry) -> Dict[Tuple[str, str], Dict]:
-    """Publish every already-materialized trace the points will read.
-
-    Only traces the runner's store can produce *now* (memory layer, or
-    one parent-side unpickle from disk) are published; missing traces
-    are simply not in the table, and their workers compute/load them
-    through the store as before — the silent pickling fallback.
-    """
-    from .store import MISS
-    pairs = {(point.bench, point.input_name) for point in points}
-    pairs.update((point.bench, point.profile_input or point.input_name)
-                 for point in points if point.kind == "selector")
-    table: Dict[Tuple[str, str], Dict] = {}
-    for bench, input_name in sorted(pairs):
-        params = {"bench": bench, "input": input_name,
-                  "max_insts": runner.max_insts}
-        trace = runner.store.get(runner.store.key("trace", params), "trace")
-        if trace is MISS:
-            continue
-        descriptor = registry.publish(trace, bench, input_name,
-                                      runner.max_insts)
-        if descriptor is not None:
-            table[(bench, input_name)] = descriptor
-    return table
 
 
 def run_points(runner, points: Sequence[Point], jobs: int,
@@ -363,15 +313,14 @@ def run_points(runner, points: Sequence[Point], jobs: int,
     resume``. ``tasks`` overrides the DAG (the resume path passes the
     already-pruned graph).
 
-    Functional traces the parent already holds are shipped to workers
-    through shared memory (:mod:`repro.exec.shm`) rather than pickled;
-    the segments are unlinked before returning, whatever happens to the
-    workers.
+    Worker processes load functional traces from the store like every
+    other artifact: each worker's runner unpickles a trace once and
+    keeps it in its memory layer for the tasks that follow.
 
     ``threads`` (from ``--jobs threads:N``, see :func:`parse_jobs`)
     selects batched native dispatch instead of process fan-out: the
-    whole run stays in this process (no persistent store, no shm, no
-    pickling) and each scheduler wave of ready timing nodes becomes one
+    whole run stays in this process (no persistent store, no pickling)
+    and each scheduler wave of ready timing nodes becomes one
     ``repro_run_batch`` call over N C threads.
     """
     if threads > 0:
@@ -380,24 +329,13 @@ def run_points(runner, points: Sequence[Point], jobs: int,
         raise ValueError(
             "parallel execution needs a persistent store: construct the "
             "Runner with ArtifactStore(cache_dir) or use --cache-dir")
-    registry = None
-    shm_traces: Dict[Tuple[str, str], Dict] = {}
-    if jobs > 1:
-        from .shm import ShmRegistry
-        registry = ShmRegistry()
-        shm_traces = publish_point_traces(runner, points, registry)
     if ledger is not None:
         on_event = ledger.sink(on_event)
-    try:
-        scheduler = Scheduler(jobs=jobs, retries=retries, timeout=timeout,
-                              on_event=on_event, threads=threads)
-        if tasks is None:
-            tasks = build_tasks(points, runner, check=check,
-                                shm_traces=shm_traces)
-        report = scheduler.run(tasks, raise_on_failure=raise_on_failure)
-        if ledger is not None:
-            ledger.complete(len(report.results), len(report.failures))
-        return report
-    finally:
-        if registry is not None:
-            registry.release_all()
+    scheduler = Scheduler(jobs=jobs, retries=retries, timeout=timeout,
+                          on_event=on_event, threads=threads)
+    if tasks is None:
+        tasks = build_tasks(points, runner, check=check)
+    report = scheduler.run(tasks, raise_on_failure=raise_on_failure)
+    if ledger is not None:
+        ledger.complete(len(report.results), len(report.failures))
+    return report

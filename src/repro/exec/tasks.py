@@ -11,9 +11,12 @@ Specs carry the runner parameters (``budget``, ``max_mg_size``,
 ``warm_caches``, ``max_insts``, ``cache_dir``); each worker process keeps
 one :class:`~repro.harness.runner.Runner` per distinct parameter set so
 that repeated tasks in the same worker also share the in-memory layer.
-Specs may additionally carry ``shm_traces`` descriptors naming
-shared-memory segments the parent published (:mod:`repro.exec.shm`);
-those traces are attached zero-copy instead of unpickled from disk.
+That is how workers get functional traces too: the first task that
+needs one loads it from the store, and later tasks in the same process
+hit the memory layer.
+
+:func:`task_artifact` names the store address of each task's artifact;
+the resume pruner and the batched dispatcher probe through it.
 """
 
 from __future__ import annotations
@@ -49,37 +52,7 @@ def _runner(spec: Dict[str, Any]):
             budget=spec["budget"], max_mg_size=spec["max_mg_size"],
             warm_caches=spec["warm_caches"], max_insts=spec["max_insts"],
             store=ArtifactStore(spec["cache_dir"]))
-    runner = _RUNNERS[key]
-    _seed_shared_traces(runner, spec)
-    return runner
-
-
-def _seed_shared_traces(runner, spec: Dict[str, Any]) -> None:
-    """Attach any shared-memory trace segments named in the spec.
-
-    The parent publishes functional traces it already holds as
-    ``multiprocessing.shared_memory`` segments (see
-    :mod:`repro.exec.shm`); specs carry the descriptors under
-    ``shm_traces``. Attaching maps the packed columns zero-copy and
-    seeds the rehydrated trace into this runner's *memory* layer so the
-    pipeline's ``runner.trace(...)`` calls hit without touching the
-    pickled disk artifact. Any attach failure (segment already
-    released, no shared memory here) silently falls back to the store.
-    """
-    descriptors = spec.get("shm_traces")
-    if not descriptors:
-        return
-    from .shm import attach_trace
-    for descriptor in descriptors:
-        params = {"bench": descriptor["bench"],
-                  "input": descriptor["input"],
-                  "max_insts": descriptor["max_insts"]}
-        key = runner.store.key("trace", params)
-        if key in runner.store._memory:
-            continue
-        trace = attach_trace(descriptor)
-        if trace is not None:
-            runner.store.seed(key, trace)
+    return _RUNNERS[key]
 
 
 def _config(name: str):
@@ -117,13 +90,8 @@ def profile_summary(profile) -> Dict[str, Any]:
 
 
 def timing_summary(run) -> Dict[str, Any]:
-    """Summary shape of :func:`run_timing` for selector/dynamic points."""
+    """Summary shape of :func:`run_timing`."""
     return {"ipc": run.ipc, "coverage": run.coverage}
-
-
-def timing_baseline_summary(stats) -> Dict[str, Any]:
-    """Summary shape of :func:`run_timing` for ``baseline`` grid points."""
-    return {"ipc": stats.ipc, "coverage": 0.0}
 
 
 # -- pipeline-stage tasks ------------------------------------------------------
@@ -176,10 +144,6 @@ def run_timing(spec: Dict[str, Any]) -> Dict[str, Any]:
             spec["bench"], _config(spec["config"]),
             input_name=spec["input"],
             **dict(spec.get("policy") or {}))
-    elif spec["point_kind"] == "baseline":
-        stats = runner.baseline(spec["bench"], _config(spec["config"]),
-                                spec["input"])
-        return timing_baseline_summary(stats)
     else:
         run = runner.run_selector(
             spec["bench"], selector_from_spec(spec["selector"]),
@@ -262,3 +226,55 @@ def run_subset(spec: Dict[str, Any]) -> Dict[str, Any]:
                                    spec["baseline_ipc"], sites=sites)
     return {"mask": point.mask, "coverage": point.coverage,
             "relative_ipc": point.relative_ipc}
+
+
+# -- store addresses -----------------------------------------------------------
+
+def task_artifact(runner, task) -> Optional[Tuple[str, Dict]]:
+    """The ``(kind, params)`` store address of a DAG node's artifact.
+
+    Built with the runner's own ``*_params`` builders from the same
+    resolved arguments the task's compute path passes them: selectors
+    are keyed by their canonical spec, profiling defaults are filled in.
+    Returns ``None`` for nodes that are not backed by a store artifact
+    (``check`` validation nodes recompute by design).
+    """
+    spec = task.args[0] if task.args else {}
+    stage = task.stage
+    if stage == "trace":
+        return "trace", runner.trace_params(spec["bench"], spec["input"])
+    if stage == "candidates":
+        return "candidates", runner.candidates_params(spec["bench"],
+                                                      spec["input"])
+    if stage == "profile":
+        return "profile", runner.profile_params(
+            spec["bench"], _config(spec["config"]), spec["input"],
+            spec.get("global_slack", False))
+    if stage == "baseline":
+        return "baseline", runner.baseline_params(
+            spec["bench"], _config(spec["config"]), spec["input"])
+    if stage == "plan":
+        return "plan", runner.plan_params(
+            spec["bench"], selector_from_spec(spec["selector"]).spec(),
+            spec["input"], _config(spec.get("profile_config") or "reduced"),
+            spec.get("profile_input") or spec["input"],
+            spec.get("global_slack", False))
+    if stage == "timing":
+        if spec.get("point_kind") == "slack-dynamic":
+            policy = dict(spec.get("policy") or {})
+            mode = policy.pop("mode", "full")
+            outlining = policy.pop("outlining_penalty", True)
+            return "run-dynamic", runner.dynamic_params(
+                spec["bench"], _config(spec["config"]), spec["input"],
+                mode, outlining, policy)
+        return "run", runner.run_params(
+            spec["bench"], selector_from_spec(spec["selector"]).spec(),
+            _config(spec["config"]), spec["input"],
+            _config(spec.get("profile_config") or "reduced"),
+            spec.get("profile_input") or spec["input"],
+            spec.get("global_slack", False), None)
+    if stage == "subset":
+        return "subset", runner.subset_params(
+            spec["bench"], spec["input"], _config(spec["config"]),
+            spec["n_candidates"], spec["mask"], spec["baseline_ipc"])
+    return None

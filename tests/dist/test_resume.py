@@ -20,8 +20,8 @@ import pytest
 
 from repro.dist.ledger import LedgerError, RunLedger
 from repro.dist.resume import (
-    open_ledger, prune_cached, resume_run, task_artifact,
-    workload_for_limit_study, workload_for_points,
+    open_ledger, prune_cached, resume_run, workload_for_limit_study,
+    workload_for_points,
 )
 from repro.exec import tasks as task_fns
 from repro.exec.dag import Scheduler
@@ -64,6 +64,7 @@ def _run_with_ledger(tmp_path):
 PROBE_POINTS = [
     baseline_point("crc32", "reduced", "train"),
     selector_point("crc32", {"kind": "struct-all"}, "reduced", "train"),
+    selector_point("crc32", {"kind": "slack-profile"}, "reduced", "train"),
 ]
 
 
@@ -77,7 +78,7 @@ def warm_runner(tmp_path_factory):
 
 def test_every_store_backed_node_has_an_address(warm_runner):
     tasks = build_tasks(PROBE_POINTS, warm_runner, check=True)
-    addressed = {t.stage: task_artifact(warm_runner, t) is not None
+    addressed = {t.stage: task_fns.task_artifact(warm_runner, t) is not None
                  for t in tasks}
     assert addressed["trace"] and addressed["baseline"]
     assert addressed["plan"] and addressed["timing"]

@@ -65,19 +65,27 @@ def test_grid_dedups_shared_upstream_nodes():
 
 
 def test_parallel_and_serial_are_identical(tmp_path):
+    """Pool workers load traces from the store. Two inputs: a cold
+    parent runner, and one that already holds its traces in memory
+    when ``run_points`` starts; neither may change what workers compute.
+    """
     serial = _collect(Runner())
 
-    store = ArtifactStore(tmp_path / "cache")
-    runner = Runner(store=store)
-    report = run_points(runner, _points(), jobs=4)
-    assert not report.failures
-    # Replay through a fresh runner over the warmed store: everything is
-    # a cache hit and the numbers match the serial in-process run.
-    replay = Runner(store=ArtifactStore(tmp_path / "cache"))
-    assert _collect(replay) == serial
-    stats = replay.store.stats
-    assert stats.misses == 0
-    assert stats.hit_rate == 1.0
+    for warm_traces in (False, True):
+        cache = tmp_path / f"cache-{'warm' if warm_traces else 'cold'}"
+        runner = Runner(store=ArtifactStore(cache))
+        if warm_traces:
+            for bench in BENCHES:
+                runner.trace(bench)
+        report = run_points(runner, _points(), jobs=4)
+        assert not report.failures
+        # Replay through a fresh runner over the warmed store: everything
+        # is a cache hit and the numbers match the serial in-process run.
+        replay = Runner(store=ArtifactStore(cache))
+        assert _collect(replay) == serial, warm_traces
+        stats = replay.store.stats
+        assert stats.misses == 0
+        assert stats.hit_rate == 1.0
 
 
 def test_jobs_one_scheduler_matches_direct_calls(tmp_path):
