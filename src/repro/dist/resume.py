@@ -2,20 +2,23 @@
 
 The ledger header holds everything needed to rebuild the dead run's
 task graph: runner parameters, store root, code-version salt, and the
-serialized workload. Resume rebuilds the graph, then lets the **store**
-decide what is left to do: every node whose durable output probes
-present is pruned (:func:`prune_cached`, which probes the address
-:func:`repro.exec.tasks.task_artifact` gives each node, the same address
-the compute paths and the batched dispatcher use), and only the
-remainder is scheduled. The ledger's own ``done`` records are advisory —
-a node journaled done whose artifact has since been pruned re-runs; a
-node the journal never saw whose artifact exists (published by a worker
-just before the kill) is skipped anyway.
+serialized workload. Resume rebuilds the points and hands them to
+:func:`repro.exec.grid.run_points`, which lets the **store** decide
+what is left to do: its pruner (:func:`prune_cached`, defined in
+:mod:`repro.exec.grid`) schedules a node only when its output is both
+missing and needed, probing the address
+:func:`repro.exec.tasks.task_artifact` gives each node, the same
+address the compute paths and the batched dispatcher use. The ledger's
+own ``done`` records are advisory — a node journaled done whose
+artifact has since been pruned re-runs; a node the journal never saw
+whose artifact exists (published by a worker just before the kill) is
+skipped anyway.
 
-The durability invariant is enforced twice: ``prune_cached`` cannot
-prune a node without a store address by construction, and
-:func:`~repro.dist.ledger.assert_skippable` re-checks the final skip
-set and refuses the resume if anything non-durable slipped in.
+The durability invariant is enforced twice: ``prune_cached`` only
+drops a node that has a store address or whose dependents are all
+dropped, and ``run_points`` runs
+:func:`~repro.dist.ledger.assert_skippable` on the pruned set before
+journaling it, refusing the resume if anything non-durable slipped in.
 
 A salt mismatch (the code changed since the run died) refuses by
 default: every artifact would miss and "resume" would silently be a
@@ -24,45 +27,10 @@ full re-run. ``allow_stale=True`` proceeds anyway.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional
 
-from repro.dist.ledger import LedgerError, RunLedger, assert_skippable
-from repro.exec.dag import Task
-from repro.exec.store import MISS
-from repro.exec.tasks import task_artifact
-
-
-def prune_cached(runner, tasks: Sequence[Task]
-                 ) -> Tuple[List[Task], List[str]]:
-    """Split a DAG into (nodes to schedule, node ids already durable).
-
-    A node is pruned when its artifact probes present; surviving
-    dependents drop the pruned edge and re-materialize the upstream
-    value through the store inside their own task function (one memory-
-    layer hit in the worker). ``build_tasks`` emits dependencies before
-    dependents, so one forward pass suffices.
-    """
-    pruned: List[str] = []
-    kept: List[Task] = []
-    for task in tasks:
-        address = task_artifact(runner, task)
-        if address is not None:
-            kind, params = address
-            if runner.store.get(runner.store.key(kind, params),
-                                kind) is not MISS:
-                pruned.append(task.id)
-                continue
-        kept.append(task)
-    if pruned:
-        dead = set(pruned)
-        kept = [
-            Task(id=task.id, fn=task.fn, args=task.args,
-                 deps=tuple(dep for dep in task.deps if dep not in dead),
-                 stage=task.stage, retries=task.retries,
-                 timeout=task.timeout)
-            for task in kept
-        ]
-    return kept, pruned
+from repro.dist.ledger import LedgerError, RunLedger
+from repro.exec.grid import prune_cached  # noqa: F401 - re-exported
 
 
 def workload_for_points(points, check: bool = False,
@@ -132,31 +100,22 @@ def resume_run(path, jobs: Optional[int] = None,
 def _resume_experiments(path, header, workload, runner, jobs,
                         on_event, retries, timeout,
                         journaled: Dict[str, str]) -> Dict[str, Any]:
-    from repro.exec.grid import build_tasks, point_from_doc, run_points
+    from repro.exec.grid import point_from_doc, run_points
 
     points = [point_from_doc(doc) for doc in workload.get("points", [])]
-    check = bool(workload.get("check", False))
-    tasks = build_tasks(points, runner, check=check)
-    kept, pruned = prune_cached(runner, tasks)
-    # The lint: nothing in the skip set may lack a durable output. The
-    # pruner already guarantees this by construction; the assertion is
-    # the enforced contract (and what refuses a hand-edited ledger that
-    # claims a check node is done).
-    durable = [task.id for task in tasks
-               if task_artifact(runner, task) is not None]
-    assert_skippable(tasks, durable, pruned)
-
     ledger = RunLedger.append_to(path, header)
     try:
-        ledger.record_skipped_durable(pruned)
         report = run_points(runner, points, jobs=jobs, retries=retries,
                             timeout=timeout, on_event=on_event,
-                            raise_on_failure=False, check=check,
-                            ledger=ledger, tasks=kept)
+                            raise_on_failure=False,
+                            check=bool(workload.get("check", False)),
+                            ledger=ledger)
     finally:
         ledger.close()
-    return {"kind": "experiments", "total": len(tasks),
-            "skipped": len(pruned), "scheduled": len(kept),
+    scheduled = len(report.results) + len(report.failures)
+    return {"kind": "experiments",
+            "total": scheduled + len(report.pruned),
+            "skipped": len(report.pruned), "scheduled": scheduled,
             "journaled_done": sum(1 for s in journaled.values()
                                   if s == "done"),
             "completed": len(report.results),

@@ -74,7 +74,7 @@ def _prepare(task) -> Optional[_Prepared]:
 
     The store probe and the later ``put`` use the address
     :func:`~repro.exec.tasks.task_artifact` gives the node, so they
-    agree with the serial compute path and the resume pruner. None
+    agree with the serial compute path and the DAG pruner. None
     covers every reason the batch cannot help: the artifact is already
     stored (the serial rerun is a memo hit), or the constructed core is
     not kernel-eligible (``REPRO_PURE_PY``, no compiler, tap-incapable

@@ -83,13 +83,19 @@ class ExecReport:
     elapsed: float = 0.0
     degraded: bool = False
     retries: int = 0
+    #: Ids of DAG nodes dropped before scheduling, because their output
+    #: was stored or not needed (:func:`repro.exec.grid.prune_cached`).
+    pruned: List[str] = field(default_factory=list)
 
     def render(self) -> str:
         stages = ", ".join(
             f"{stage} {self.stage_tasks[stage]}x/{wall:.1f}s"
             for stage, wall in sorted(self.stage_wall.items()))
-        line = (f"[exec] {len(self.results)} tasks in {self.elapsed:.1f}s"
-                f" ({stages})")
+        line = f"[exec] {len(self.results)} tasks in {self.elapsed:.1f}s"
+        if stages:
+            line += f" ({stages})"
+        if self.pruned:
+            line += f", {len(self.pruned)} pruned"
         if self.retries:
             line += f", {self.retries} retries"
         if self.degraded:

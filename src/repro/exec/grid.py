@@ -10,16 +10,17 @@ full-machine baseline every figure normalizes against exists exactly
 once. :func:`build_tasks` performs that deduplication by constructing
 deterministic task ids from the parameters themselves.
 
-:func:`run_points` executes the DAG with a :class:`~repro.exec.dag.Scheduler`
-against the runner's *persistent* store; afterwards the (serial) driver
-replays the same calls through the runner and finds every artifact
-already present — parallelism without touching the drivers' logic, and
-bit-identical results for any ``--jobs`` value.
+:func:`run_points` schedules only the nodes whose output is missing and
+needed (:func:`prune_cached`), executes them with a
+:class:`~repro.exec.dag.Scheduler` in the caller's runner, and
+afterwards the (serial) driver replays the same calls through the runner
+and finds every artifact already present — parallelism without touching
+the drivers' logic, and bit-identical results for any ``--jobs`` value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import tasks as task_fns
@@ -292,15 +293,64 @@ def build_tasks(points: Sequence[Point], runner,
     return list(table.values())
 
 
+def prune_cached(runner, tasks: Sequence[Task]
+                 ) -> Tuple[List[Task], List[str]]:
+    """Split a DAG into (nodes to schedule, ids of nodes dropped).
+
+    A node is scheduled only when its output is both missing and
+    needed. One pass over ``tasks`` in reverse topological order
+    (``build_tasks`` emits dependencies before dependents) decides:
+
+    - a node with dependents, none of which is scheduled, is dropped
+      without a probe: nothing will read its artifact through the DAG;
+    - any other node with a store address
+      (:func:`~repro.exec.tasks.task_artifact`) is dropped if
+      :meth:`~repro.exec.store.ArtifactStore.contains` finds it, which
+      reads and unpickles nothing;
+    - everything else is scheduled (``check`` nodes, having no address,
+      always are).
+
+    Scheduled nodes lose their edges to dropped ones and read those
+    artifacts through the store inside their own task function; a
+    payload that turns out corrupt there is dropped and recomputed.
+    """
+    dependents: Dict[str, List[str]] = {}
+    for task in tasks:
+        for dep in task.deps:
+            dependents.setdefault(dep, []).append(task.id)
+    scheduled = set()
+    for task in reversed(tasks):
+        needed_by = dependents.get(task.id)
+        if needed_by and scheduled.isdisjoint(needed_by):
+            continue
+        address = task_fns.task_artifact(runner, task)
+        if address is not None:
+            kind, params = address
+            if runner.store.contains(runner.store.key(kind, params)):
+                continue
+        scheduled.add(task.id)
+    pruned = [task.id for task in tasks if task.id not in scheduled]
+    dead = set(pruned)
+    kept = [replace(task, deps=tuple(dep for dep in task.deps
+                                     if dep not in dead))
+            for task in tasks if task.id in scheduled]
+    return kept, pruned
+
+
 def run_points(runner, points: Sequence[Point], jobs: int,
                retries: int = 1, timeout: Optional[float] = None,
                on_event: Optional[Callable[[Dict], None]] = None,
                raise_on_failure: bool = False,
                check: bool = False,
                ledger=None,
-               tasks: Optional[List[Task]] = None,
                threads: int = 0) -> ExecReport:
-    """Prewarm the runner's store by executing the point DAG in parallel.
+    """Prewarm the runner's store by executing the point DAG.
+
+    Only nodes whose output is missing and needed run
+    (:func:`prune_cached`); ``report.pruned`` lists the rest, so a
+    rerun on a warm store schedules nothing. Tasks run in ``runner``
+    itself (:func:`~repro.exec.tasks.bound_runner`), so the caller's
+    replay finds every artifact in its memory layer.
 
     Requires a persistent store when ``jobs > 1`` — worker processes can
     only hand artifacts back through the shared cache directory. With
@@ -310,8 +360,8 @@ def run_points(runner, points: Sequence[Point], jobs: int,
 
     ``ledger`` (a :class:`repro.dist.ledger.RunLedger`) journals every
     terminal node event so a killed run can be resumed with ``repro
-    resume``. ``tasks`` overrides the DAG (the resume path passes the
-    already-pruned graph).
+    resume``. Pruned nodes are first checked with
+    :func:`~repro.dist.ledger.assert_skippable` and journaled as done.
 
     Worker processes load functional traces from the store like every
     other artifact: each worker's runner unpickles a trace once and
@@ -329,13 +379,20 @@ def run_points(runner, points: Sequence[Point], jobs: int,
         raise ValueError(
             "parallel execution needs a persistent store: construct the "
             "Runner with ArtifactStore(cache_dir) or use --cache-dir")
+    tasks = build_tasks(points, runner, check=check)
+    kept, pruned = prune_cached(runner, tasks)
     if ledger is not None:
+        from ..dist.ledger import assert_skippable
+        assert_skippable(tasks, [
+            task.id for task in tasks
+            if task_fns.task_artifact(runner, task) is not None], pruned)
+        ledger.record_skipped_durable(pruned)
         on_event = ledger.sink(on_event)
     scheduler = Scheduler(jobs=jobs, retries=retries, timeout=timeout,
                           on_event=on_event, threads=threads)
-    if tasks is None:
-        tasks = build_tasks(points, runner, check=check)
-    report = scheduler.run(tasks, raise_on_failure=raise_on_failure)
+    with task_fns.bound_runner(runner):
+        report = scheduler.run(kept, raise_on_failure=raise_on_failure)
+    report.pruned = pruned
     if ledger is not None:
         ledger.complete(len(report.results), len(report.failures))
     return report

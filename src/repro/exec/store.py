@@ -404,6 +404,18 @@ class ArtifactStore:
         self.stats.record(kind, hit=False)
         return MISS
 
+    def contains(self, key: str) -> bool:
+        """Whether ``key`` is stored, without reading or unpickling it.
+
+        True when the memory layer holds the key or its disk payload
+        file exists. A corrupt payload still answers True here: the
+        :meth:`get` that later reads it drops it and reports a miss.
+        """
+        if key in self._memory:
+            return True
+        return self.backend is not None and \
+            self.backend.payload_path(key).exists()
+
     def put(self, key: str, value: Any, kind: str = "?",
             params: Optional[Dict[str, Any]] = None) -> None:
         """Publish an artifact (memory always; disk atomically if enabled)."""

@@ -13,20 +13,22 @@ one :class:`~repro.harness.runner.Runner` per distinct parameter set so
 that repeated tasks in the same worker also share the in-memory layer.
 That is how workers get functional traces too: the first task that
 needs one loads it from the store, and later tasks in the same process
-hit the memory layer.
+hit the memory layer. While :func:`repro.exec.grid.run_points` runs,
+the entry for its caller's parameters is the caller's own runner
+(:func:`bound_runner`).
 
 :func:`task_artifact` names the store address of each task's artifact;
-the resume pruner and the batched dispatcher probe through it.
+the DAG pruner and the batched dispatcher probe through it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .store import ArtifactStore
 
-# Per-process caches (workers are forked/fresh processes; the parent's
-# copies are only used by the serial degradation path).
+# Per-process caches: one runner per parameter set (see bound_runner).
 _RUNNERS: Dict[Tuple, Any] = {}
 _SITES: Dict[Tuple, list] = {}
 
@@ -43,16 +45,41 @@ def runner_params(runner) -> Dict[str, Any]:
     }
 
 
+def _runner_key(spec: Dict[str, Any]) -> Tuple:
+    return (spec["budget"], spec["max_mg_size"], spec["warm_caches"],
+            spec["max_insts"], spec["cache_dir"])
+
+
 def _runner(spec: Dict[str, Any]):
     from ..harness.runner import Runner
-    key = (spec["budget"], spec["max_mg_size"], spec["warm_caches"],
-           spec["max_insts"], spec["cache_dir"])
+    key = _runner_key(spec)
     if key not in _RUNNERS:
         _RUNNERS[key] = Runner(
             budget=spec["budget"], max_mg_size=spec["max_mg_size"],
             warm_caches=spec["warm_caches"], max_insts=spec["max_insts"],
             store=ArtifactStore(spec["cache_dir"]))
     return _RUNNERS[key]
+
+
+@contextmanager
+def bound_runner(runner) -> Iterator[None]:
+    """Make ``runner`` the task runner for its params inside the block.
+
+    Tasks then compute in the caller's runner, so their artifacts land
+    in its memory layer and a replay through it hits, memory-only
+    stores included. Pool workers forked inside the block inherit the
+    binding; the previous entry comes back on exit.
+    """
+    key = _runner_key(runner_params(runner))
+    previous = _RUNNERS.get(key)
+    _RUNNERS[key] = runner
+    try:
+        yield
+    finally:
+        if previous is None:
+            _RUNNERS.pop(key, None)
+        else:
+            _RUNNERS[key] = previous
 
 
 def _config(name: str):

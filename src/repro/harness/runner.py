@@ -132,9 +132,10 @@ class Runner:
     # -- artifact-key params ---------------------------------------------------
     #
     # Every memoized phase builds its store key from one of the builders
-    # below, and nothing else: external probes (the resume pruner, see
-    # :mod:`repro.dist.resume`) construct the identical params to ask
-    # "is this artifact already materialized?" without computing anything.
+    # below, and nothing else: external probes (the DAG pruner, see
+    # :func:`repro.exec.grid.prune_cached`) construct the identical
+    # params to ask "is this artifact already materialized?" without
+    # computing anything.
     # Adding a parameter to a compute path means adding it here, once.
 
     def trace_params(self, bench_name: str, input_name: str) -> Dict:

@@ -106,7 +106,6 @@ class TelemetryWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "w")
         self._epoch = time.perf_counter()
-        self._pid = os.getpid()
         self.events_written = 0
         self.manifest = manifest if manifest is not None else run_manifest()
         self._write(self.manifest)
@@ -130,7 +129,7 @@ class TelemetryWriter:
         record: Dict[str, Any] = {
             "name": name, "cat": cat, "ph": ph,
             "ts": self._now_us() if ts is None else ts,
-            "pid": self._pid, "tid": 0,
+            "pid": os.getpid(), "tid": 0,
         }
         if dur is not None:
             record["dur"] = dur

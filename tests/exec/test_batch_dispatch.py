@@ -13,6 +13,7 @@ import pytest
 from repro.exec import tasks as task_fns
 from repro.exec.grid import (baseline_point, dynamic_point, parse_jobs,
                              run_points, selector_point)
+from repro.exec.store import StoreStats
 from repro.harness.runner import Runner
 from repro.minigraph.selectors import SlackProfileSelector, StructAll
 from repro.pipeline import ckern
@@ -101,13 +102,21 @@ def test_threaded_run_points_bit_identical_to_serial():
 
 @needs_kernel
 def test_threads_need_no_persistent_store():
-    """Unlike --jobs N, thread mode runs against a memory-only store."""
+    """Unlike --jobs N, thread mode runs against a memory-only store;
+    the tasks compute in the caller's runner, so its replay of the
+    same points computes nothing a second time."""
     runner = Runner()
     assert not runner.store.persistent
     with pytest.raises(ValueError):
         run_points(runner, _points()[:2], jobs=2)
     report = run_points(runner, _points()[:2], jobs=1, threads=2)
     assert not report.failures
+    runner.store.stats = StoreStats()
+    config = config_by_name("reduced")
+    runner.baseline("crc32", config)
+    runner.run_selector("crc32", StructAll(), config)
+    assert runner.store.stats.misses == 0
+    assert runner.store.stats.puts == 0
 
 
 def test_threads_degrade_to_serial_without_kernel(monkeypatch):

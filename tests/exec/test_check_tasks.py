@@ -47,7 +47,8 @@ def test_check_nodes_dedup_with_dynamic_points():
 
 
 def test_run_points_with_check_passes():
-    report = run_points(Runner(), _points(), jobs=1, check=True,
+    runner = Runner()
+    report = run_points(runner, _points(), jobs=1, check=True,
                         raise_on_failure=True)
     assert not report.failures
     done_checks = {task_id: result for task_id, result
@@ -56,6 +57,12 @@ def test_run_points_with_check_passes():
     assert len(done_checks) == 3
     for result in done_checks.values():
         assert result["records"] > 0
+    # On the now-warm store every stored node is pruned, but check
+    # nodes, which store nothing, are all scheduled again.
+    again = run_points(runner, _points(), jobs=1, check=True,
+                       raise_on_failure=True)
+    assert set(again.results) == set(done_checks)
+    assert len(again.pruned) == len(report.results) - len(done_checks)
 
 
 def test_run_points_check_catches_bad_plan(monkeypatch):

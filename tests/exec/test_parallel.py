@@ -1,19 +1,22 @@
 """End-to-end engine tests: grid dedup, parallel determinism, cache reuse."""
 
 import dataclasses
+import shutil
 
 import pytest
 
 from repro.exec.grid import (
     baseline_point, build_tasks, dynamic_point, run_points, selector_point,
 )
-from repro.exec.store import ArtifactStore
+from repro.exec.store import ArtifactStore, iter_sidecars
 from repro.exec.tasks import selector_from_spec
+from repro.harness.experiments import fig1, grid_points
 from repro.harness.runner import Runner
 from repro.minigraph.selectors import (
     SlackProfileSelector, StructAll, StructNone,
 )
 from repro.pipeline.config import full_config, reduced_config
+from repro.workloads import all_benchmarks
 
 BENCHES = ("crc32", "adpcm")
 
@@ -94,6 +97,70 @@ def test_jobs_one_scheduler_matches_direct_calls(tmp_path):
     report = run_points(runner, _points(), jobs=1)
     assert not report.failures
     assert _collect(Runner(store=store)) == _collect(Runner())
+
+
+@pytest.fixture(scope="module")
+def fig1_store(tmp_path_factory):
+    """A store one cold Figure 1 regeneration filled, and its text."""
+    benches = all_benchmarks(suites=["comm"])[:2]
+    cache = tmp_path_factory.mktemp("fig1-store")
+    runner = Runner(store=ArtifactStore(cache))
+    report = run_points(runner, grid_points("fig1", benches), jobs=1,
+                        threads=2)
+    assert not report.failures
+    return cache, benches, fig1(runner, benches).render(full_tables=True)
+
+
+def test_warm_rerun_schedules_nothing_and_loads_no_upstream(fig1_store):
+    """The replay reads only timing artifacts, so a warm rerun needs no
+    trace, candidate, profile or plan artifact at all."""
+    cache, benches, cold_text = fig1_store
+    runner = Runner(store=ArtifactStore(cache))
+    points = grid_points("fig1", benches)
+    report = run_points(runner, points, jobs=1, threads=2)
+    assert report.results == {}
+    assert len(report.pruned) == len(build_tasks(points, runner))
+    assert report.render().endswith(f", {len(report.pruned)} pruned")
+    assert fig1(runner, benches).render(full_tables=True) == cold_text
+    loaded = set(runner.store.stats.by_kind)
+    assert not loaded & {"trace", "candidates", "profile", "plan"}
+    assert runner.store.stats.puts == 0
+
+
+def test_corrupt_payloads_are_recomputed_where_they_are_read(
+        fig1_store, tmp_path):
+    """Probes never read a payload, so a truncated one is found by the
+    reader: a pruned ``run`` by the figure replay, and a ``trace`` by
+    the scheduled task whose timing artifact is missing."""
+    source, benches, cold_text = fig1_store
+    cache = tmp_path / "store"
+    shutil.copytree(source, cache)
+    metas = dict(iter_sidecars(cache))
+    store = ArtifactStore(cache)
+
+    def truncate(key):
+        payload = store._payload_path(key)
+        payload.write_bytes(payload.read_bytes()[:10])
+
+    truncate(next(key for key, meta in metas.items()
+                  if meta["kind"] == "run"))
+    trace_key = next(key for key, meta in metas.items()
+                     if meta["kind"] == "trace")
+    truncate(trace_key)
+    bench = metas[trace_key]["params"]["bench"]
+    baseline_key, baseline_meta = next(
+        (key, meta) for key, meta in metas.items()
+        if meta["kind"] == "baseline" and meta["params"]["bench"] == bench)
+    store.backend.delete(baseline_key)
+
+    runner = Runner(store=ArtifactStore(cache))
+    report = run_points(runner, grid_points("fig1", benches), jobs=1,
+                        threads=2)
+    config = baseline_meta["params"]["config"]["name"]
+    assert set(report.results) == {f"baseline/{bench}/train/{config}"}
+    assert runner.store.stats.corrupt_dropped == 1    # the trace
+    assert fig1(runner, benches).render(full_tables=True) == cold_text
+    assert runner.store.stats.corrupt_dropped == 2    # and the run
 
 
 def test_parallel_requires_persistent_store():

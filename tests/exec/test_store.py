@@ -39,9 +39,11 @@ def test_memory_only_roundtrip():
     store = ArtifactStore()
     assert not store.persistent
     key = store.key("x", {"p": 1})
+    assert not store.contains(key)
     assert store.get(key) is MISS
     value = {"payload": [1, 2, 3]}
     store.put(key, value)
+    assert store.contains(key)
     assert store.get(key) is value  # identity, not equality
     assert store.stats.misses == 1
     assert store.stats.memory_hits == 1
@@ -52,6 +54,8 @@ def test_disk_roundtrip_across_instances(tmp_path):
     key = first.key("x", {"p": 1})
     first.put(key, {"payload": 42}, kind="x", params={"p": 1})
     second = ArtifactStore(tmp_path)
+    assert second.contains(key)
+    assert second.stats.lookups == 0     # a probe reads nothing
     assert second.get(key, "x") == {"payload": 42}
     assert second.stats.disk_hits == 1
     # Once read from disk, the memory layer serves identity.
@@ -97,8 +101,10 @@ def test_truncated_payload_recovers_as_miss(tmp_path):
     payload = store._payload_path(key)
     payload.write_bytes(payload.read_bytes()[:10])  # torn write
     fresh = ArtifactStore(tmp_path)
-    assert fresh.get(key) is MISS
+    assert fresh.contains(key)      # probes never read the payload...
+    assert fresh.get(key) is MISS   # ...the read validates it
     assert fresh.stats.corrupt_dropped == 1
+    assert not fresh.contains(key)
 
 
 def test_disk_summary_clear_and_prune(tmp_path):
