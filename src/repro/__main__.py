@@ -7,7 +7,7 @@ Subcommands::
     python -m repro trace crc32 --first 20 --last 45
     python -m repro validate all
     python -m repro experiments fig1 ...       # figure regeneration
-    python -m repro limit-study --jobs 4       # Figure 8
+    python -m repro limit-study --jobs 4 --cache-dir DIR   # Figure 8
     python -m repro cache stats                # artifact store maintenance
     python -m repro metrics crc32 --format prom   # metrics registry export
     python -m repro attribution --benchmarks crc32 # predicted-vs-observed
@@ -191,6 +191,11 @@ def _cmd_limit_study(args) -> int:
 
     try:
         if args.jobs > 1 and not store.persistent:
+            # Pool workers load the trace from the store, so the sweep
+            # needs a persistent one; say that it is thrown away.
+            print(f"limit-study: no --cache-dir; the --jobs {args.jobs} "
+                  f"workers share a temporary store, deleted on exit",
+                  file=sys.stderr)
             import tempfile
             with tempfile.TemporaryDirectory(
                     prefix="repro-exec-") as scratch:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..minigraph.dynamic import SlackDynamicPolicy
+from ..minigraph.selection import MiniGraphPlan
 from ..minigraph.selectors import (
     FixedSetSelector, Selector, SlackProfileSelector, StructAll,
     StructBounded, StructNone, make_plan,
@@ -94,19 +95,33 @@ def top_nonoverlapping_sites(runner: Runner, bench: str, input_name: str,
     return chosen
 
 
+def subset_plan(runner: Runner, bench: str, input_name: str,
+                sites: List[MGSite], mask: int) -> MiniGraphPlan:
+    """The plan admitting exactly the ``mask`` subset of ``sites``.
+
+    Template grouping is mask-independent, so every subset plans over
+    the runner's hoisted sites (``FixedSetSelector`` matches on
+    ``site.id``, which hoisting keeps): the plan is bit-identical to
+    one grouped afresh.
+    """
+    allowed = {site.id for i, site in enumerate(sites) if mask & (1 << i)}
+    bench_obj = runner._bench(bench)
+    counts = runner.trace(bench, input_name).dynamic_count_of()
+    candidates = runner.candidates(bench, input_name)
+    return make_plan(bench_obj.program(input_name), counts,
+                     FixedSetSelector(allowed), budget=runner.budget,
+                     candidates=candidates,
+                     sites=runner._hoisted_sites(bench_obj.name, input_name,
+                                                 input_name, candidates,
+                                                 counts))
+
+
 def _evaluate_subset(runner: Runner, bench: str, input_name: str,
                      config: MachineConfig, sites: List[MGSite], mask: int,
                      baseline_ipc: float,
                      policy=None) -> SubsetPoint:
-    allowed = {site.id for i, site in enumerate(sites) if mask & (1 << i)}
-    bench_obj = runner._bench(bench)
-    program = bench_obj.program(input_name)
-    trace = runner.trace(bench, input_name)
-    plan = make_plan(program, trace.dynamic_count_of(),
-                     FixedSetSelector(allowed),
-                     budget=runner.budget,
-                     candidates=runner.candidates(bench, input_name))
-    records = fold_trace(trace, plan)
+    plan = subset_plan(runner, bench, input_name, sites, mask)
+    records = fold_trace(runner.trace(bench, input_name), plan)
     core = OoOCore(config, records, policy=policy,
                    warm_caches=runner.warm_caches)
     stats = core.run()

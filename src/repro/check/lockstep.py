@@ -36,7 +36,7 @@ from ..isa.interp import MachineState, Trace, execute
 from ..isa.opcodes import OC_BRANCH, OC_STORE, op_name
 from ..isa.program import Program
 from ..minigraph.selection import MiniGraphPlan
-from ..minigraph.transform import TransformedBinary, fold_trace
+from ..minigraph.transform import TransformedBinary, fold_records
 
 DEFAULT_MAX_INSTS = 2_000_000
 _CONTEXT_RECORDS = 4
@@ -230,7 +230,8 @@ def lockstep_check(program: Program, plan: MiniGraphPlan,
     if trace is None:
         trace = execute(program, max_insts=max_insts)
     try:
-        folded = fold_trace(trace, plan)
+        # The reference fold: its records are what lockstep walks.
+        folded = fold_records(trace, plan)
     except AssertionError as error:
         report.divergence = Divergence(
             -1, -1, "transform", "foldable trace", "assertion",

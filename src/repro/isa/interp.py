@@ -114,9 +114,14 @@ class PackedTrace:
 
     @classmethod
     def from_records(cls, records) -> "PackedTrace":
-        """Pack a record sequence (no-op copy if already packed)."""
+        """Pack a record sequence (no-op copy if already packed; a
+        :class:`Trace` or a folded trace hands over its own ``packed()``
+        view)."""
         if isinstance(records, cls):
             return records
+        packed = getattr(records, "packed", None)
+        if packed is not None:
+            return packed()
         objs = list(records)
         kind = array("b")
         pc = array("q")
@@ -191,20 +196,25 @@ class Trace:
         return packed
 
     def __getstate__(self):
-        # The packed view is derived data; rebuild it after unpickling
-        # rather than doubling the artifact-store footprint.
+        # The packed view and the counts are derived data; rebuild them
+        # after unpickling rather than growing the stored artifact.
         state = self.__dict__.copy()
         state["_packed"] = None
+        state.pop("_counts", None)
         return state
 
     def __len__(self) -> int:
         return len(self.records)
 
     def dynamic_count_of(self) -> List[int]:
-        """Per-static-PC dynamic execution counts."""
-        counts = [0] * len(self.program)
-        for rec in self.records:
-            counts[rec.pc] += 1
+        """Per-static-PC dynamic execution counts (computed once per
+        trace; the list is shared, so callers must not mutate it)."""
+        counts = getattr(self, "_counts", None)
+        if counts is None:
+            counts = [0] * len(self.program)
+            for rec in self.records:
+                counts[rec.pc] += 1
+            self._counts = counts
         return counts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -14,12 +14,15 @@ from .selectors import (
 from .serialization import SerializationClass, classify
 from .slack import ProfileEntry, SlackCollector, SlackProfile
 from .templates import MGSite, MGTemplate, MiniGraphTable, build_templates
-from .transform import MGHandleRecord, TransformedBinary, fold_trace
+from .transform import (
+    FoldedTrace, MGHandleRecord, TransformedBinary, fold_records, fold_trace,
+)
 
 __all__ = [
     "Candidate",
     "DelayAssessment",
     "FixedSetSelector",
+    "FoldedTrace",
     "MGHandleRecord",
     "MGSite",
     "MGTemplate",
@@ -44,6 +47,7 @@ __all__ = [
     "classify",
     "empty_plan",
     "enumerate_candidates",
+    "fold_records",
     "fold_trace",
     "make_plan",
     "reschedule",

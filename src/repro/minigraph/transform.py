@@ -12,15 +12,22 @@ allocates per-site outlined locations past the end of the binary (used
 when Slack-Dynamic disables a site), and folds each dynamic instance of a
 selected site into a single :class:`MGHandleRecord` carrying its
 constituents.
+
+:func:`fold_trace` folds in the compiled kernel (``repro_fold``) when it
+can: the result carries the kernel's arena and builds those record
+objects only when something reads them. :func:`fold_records` is the
+Python reference fold; it is also the fallback.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from array import array
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.interp import PackedTrace, Trace, TraceRecord
 from ..isa.opcodes import OC_BRANCH
 from ..isa.program import Program
+from ..pipeline import ckern
 from .selection import MiniGraphPlan
 from .templates import MGSite
 
@@ -96,15 +103,108 @@ class TransformedBinary:
             outlined += (site.end - site.start) + 1
 
 
-def fold_trace(trace: Trace, plan: MiniGraphPlan) -> PackedTrace:
+class FoldedTrace:
+    """A folded record stream: the kernel's arena now, records on demand.
+
+    ``arena`` is the :class:`~repro.pipeline.ckern.MarshalledTrace` that
+    ``repro_fold`` built, or None when the fold ran in Python. The
+    record view — iteration, indexing, :meth:`packed` — comes from the
+    reference :func:`fold_records`, run at most once and only when read
+    (the Python cycle loop, record-reading observers, tests), so a
+    kernel-path timing point never builds a record object.
+    """
+
+    __slots__ = ("trace", "plan", "arena", "n", "_packed")
+
+    def __init__(self, trace: Trace, plan: MiniGraphPlan,
+                 arena=None, packed: Optional[PackedTrace] = None):
+        self.trace = trace
+        self.plan = plan
+        self.arena = arena
+        self._packed = packed
+        self.n = arena.struct.n if arena is not None else packed.n
+
+    def packed(self) -> PackedTrace:
+        """The folded records as a PackedTrace (reference fold, cached)."""
+        if self._packed is None:
+            ckern.counters["fold_fallbacks"] += 1
+            self._packed = fold_records(self.trace, self.plan)
+        return self._packed
+
+    # -- sequence protocol: drop-in for the record list ----------------
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, index):
+        return self.packed().objs[index]
+
+    def __iter__(self):
+        return iter(self.packed().objs)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<FoldedTrace n={self.n} native={self.arena is not None}>"
+
+
+def _site_table(binary: TransformedBinary) -> Tuple[array, array]:
+    """``repro_fold``'s per-site table and its source/consumer words."""
+    sites = array("q")
+    ext = array("q")
+    for site in binary.plan.sites:
+        template = site.template
+        candidate = site.candidate
+        regs = [reg for reg, _, _ in candidate.ext_inputs]
+        consumers = site.input_consumer_ix
+        src_off = len(ext)
+        ext.extend(regs)
+        cons_off = len(ext)
+        for reg, consumer in consumers.items():
+            ext.append(reg)
+            ext.append(consumer)
+        sites.extend((
+            site.start, site.end, site.handle_pc, template.id,
+            template.nominal_out_latency, template.out_producer_ix,
+            (1 if template.has_branch else 0) |
+            (2 if template.has_load else 0) |
+            (4 if template.has_store else 0),
+            site.mem_pc, candidate.out_reg, src_off, len(regs), cons_off,
+            len(consumers)))
+    return sites, ext
+
+
+def fold_trace(trace: Trace, plan: MiniGraphPlan) -> FoldedTrace:
     """Fold a singleton trace into its mini-graph form under ``plan``.
 
     Returns the record stream for the timing core as a
-    :class:`~repro.isa.interp.PackedTrace` (a drop-in sequence of
-    records): singleton records carry rewritten PCs; dynamic instances of
-    selected sites become :class:`MGHandleRecord` aggregates.
+    :class:`FoldedTrace` (a drop-in sequence of records): singleton
+    records carry rewritten PCs; dynamic instances of selected sites
+    become :class:`MGHandleRecord` aggregates. With the compiled kernel
+    the fold runs in C and the records are built only if read; without
+    it, or when the C fold declines, :func:`fold_records` runs here —
+    raising, as it always has, on a trace off the plan's site layout.
     """
     binary = TransformedBinary(trace.program, plan)
+    if ckern.available():
+        sites, ext = _site_table(binary)
+        arena = ckern.fold(trace.packed(), array("q", binary.pc_map),
+                           sites, ext)
+        if arena is not None:
+            return FoldedTrace(trace, plan, arena)
+        ckern.counters["fold_fallbacks"] += 1
+    return FoldedTrace(trace, plan, packed=fold_records(trace, plan,
+                                                        binary))
+
+
+def fold_records(trace: Trace, plan: MiniGraphPlan,
+                 binary: Optional[TransformedBinary] = None) -> PackedTrace:
+    """The reference fold: one record object per folded instruction.
+
+    ``binary`` reuses a layout just computed for ``plan``; by default the
+    layout is redone, since the per-site pcs it assigns are scratch
+    state shared by every fold over the same sites.
+    """
+    if binary is None:
+        binary = TransformedBinary(trace.program, plan)
     pc_map = binary.pc_map
     site_at: Dict[int, MGSite] = {site.start: site for site in plan.sites}
     records = trace.records
@@ -145,9 +245,4 @@ def fold_trace(trace: Trace, plan: MiniGraphPlan) -> PackedTrace:
             addr, taken, next_pc, site, list(constituents)))
         i += size
     return PackedTrace.from_records(out)
-
-
-def singleton_records(trace: Trace) -> List[TraceRecord]:
-    """The untransformed record list (no mini-graphs baseline)."""
-    return trace.records
 

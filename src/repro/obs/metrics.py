@@ -418,12 +418,14 @@ def collect_ckern(registry: MetricsRegistry, counters=None) -> None:
 
     ``ckern.counters`` tracks batched native dispatch (how many
     ``repro_run_batch`` calls ran, how many points they covered, how
-    many points fell back to per-point execution) and the previously
-    silent event-tap overflow retries. Pass a mapping to harvest a
-    snapshot; the default reads the live module counters.
+    many points fell back to per-point execution), the previously
+    silent event-tap overflow retries, reference-path trace folds, and
+    the calls and nanoseconds spent inside each native entry point
+    (``ckern.<entry>.calls`` / ``ckern.<entry>.ns``). Pass a mapping to
+    harvest a snapshot; the default reads the live module counters.
     """
+    from ..pipeline import ckern
     if counters is None:
-        from ..pipeline import ckern
         counters = ckern.counters
     registry.counter("ckern.batch_dispatches",
                      "Batched native kernel calls").inc(
@@ -455,6 +457,16 @@ def collect_ckern(registry: MetricsRegistry, counters=None) -> None:
     registry.counter("ckern.plan_fallbacks",
                      "Plan-kernel calls degraded to the Python "
                      "reference").inc(counters.get("plan_fallbacks", 0))
+    registry.counter("ckern.fold_fallbacks",
+                     "Trace folds run by the Python reference").inc(
+        counters.get("fold_fallbacks", 0))
+    for entry in ckern.ENTRY_POINTS:
+        registry.counter(f"ckern.{entry}.calls",
+                         f"Native {entry} calls").inc(
+            counters.get(f"{entry}_calls", 0))
+        registry.counter(f"ckern.{entry}.ns",
+                         f"Nanoseconds inside native {entry} calls").inc(
+            counters.get(f"{entry}_ns", 0))
 
 
 def collect_store(registry: MetricsRegistry, store) -> None:

@@ -46,6 +46,7 @@
 #define OC_JUMP 5
 #define OC_NOP 6
 #define OC_HALT 7
+#define OC_MGH 8           /* mini-graph handle (folded traces only) */
 
 static const int8_t CLASS_TO_PORT[8] = {
     PORT_SIMPLE, PORT_COMPLEX, PORT_LOAD, PORT_STORE,
@@ -97,11 +98,13 @@ enum {
     OUT_COUNT
 };
 
-/* Return codes of repro_run. */
+/* Return codes of repro_run (and of the fold / plan kernels). */
 #define RC_OK 0
 #define RC_BUDGET 1
 #define RC_NO_COMMIT 2
 #define RC_NOMEM 3
+#define RC_UNSUPPORTED 4   /* shape outside kernel bounds: Python path */
+#define RC_LAYOUT 5        /* trace does not follow the plan's sites */
 
 /* Event-tap tags (opt-in packed event log; see ckern.py / docs).
  * Each event is three int64 words: (ix << 4) | tag, a, b. The tap is a
@@ -1796,6 +1799,225 @@ void repro_tap_fold(const int64_t *events, int64_t n_words,
 }
 
 /* ------------------------------------------------------------------ */
+/* trace fold: singleton arena + plan site table -> folded arena       */
+/* ------------------------------------------------------------------ */
+/* Port of minigraph/transform.py ``fold_records`` fused with the handle
+ * half of ckern.marshal: one call turns the singleton trace's columns
+ * into the complete folded CTrace, column for column what
+ * ``marshal(fold_records(trace, plan))`` builds in Python. Singletons get
+ * post-outlining pcs; each dynamic instance of a selected site becomes
+ * one handle row plus its constituent rows; per-site consumer tables
+ * are dense in first-appearance order (marshal's ``site_ids``).
+ *
+ * ``sites`` holds FS_WORDS int64 per plan site (layout below); ``ext``
+ * holds each site's handle source registers (``ext_inputs`` order) at
+ * FS_SRC_OFF and its (reg, consumer) pairs (``input_consumer_ix``
+ * order) at FS_CONS_OFF. Every index read is bounds-checked: a pc or
+ * next_pc outside ``pc_map``, a malformed site row, or a handle wider
+ * than MAXP sources returns RC_UNSUPPORTED; a site instance whose last
+ * constituent is not ``end - 1`` (fold_records' assertion) returns
+ * RC_LAYOUT. Either way the caller runs the Python reference fold.
+ *
+ * The arena lives in one malloc block sized exactly by a counting pass
+ * (``*block`` receives it; release with repro_fold_free). D's columns
+ * point into it and are never written after this call returns. */
+enum {
+    FS_START, FS_END, FS_HANDLE_PC, FS_TPL, FS_NOMINAL, FS_OUTIX,
+    FS_FLAGS, FS_MEM_PC, FS_OUT_REG, FS_SRC_OFF, FS_N_SRC, FS_CONS_OFF,
+    FS_N_CONS, FS_WORDS
+};
+
+int64_t repro_fold(const CTrace *S, const int64_t *pc_map,
+                   int64_t n_static, const int64_t *sites, int64_t n_sites,
+                   const int64_t *ext, int64_t n_ext, CTrace *D,
+                   void **block) {
+    int64_t n = S->n;
+    *block = NULL;
+    if (n < 0 || n_static <= 0 || n_sites < 0) return RC_UNSUPPORTED;
+    int64_t *site_at = (int64_t *)malloc((size_t)n_static * 8);
+    int64_t *dense = (int64_t *)malloc((size_t)(n_sites ? n_sites : 1) * 8);
+    int64_t rc = RC_NOMEM;
+    if (!site_at || !dense) goto done;
+    rc = RC_UNSUPPORTED;
+    for (int64_t p = 0; p < n_static; p++) site_at[p] = -1;
+    for (int64_t s = 0; s < n_sites; s++) {
+        const int64_t *st = sites + s * FS_WORDS;
+        if (st[FS_START] < 0 || st[FS_END] <= st[FS_START] ||
+            st[FS_END] > n_static || st[FS_N_SRC] < 0 ||
+            st[FS_SRC_OFF] < 0 || st[FS_SRC_OFF] + st[FS_N_SRC] > n_ext ||
+            st[FS_N_CONS] < 0 || st[FS_CONS_OFF] < 0 ||
+            st[FS_CONS_OFF] + 2 * st[FS_N_CONS] > n_ext)
+            goto done;
+        site_at[st[FS_START]] = s;   /* later sites win, as in the dict */
+        dense[s] = -1;
+    }
+    if (S->srcs_start[0] != 0) goto done;
+
+    /* Pass 1: validate the walk and count every column exactly. */
+    int64_t n_out = 0, n_srcs = 0, n_h = 0, n_c = 0, n_used = 0;
+    for (int64_t i = 0; i < n;) {
+        int64_t p = S->pc[i];
+        if (p < 0 || p >= n_static || S->kind[i]) goto done;
+        int64_t s = site_at[p];
+        int64_t last = i;
+        if (s < 0) {
+            int64_t w = S->srcs_start[i + 1] - S->srcs_start[i];
+            if (w < 0 || w > MAXP) goto done;
+            n_srcs += w;
+        } else {
+            const int64_t *st = sites + s * FS_WORDS;
+            int64_t size = st[FS_END] - st[FS_START];
+            last = i + size - 1;
+            if (last >= n || S->pc[last] != st[FS_END] - 1) {
+                rc = RC_LAYOUT;
+                goto done;
+            }
+            if (st[FS_N_SRC] > MAXP) goto done;
+            if (dense[s] < 0) dense[s] = n_used++;
+            n_srcs += st[FS_N_SRC];
+            n_h++;
+            n_c += size;
+        }
+        if (S->next_pc[last] < 0) goto done;
+        n_out++;
+        i = last + 1;
+    }
+
+    /* One block: int64 columns first, then the two int8 flag columns.
+     * 9 n_out-long int64 columns (srcs_start has one more word). */
+    size_t words = (size_t)(9 * n_out + 1 + n_srcs + 8 * n_h + 4 * n_c +
+                            32 * n_used);
+    char *blk = (char *)malloc(words * 8 + (size_t)(2 * n_out) + 8);
+    if (!blk) { rc = RC_NOMEM; goto done; }
+    int64_t *w = (int64_t *)blk;
+    int64_t *pc = w; w += n_out;
+    int64_t *op = w; w += n_out;
+    int64_t *opclass = w; w += n_out;
+    int64_t *latency = w; w += n_out;
+    int64_t *rd = w; w += n_out;
+    int64_t *addr = w; w += n_out;
+    int64_t *next_pc = w; w += n_out;
+    int64_t *hidx = w; w += n_out;
+    int64_t *srcs_start = w; w += n_out + 1;
+    int64_t *srcs = w; w += n_srcs;
+    int64_t *h_tpl = w; w += n_h;
+    int64_t *h_nominal = w; w += n_h;
+    int64_t *h_outix = w; w += n_h;
+    int64_t *h_flags = w; w += n_h;
+    int64_t *h_mem_pc = w; w += n_h;
+    int64_t *h_site = w; w += n_h;
+    int64_t *h_coff = w; w += n_h;
+    int64_t *h_cnt = w; w += n_h;
+    int64_t *c_opclass = w; w += n_c;
+    int64_t *c_latency = w; w += n_c;
+    int64_t *c_addr = w; w += n_c;
+    int64_t *c_rd = w; w += n_c;
+    int64_t *ctab = w; w += 32 * n_used;
+    int8_t *kind = (int8_t *)w;
+    int8_t *taken = kind + n_out;
+
+    /* Pass 2: fill (the walk is known good). */
+    int64_t o = 0, h = 0, c = 0, sp = 0;
+    srcs_start[0] = 0;
+    for (int64_t i = 0; i < n; o++) {
+        int64_t s = site_at[S->pc[i]];
+        int64_t last = i;
+        if (s < 0) {
+            pc[o] = pc_map[S->pc[i]];
+            op[o] = S->op[i];
+            opclass[o] = S->opclass[i];
+            latency[o] = S->latency[i];
+            rd[o] = S->rd[i];
+            addr[o] = S->addr[i];
+            taken[o] = S->taken[i];
+            kind[o] = 0;
+            hidx[o] = -1;
+            for (int64_t k = S->srcs_start[i]; k < S->srcs_start[i + 1]; k++)
+                srcs[sp++] = S->srcs[k];
+        } else {
+            const int64_t *st = sites + s * FS_WORDS;
+            int64_t size = st[FS_END] - st[FS_START];
+            int64_t a = -1;
+            int8_t tk = 0;
+            last = i + size - 1;
+            for (int64_t k = 0; k < size; k++) {
+                int64_t j = i + k;
+                if (S->addr[j] >= 0) a = S->addr[j];
+                if (S->opclass[j] == OC_BRANCH) tk = S->taken[j];
+                c_opclass[c + k] = S->opclass[j];
+                c_latency[c + k] = S->latency[j];
+                c_addr[c + k] = S->addr[j];
+                c_rd[c + k] = S->rd[j];
+            }
+            pc[o] = st[FS_HANDLE_PC];
+            op[o] = -1;
+            opclass[o] = OC_MGH;
+            latency[o] = 0;
+            rd[o] = st[FS_OUT_REG];
+            addr[o] = a;
+            taken[o] = tk;
+            kind[o] = 1;
+            hidx[o] = h;
+            for (int64_t k = 0; k < st[FS_N_SRC]; k++)
+                srcs[sp++] = ext[st[FS_SRC_OFF] + k];
+            h_tpl[h] = st[FS_TPL];
+            h_nominal[h] = st[FS_NOMINAL];
+            h_outix[h] = st[FS_OUTIX];
+            h_flags[h] = st[FS_FLAGS];
+            h_mem_pc[h] = st[FS_MEM_PC];
+            h_site[h] = dense[s];
+            h_coff[h] = c;
+            h_cnt[h] = size;
+            h++;
+            c += size;
+        }
+        int64_t np = S->next_pc[last];
+        next_pc[o] = np < n_static ? pc_map[np] : np;
+        srcs_start[o + 1] = sp;
+        i = last + 1;
+    }
+
+    /* Dense per-site input-consumer tables (marshal's 32-wide rows). */
+    memset(ctab, 0, (size_t)(32 * n_used) * 8);
+    for (int64_t s = 0; s < n_sites; s++) {
+        if (dense[s] < 0) continue;
+        const int64_t *st = sites + s * FS_WORDS;
+        int64_t *row = ctab + dense[s] * 32;
+        for (int64_t k = 0; k < st[FS_N_CONS]; k++) {
+            int64_t reg = ext[st[FS_CONS_OFF] + 2 * k];
+            if (reg >= 0 && reg < 32)
+                row[reg] = ext[st[FS_CONS_OFF] + 2 * k + 1];
+        }
+    }
+
+    D->pc = pc; D->op = op; D->opclass = opclass; D->latency = latency;
+    D->rd = rd; D->addr = addr; D->next_pc = next_pc;
+    D->srcs = srcs; D->srcs_start = srcs_start;
+    D->kind = kind; D->taken = taken;
+    D->n = n_out;
+    D->hidx = hidx;
+    D->h_tpl = h_tpl; D->h_nominal = h_nominal; D->h_outix = h_outix;
+    D->h_flags = h_flags; D->h_mem_pc = h_mem_pc; D->h_site = h_site;
+    D->h_coff = h_coff; D->h_cnt = h_cnt;
+    D->c_opclass = c_opclass; D->c_latency = c_latency;
+    D->c_addr = c_addr; D->c_rd = c_rd;
+    D->site_consumer_ix = ctab;
+    D->n_handles = n_h;
+    D->n_sites = n_used;
+    *block = blk;
+    rc = RC_OK;
+
+done:
+    free(site_at);
+    free(dense);
+    return rc;
+}
+
+void repro_fold_free(void *block) {
+    free(block);
+}
+
+/* ------------------------------------------------------------------ */
 /* plan-construction kernels: profile build, candidate enumeration,   */
 /* delay-model scoring, global-slack fold                             */
 /* ------------------------------------------------------------------ */
@@ -1806,9 +2028,6 @@ void repro_tap_fold(const int64_t *events, int64_t n_words,
  * behavioural reference; results must be bit-identical (integer sums
  * everywhere a sum is taken, and doubles only where the Python code
  * holds a float, combined in the same operation order). */
-
-/* Return codes of the plan kernels (beyond RC_OK/RC_NOMEM). */
-#define RC_UNSUPPORTED 4   /* shape outside packed bounds: Python path */
 
 #define PLAN_MAX_SRC 4     /* src positions per singleton (ISA max 3) */
 #define PLAN_NONE62 (((int64_t)1) << 62)

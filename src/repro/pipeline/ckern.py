@@ -16,7 +16,9 @@ bit-identical to the Python observer path. This module
   source changes),
 * flattens the trace's mini-graph handle metadata into int64 columns the
   kernel can walk (the scalar columns come straight from
-  :class:`~repro.isa.interp.PackedTrace` buffers, zero-copy),
+  :class:`~repro.isa.interp.PackedTrace` buffers, zero-copy) — or, for
+  folded traces, has ``repro_fold`` build the whole arena from the
+  singleton columns and a per-site plan table (:func:`fold`),
 * copies the kernel's counters back into the core's ``RunStats`` /
   ``ActivityCounters`` / hierarchy objects so callers cannot tell which
   path ran.
@@ -36,6 +38,8 @@ import os
 import shutil
 import subprocess
 import tempfile
+import time
+import weakref
 from array import array
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -88,7 +92,14 @@ RC_OK = 0
 RC_BUDGET = 1
 RC_NO_COMMIT = 2
 RC_NOMEM = 3
-RC_UNSUPPORTED = 4  # plan kernels: shape outside packed bounds
+RC_UNSUPPORTED = 4  # fold / plan kernels: shape outside kernel bounds
+RC_LAYOUT = 5       # fold: the trace does not follow the plan's sites
+
+#: int64 words per plan site in :func:`fold`'s site table (the FS_*
+#: enum in _ckern.c): start, end, handle_pc, template id, nominal output
+#: latency, output producer index, flags, mem_pc, output register,
+#: source offset/count and (reg, consumer) pair offset/count into ``ext``.
+FOLD_SITE_WORDS = 13
 
 #: Source positions per singleton in the packed profile columns
 #: (stride of the ``src_sum``/``src_count``/``src_ready`` columns; the
@@ -160,7 +171,12 @@ class _CBatchPoint(ctypes.Structure):
     ]
 
 
-# Dispatch/fallback tallies for the batched path, harvested post-hoc by
+#: Native entry points, each timed around its ctypes call alone.
+ENTRY_POINTS = ("fold", "run", "run_tap", "run_batch", "tap_fold",
+                "profile_build", "plan_enumerate", "plan_score",
+                "global_fold")
+
+# Dispatch/fallback tallies, harvested post-hoc by
 # ``repro.obs.metrics.collect_ckern`` (pure counters: reading or
 # exporting them never changes behaviour).
 counters = {
@@ -169,6 +185,7 @@ counters = {
     "batch_fallbacks": 0,      # points degraded to the Python loop
     "batch_threads_last": 0,   # threads used by the most recent batch
     "tap_overflow_retries": 0,  # single-point 4x event-buffer retries
+    "fold_fallbacks": 0,       # folds run by the Python reference
     # Plan-construction kernels (profile build / enumeration / scoring).
     "profiles_built_native": 0,       # repro_profile_build successes
     "candidates_enumerated_native": 0,  # candidates packed by C enumeration
@@ -176,6 +193,20 @@ counters = {
     "global_folds_native": 0,         # repro_global_fold successes
     "plan_fallbacks": 0,       # plan-kernel calls degraded to Python
 }
+# Time inside C: ``<entry>_calls`` and ``<entry>_ns`` per entry point.
+for _entry in ENTRY_POINTS:
+    counters[_entry + "_calls"] = 0
+    counters[_entry + "_ns"] = 0
+
+
+def _native(entry: str, fn, *args):
+    """``fn(*args)``, a ctypes call, with its time charged to ``entry``
+    (the arguments are marshalled before the clock starts)."""
+    start = time.perf_counter_ns()
+    result = fn(*args)
+    counters[entry + "_ns"] += time.perf_counter_ns() - start
+    counters[entry + "_calls"] += 1
+    return result
 
 
 # ---------------------------------------------------------------------
@@ -258,6 +289,13 @@ def _load():
         lib.repro_run_tap.argtypes = [_I64P, ctypes.POINTER(_CTrace), _I64P,
                                       ctypes.c_int64, _I64P, ctypes.c_int64,
                                       _I64P, ctypes.c_int64]
+        lib.repro_fold.restype = ctypes.c_int64
+        lib.repro_fold.argtypes = [
+            ctypes.POINTER(_CTrace), _I64P, ctypes.c_int64,  # trace, pc_map
+            _I64P, ctypes.c_int64, _I64P, ctypes.c_int64,    # sites, ext
+            ctypes.POINTER(_CTrace), ctypes.POINTER(ctypes.c_void_p)]
+        lib.repro_fold_free.restype = None
+        lib.repro_fold_free.argtypes = [ctypes.c_void_p]
         lib.repro_run_batch.restype = ctypes.c_int64
         lib.repro_run_batch.argtypes = [ctypes.POINTER(_CBatchPoint),
                                         ctypes.c_int64, ctypes.c_int64]
@@ -318,11 +356,30 @@ def _col(arr, ctype):
 
 
 class MarshalledTrace:
-    """The flat column view of one PackedTrace handed to the kernel."""
+    """The flat column view of one trace handed to the kernel."""
 
     def __init__(self, struct, keepalive):
         self.struct = struct
         self._keepalive = keepalive  # buffers the struct points into
+
+    def columns(self) -> dict:
+        """Every column (as a list) and count of the arena, by name."""
+        t = self.struct
+        n, nh = t.n, t.n_handles
+        nc = t.h_coff[nh - 1] + t.h_cnt[nh - 1] if nh else 0
+        cols = {"n": n, "n_handles": nh, "n_sites": t.n_sites,
+                "srcs_start": t.srcs_start[:n + 1],
+                "srcs": t.srcs[:t.srcs_start[n]],
+                "site_consumer_ix": t.site_consumer_ix[:32 * t.n_sites]}
+        for name in ("pc", "op", "opclass", "latency", "rd", "addr",
+                     "next_pc", "kind", "taken", "hidx"):
+            cols[name] = getattr(t, name)[:n]
+        for name in ("h_tpl", "h_nominal", "h_outix", "h_flags",
+                     "h_mem_pc", "h_site", "h_coff", "h_cnt"):
+            cols[name] = getattr(t, name)[:nh]
+        for name in ("c_opclass", "c_latency", "c_addr", "c_rd"):
+            cols[name] = getattr(t, name)[:nc]
+        return cols
 
 
 def marshal(packed) -> Optional[MarshalledTrace]:
@@ -441,6 +498,48 @@ def marshal_shared(packed) -> Optional[MarshalledTrace]:
     return mtrace
 
 
+def fold(packed, pc_map: array, sites: array, ext: array
+         ) -> Optional[MarshalledTrace]:
+    """The folded trace's kernel arena, built in C from the singleton
+    trace ``packed`` and a per-site plan table.
+
+    ``pc_map`` is the post-outlining pc of every static instruction;
+    ``sites`` holds :data:`FOLD_SITE_WORDS` words per plan site and
+    ``ext`` the source registers and (reg, consumer) pairs they point
+    at (both built by ``minigraph.transform``). The result matches
+    ``marshal`` of the Python reference fold column for column and owns
+    one C allocation, freed with it. None when the library is
+    unavailable or the C fold declines (a shape beyond the kernel
+    bounds, or a trace off the plan's site layout): the caller then
+    runs the reference fold, which raises exactly as before.
+    """
+    if not available():
+        return None
+    src = marshal_shared(packed)
+    if src is None:
+        return None
+    lib = _load()
+    keep = []
+
+    def p64(arr):
+        buf, owner = _col(arr, ctypes.c_int64)
+        keep.append((buf, owner))
+        return ctypes.cast(buf, _I64P)
+
+    struct = _CTrace()
+    block = ctypes.c_void_p()
+    rc = _native("fold", lib.repro_fold, ctypes.byref(src.struct),
+                 p64(pc_map), len(pc_map), p64(sites),
+                 len(sites) // FOLD_SITE_WORDS, p64(ext), len(ext),
+                 ctypes.byref(struct), ctypes.byref(block))
+    del keep
+    if rc != RC_OK:
+        return None
+    mtrace = MarshalledTrace(struct, None)
+    weakref.finalize(mtrace, lib.repro_fold_free, block.value)
+    return mtrace
+
+
 def pack_config(config, warm_caches: bool) -> array:
     """The flat int64 config block consumed by the kernel."""
     from ..isa import opcodes as oc
@@ -520,7 +619,8 @@ def run(cfg: array, mtrace: MarshalledTrace, max_cycles: int):
     out = array("q", [0] * OUT_COUNT)
     cfg_buf, _cfg_owner = _col(cfg, ctypes.c_int64)
     out_buf = (ctypes.c_int64 * OUT_COUNT).from_buffer(out)
-    rc = lib.repro_run(
+    rc = _native(
+        "run", lib.repro_run,
         ctypes.cast(cfg_buf, _I64P), ctypes.byref(mtrace.struct),
         ctypes.cast(out_buf, _I64P), max_cycles)
     return rc, out
@@ -558,7 +658,8 @@ def run_tap(cfg: array, mtrace: MarshalledTrace, max_cycles: int,
     out_buf = (ctypes.c_int64 * OUT_COUNT).from_buffer(out)
     tap_buf = (ctypes.c_int64 * tap_words).from_buffer(events)
     meta_buf = (ctypes.c_int64 * 2).from_buffer(meta)
-    rc = lib.repro_run_tap(
+    rc = _native(
+        "run_tap", lib.repro_run_tap,
         ctypes.cast(cfg_buf, _I64P), ctypes.byref(mtrace.struct),
         ctypes.cast(out_buf, _I64P), max_cycles,
         ctypes.cast(tap_buf, _I64P), tap_words,
@@ -617,7 +718,8 @@ def run_batch(entries: Sequence[BatchEntry], threads: int
         p.tap_flags = tap_flags
         keepalive.append((cfg_buf, cfg_owner, out_buf, tap_buf, mtrace))
         cells.append((out, events))
-    used = lib.repro_run_batch(pts, n, max(1, threads))
+    used = _native("run_batch", lib.repro_run_batch, pts, n,
+                   max(1, threads))
     counters["batch_dispatches"] += 1
     counters["batch_points"] += n
     counters["batch_threads_last"] = int(used)
@@ -652,10 +754,10 @@ def tap_fold(events: array, n_words: int, cells: array,
         cell_buf = (ctypes.c_int64 * len(cells)).from_buffer(cells)
         ic_buf = (ctypes.c_int64 * len(issue_cycle)).from_buffer(issue_cycle)
         or_buf = (ctypes.c_int64 * len(out_ready)).from_buffer(out_ready)
-        lib.repro_tap_fold(
-            ctypes.cast(ev_buf, _I64P), n_words,
-            ctypes.cast(cell_buf, _I64P), ctypes.cast(ic_buf, _I64P),
-            ctypes.cast(or_buf, _I64P))
+        _native("tap_fold", lib.repro_tap_fold,
+                ctypes.cast(ev_buf, _I64P), n_words,
+                ctypes.cast(cell_buf, _I64P), ctypes.cast(ic_buf, _I64P),
+                ctypes.cast(or_buf, _I64P))
         del ev_buf, cell_buf, ic_buf, or_buf
     return True
 
@@ -731,7 +833,8 @@ def profile_build(events: array, n_words: int, n_committed: int,
         keep.append((buf, owner))
         return ctypes.cast(buf, _I8P)
 
-    rc = lib.repro_profile_build(
+    rc = _native(
+        "profile_build", lib.repro_profile_build,
         p64(events), n_words, n_committed,
         p8(packed.kind), p64(packed.pc), p64(packed.rd),
         p64(packed.srcs), p64(packed.srcs_start), n,
@@ -777,7 +880,8 @@ def plan_enumerate(opclass: array, rd_eff: array, srcs3: array,
         keep.append((buf, owner))
         return ctypes.cast(buf, _I64P)
 
-    n_cand = lib.repro_enumerate_candidates(
+    n_cand = _native(
+        "plan_enumerate", lib.repro_enumerate_candidates,
         p64(opclass), p64(rd_eff), p64(srcs3), p64(live_mask), n_static,
         p64(block_start), p64(block_end), n_blocks, max_size, max_ext,
         p64(cols[0]), p64(cols[1]), p64(cols[2]), p64(cols[3]),
@@ -825,7 +929,8 @@ def plan_score(n_cand: int, c_start: array, c_end: array, c_ext: array,
         keep.append((buf, arr))
         return ctypes.cast(buf, _DBLP)
 
-    rc = lib.repro_score_candidates(
+    rc = _native(
+        "plan_score", lib.repro_score_candidates,
         n_cand, p64(c_start), p64(c_end), p64(c_ext), p64(c_out),
         p64(opclass), p64(latency), len(opclass),
         p8(p_present), pd(p_rel_issue), pd(p_src_ready), pd(p_slack),
@@ -874,7 +979,8 @@ def global_fold(events: array, n_words: int, n_committed: int,
         keep.append((buf, arr))
         return ctypes.cast(buf, _DBLP)
 
-    rc = lib.repro_global_fold(
+    rc = _native(
+        "global_fold", lib.repro_global_fold,
         p64(events), n_words, n_committed,
         p8(packed.kind), p64(packed.pc), n,
         slack_cap, pd(sums), pd(mins), p64(counts))

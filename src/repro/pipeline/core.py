@@ -175,10 +175,12 @@ class OoOCore:
     config:
         The machine configuration (Table 1 point).
     records:
-        Dynamic trace — singleton records and mini-graph handle records.
-        A plain sequence or a :class:`~repro.isa.interp.PackedTrace`
-        (plain sequences are packed on construction; pass
-        ``trace.packed()`` / ``fold_trace(...)`` to share the packing).
+        Dynamic trace — singleton records and mini-graph handle records:
+        ``trace.packed()``, ``fold_trace(...)``, or a plain sequence
+        (packed on construction). A folded trace whose fold ran in the
+        compiled kernel hands the kernel its arena directly; its record
+        objects are built only if the run reads them (Python loop, tap
+        decode).
     policy:
         Optional run-time mini-graph policy (Slack-Dynamic). ``None`` keeps
         every mini-graph enabled.
@@ -199,11 +201,13 @@ class OoOCore:
                  policy=None, collector=None, warm_caches: bool = False,
                  tracer=None, attribution=None):
         self.config = config
-        packed = PackedTrace.from_records(records)
-        self.records = packed
-        self._objs = packed.objs
-        self._kinds = packed.kind
-        self._n_records = packed.n
+        arena = getattr(records, "arena", None)
+        self._source = records
+        self._packed = None if arena is not None \
+            else PackedTrace.from_records(records)
+        self._n_records = len(records) if arena is not None \
+            else self._packed.n
+        self._objs = self._kinds = None  # see _bind_records
         self._warm_caches = warm_caches
         self.policy = policy
         self.collector = collector
@@ -273,20 +277,38 @@ class OoOCore:
         self._ctrace = None
         self._want_tap = False
         self._tap_flags = 0
-        if policy is None and tracer is None and packed.n \
+        if policy is None and tracer is None and self._n_records \
                 and self._tap_capable(collector) \
                 and self._tap_capable(attribution) and ckern.available():
-            self._ctrace = ckern.marshal_shared(packed)
+            self._ctrace = arena if arena is not None \
+                else ckern.marshal_shared(self._packed)
             self._want_tap = collector is not None or attribution is not None
             # Observers advertise opt-in event families (e.g. TAP_VALUE
             # for the global-slack DP) beyond the base catalogue.
             self._tap_flags = (getattr(collector, "ckern_tap_flags", 0) |
                                getattr(attribution, "ckern_tap_flags", 0))
+        else:
+            self._bind_records()
 
     @staticmethod
     def _tap_capable(observer) -> bool:
         return observer is None or getattr(observer, "supports_ckern_tap",
                                            False)
+
+    @property
+    def records(self) -> PackedTrace:
+        """The record stream as a PackedTrace (for a kernel-folded trace,
+        the reference fold runs on this first read)."""
+        if self._packed is None:
+            self._packed = PackedTrace.from_records(self._source)
+        return self._packed
+
+    def _bind_records(self) -> None:
+        """Give the Python loop its record view: at construction when
+        the run cannot take the kernel, else only on a kernel fallback."""
+        packed = self.records
+        self._objs = packed.objs
+        self._kinds = packed.kind
 
     # ------------------------------------------------------------------
     # Fetch
@@ -1331,6 +1353,8 @@ class OoOCore:
             if result is not None:
                 return result
             self._ctrace = None
+        if self._objs is None:
+            self._bind_records()
         stats = self.stats
         if self._warm_caches:
             self._warm()

@@ -1,9 +1,18 @@
 """Limit study (Figure 8) machinery with a truncated subset sweep."""
 
+import pickle
+
 import pytest
 
 from repro.analysis import run_limit_study, top_nonoverlapping_sites
+from repro.analysis.limit_study import evaluate_subset_cached, subset_plan
 from repro.harness import Runner
+from repro.minigraph.selectors import FixedSetSelector, make_plan
+from repro.minigraph.transform import fold_records, fold_trace
+from repro.pipeline import ckern, full_config, reduced_config
+
+needs_kernel = pytest.mark.skipif(not ckern.available(),
+                                  reason="compiled kernel unavailable")
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +90,44 @@ def test_selector_points_relative_ipc_positive():
     study = run_limit_study(Runner(), subset_cap=4)
     for point in study.selector_points.values():
         assert point.relative_ipc > 0
+
+
+#: Every 37th mask plus the extremes: a spread of subset sizes.
+SAMPLE_MASKS = sorted(set(range(0, 1024, 37)) | {1, 512, 1023})
+
+
+@needs_kernel
+def test_subset_fold_arenas_match_reference():
+    """Over a sample of masks, subset plans built on the runner's hoisted
+    sites pickle like freshly grouped ones, and ``repro_fold``'s arena
+    equals ``marshal`` of the reference fold."""
+    runner = Runner()
+    sites = top_nonoverlapping_sites(runner, "adpcm", "tiny", 10)
+    trace = runner.trace("adpcm", "tiny")
+    program = runner._bench("adpcm").program("tiny")
+    for mask in SAMPLE_MASKS:
+        plan = subset_plan(runner, "adpcm", "tiny", sites, mask)
+        allowed = {site.id for i, site in enumerate(sites)
+                   if mask & (1 << i)}
+        fresh = make_plan(program, trace.dynamic_count_of(),
+                          FixedSetSelector(allowed), budget=runner.budget,
+                          candidates=runner.candidates("adpcm", "tiny"))
+        assert pickle.dumps(plan) == pickle.dumps(fresh), mask
+        folded = fold_trace(trace, plan)
+        assert folded.arena.columns() == \
+            ckern.marshal(fold_records(trace, plan)).columns(), mask
+
+
+@needs_kernel
+def test_subset_point_builds_no_records(record_objects):
+    """A limit-study subset folds and runs in C: once the trace exists,
+    no TraceRecord or MGHandleRecord is constructed."""
+    runner = Runner()
+    sites = top_nonoverlapping_sites(runner, "adpcm", "tiny", 10)
+    baseline_ipc = runner.baseline("adpcm", full_config(), "tiny").ipc
+    record_objects.update(TraceRecord=0, MGHandleRecord=0)
+    point = evaluate_subset_cached(runner, "adpcm", "tiny",
+                                   reduced_config(), 10, 1023,
+                                   baseline_ipc, sites=sites)
+    assert point.coverage > 0
+    assert record_objects == {"TraceRecord": 0, "MGHandleRecord": 0}

@@ -97,3 +97,25 @@ def full_cfg():
 @pytest.fixture(scope="session")
 def reduced_cfg():
     return reduced_config()
+
+
+@pytest.fixture
+def record_objects(monkeypatch):
+    """Live tally of ``TraceRecord`` / ``MGHandleRecord`` constructions
+    during the test (reset it after building the inputs)."""
+    from repro.isa.interp import TraceRecord
+    from repro.minigraph.transform import MGHandleRecord
+    made = {"TraceRecord": 0, "MGHandleRecord": 0}
+
+    def count(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            made[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    count(TraceRecord)
+    count(MGHandleRecord)
+    return made

@@ -1,8 +1,12 @@
 """Runner orchestration: caching, selector runs, Slack-Dynamic wiring."""
 
+import pytest
+
 from repro.harness import Runner
 from repro.minigraph import SlackProfileSelector, StructAll, StructNone
-from repro.pipeline import cross_2way_config, full_config, reduced_config
+from repro.pipeline import (
+    ckern, cross_2way_config, full_config, reduced_config,
+)
 
 
 def test_trace_cached(runner):
@@ -90,3 +94,18 @@ def test_budget_respected():
     tight = Runner(budget=3)
     plan = tight.plan("adpcm", StructAll())
     assert plan.n_templates <= 3
+
+
+@pytest.mark.skipif(not ckern.available(),
+                    reason="compiled kernel unavailable")
+def test_kernel_selector_point_builds_no_records(reduced_cfg,
+                                                 record_objects):
+    """A kernel-eligible selector point folds and runs in C: once the
+    trace exists, no TraceRecord or MGHandleRecord is constructed."""
+    runner = Runner()
+    runner.trace("crc32")
+    runner.plan("crc32", StructAll())
+    record_objects.update(TraceRecord=0, MGHandleRecord=0)
+    run = runner.run_selector("crc32", StructAll(), reduced_cfg)
+    assert run.stats.handles_committed > 0
+    assert record_objects == {"TraceRecord": 0, "MGHandleRecord": 0}

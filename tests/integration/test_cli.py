@@ -71,10 +71,18 @@ def test_experiments_cache_dir_and_json(capsys, tmp_path):
     assert "100.0%" in err
 
 
-def test_limit_study_jobs(capsys, tmp_path):
+def test_limit_study_jobs(capsys, tmp_path, monkeypatch):
     assert main(["limit-study", "--cap", "8", "--jobs", "2",
                  "--cache-dir", str(tmp_path / "cache")]) == 0
-    assert "FIG8" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "FIG8" in captured.out
+    assert "temporary store" not in captured.err
+    # Without a store the workers share a throwaway one, and say so.
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    assert main(["limit-study", "--cap", "4", "--jobs", "2"]) == 0
+    captured = capsys.readouterr()
+    assert "FIG8" in captured.out
+    assert "temporary store" in captured.err
 
 
 def test_cache_subcommand(capsys, tmp_path):

@@ -18,6 +18,7 @@ import pickle
 import pytest
 
 from repro.check.fuzz import FuzzSpec
+from repro.isa.interp import execute
 from repro.minigraph import candidates as candidates_mod
 from repro.minigraph.candidates import (
     PackedCandidateSet, enumerate_candidates,
@@ -27,10 +28,12 @@ from repro.minigraph.delay_model import (
     VERDICT_SIAL, assess, assess_batch,
 )
 from repro.minigraph.selectors import (
-    ReadPortAwareSelector, SlackProfileSelector,
+    ReadPortAwareSelector, SlackProfileSelector, StructAll, make_plan,
 )
 from repro.minigraph.slack import SlackCollector
 from repro.minigraph.templates import build_templates
+from repro.minigraph.transform import fold_records, fold_trace
+from repro.obs.metrics import MetricsRegistry, collect_ckern
 from repro.pipeline import ckern
 from repro.pipeline.config import config_by_name
 from repro.pipeline.core import OoOCore
@@ -165,6 +168,20 @@ def test_enumeration_parity_fuzz(seed, monkeypatch):
 
 
 @needs_kernel
+@pytest.mark.parametrize("seed", range(50))
+def test_fold_arena_parity_fuzz(seed):
+    """The same fuzz programs fold identically in C and in Python:
+    ``repro_fold``'s arena equals ``marshal`` of the reference fold."""
+    program = FuzzSpec.derive(seed).build()
+    trace = execute(program, max_insts=20_000)
+    plan = make_plan(program, trace.dynamic_count_of(), StructAll())
+    folded = fold_trace(trace, plan)
+    assert folded.arena is not None
+    assert folded.arena.columns() == \
+        ckern.marshal(fold_records(trace, plan)).columns()
+
+
+@needs_kernel
 def test_enumeration_lazy_rehydration_is_cached():
     """Indexing a PackedCandidateSet twice returns the same object."""
     native = _fresh_enumeration(_program("crc32"), 4, 3)
@@ -289,6 +306,19 @@ def test_plan_kernel_counters_advance():
         before.get("candidates_enumerated_native", 0)
     assert ckern.counters["scoring_calls"] > \
         before.get("scoring_calls", 0)
+    # Each entry point's native calls are counted and timed, and
+    # collect_ckern exports both per entry.
+    for entry in ("profile_build", "plan_enumerate", "plan_score"):
+        assert ckern.counters[f"{entry}_calls"] > before[f"{entry}_calls"]
+        assert ckern.counters[f"{entry}_ns"] > before[f"{entry}_ns"]
+    registry = MetricsRegistry()
+    collect_ckern(registry)
+    values = registry.snapshot()
+    for entry in ckern.ENTRY_POINTS:
+        assert values[f"ckern.{entry}.calls"] == \
+            ckern.counters[f"{entry}_calls"]
+        assert values[f"ckern.{entry}.ns"] == ckern.counters[f"{entry}_ns"]
+    assert values["ckern.fold_fallbacks"] == ckern.counters["fold_fallbacks"]
 
 
 # ---------------------------------------------------------------------

@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.minigraph.selectors import StructAll
-from repro.minigraph.transform import fold_trace
+from repro.minigraph.transform import fold_records, fold_trace
 from repro.pipeline import ckern, full_config, reduced_config
 from repro.pipeline.core import OoOCore
 
@@ -177,7 +177,8 @@ def test_batched_tap_points_bit_identical(runner):
 @needs_kernel
 def test_batch_counters_and_arena_reuse(runner):
     """Dispatch counters tick, and batch points sharing one trace share
-    one marshalled arena (identity, not just equality)."""
+    one marshalled arena (identity, not just equality). The native
+    call is timed: one more ``run_batch`` call, nanoseconds accrue."""
     trace = runner.trace("crc32")
     cores = [OoOCore(cfg(), trace.packed(), warm_caches=True)
              for cfg in (reduced_config, full_config)]
@@ -190,6 +191,34 @@ def test_batch_counters_and_arena_reuse(runner):
         before["batch_dispatches"] + 1
     assert ckern.counters["batch_points"] == before["batch_points"] + 2
     assert 1 <= ckern.counters["batch_threads_last"] <= 2
+    assert ckern.counters["run_batch_calls"] == \
+        before["run_batch_calls"] + 1
+    assert ckern.counters["run_batch_ns"] > before["run_batch_ns"]
+
+    # Folded points share nothing but are timed the same way: one
+    # native fold per fold_trace, no reference fold on the kernel path.
+    plan = runner.plan("crc32", StructAll())
+    before = dict(ckern.counters)
+    folded = fold_trace(trace, plan)
+    core = OoOCore(reduced_config(), folded, warm_caches=True)
+    assert core.kernel_batch_entry(200_000_000)[1] is folded.arena
+    assert ckern.counters["fold_calls"] == before["fold_calls"] + 1
+    assert ckern.counters["fold_ns"] > before["fold_ns"]
+    assert ckern.counters["fold_fallbacks"] == before["fold_fallbacks"]
+
+
+@needs_kernel
+@pytest.mark.parametrize("bench", BENCHES)
+def test_fold_arena_parity_golden_matrix(runner, bench):
+    """``repro_fold``'s arena equals ``marshal`` of the reference fold,
+    column for column, on every golden-matrix program."""
+    trace = runner.trace(bench)
+    plan = runner.plan(bench, StructAll())
+    folded = fold_trace(trace, plan)
+    assert folded.arena is not None
+    want = ckern.marshal(fold_records(trace, plan)).columns()
+    assert folded.arena.columns() == want
+    assert want["n_handles"] > 0 and len(folded) == want["n"]
 
 
 def test_run_batch_unavailable_returns_none(monkeypatch, runner):

@@ -10,9 +10,13 @@ import dataclasses
 
 import pytest
 
+from repro.isa.interp import Trace, TraceRecord
 from repro.minigraph import StructAll, fold_trace, make_plan
+from repro.minigraph.dynamic import SlackDynamicPolicy
+from repro.minigraph.transform import MGHandleRecord, fold_records
 from repro.pipeline import ckern, full_config, reduced_config
 from repro.pipeline.core import OoOCore, SimulationDeadlock
+from repro.pipeline.pipetrace import PipeTracer
 
 needs_kernel = pytest.mark.skipif(
     not ckern.available(),
@@ -192,3 +196,120 @@ def test_records_and_packed_inputs_agree(sum_trace):
     assert from_records._ctrace is not None
     assert _full_stats(from_packed, from_packed.run()) == \
         _full_stats(from_records, from_records.run())
+
+
+# ---------------------------------------------------------------------
+# Folding in the kernel: every degrade path gives the reference result
+# ---------------------------------------------------------------------
+
+def _sum_plan(sum_loop, sum_trace):
+    return make_plan(sum_loop, sum_trace.dynamic_count_of(), StructAll())
+
+
+def _reference_stats(trace, plan, **kwargs):
+    """Stats of the Python loop over the reference fold's records."""
+    core = OoOCore(full_config(), fold_records(trace, plan),
+                   warm_caches=True, **kwargs)
+    core._ctrace = None
+    return _full_stats(core, core.run())
+
+
+def test_pure_python_env_folds_in_python(monkeypatch, sum_loop, sum_trace):
+    """REPRO_PURE_PY: the reference fold runs at once, no arena."""
+    plan = _sum_plan(sum_loop, sum_trace)
+    want = _reference_stats(sum_trace, plan)
+    monkeypatch.setenv("REPRO_PURE_PY", "1")
+    folded = fold_trace(sum_trace, plan)
+    assert folded.arena is None
+    assert any(isinstance(rec, MGHandleRecord) for rec in folded)
+    core = OoOCore(full_config(), folded, warm_caches=True)
+    assert core._ctrace is None
+    assert _full_stats(core, core.run()) == want
+
+
+@needs_kernel
+def test_kernel_folded_run_matches_reference(sum_loop, sum_trace):
+    """The C-folded arena runs bit-identically to the Python loop over
+    the reference records, and never builds them."""
+    plan = _sum_plan(sum_loop, sum_trace)
+    want = _reference_stats(sum_trace, plan)
+    folded = fold_trace(sum_trace, plan)
+    core = OoOCore(full_config(), folded, warm_caches=True)
+    assert core._ctrace is folded.arena
+    assert _full_stats(core, core.run()) == want
+    assert folded._packed is None
+
+
+def _truncate_mid_site(trace, plan, drop_last_constituent):
+    """``trace`` cut inside (or with a hole in) the last site instance."""
+    starts = {site.start: site for site in plan.sites}
+    ix = max(i for i, rec in enumerate(trace.records) if rec.pc in starts)
+    site = starts[trace.records[ix].pc]
+    records = list(trace.records)
+    if drop_last_constituent:
+        del records[ix + site.end - site.start - 1]
+    else:
+        del records[ix + 1:]
+    return Trace(trace.program, records, trace.input_name)
+
+
+@needs_kernel
+@pytest.mark.parametrize("hole", [False, True])
+def test_off_layout_trace_fails_like_reference(sum_loop, sum_trace, hole):
+    """A trace off the plan's site layout: the C fold declines and
+    fold_trace raises exactly what the reference fold raises."""
+    plan = _sum_plan(sum_loop, sum_trace)
+    bad = _truncate_mid_site(sum_trace, plan, drop_last_constituent=hole)
+    with pytest.raises(AssertionError) as want:
+        fold_records(bad, plan)
+    before = ckern.counters["fold_fallbacks"]
+    with pytest.raises(AssertionError) as got:
+        fold_trace(bad, plan)
+    assert str(got.value) == str(want.value)
+    assert ckern.counters["fold_fallbacks"] == before + 1
+
+
+@needs_kernel
+def test_kernel_failure_after_fold_uses_reference(monkeypatch, sum_loop,
+                                                  sum_trace):
+    """The kernel failing after the C fold (RC_NOMEM) builds the
+    reference records then and returns identical stats."""
+    plan = _sum_plan(sum_loop, sum_trace)
+    want = _reference_stats(sum_trace, plan)
+    folded = fold_trace(sum_trace, plan)
+    core = OoOCore(full_config(), folded, warm_caches=True)
+    assert core._ctrace is folded.arena and folded._packed is None
+    monkeypatch.setattr(ckern, "run",
+                        lambda *args: (ckern.RC_NOMEM, None))
+    before = ckern.counters["fold_fallbacks"]
+    assert _full_stats(core, core.run()) == want
+    assert folded._packed is not None
+    assert ckern.counters["fold_fallbacks"] == before + 1
+
+
+@needs_kernel
+@pytest.mark.parametrize("observer", ["policy", "tracer"])
+def test_policy_and_tracer_see_record_objects(sum_loop, sum_trace,
+                                              observer):
+    """Slack-Dynamic and PipeTracer runs read the reference records."""
+    seen = []
+
+    class Spy(SlackDynamicPolicy):
+        def enabled(self, site):
+            seen.append(site)
+            return super().enabled(site)
+
+    def make():
+        return {"policy": Spy()} if observer == "policy" \
+            else {"tracer": PipeTracer()}
+
+    plan = _sum_plan(sum_loop, sum_trace)
+    want = _reference_stats(sum_trace, plan, **make())
+    folded = fold_trace(sum_trace, plan)
+    del seen[:]
+    core = OoOCore(full_config(), folded, warm_caches=True, **make())
+    assert core._ctrace is None
+    assert _full_stats(core, core.run()) == want
+    assert any(isinstance(rec, MGHandleRecord) for rec in folded)
+    if observer == "policy":
+        assert seen and all(site in plan.sites for site in seen)
