@@ -12,13 +12,13 @@ Subcommands::
     python -m repro metrics crc32 --format prom   # metrics registry export
     python -m repro attribution --benchmarks crc32 # predicted-vs-observed
     python -m repro telemetry trace.jsonl      # validate a telemetry file
-    python -m repro resume run.jsonl           # finish a killed run
 
 `experiments` forwards to :mod:`repro.harness.experiments`; everything
 else is a thin veneer over the library API so each command doubles as a
 usage example. Commands that simulate accept ``--cache-dir`` (or honor
 ``$REPRO_CACHE_DIR``) to persist intermediates in the content-addressed
-artifact store of :mod:`repro.exec`.
+artifact store of :mod:`repro.exec`; rerunning a killed command with the
+same store recomputes only the artifacts it is missing.
 """
 
 from __future__ import annotations
@@ -148,10 +148,6 @@ def _cmd_report(args) -> int:
 def _cmd_limit_study(args) -> int:
     from .analysis.limit_study import run_limit_study
     store = _store_for(args)
-    if args.ledger and not store.persistent:
-        print("limit-study: --ledger needs a persistent store; pass "
-              "--cache-dir or set $REPRO_CACHE_DIR", file=sys.stderr)
-        return 2
     telemetry = None
     if getattr(args, "telemetry", None):
         from .obs.telemetry import (
@@ -161,33 +157,14 @@ def _cmd_limit_study(args) -> int:
                                     run_manifest(label="limit-study"))
 
     def study(runner):
-        ledger = None
-        progress = None
-        if args.ledger:
-            from .dist.resume import open_ledger, workload_for_limit_study
-            ledger = open_ledger(
-                args.ledger, runner,
-                workload_for_limit_study("adpcm", "tiny", "reduced", 10,
-                                         args.cap),
-                extra={"jobs": args.jobs})
-            progress = ledger.sink(None)
-        try:
-            if telemetry is not None:
-                attach_store_telemetry(runner.store, telemetry)
-                with telemetry.span("limit-study", "experiment",
-                                    args={"jobs": args.jobs}):
-                    result = run_limit_study(runner, subset_cap=args.cap,
-                                             jobs=args.jobs,
-                                             progress=progress)
-            else:
-                result = run_limit_study(runner, subset_cap=args.cap,
-                                         jobs=args.jobs, progress=progress)
-            if ledger is not None:
-                ledger.complete(len(result.points), 0)
-            return result
-        finally:
-            if ledger is not None:
-                ledger.close()
+        if telemetry is None:
+            return run_limit_study(runner, subset_cap=args.cap,
+                                   jobs=args.jobs)
+        attach_store_telemetry(runner.store, telemetry)
+        with telemetry.span("limit-study", "experiment",
+                            args={"jobs": args.jobs}):
+            return run_limit_study(runner, subset_cap=args.cap,
+                                   jobs=args.jobs)
 
     try:
         if args.jobs > 1 and not store.persistent:
@@ -554,26 +531,6 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _cmd_resume(args) -> int:
-    from .dist.ledger import LedgerError
-    from .dist.resume import resume_run
-    from .exec import ProgressPrinter
-    try:
-        summary = resume_run(
-            args.ledger, jobs=args.jobs,
-            on_event=None if args.quiet else ProgressPrinter(),
-            allow_stale=args.force)
-    except LedgerError as error:
-        print(f"repro: resume: {error}", file=sys.stderr)
-        return 1
-    print(f"resumed {summary['kind']} run from {args.ledger}: "
-          f"{summary['skipped']} nodes already durable, "
-          f"{summary['scheduled']} scheduled, "
-          f"{summary['completed']} completed, "
-          f"{summary['failed']} failed")
-    return 1 if summary["failed"] else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "experiments":
@@ -629,10 +586,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="worker processes for the subset sweep")
     p_limit.add_argument("--telemetry", default=None, metavar="PATH",
                          help="write run telemetry JSONL to PATH")
-    p_limit.add_argument("--ledger", default=None, metavar="PATH",
-                         help="journal subset completion to PATH; a "
-                              "killed study resumes with "
-                              "`repro resume PATH`")
     _add_cache_flags(p_limit)
     p_limit.set_defaults(fn=_cmd_limit_study)
 
@@ -830,20 +783,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "(trace profile candidates plan baseline "
                               "run run-dynamic subset)")
     p_cache.set_defaults(fn=_cmd_cache)
-
-    p_resume = sub.add_parser(
-        "resume", help="resume a killed run from its --ledger journal, "
-                       "scheduling only nodes whose durable artifacts "
-                       "are missing (see docs/distributed.md)")
-    p_resume.add_argument("ledger", help="ledger path from --ledger")
-    p_resume.add_argument("--jobs", type=int, default=None,
-                          help="override the dead run's fan-out")
-    p_resume.add_argument("--force", action="store_true",
-                          help="proceed even if the code-version salt "
-                               "changed (re-runs everything)")
-    p_resume.add_argument("--quiet", action="store_true",
-                          help="suppress the scheduler progress stream")
-    p_resume.set_defaults(fn=_cmd_resume)
 
     # "experiments" is documented here even though it is dispatched above.
     sub.add_parser("experiments",

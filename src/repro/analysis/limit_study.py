@@ -138,10 +138,10 @@ def evaluate_subset_cached(runner: Runner, bench: str, input_name: str,
 
     Keyed via :meth:`Runner.subset_params` (full machine sizing, mask,
     candidate count, normalization baseline, runner knobs), so completed
-    masks survive process death — which is what lets ``repro resume``
-    skip them after a killed limit study — and repeated sweeps over the
-    same cache directory are free. ``sites`` skips the candidate ranking
-    when the caller already holds it.
+    masks survive process death: rerunning a killed study, or repeating
+    a sweep, over the same cache directory recomputes none of them.
+    ``sites`` skips the candidate ranking when the caller already holds
+    it.
     """
     params = runner.subset_params(bench, input_name, config, n_candidates,
                                   mask, baseline_ipc)
@@ -167,8 +167,7 @@ def _selector_mask(plan_sites: List[MGSite], sites: List[MGSite]) -> int:
 def _parallel_subset_points(runner: Runner, bench: str, input_name: str,
                             config: MachineConfig, n_candidates: int,
                             n_subsets: int, baseline_ipc: float,
-                            jobs: int,
-                            progress=None) -> List[SubsetPoint]:
+                            jobs: int) -> List[SubsetPoint]:
     """Fan the exhaustive subset sweep out over worker processes.
 
     Each mask evaluation is one task; the trace and candidate
@@ -188,7 +187,7 @@ def _parallel_subset_points(runner: Runner, bench: str, input_name: str,
              stage="subset")
         for mask in range(n_subsets)
     ]
-    report = Scheduler(jobs=jobs, on_event=progress).run(tasks)
+    report = Scheduler(jobs=jobs).run(tasks)
     points = [SubsetPoint(r["mask"], r["coverage"], r["relative_ipc"])
               for r in report.results.values()]
     points.sort(key=lambda p: p.mask)
@@ -200,19 +199,14 @@ def run_limit_study(runner: Optional[Runner] = None, bench: str = "adpcm",
                     config: Optional[MachineConfig] = None,
                     n_candidates: int = 10,
                     subset_cap: Optional[int] = None,
-                    jobs: int = 1,
-                    progress=None) -> LimitStudyResult:
+                    jobs: int = 1) -> LimitStudyResult:
     """Exhaustively evaluate mini-graph subsets and place the selectors.
 
     ``subset_cap`` truncates the exhaustive sweep (tests use small caps);
     the full Figure 8 sweep needs ``2 ** n_candidates`` evaluations.
     With ``jobs > 1`` (and a persistent artifact store on ``runner`` and
     a *named* machine configuration) the sweep fans out over worker
-    processes; results are identical to the serial path. ``progress``
-    receives the scheduler's per-task event stream (see
-    :class:`~repro.exec.dag.Scheduler`); callers that render progress —
-    the CLI, a run ledger's event sink — attach their own sink instead
-    of sharing one process-wide stderr stream.
+    processes; results are identical to the serial path.
     """
     runner = runner or Runner()
     config = config or reduced_config()
@@ -232,7 +226,7 @@ def run_limit_study(runner: Optional[Runner] = None, bench: str = "adpcm",
     if parallel_ok:
         result.points.extend(_parallel_subset_points(
             runner, bench, input_name, config, n_candidates, n_subsets,
-            baseline_ipc, jobs, progress=progress))
+            baseline_ipc, jobs))
     else:
         for mask in range(n_subsets):
             result.points.append(evaluate_subset_cached(

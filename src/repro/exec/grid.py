@@ -115,28 +115,6 @@ class Point:
     policy: Spec = ()              # slack-dynamic kwargs items
 
 
-def point_to_doc(point: Point) -> Dict[str, Any]:
-    """JSON document for a :class:`Point` (ledger headers, wire formats)."""
-    return {"kind": point.kind, "bench": point.bench, "config": point.config,
-            "input": point.input_name,
-            "selector": [[key, value] for key, value in point.selector],
-            "profile_config": point.profile_config,
-            "profile_input": point.profile_input,
-            "global_slack": point.global_slack,
-            "policy": [[key, value] for key, value in point.policy]}
-
-
-def point_from_doc(doc: Dict[str, Any]) -> Point:
-    """Inverse of :func:`point_to_doc` (exact: same task ids, same keys)."""
-    return Point(doc["kind"], doc["bench"], doc["config"],
-                 doc.get("input", "train"),
-                 tuple((key, value)
-                       for key, value in doc.get("selector", [])),
-                 doc.get("profile_config"), doc.get("profile_input"),
-                 bool(doc.get("global_slack", False)),
-                 tuple((key, value) for key, value in doc.get("policy", [])))
-
-
 def baseline_point(bench: str, config: str,
                    input_name: str = "train") -> Point:
     """A singleton (no mini-graphs) timing run."""
@@ -338,11 +316,9 @@ def prune_cached(runner, tasks: Sequence[Task]
 
 
 def run_points(runner, points: Sequence[Point], jobs: int,
-               retries: int = 1, timeout: Optional[float] = None,
                on_event: Optional[Callable[[Dict], None]] = None,
                raise_on_failure: bool = False,
                check: bool = False,
-               ledger=None,
                threads: int = 0) -> ExecReport:
     """Prewarm the runner's store by executing the point DAG.
 
@@ -357,11 +333,6 @@ def run_points(runner, points: Sequence[Point], jobs: int,
     ``check`` the DAG carries a lockstep+lint validation node per
     (program, selector) point; a divergence fails the run (see
     :func:`build_tasks`).
-
-    ``ledger`` (a :class:`repro.dist.ledger.RunLedger`) journals every
-    terminal node event so a killed run can be resumed with ``repro
-    resume``. Pruned nodes are first checked with
-    :func:`~repro.dist.ledger.assert_skippable` and journaled as done.
 
     Worker processes load functional traces from the store like every
     other artifact: each worker's runner unpickles a trace once and
@@ -381,18 +352,8 @@ def run_points(runner, points: Sequence[Point], jobs: int,
             "Runner with ArtifactStore(cache_dir) or use --cache-dir")
     tasks = build_tasks(points, runner, check=check)
     kept, pruned = prune_cached(runner, tasks)
-    if ledger is not None:
-        from ..dist.ledger import assert_skippable
-        assert_skippable(tasks, [
-            task.id for task in tasks
-            if task_fns.task_artifact(runner, task) is not None], pruned)
-        ledger.record_skipped_durable(pruned)
-        on_event = ledger.sink(on_event)
-    scheduler = Scheduler(jobs=jobs, retries=retries, timeout=timeout,
-                          on_event=on_event, threads=threads)
+    scheduler = Scheduler(jobs=jobs, on_event=on_event, threads=threads)
     with task_fns.bound_runner(runner):
         report = scheduler.run(kept, raise_on_failure=raise_on_failure)
     report.pruned = pruned
-    if ledger is not None:
-        ledger.complete(len(report.results), len(report.failures))
     return report

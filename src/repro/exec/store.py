@@ -266,6 +266,12 @@ class ArtifactBackend:
             except OSError:
                 continue
             removed += 1
+        # Temp files of writers killed before their rename (not artifacts).
+        for partial in list(self.root.glob("??/.tmp-*.part")):
+            try:
+                partial.unlink()
+            except OSError:
+                pass
         return removed
 
     def dedup(self) -> Dict[str, int]:

@@ -239,9 +239,9 @@ def run_subset(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Evaluate one limit-study subset mask (Figure 8 scatter point).
 
     Memoized through the store under a ``subset`` artifact (the full
-    parameter set, via :meth:`Runner.subset_params`) — which is what
-    makes a killed limit study resumable: completed subset points are
-    durable, so ``repro resume`` schedules only the missing masks.
+    parameter set, via :meth:`Runner.subset_params`), so completed
+    masks are durable: rerunning a killed study with the same store
+    evaluates only the missing ones.
     """
     from ..analysis.limit_study import evaluate_subset_cached
     runner = _runner(spec)

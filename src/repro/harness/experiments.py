@@ -405,10 +405,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore --cache-dir/$REPRO_CACHE_DIR; "
                              "memory-only memoization")
-    parser.add_argument("--ledger", default=None, metavar="PATH",
-                        help="journal DAG completion to PATH so a killed "
-                             "run resumes with `repro resume PATH` "
-                             "(single figure only; see docs/distributed.md)")
     parser.add_argument("--save-json", default=None, metavar="PATH",
                         help="archive the regenerated curves as JSON "
                              "(see repro.harness.reporting)")
@@ -429,15 +425,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"experiments: {error}", file=_sys.stderr)
         return 2
     cache_dir = resolve_cache_dir(args.cache_dir, args.no_cache)
-    if args.ledger and args.experiment == "all":
-        print("experiments: --ledger needs a single figure (one ledger "
-              "describes one workload)", file=_sys.stderr)
-        return 2
-    if args.ledger and cache_dir is None:
-        print("experiments: --ledger needs a persistent store; "
-              "pass --cache-dir or set $REPRO_CACHE_DIR",
-              file=_sys.stderr)
-        return 2
     scratch = None
     if jobs > 1 and cache_dir is None:
         # Workers hand artifacts back through the store, so parallel
@@ -467,37 +454,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         for name in names:
             start = time.time()
-            if jobs > 1 or threads or args.check or args.ledger:
+            if jobs > 1 or threads or args.check:
                 points = grid_points(name, benches)
                 if points:
                     from ..exec.dag import TaskError
                     on_event = None if args.quiet else ProgressPrinter()
                     if telemetry is not None:
                         on_event = scheduler_telemetry(telemetry, on_event)
-                    ledger = None
-                    if args.ledger:
-                        from ..dist.resume import (
-                            open_ledger, workload_for_points,
-                        )
-                        ledger = open_ledger(
-                            args.ledger, runner,
-                            workload_for_points(points, check=args.check,
-                                                label=name),
-                            extra={"jobs": jobs})
                     try:
                         report = run_points(runner, points, jobs=jobs,
                                             on_event=on_event,
                                             check=args.check,
                                             raise_on_failure=args.check,
-                                            ledger=ledger,
                                             threads=threads)
                     except TaskError as error:
                         print(f"experiments: check failed: {error}",
                               file=_sys.stderr)
                         return 1
-                    finally:
-                        if ledger is not None:
-                            ledger.close()
                     if not args.quiet:
                         print(report.render(), file=_sys.stderr)
             if telemetry is not None:

@@ -108,22 +108,6 @@ class Runner:
         # (bounded; in-memory only — sites are cheap to rebuild).
         self._sites_memo: Dict = {}
 
-    @classmethod
-    def from_params(cls, params: Dict, jobs: int = 1) -> "Runner":
-        """Rebuild a runner from :func:`repro.exec.tasks.runner_params`.
-
-        The inverse used by ``repro resume``, which reconstructs the
-        runner a dead run's ledger header describes; both sides share
-        one params vocabulary so a rebuilt runner can never key
-        artifacts differently than the original.
-        """
-        store = ArtifactStore(params.get("cache_dir"))
-        return cls(budget=params["budget"],
-                   max_mg_size=params["max_mg_size"],
-                   warm_caches=params["warm_caches"],
-                   max_insts=params["max_insts"],
-                   store=store, jobs=jobs)
-
     # -- benchmark helpers -----------------------------------------------------
 
     def _bench(self, bench) -> Benchmark:

@@ -1,9 +1,8 @@
 """Tuning ledger: a JSONL journal of completed trials.
 
-Same discipline as the run ledger (:mod:`repro.dist.ledger`): one
-header line pinning the search space (content digest), the runner
+One header line pins the search space (content digest), the runner
 parameters that shape objectives, and the code-version salt; then one
-line per completed trial evaluation, appended and flushed as each one
+line per completed trial evaluation is appended and flushed as each one
 finishes. ``repro tune --resume`` replays the file and schedules only
 trials with no journaled result at their trace length — a SIGKILL
 mid-search costs at most the one in-flight trial, and re-running a

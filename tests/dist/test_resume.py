@@ -1,15 +1,13 @@
-"""Checkpoint/resume end to end: a resume schedules exactly the nodes
-whose durable outputs are missing — no more (wasted recompute) and no
-less (silent gaps).
+"""Resuming a killed run: rerunning the same points over the same store
+schedules exactly the nodes whose durable outputs are missing — no more
+(wasted recompute) and no less (silent gaps).
 
 The SIGKILL test runs the grid in a subprocess and kills it with signal
-9 mid-run (a real torn process: open ledger handle, half-written store),
-then resumes in this process and asserts zero re-execution of artifacts
-that survived — the PR's acceptance criterion.
+9 mid-run (a real torn process: half-written store), then reruns the
+same points in this process and asserts zero re-execution of artifacts
+that survived.
 """
 
-import json
-import os
 import signal
 import subprocess
 import sys
@@ -18,15 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.dist.ledger import LedgerError, RunLedger
-from repro.dist.resume import (
-    open_ledger, prune_cached, resume_run, workload_for_limit_study,
-    workload_for_points,
-)
 from repro.exec import tasks as task_fns
 from repro.exec.dag import Scheduler
 from repro.exec.grid import (
-    baseline_point, build_tasks, run_points, selector_point,
+    baseline_point, build_tasks, prune_cached, run_points, selector_point,
 )
 from repro.exec.store import ArtifactStore, iter_sidecars
 from repro.harness.runner import Runner
@@ -41,22 +34,12 @@ def _points():
     return points
 
 
-def _run_with_ledger(tmp_path):
-    runner = Runner(store=ArtifactStore(tmp_path / "cache"))
-    points = _points()
-    ledger_path = tmp_path / "run.jsonl"
-    ledger = open_ledger(ledger_path, runner,
-                         workload_for_points(points), extra={"jobs": 1})
-    try:
-        report = run_points(runner, points, jobs=1, ledger=ledger)
-    finally:
-        ledger.close()
+def _run_fresh(cache, points):
+    """Run ``points`` as a fresh process would: a new runner over
+    ``cache``, so nothing can be served from an earlier memory layer."""
+    report = run_points(Runner(store=ArtifactStore(cache)), points, jobs=1)
     assert not report.failures
-    # Resume re-probes through a fresh Runner; drop this process's task
-    # runner cache so deleted disk artifacts cannot be resurrected from
-    # a stale memory layer.
-    task_fns._RUNNERS.clear()
-    return ledger_path
+    return report
 
 
 # -- store probes: which nodes resume may skip --------------------------------
@@ -129,109 +112,74 @@ def test_check_nodes_are_never_pruned(warm_runner):
 
 class TestResume:
     def test_complete_run_resumes_to_zero_work(self, tmp_path):
-        ledger_path = _run_with_ledger(tmp_path)
-        summary = resume_run(ledger_path)
-        assert summary["kind"] == "experiments"
-        assert summary["scheduled"] == 0
-        assert summary["skipped"] == summary["total"]
-        assert summary["failed"] == 0
+        cache = tmp_path / "cache"
+        first = _run_fresh(cache, _points())
+        assert first.results and not first.pruned
+        report = _run_fresh(cache, _points())
+        assert report.results == {}
+        assert len(report.pruned) == len(first.results)
 
     def test_resume_schedules_exactly_the_missing_nodes(self, tmp_path):
-        ledger_path = _run_with_ledger(tmp_path)
         cache = tmp_path / "cache"
+        total = len(_run_fresh(cache, _points()).results)
         # Destroy exactly one durable output (a baseline timing run).
         victims = [key for key, meta in iter_sidecars(cache)
                    if meta.get("kind") == "baseline"]
-        store = ArtifactStore(cache)
-        store.backend.delete(victims[0])
-        task_fns._RUNNERS.clear()
+        ArtifactStore(cache).backend.delete(victims[0])
 
         before = {path: path.stat().st_mtime_ns
                   for path in cache.glob("??/*.pkl")}
-        summary = resume_run(ledger_path)
-        assert summary["scheduled"] == 1
-        assert summary["completed"] == 1
-        assert summary["skipped"] == summary["total"] - 1
-        assert summary["failed"] == 0
+        report = _run_fresh(cache, _points())
+        assert len(report.results) == 1
+        assert len(report.pruned) == total - 1
         # The deleted artifact is durable again...
         assert any(meta.get("kind") == "baseline" and key == victims[0]
                    for key, meta in iter_sidecars(cache))
         # ...and nothing that already existed was rewritten.
         for path, mtime in before.items():
             assert path.stat().st_mtime_ns == mtime, path
-        # A second resume finds everything durable.
-        task_fns._RUNNERS.clear()
-        again = resume_run(ledger_path)
-        assert again["scheduled"] == 0
-
-    def test_salt_mismatch_refused_without_force(self, tmp_path):
-        ledger_path = _run_with_ledger(tmp_path)
-        header, _, _ = RunLedger.load(ledger_path)
-        lines = ledger_path.read_text().splitlines()
-        header["salt"] = "stale" * 3
-        lines[0] = json.dumps(header, sort_keys=True)
-        ledger_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(LedgerError, match="salt changed"):
-            resume_run(ledger_path)
-        # allow_stale proceeds (and, same code, same store: all durable).
-        summary = resume_run(ledger_path, allow_stale=True)
-        assert summary["failed"] == 0
-
-    def test_header_with_store_backend_key_still_resumes(self, tmp_path):
-        """Ledgers written before the store had one disk layout carry
-        ``store_backend`` in the header and the runner params."""
-        ledger_path = _run_with_ledger(tmp_path)
-        lines = ledger_path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["store_backend"] = "dir"
-        header["runner"]["store_backend"] = "dir"
-        lines[0] = json.dumps(header, sort_keys=True)
-        ledger_path.write_text("\n".join(lines) + "\n")
-        summary = resume_run(ledger_path)
-        assert summary["failed"] == 0
-        assert summary["scheduled"] == 0
-        assert summary["skipped"] == summary["total"]
-
-    def test_unknown_workload_kind_refused(self, tmp_path):
-        runner = Runner(store=ArtifactStore(tmp_path / "cache"))
-        ledger = open_ledger(tmp_path / "run.jsonl", runner,
-                             {"kind": "mystery"})
-        ledger.close()
-        with pytest.raises(LedgerError, match="not resumable"):
-            resume_run(tmp_path / "run.jsonl")
+        # The next rerun finds everything durable.
+        assert _run_fresh(cache, _points()).results == {}
 
 
 class TestLimitStudyResume:
     def test_resume_reuses_durable_subset_masks(self, tmp_path):
+        """A pool-path rerun over a partly warm store evaluates only the
+        subset masks whose payloads are gone."""
         from repro.analysis.limit_study import run_limit_study
         from repro.pipeline.config import reduced_config
 
-        runner = Runner(store=ArtifactStore(tmp_path / "cache"))
-        ledger_path = tmp_path / "study.jsonl"
-        ledger = open_ledger(
-            ledger_path, runner,
-            workload_for_limit_study("adpcm", "tiny", "reduced", 10, 8))
-        try:
-            result = run_limit_study(runner, bench="adpcm",
-                                     input_name="tiny",
-                                     config=reduced_config(),
-                                     subset_cap=8,
-                                     progress=ledger.sink(None))
-            ledger.complete(len(result.points), 0)
-        finally:
-            ledger.close()
-        task_fns._RUNNERS.clear()
-        summary = resume_run(ledger_path)
-        assert summary["kind"] == "limit-study"
-        assert summary["scheduled"] == 0      # every mask was a store hit
-        assert summary["skipped"] > 0
-        assert summary["completed"] == summary["total"]
+        cache = tmp_path / "cache"
+
+        def study(jobs):
+            return run_limit_study(Runner(store=ArtifactStore(cache)),
+                                   bench="adpcm", input_name="tiny",
+                                   config=reduced_config(), subset_cap=8,
+                                   jobs=jobs).render()
+
+        first = study(jobs=1)
+        store = ArtifactStore(cache)
+        victims = [key for key, meta in iter_sidecars(cache)
+                   if meta.get("kind") == "subset"][:2]
+        assert len(victims) == 2
+        for key in victims:
+            store.backend.delete(key)
+        before = {path: path.stat().st_mtime_ns
+                  for path in cache.glob("??/*.pkl")}
+        task_fns._RUNNERS.clear()      # workers fork from this process
+        task_fns._SITES.clear()
+
+        assert study(jobs=2) == first
+        after = set(cache.glob("??/*.pkl"))
+        assert after - set(before) == {store.backend.payload_path(key)
+                                       for key in victims}
+        for path, mtime in before.items():
+            assert path.stat().st_mtime_ns == mtime, path
 
 
 _CHILD = """
 import os, signal, sys
 sys.path.insert(0, {src!r})
-from repro.dist.resume import open_ledger, workload_for_points
 from repro.exec.grid import baseline_point, run_points
 from repro.exec.store import ArtifactStore
 from repro.harness.runner import Runner
@@ -239,8 +187,6 @@ from repro.harness.runner import Runner
 benches = {benches!r}
 points = [baseline_point(bench, "reduced") for bench in benches]
 runner = Runner(store=ArtifactStore({cache!r}))
-ledger = open_ledger({ledger!r}, runner, workload_for_points(points),
-                     extra={{"jobs": 1}})
 
 done = 0
 def on_event(event):
@@ -250,7 +196,7 @@ def on_event(event):
         if done == {kill_after}:
             os.kill(os.getpid(), signal.SIGKILL)   # no cleanup, no flush
 
-run_points(runner, points, jobs=1, ledger=ledger, on_event=on_event)
+run_points(runner, points, jobs=1, on_event=on_event)
 """
 
 
@@ -259,35 +205,26 @@ class TestKillResume:
             self, tmp_path):
         src = str(Path(__file__).resolve().parents[2] / "src")
         cache = tmp_path / "cache"
-        ledger_path = tmp_path / "run.jsonl"
         benches = ("crc32", "adpcm", "sha", "bitcount", "qsort",
                    "stringsearch")
         script = _CHILD.format(src=src, benches=benches,
-                               cache=str(cache), ledger=str(ledger_path),
-                               kill_after=4)
+                               cache=str(cache), kill_after=4)
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, timeout=300)
         assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
 
-        header, journaled, completed = RunLedger.load(ledger_path)
-        assert completed is False
-        done = [t for t, s in journaled.items() if s == "done"]
-        assert len(done) >= 4                  # it really died mid-run
-
         survivors = {path: path.stat().st_mtime_ns
                      for path in cache.glob("??/*.pkl")}
-        assert survivors                        # partial store exists
+        assert len(survivors) >= 4              # it really died mid-run
         time.sleep(0.01)                        # mtime granularity guard
 
-        summary = resume_run(ledger_path)
-        assert summary["failed"] == 0
-        assert summary["skipped"] == len(survivors)
-        assert summary["scheduled"] == summary["total"] - len(survivors)
-        assert summary["completed"] == summary["scheduled"]
+        points = [baseline_point(bench, "reduced") for bench in benches]
+        report = _run_fresh(cache, points)
+        assert len(report.pruned) == len(survivors)
+        assert report.results                   # the rest was scheduled
         # Zero re-executed nodes whose artifacts already existed: every
         # surviving payload is byte-for-byte untouched.
         for path, mtime in survivors.items():
             assert path.stat().st_mtime_ns == mtime, path
-        # The resumed run is now complete end to end.
-        _, _, finished = RunLedger.load(ledger_path)
-        assert finished is True
+        # The rerun left the store complete end to end.
+        assert _run_fresh(cache, points).results == {}

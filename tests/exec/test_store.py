@@ -135,6 +135,19 @@ def test_put_leaves_no_partial_files(tmp_path):
     assert list(tmp_path.glob("**/*.part")) == []
 
 
+def test_clear_removes_killed_writers_temp_files(tmp_path):
+    """A writer killed between ``mkstemp`` and ``os.replace`` leaves a
+    ``.tmp-*.part`` file; ``clear`` must not leave it behind."""
+    store = ArtifactStore(tmp_path)
+    key = store.key("x", {"i": 0})
+    store.put(key, "payload", kind="x")
+    leftover = store.backend.payload_path(key).parent / ".tmp-x.part"
+    leftover.write_bytes(b"torn")
+    assert store.clear() == 1          # temp files are not artifacts
+    assert not leftover.exists()
+    assert list(tmp_path.glob("??/*")) == []
+
+
 def test_stats_render_mentions_rate(tmp_path):
     store = ArtifactStore(tmp_path)
     key = store.key("x", {"p": 1})
