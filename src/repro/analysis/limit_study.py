@@ -256,7 +256,7 @@ def run_limit_study(runner: Optional[Runner] = None, bench: str = "adpcm",
                                      policy=policy)
     enabled_mask = 0
     for i, site in enumerate(sites):
-        if policy.enabled(site):
+        if not policy.is_disabled(site):
             enabled_mask |= 1 << i
     result.selector_points["slack-dynamic"] = SubsetPoint(
         enabled_mask, dynamic_point.coverage, dynamic_point.relative_ipc)

@@ -43,9 +43,10 @@ def is_batchable(task) -> bool:
     """Can this DAG node ride the batched kernel dispatch?
 
     Timing-shaped nodes only: baselines, slack profiles, and selector
-    timing runs. Slack-dynamic points carry a run-time policy, which
-    forces the Python reference loop, and every other stage (trace,
-    candidates, plan, check) is not a cycle loop at all.
+    timing runs. Slack-dynamic points carry a run-time policy, and
+    batch descriptors carry no policy state (such a point runs in the
+    kernel one at a time); every other stage (trace, candidates, plan,
+    check) is not a cycle loop at all.
     """
     if task.fn in (task_fns.run_baseline, task_fns.run_profile):
         return True

@@ -14,12 +14,19 @@ the "outlining penalty" (§5.3) unless the idealized variant is used.
 
 The timing core calls :meth:`MiniGraphPolicy.enabled` per fetched instance,
 :meth:`on_issue` per issued handle, and :meth:`on_consumer_delay` when the
-propagation condition is observed.
+propagation condition is observed. For an exact
+:class:`SlackDynamicPolicy` the compiled kernel runs the same monitor:
+:meth:`SlackDynamicPolicy.kernel_state` hands it the parameters and
+starting state and :meth:`SlackDynamicPolicy.load_kernel_state` adopts the
+final state, so the policy reads the same whichever loop ran.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from array import array
+from typing import Dict, Optional, Sequence, Tuple
+
+from ..pipeline import ckern
 
 
 class MiniGraphPolicy:
@@ -157,7 +164,83 @@ class SlackDynamicPolicy(MiniGraphPolicy):
         if self.mode == "full":
             self._harmful(site)
 
+    # -- compiled kernel ----------------------------------------------------
+
+    def kernel_state(self, site_ids: Sequence[int]
+                     ) -> Optional[Tuple[array, array]]:
+        """The parameters and the starting state of ``site_ids``, packed
+        for :func:`repro.pipeline.ckern.run_policy`; None when a parameter
+        is not an integer or the mode is unknown (the Python loop runs)."""
+        mode = ckern.POLICY_MODES.get(self.mode)
+        params = (self.threshold, self.decay_interval,
+                  self.resurrect_interval, self.disable_events,
+                  self.resurrect_events)
+        if mode is None or not all(isinstance(v, int) for v in params):
+            return None
+        header = array("q", bytes(8 * ckern.PP_WORDS))
+        header[ckern.PP_MODE] = mode
+        header[ckern.PP_OUTLINED] = 1 if self.outlining_penalty else 0
+        header[ckern.PP_THRESHOLD] = self.threshold
+        header[ckern.PP_DECAY] = self.decay_interval
+        header[ckern.PP_RESURRECT] = self.resurrect_interval
+        header[ckern.PP_DISABLE_EVENTS] = self.disable_events
+        header[ckern.PP_RESURRECT_EVENTS] = self.resurrect_events
+        sites = array("q", bytes(8 * ckern.PS_WORDS * len(site_ids)))
+        for i, site_id in enumerate(site_ids):
+            row = i * ckern.PS_WORDS
+            state = self._sites.get(site_id)
+            if state is None:
+                sites[row + ckern.PS_ENTRY] = -1
+            else:
+                sites[row + ckern.PS_COUNTER] = state.counter
+                sites[row + ckern.PS_DISABLED] = 1 if state.disabled else 0
+                sites[row + ckern.PS_QUIET] = state.quiet
+            benign = self._benign.get(site_id)
+            if benign is None:
+                sites[row + ckern.PS_BENIGN_ENTRY] = -1
+            else:
+                sites[row + ckern.PS_BENIGN] = benign
+        return header, sites
+
+    def load_kernel_state(self, site_ids: Sequence[int], header: array,
+                          sites: array) -> None:
+        """Adopt a kernel run's final state (see :meth:`kernel_state`).
+
+        Existing entries are updated in place and new ones inserted in
+        the order the run created them, as the Python callbacks would.
+        """
+        created = []
+        benign_created = []
+        for i, site_id in enumerate(site_ids):
+            row = i * ckern.PS_WORDS
+            seq = sites[row + ckern.PS_ENTRY]
+            if seq >= 0:
+                state = self._sites[site_id] if seq == 0 else _SiteState()
+                state.counter = sites[row + ckern.PS_COUNTER]
+                state.disabled = bool(sites[row + ckern.PS_DISABLED])
+                state.quiet = sites[row + ckern.PS_QUIET]
+                if seq > 0:
+                    created.append((seq, site_id, state))
+            seq = sites[row + ckern.PS_BENIGN_ENTRY]
+            if seq == 0:
+                self._benign[site_id] = sites[row + ckern.PS_BENIGN]
+            elif seq > 0:
+                benign_created.append((seq, site_id,
+                                       sites[row + ckern.PS_BENIGN]))
+        for _, site_id, state in sorted(created, key=lambda e: e[0]):
+            self._sites[site_id] = state
+        for _, site_id, count in sorted(benign_created, key=lambda e: e[0]):
+            self._benign[site_id] = count
+        self.disable_events = header[ckern.PP_DISABLE_EVENTS]
+        self.resurrect_events = header[ckern.PP_RESURRECT_EVENTS]
+
     # -- reporting ------------------------------------------------------------
+
+    def is_disabled(self, site) -> bool:
+        """Is ``site`` disabled right now? A read-only query: unlike
+        :meth:`enabled` it counts no quiet instance and never resurrects."""
+        state = self._sites.get(site.id)
+        return state is not None and state.disabled
 
     def disabled_sites(self) -> int:
         """Number of sites currently disabled."""

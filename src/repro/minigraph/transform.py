@@ -168,7 +168,7 @@ def _site_table(binary: TransformedBinary) -> Tuple[array, array]:
             (2 if template.has_load else 0) |
             (4 if template.has_store else 0),
             site.mem_pc, candidate.out_reg, src_off, len(regs), cons_off,
-            len(consumers)))
+            len(consumers), site.outlined_pc, site.id))
     return sites, ext
 
 

@@ -25,8 +25,9 @@ Attaching the collector no longer forces the Python reference loop: it
 advertises ``supports_ckern_tap``, so the compiled kernel records packed
 HANDLE/CDELAY events and :meth:`AttributionCollector.ingest_ckern_tap`
 rebuilds the same per-site tallies post-hoc, bit-identical to the
-in-loop path (only a run-time policy — Slack-Dynamic — still requires
-the Python loop).
+in-loop path. Attached next to a run-time policy (Slack-Dynamic, as
+:func:`attribute_point` does) it keeps the Python loop: the kernel runs
+a policy only with no observer.
 """
 
 from __future__ import annotations

@@ -419,8 +419,9 @@ def collect_ckern(registry: MetricsRegistry, counters=None) -> None:
     ``ckern.counters`` tracks batched native dispatch (how many
     ``repro_run_batch`` calls ran, how many points they covered, how
     many points fell back to per-point execution), the previously
-    silent event-tap overflow retries, reference-path trace folds, and
-    the calls and nanoseconds spent inside each native entry point
+    silent event-tap overflow retries, reference-path trace folds,
+    Slack-Dynamic runs completed in C or rerun in Python, and the calls
+    and nanoseconds spent inside each native entry point
     (``ckern.<entry>.calls`` / ``ckern.<entry>.ns``). Pass a mapping to
     harvest a snapshot; the default reads the live module counters.
     """
@@ -460,6 +461,12 @@ def collect_ckern(registry: MetricsRegistry, counters=None) -> None:
     registry.counter("ckern.fold_fallbacks",
                      "Trace folds run by the Python reference").inc(
         counters.get("fold_fallbacks", 0))
+    registry.counter("ckern.policy_runs_native",
+                     "Slack-Dynamic runs completed in C").inc(
+        counters.get("policy_runs_native", 0))
+    registry.counter("ckern.policy_fallbacks",
+                     "Kernel-accepted Slack-Dynamic runs rerun in "
+                     "Python").inc(counters.get("policy_fallbacks", 0))
     for entry in ckern.ENTRY_POINTS:
         registry.counter(f"ckern.{entry}.calls",
                          f"Native {entry} calls").inc(

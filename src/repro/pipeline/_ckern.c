@@ -1,12 +1,15 @@
 /* Compiled fast path for the event-driven timing core.
  *
  * This is a statement-for-statement port of the hot loop in
- * ``repro/pipeline/core.py`` for runs with no policy and no tracer
- * (every ``repro bench`` point and all memoized timing runs).
- * Tap-capable observers (SlackCollector, AttributionCollector) run here
- * too: ``repro_run_tap`` appends fixed-width [(ix<<4)|tag, a, b] event
- * triples to a caller-supplied buffer, and the collectors rebuild their
- * profiles post-hoc from the log — bit-identical to the in-loop path.
+ * ``repro/pipeline/core.py`` for runs with no tracer (every ``repro
+ * bench`` point and all memoized timing runs). Tap-capable observers
+ * (SlackCollector, AttributionCollector) run here too: ``repro_run_tap``
+ * appends fixed-width [(ix<<4)|tag, a, b] event triples to a
+ * caller-supplied buffer, and the collectors rebuild their profiles
+ * post-hoc from the log — bit-identical to the in-loop path. So does
+ * the Slack-Dynamic monitor (``repro_run_policy``, a port of
+ * minigraph/dynamic.py): per-site hysteresis state lives in a
+ * caller-owned array and disabled sites are fetched in outlined form.
  * The Python implementation remains the behavioural reference: results
  * must be bit-identical, and ``tests/pipeline/test_ckern.py`` plus the
  * golden-stats gate and ``tests/pipeline/test_event_tap.py`` hold both
@@ -95,6 +98,7 @@ enum {
     OUT_ACT_SELECT_SLOTS, OUT_ACT_RF_READS, OUT_ACT_RF_WRITES,
     OUT_ACT_COMMIT_SLOTS, OUT_ACT_CYCLES,
     OUT_DEAD_CYCLE, OUT_DEAD_IX, OUT_DEAD_WINDOW,
+    OUT_MG_DISABLED, OUT_OUTLINE_JUMPS,
     OUT_COUNT
 };
 
@@ -136,7 +140,13 @@ typedef struct {
     const int64_t *h_tpl, *h_nominal, *h_outix, *h_flags;
     const int64_t *h_mem_pc, *h_site, *h_coff, *h_cnt;
     const int64_t *c_opclass, *c_latency, *c_addr, *c_rd;
+    /* constituent sources (c_srcs_start has one more word) and branch
+     * outcomes: the outlined expansion of a disabled site reads them */
+    const int64_t *c_srcs, *c_srcs_start;
+    const int8_t *c_taken;
     const int64_t *site_consumer_ix;     /* n_sites x 32 */
+    const int64_t *site_outlined_pc;     /* n_sites: outlined body pc */
+    const int64_t *site_id;              /* n_sites: MGSite.id */
     int64_t n_handles, n_sites;
 } CTrace;
 
@@ -145,19 +155,37 @@ typedef struct {
 typedef struct {
     int64_t ix, age, pc, addr, rd;
     int64_t store_pc, load_pc;
+    int64_t latency;
     int64_t ready_at;
     int64_t out_pred_ready, out_actual_ready;
     int64_t complete_cycle, resolve_cycle, store_resolve_cycle;
     int64_t forwarded_from;              /* ABSENT = None */
+    const int64_t *srcs;                 /* the record's source registers */
+    int32_t nsrc;
     int32_t prod[MAXP];
     int32_t nprod;
     int32_t pending;
     int32_t prev_writer;                 /* uop idx or -1 */
     int32_t reg_waiters, st_waiters;     /* edge-list heads, -1 = empty */
     int32_t sub;
-    int8_t kind, is_load, is_store, writes, port;
-    int8_t issued, squashed, mg_serialized;
+    int8_t kind, opclass, is_load, is_store, writes, port;
+    int8_t issued, squashed, mg_serialized, expansion_jump;
 } Uop;
+
+/* ----- Slack-Dynamic state (caller-owned int64 arrays; ckern.py) -----
+ * ``pol`` holds the PP_* words: the policy's parameters, its running
+ * event totals and the entry-creation sequence. ``pol_sites`` holds
+ * PS_WORDS per dense site (CTrace.site_id order). PS_ENTRY / PS_BENIGN_ENTRY
+ * mirror whether the policy's ``_sites`` / ``_benign`` dicts have a key
+ * for the site: -1 none, 0 present before the run, k >= 1 created k-th
+ * during it (so the caller can insert new keys in the same order). */
+enum { PP_MODE, PP_OUTLINED, PP_THRESHOLD, PP_DECAY, PP_RESURRECT,
+       PP_DISABLE_EVENTS, PP_RESURRECT_EVENTS, PP_SEQ, PP_WORDS };
+enum { PS_COUNTER, PS_DISABLED, PS_QUIET, PS_BENIGN, PS_ENTRY,
+       PS_BENIGN_ENTRY, PS_WORDS };
+#define POL_FULL 0
+#define POL_DELAY 1
+#define POL_SIAL 2
 
 typedef struct { int32_t waiter, next; } Edge;
 
@@ -234,6 +262,12 @@ typedef struct {
     int64_t tap_cap, tap_len;
     int64_t tap_flags;
     int tap_on, tap_ovf;
+
+    /* Slack-Dynamic (NULL: no policy, nothing is ever disabled). A
+     * disabled handle's expansion is generated item by item from its
+     * row, so the pending queue is a (next item, item count) pair. */
+    int64_t *pol, *pol_sites;
+    int64_t pend_pos, pend_len;
 
     int64_t cycle;
 } Sim;
@@ -607,17 +641,15 @@ static int mgt_access(Sim *S, int64_t tpl) {
 /* uop construction (mirrors Uop.__init__)                             */
 /* ------------------------------------------------------------------ */
 
-static int64_t new_uop(Sim *S, int64_t ix) {
-    if (grow_pool(S)) return -1;
-    const CTrace *T = S->T;
-    Uop *u = &S->pool[S->pool_len];
-    int64_t uix = S->pool_len++;
+/* A fresh pool slot holding Uop's class-level defaults (``*uix``
+ * receives its index); NULL when the pool cannot grow. */
+static Uop *alloc_uop(Sim *S, int64_t ix, int64_t sub, int64_t *uix) {
+    if (grow_pool(S)) return NULL;
+    *uix = S->pool_len++;
+    Uop *u = &S->pool[*uix];
     u->ix = ix;
-    u->sub = -1;
-    u->age = ix << 8;                   /* (ix << 8) | (sub + 1), sub=-1 */
-    u->pc = T->pc[ix];
-    u->addr = T->addr[ix];
-    u->rd = T->rd[ix];
+    u->sub = (int32_t)sub;
+    u->age = (ix << 8) | (sub + 1);
     u->ready_at = 0;
     u->out_pred_ready = BIG;
     u->out_actual_ready = BIG;
@@ -630,10 +662,36 @@ static int64_t new_uop(Sim *S, int64_t ix) {
     u->prev_writer = -1;
     u->reg_waiters = -1;
     u->st_waiters = -1;
-    u->kind = T->kind[ix];
+    u->kind = 0;
     u->issued = 0;
     u->squashed = 0;
     u->mg_serialized = 0;
+    u->expansion_jump = 0;
+    return u;
+}
+
+/* Uop.__init__'s singleton branch: port and memory pcs by opclass. */
+static void classify_singleton(Uop *u, int64_t cls) {
+    u->is_load = cls == OC_LOAD;
+    u->is_store = cls == OC_STORE;
+    u->port = CLASS_TO_PORT[cls];
+    u->store_pc = u->is_store ? u->pc : -1;
+    u->load_pc = u->is_load ? u->pc : -1;
+}
+
+static int64_t new_uop(Sim *S, int64_t ix) {
+    const CTrace *T = S->T;
+    int64_t uix;
+    Uop *u = alloc_uop(S, ix, -1, &uix);
+    if (!u) return -1;
+    u->pc = T->pc[ix];
+    u->addr = T->addr[ix];
+    u->rd = T->rd[ix];
+    u->latency = T->latency[ix];
+    u->srcs = T->srcs + T->srcs_start[ix];
+    u->nsrc = (int32_t)(T->srcs_start[ix + 1] - T->srcs_start[ix]);
+    u->kind = T->kind[ix];
+    u->opclass = (int8_t)T->opclass[ix];
     u->writes = T->rd[ix] >= 0;
     if (u->kind == 1) {
         int64_t hi = T->hidx[ix];
@@ -644,14 +702,157 @@ static int64_t new_uop(Sim *S, int64_t ix) {
         u->store_pc = u->is_store ? T->h_mem_pc[hi] : -1;
         u->load_pc = u->is_load ? T->h_mem_pc[hi] : -1;
     } else {
-        int64_t cls = T->opclass[ix];
-        u->is_load = cls == OC_LOAD;
-        u->is_store = cls == OC_STORE;
-        u->port = CLASS_TO_PORT[cls];
-        u->store_pc = u->is_store ? u->pc : -1;
-        u->load_pc = u->is_load ? u->pc : -1;
+        classify_singleton(u, T->opclass[ix]);
     }
     return uix;
+}
+
+/* One item of a disabled handle's expansion (mirrors _ExpandedRecord). */
+typedef struct {
+    int64_t pc, opclass, latency, rd, addr, next_pc;
+    const int64_t *srcs;
+    int64_t nsrc;
+    int8_t taken;
+} XRec;
+
+/* Item ``pos`` of the expansion of handle row ``ix`` (mirrors
+ * _expand_disabled): outlined, a jump to the site's outlined body, the
+ * constituents at their outlined pcs, and a jump back; inline (the
+ * Ideal-* variants), the constituents alone at the handle's pc.
+ * Constituents are never control transfers other than a last branch
+ * (candidates.py _AGGREGABLE), so the two outlining jumps are the only
+ * jump-class items and neither is a call or a return. */
+static void expanded_item(const Sim *S, int64_t ix, int64_t pos, XRec *x) {
+    const CTrace *T = S->T;
+    int64_t hi = T->hidx[ix];
+    int64_t n = T->h_cnt[hi];
+    int64_t base = T->site_outlined_pc[T->h_site[hi]];
+    int outlined = S->pol[PP_OUTLINED] != 0;
+    int64_t k = outlined ? pos - 1 : pos;
+    if (k < 0 || k >= n) {
+        x->pc = k < 0 ? T->pc[ix] : base + n;
+        x->opclass = OC_JUMP;
+        x->latency = 1;
+        x->rd = -1;
+        x->addr = -1;
+        x->srcs = NULL;
+        x->nsrc = 0;
+        x->taken = 1;
+        x->next_pc = k < 0 ? base : T->pc[ix] + 1;
+        return;
+    }
+    int64_t c = T->h_coff[hi] + k;
+    int64_t pc = outlined ? base + k : T->pc[ix];
+    x->pc = pc;
+    x->opclass = T->c_opclass[c];
+    x->latency = T->c_latency[c];
+    x->rd = T->c_rd[c];
+    x->srcs = T->c_srcs + T->c_srcs_start[c];
+    x->nsrc = T->c_srcs_start[c + 1] - T->c_srcs_start[c];
+    if (x->opclass == OC_BRANCH) {
+        /* taken: straight to the handle's successor; not taken: fall
+         * through (to the back-jump if outlined) */
+        x->taken = T->c_taken[c];
+        x->next_pc = x->taken ? T->next_pc[ix] : pc + 1;
+        x->addr = -1;
+    } else {
+        x->taken = 0;
+        x->next_pc = pc + 1;
+        x->addr = T->c_addr[c];
+    }
+}
+
+/* Uop.__init__ for an expanded (kind 0) record. */
+static int64_t new_expanded_uop(Sim *S, int64_t ix, int64_t sub,
+                                const XRec *x) {
+    int64_t uix;
+    Uop *u = alloc_uop(S, ix, sub, &uix);
+    if (!u) return -1;
+    u->pc = x->pc;
+    u->addr = x->addr;
+    u->rd = x->rd;
+    u->latency = x->latency;
+    u->srcs = x->srcs;
+    u->nsrc = (int32_t)x->nsrc;
+    u->opclass = (int8_t)x->opclass;
+    u->writes = x->rd >= 0;
+    classify_singleton(u, x->opclass);
+    return uix;
+}
+
+/* ------------------------------------------------------------------ */
+/* Slack-Dynamic monitor (mirrors SlackDynamicPolicy)                  */
+/* ------------------------------------------------------------------ */
+
+/* _state(): the site's entry, created on first touch. */
+static int64_t *pol_state(Sim *S, int64_t site) {
+    int64_t *st = S->pol_sites + site * PS_WORDS;
+    if (st[PS_ENTRY] < 0) {
+        st[PS_COUNTER] = 0;
+        st[PS_DISABLED] = 0;
+        st[PS_QUIET] = 0;
+        st[PS_ENTRY] = ++S->pol[PP_SEQ];
+    }
+    return st;
+}
+
+/* enabled(): fetch-time query; counts quiet instances toward
+ * resurrection. */
+static int pol_enabled(Sim *S, int64_t site) {
+    int64_t *st = pol_state(S, site);
+    if (!st[PS_DISABLED]) return 1;
+    st[PS_QUIET] += 1;
+    if (st[PS_QUIET] >= S->pol[PP_RESURRECT]) {
+        st[PS_DISABLED] = 0;
+        st[PS_QUIET] = 0;
+        st[PS_COUNTER] = S->pol[PP_THRESHOLD] - 1;
+        S->pol[PP_RESURRECT_EVENTS]++;
+        return 1;
+    }
+    return 0;
+}
+
+static void pol_harmful(Sim *S, int64_t site) {
+    int64_t *st = pol_state(S, site);
+    if (st[PS_DISABLED]) return;
+    st[PS_COUNTER] += 1;
+    if (st[PS_COUNTER] >= S->pol[PP_THRESHOLD]) {
+        st[PS_DISABLED] = 1;
+        st[PS_QUIET] = 0;
+        S->pol[PP_DISABLE_EVENTS]++;
+    }
+}
+
+static void pol_benign_issue(Sim *S, int64_t site) {
+    int64_t *st = pol_state(S, site);
+    if (st[PS_DISABLED] || st[PS_COUNTER] == 0) return;
+    int64_t count = (st[PS_BENIGN_ENTRY] >= 0 ? st[PS_BENIGN] : 0) + 1;
+    if (count >= S->pol[PP_DECAY]) {
+        st[PS_COUNTER] -= 1;
+        count = 0;
+    }
+    st[PS_BENIGN] = count;
+    if (st[PS_BENIGN_ENTRY] < 0) st[PS_BENIGN_ENTRY] = ++S->pol[PP_SEQ];
+}
+
+static void pol_on_issue(Sim *S, int64_t site, int serialized, int sial) {
+    int64_t mode = S->pol[PP_MODE];
+    if (mode == POL_SIAL) {
+        if (sial) pol_harmful(S, site);
+        else pol_benign_issue(S, site);
+        return;
+    }
+    if (mode == POL_DELAY) {
+        if (serialized) pol_harmful(S, site);
+        else pol_benign_issue(S, site);
+        return;
+    }
+    /* full mode waits for propagation (on_consumer_delay) */
+    if (!serialized) pol_benign_issue(S, site);
+}
+
+static void pol_on_consumer_delay(Sim *S, int64_t site) {
+    if (S->pol[PP_MODE] == POL_FULL) pol_harmful(S, site);
 }
 
 /* ------------------------------------------------------------------ */
@@ -693,7 +894,7 @@ static void maybe_unblock_fetch(Sim *S, Uop *u) {
 }
 
 /* ------------------------------------------------------------------ */
-/* fetch (mirrors _fetch_stage; no policy => no expansions)            */
+/* fetch (mirrors _fetch_stage, expanding disabled mini-graphs)        */
 /* ------------------------------------------------------------------ */
 
 static int fetch_stage(Sim *S) {
@@ -706,10 +907,31 @@ static int fetch_stage(Sim *S) {
     int64_t fetched = 0;
     int64_t line = -1;
     while (fetched < width && S->fb_len < cap) {
+        /* Peek the next record, expanding disabled mini-graphs. An
+         * expansion belongs to the record at fetch_ix, which advances
+         * once its last item is fetched. */
         int64_t ix = S->fetch_ix;
-        if (ix >= T->n) break;
-        int is_mg = T->kind[ix] == 1;
-        int64_t pc = T->pc[ix];
+        int is_sub, is_mg;
+        XRec x = {0};  /* read only when is_sub */
+        if (S->pend_pos < S->pend_len) {
+            is_sub = 1;
+            is_mg = 0;
+        } else {
+            if (ix >= T->n) break;
+            is_sub = 0;
+            is_mg = T->kind[ix] == 1;
+            if (is_mg && S->pol &&
+                !pol_enabled(S, T->h_site[T->hidx[ix]])) {
+                S->pend_pos = 0;
+                S->pend_len = T->h_cnt[T->hidx[ix]] +
+                              (S->pol[PP_OUTLINED] ? 2 : 0);
+                S->out[OUT_MG_DISABLED]++;
+                is_sub = 1;
+                is_mg = 0;
+            }
+        }
+        if (is_sub) expanded_item(S, ix, S->pend_pos, &x);
+        int64_t pc = is_sub ? x.pc : T->pc[ix];
         int64_t rec_line = pc * 4 / line_bytes;
         if (line < 0) {
             int64_t lat = fetch_latency(S, pc);
@@ -728,8 +950,18 @@ static int fetch_stage(Sim *S) {
             S->fetch_resume = cycle + S->cfg[CFG_MGT_FILL_LATENCY];
             break;
         }
-        S->fetch_ix++;
-        int64_t uix = new_uop(S, ix);
+        int64_t uix;
+        if (is_sub) {
+            int64_t sub = S->pend_pos++;
+            if (S->pend_pos == S->pend_len) {
+                S->fetch_ix++;
+                S->pend_pos = S->pend_len = 0;
+            }
+            uix = new_expanded_uop(S, ix, sub, &x);
+        } else {
+            S->fetch_ix++;
+            uix = new_uop(S, ix);
+        }
         if (uix < 0) return -1;
         int64_t slot = (S->fb_head + S->fb_len) % S->fb_cap;
         S->fb_uop[slot] = (int32_t)uix;
@@ -742,6 +974,17 @@ static int fetch_stage(Sim *S) {
             if (!(T->h_flags[T->hidx[ix]] & 1)) continue;  /* no branch */
             taken = T->taken[ix];
             correct = predict_cond(S, pc, taken, T->next_pc[ix]);
+        } else if (is_sub) {
+            if (x.opclass == OC_BRANCH) {
+                taken = x.taken;
+                correct = predict_cond(S, pc, taken, x.next_pc);
+            } else if (x.opclass == OC_JUMP) {
+                S->pool[uix].expansion_jump = 1;
+                taken = 1;
+                correct = predict_jump(S, pc, 0, 0, x.next_pc);
+            } else {
+                continue;
+            }
         } else {
             int64_t cls = T->opclass[ix];
             if (cls == OC_BRANCH) {
@@ -779,7 +1022,6 @@ static int find_store(Sim *S, int64_t age) {
 }
 
 static int rename_stage(Sim *S, int *worked) {
-    const CTrace *T = S->T;
     const int64_t *cfg = S->cfg;
     int64_t cycle = S->cycle;
     int64_t width = cfg[CFG_WIDTH];
@@ -801,14 +1043,13 @@ static int rename_stage(Sim *S, int *worked) {
 
         int64_t ready_at = 0;
         int32_t pending = 0;
-        int64_t s0 = T->srcs_start[u->ix];
-        int64_t s1 = T->srcs_start[u->ix + 1];
-        for (int64_t j = s0; j < s1; j++) {
-            int64_t src = T->srcs[j];
+        const int64_t *srcs = u->srcs;
+        for (int32_t j = 0; j < u->nsrc; j++) {
+            int64_t src = srcs[j];
             if (src == 0) continue;
             int dup = 0;                /* dedupe repeated sources */
-            for (int64_t k = s0; k < j; k++)
-                if (T->srcs[k] == src) { dup = 1; break; }
+            for (int32_t k = 0; k < j; k++)
+                if (srcs[k] == src) { dup = 1; break; }
             if (dup) continue;
             map_reads++;
             int32_t pidx = S->reg_map[src];
@@ -910,7 +1151,7 @@ static int execute_handle(Sim *S, int64_t uix, int64_t pipe) {
     int64_t tap_at = -1;
     if (S->tap_on)
         tap_at = tap3(S, (ix << 4) | TAP_ISSUE, cycle, BIG);
-    S->out[OUT_ACT_RF_READS] += T->srcs_start[ix + 1] - T->srcs_start[ix];
+    S->out[OUT_ACT_RF_READS] += u->nsrc;
     if (u->writes) S->out[OUT_ACT_RF_WRITES]++;
     int64_t regread = S->cfg[CFG_REGREAD];
     int64_t start = cycle;
@@ -952,7 +1193,9 @@ static int execute_handle(Sim *S, int64_t uix, int64_t pipe) {
     S->alu_pipe_free[pipe] = cycle + 1 + (total - cnt);
     if (tap_at >= 0) S->tap[tap_at + 2] = u->out_actual_ready;
 
-    /* Slack-Dynamic serialization detection (stats only; policy None). */
+    /* Slack-Dynamic serialization detection: the handle issued exactly
+     * when its last external operand arrived, and that operand feeds a
+     * non-first constituent. */
     int64_t last_arrival = 0;
     int64_t last_consumer_ix = 0;
     const int64_t *ctab = T->site_consumer_ix + T->h_site[hi] * 32;
@@ -969,6 +1212,7 @@ static int execute_handle(Sim *S, int64_t uix, int64_t pipe) {
     int serialized = sial && cycle == last_arrival;
     u->mg_serialized = serialized;
     if (serialized) S->out[OUT_MG_SERIALIZED]++;
+    if (S->pol) pol_on_issue(S, T->h_site[hi], serialized, sial);
 
     if (S->tap_on) {
         /* AttributionCollector.on_handle_issue: the first constituent's
@@ -1002,6 +1246,7 @@ static int execute_handle(Sim *S, int64_t uix, int64_t pipe) {
     }
     if (last && last->kind == 1 && last->mg_serialized && cycle == na) {
         S->out[OUT_MG_CONSUMER_DELAYS]++;
+        if (S->pol) pol_on_consumer_delay(S, T->h_site[T->hidx[last->ix]]);
         if (S->tap_on)
             tap3(S, (last->ix << 4) | TAP_CDELAY, 0, 0);
     }
@@ -1113,7 +1358,7 @@ static int issue_stage(Sim *S, int *worked) {
             int64_t tap_at = -1;
             if (S->tap_on)
                 tap_at = tap3(S, (ix << 4) | TAP_ISSUE, cycle, BIG);
-            rf_reads += T->srcs_start[ix + 1] - T->srcs_start[ix];
+            rf_reads += u->nsrc;
             if (u->writes) rf_writes++;
             if (u->is_load) {
                 int64_t lat = load_latency(S, uix, u->addr, cycle, u->pc);
@@ -1127,18 +1372,18 @@ static int issue_stage(Sim *S, int *worked) {
                 if (grow_resolves(S)) return -1;
                 S->resolves[S->res_len++] = uix;
             } else {
-                int64_t cls = T->opclass[ix];
+                int64_t cls = u->opclass;
                 if (cls == OC_BRANCH || cls == OC_JUMP) {
-                    int64_t resolve = cycle + T->latency[ix] + regread;
+                    int64_t resolve = cycle + u->latency + regread;
                     u->resolve_cycle = resolve;
                     u->complete_cycle = resolve;
                     if (u->rd >= 0) {   /* jal writes the return address */
-                        u->out_pred_ready = cycle + T->latency[ix];
-                        u->out_actual_ready = cycle + T->latency[ix];
+                        u->out_pred_ready = cycle + u->latency;
+                        u->out_actual_ready = cycle + u->latency;
                     }
                     if (S->fetch_block_ix >= 0) maybe_unblock_fetch(S, u);
                 } else {
-                    int64_t lat = T->latency[ix];
+                    int64_t lat = u->latency;
                     u->out_pred_ready = cycle + lat;
                     u->out_actual_ready = cycle + lat;
                     u->complete_cycle = cycle + regread + lat;
@@ -1166,6 +1411,8 @@ static int issue_stage(Sim *S, int *worked) {
             if (last && last->kind == 1 && last->mg_serialized &&
                 cycle == actual) {
                 S->out[OUT_MG_CONSUMER_DELAYS]++;
+                if (S->pol)
+                    pol_on_consumer_delay(S, T->h_site[T->hidx[last->ix]]);
                 if (S->tap_on)
                     tap3(S, (last->ix << 4) | TAP_CDELAY, 0, 0);
             }
@@ -1256,6 +1503,7 @@ static void flush_restart(Sim *S, Uop *victim) {
             S->resolves[m++] = S->resolves[i];
     S->res_len = m;
     ss_flush(S);
+    S->pend_pos = S->pend_len = 0;
     S->fetch_ix = restart_ix;
     S->fetch_block_ix = -1;
     S->fetch_resume = S->cycle + 1;
@@ -1322,6 +1570,7 @@ static void commit_stage(Sim *S) {
     int64_t to_commit = S->cfg[CFG_TO_COMMIT];
     int64_t width = S->cfg[CFG_WIDTH];
     int64_t committed = 0, original = 0, embedded = 0, handles = 0;
+    int64_t outline_jumps = 0;
     while (committed < width && S->win_len) {
         int32_t uix = S->window[S->win_head];
         Uop *u = &S->pool[uix];
@@ -1334,8 +1583,10 @@ static void commit_stage(Sim *S) {
             original += n;
             embedded += n;
             handles++;
+        } else if (u->expansion_jump) {
+            outline_jumps++;
         } else {
-            original++;                 /* no outlined jumps: policy None */
+            original++;
         }
         if (u->writes) {
             S->phys_used--;
@@ -1368,6 +1619,7 @@ static void commit_stage(Sim *S) {
     S->out[OUT_ORIGINAL_COMMITTED] += original;
     S->out[OUT_EMBEDDED_COMMITTED] += embedded;
     S->out[OUT_HANDLES_COMMITTED] += handles;
+    S->out[OUT_OUTLINE_JUMPS] += outline_jumps;
     S->out[OUT_ACT_COMMIT_SLOTS] += committed;
 }
 
@@ -1475,7 +1727,8 @@ static void sim_free(Sim *S) {
 static int64_t run_core(const int64_t *cfg, const CTrace *T, int64_t *out,
                         int64_t max_cycles, int64_t *tap_buf,
                         int64_t tap_cap, int64_t *tap_meta,
-                        int64_t tap_flags) {
+                        int64_t tap_flags, int64_t *pol,
+                        int64_t *pol_sites) {
     Sim sim;
     Sim *S = &sim;
     memset(S, 0, sizeof(Sim));
@@ -1486,6 +1739,8 @@ static int64_t run_core(const int64_t *cfg, const CTrace *T, int64_t *out,
     S->tap_cap = tap_cap;
     S->tap_flags = tap_flags;
     S->tap_on = tap_buf != NULL && tap_cap > 0;
+    S->pol = pol;
+    S->pol_sites = pol_sites;
     memset(out, 0, OUT_COUNT * 8);
 
     int64_t n = T->n;
@@ -1568,6 +1823,7 @@ static int64_t run_core(const int64_t *cfg, const CTrace *T, int64_t *out,
     int64_t rc = RC_OK;
 
     for (;;) {
+        /* (a pending expansion belongs to the record at fetch_ix < n) */
         if (S->fetch_ix >= n && !S->fb_len && !S->win_len) break;
         cycle++;
         S->cycle = cycle;
@@ -1667,7 +1923,20 @@ static int64_t run_core(const int64_t *cfg, const CTrace *T, int64_t *out,
 
 int64_t repro_run(const int64_t *cfg, const CTrace *T, int64_t *out,
                   int64_t max_cycles) {
-    return run_core(cfg, T, out, max_cycles, NULL, 0, NULL, 0);
+    return run_core(cfg, T, out, max_cycles, NULL, 0, NULL, 0, NULL, NULL);
+}
+
+/* Same simulation under the Slack-Dynamic monitor. ``pol`` (PP_WORDS)
+ * and ``pol_sites`` (PS_WORDS per CTrace site) carry the policy's
+ * parameters and starting state in and its final state out, also on a
+ * simulated deadlock (RC_BUDGET / RC_NO_COMMIT), where the Python loop
+ * raises with its policy state as the kernel left it. On RC_NOMEM the
+ * arrays are partly updated and the caller discards them. */
+int64_t repro_run_policy(const int64_t *cfg, const CTrace *T, int64_t *out,
+                         int64_t max_cycles, int64_t *pol,
+                         int64_t *pol_sites) {
+    return run_core(cfg, T, out, max_cycles, NULL, 0, NULL, 0, pol,
+                    pol_sites);
 }
 
 /* Same simulation with the event tap armed. ``tap_meta[0]`` receives the
@@ -1680,7 +1949,7 @@ int64_t repro_run_tap(const int64_t *cfg, const CTrace *T, int64_t *out,
                       int64_t tap_cap, int64_t *tap_meta,
                       int64_t tap_flags) {
     return run_core(cfg, T, out, max_cycles, tap_buf, tap_cap, tap_meta,
-                    tap_flags);
+                    tap_flags, NULL, NULL);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1719,7 +1988,8 @@ static void batch_drain(BatchQueue *q) {
         BatchPoint *p = &q->pts[i];
         int64_t meta[2] = {0, 0};
         p->status = run_core(p->cfg, p->trace, p->out, p->max_cycles,
-                             p->tap, p->tap_cap, meta, p->tap_flags);
+                             p->tap, p->tap_cap, meta, p->tap_flags,
+                             NULL, NULL);
         p->tap_len = meta[0];
         p->tap_ovf = meta[1];
     }
@@ -1806,8 +2076,10 @@ void repro_tap_fold(const int64_t *events, int64_t n_words,
  * into the complete folded CTrace, column for column what
  * ``marshal(fold_records(trace, plan))`` builds in Python. Singletons get
  * post-outlining pcs; each dynamic instance of a selected site becomes
- * one handle row plus its constituent rows; per-site consumer tables
- * are dense in first-appearance order (marshal's ``site_ids``).
+ * one handle row plus its constituent rows (with their sources and
+ * branch outcomes, which a Slack-Dynamic expansion reads); per-site
+ * consumer tables, outlined pcs and site ids are dense in
+ * first-appearance order (marshal's ``site_ids``).
  *
  * ``sites`` holds FS_WORDS int64 per plan site (layout below); ``ext``
  * holds each site's handle source registers (``ext_inputs`` order) at
@@ -1824,7 +2096,7 @@ void repro_tap_fold(const int64_t *events, int64_t n_words,
 enum {
     FS_START, FS_END, FS_HANDLE_PC, FS_TPL, FS_NOMINAL, FS_OUTIX,
     FS_FLAGS, FS_MEM_PC, FS_OUT_REG, FS_SRC_OFF, FS_N_SRC, FS_CONS_OFF,
-    FS_N_CONS, FS_WORDS
+    FS_N_CONS, FS_OUTLINED_PC, FS_SITE_ID, FS_WORDS
 };
 
 int64_t repro_fold(const CTrace *S, const int64_t *pc_map,
@@ -1855,6 +2127,7 @@ int64_t repro_fold(const CTrace *S, const int64_t *pc_map,
 
     /* Pass 1: validate the walk and count every column exactly. */
     int64_t n_out = 0, n_srcs = 0, n_h = 0, n_c = 0, n_used = 0;
+    int64_t n_csrcs = 0;
     for (int64_t i = 0; i < n;) {
         int64_t p = S->pc[i];
         if (p < 0 || p >= n_static || S->kind[i]) goto done;
@@ -1873,6 +2146,11 @@ int64_t repro_fold(const CTrace *S, const int64_t *pc_map,
                 goto done;
             }
             if (st[FS_N_SRC] > MAXP) goto done;
+            for (int64_t j = i; j <= last; j++) {
+                int64_t w = S->srcs_start[j + 1] - S->srcs_start[j];
+                if (w < 0 || w > MAXP) goto done;
+                n_csrcs += w;
+            }
             if (dense[s] < 0) dense[s] = n_used++;
             n_srcs += st[FS_N_SRC];
             n_h++;
@@ -1883,11 +2161,12 @@ int64_t repro_fold(const CTrace *S, const int64_t *pc_map,
         i = last + 1;
     }
 
-    /* One block: int64 columns first, then the two int8 flag columns.
-     * 9 n_out-long int64 columns (srcs_start has one more word). */
-    size_t words = (size_t)(9 * n_out + 1 + n_srcs + 8 * n_h + 4 * n_c +
-                            32 * n_used);
-    char *blk = (char *)malloc(words * 8 + (size_t)(2 * n_out) + 8);
+    /* One block: int64 columns first, then the int8 flag columns.
+     * 9 n_out-long int64 columns (srcs_start has one more word), 5
+     * n_c-long ones (c_srcs_start has one more word). */
+    size_t words = (size_t)(9 * n_out + 1 + n_srcs + 8 * n_h + 5 * n_c +
+                            1 + n_csrcs + 34 * n_used);
+    char *blk = (char *)malloc(words * 8 + (size_t)(2 * n_out + n_c) + 8);
     if (!blk) { rc = RC_NOMEM; goto done; }
     int64_t *w = (int64_t *)blk;
     int64_t *pc = w; w += n_out;
@@ -1912,13 +2191,19 @@ int64_t repro_fold(const CTrace *S, const int64_t *pc_map,
     int64_t *c_latency = w; w += n_c;
     int64_t *c_addr = w; w += n_c;
     int64_t *c_rd = w; w += n_c;
+    int64_t *c_srcs_start = w; w += n_c + 1;
+    int64_t *c_srcs = w; w += n_csrcs;
     int64_t *ctab = w; w += 32 * n_used;
+    int64_t *outlined_pc = w; w += n_used;
+    int64_t *site_id = w; w += n_used;
     int8_t *kind = (int8_t *)w;
     int8_t *taken = kind + n_out;
+    int8_t *c_taken = taken + n_out;
 
     /* Pass 2: fill (the walk is known good). */
-    int64_t o = 0, h = 0, c = 0, sp = 0;
+    int64_t o = 0, h = 0, c = 0, sp = 0, csp = 0;
     srcs_start[0] = 0;
+    c_srcs_start[0] = 0;
     for (int64_t i = 0; i < n; o++) {
         int64_t s = site_at[S->pc[i]];
         int64_t last = i;
@@ -1948,6 +2233,11 @@ int64_t repro_fold(const CTrace *S, const int64_t *pc_map,
                 c_latency[c + k] = S->latency[j];
                 c_addr[c + k] = S->addr[j];
                 c_rd[c + k] = S->rd[j];
+                c_taken[c + k] = S->taken[j];
+                for (int64_t q = S->srcs_start[j]; q < S->srcs_start[j + 1];
+                     q++)
+                    c_srcs[csp++] = S->srcs[q];
+                c_srcs_start[c + k + 1] = csp;
             }
             pc[o] = st[FS_HANDLE_PC];
             op[o] = -1;
@@ -1982,6 +2272,8 @@ int64_t repro_fold(const CTrace *S, const int64_t *pc_map,
     for (int64_t s = 0; s < n_sites; s++) {
         if (dense[s] < 0) continue;
         const int64_t *st = sites + s * FS_WORDS;
+        outlined_pc[dense[s]] = st[FS_OUTLINED_PC];
+        site_id[dense[s]] = st[FS_SITE_ID];
         int64_t *row = ctab + dense[s] * 32;
         for (int64_t k = 0; k < st[FS_N_CONS]; k++) {
             int64_t reg = ext[st[FS_CONS_OFF] + 2 * k];
@@ -2001,7 +2293,9 @@ int64_t repro_fold(const CTrace *S, const int64_t *pc_map,
     D->h_coff = h_coff; D->h_cnt = h_cnt;
     D->c_opclass = c_opclass; D->c_latency = c_latency;
     D->c_addr = c_addr; D->c_rd = c_rd;
+    D->c_srcs = c_srcs; D->c_srcs_start = c_srcs_start; D->c_taken = c_taken;
     D->site_consumer_ix = ctab;
+    D->site_outlined_pc = outlined_pc; D->site_id = site_id;
     D->n_handles = n_h;
     D->n_sites = n_used;
     *block = blk;

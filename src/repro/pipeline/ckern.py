@@ -1,19 +1,23 @@
 """Compiled fast path for the timing core (build + marshal + run).
 
 ``_ckern.c`` is a statement-for-statement C port of the hot loop in
-:mod:`repro.pipeline.core` for runs without an in-loop observer
-(``policy is None and tracer is None`` — every ``repro bench`` point and
-every memoized baseline run). Observed runs whose collectors support the
-packed event tap (:class:`~repro.minigraph.slack.SlackCollector`,
+:mod:`repro.pipeline.core` for runs without a tracer (every ``repro
+bench`` point and every memoized timing run). Observed runs whose
+collectors support the packed event tap
+(:class:`~repro.minigraph.slack.SlackCollector`,
 :class:`~repro.obs.attribution.AttributionCollector`) also run here: the
 kernel appends fixed-width events into a preallocated ``array('q')``
 buffer and the collectors reconstruct their profiles post-hoc,
-bit-identical to the Python observer path. This module
+bit-identical to the Python observer path. Slack-Dynamic runs
+(:class:`~repro.minigraph.dynamic.SlackDynamicPolicy`, no observer) run
+here too: :func:`run_policy` carries the policy's parameters and
+per-site state in and out as int64 arrays. This module
 
 * compiles it on demand with the system C compiler (no third-party
   dependencies; the shared object is cached under the user cache dir,
   keyed by a hash of the C source, so rebuilds only happen when the
-  source changes),
+  source changes; ``REPRO_CKERN_SANITIZE=1`` builds and loads an
+  AddressSanitizer/UBSan object, cached under its own name),
 * flattens the trace's mini-graph handle metadata into int64 columns the
   kernel can walk (the scalar columns come straight from
   :class:`~repro.isa.interp.PackedTrace` buffers, zero-copy) — or, for
@@ -86,7 +90,8 @@ _SOURCE = os.path.join(_HERE, "_ckern.c")
  OUT_ACT_SELECT_SLOTS, OUT_ACT_RF_READS, OUT_ACT_RF_WRITES,
  OUT_ACT_COMMIT_SLOTS, OUT_ACT_CYCLES,
  OUT_DEAD_CYCLE, OUT_DEAD_IX, OUT_DEAD_WINDOW,
- OUT_COUNT) = range(48)
+ OUT_MG_DISABLED, OUT_OUTLINE_JUMPS,
+ OUT_COUNT) = range(50)
 
 RC_OK = 0
 RC_BUDGET = 1
@@ -98,8 +103,21 @@ RC_LAYOUT = 5       # fold: the trace does not follow the plan's sites
 #: int64 words per plan site in :func:`fold`'s site table (the FS_*
 #: enum in _ckern.c): start, end, handle_pc, template id, nominal output
 #: latency, output producer index, flags, mem_pc, output register,
-#: source offset/count and (reg, consumer) pair offset/count into ``ext``.
-FOLD_SITE_WORDS = 13
+#: source offset/count and (reg, consumer) pair offset/count into
+#: ``ext``, outlined pc, site id.
+FOLD_SITE_WORDS = 15
+
+# -- Slack-Dynamic state words (must match PP_* / PS_* in _ckern.c) ----
+# ``run_policy``'s header: parameters, running event totals and the
+# sequence that numbers dict entries the run creates.
+(PP_MODE, PP_OUTLINED, PP_THRESHOLD, PP_DECAY, PP_RESURRECT,
+ PP_DISABLE_EVENTS, PP_RESURRECT_EVENTS, PP_SEQ, PP_WORDS) = range(9)
+# Per arena site: hysteresis state, benign count, and whether the
+# policy's ``_sites`` / ``_benign`` dicts hold the site (-1 no, 0 before
+# the run, k >= 1 created k-th during it).
+(PS_COUNTER, PS_DISABLED, PS_QUIET, PS_BENIGN, PS_ENTRY, PS_BENIGN_ENTRY,
+ PS_WORDS) = range(7)
+POLICY_MODES = {"full": 0, "delay": 1, "sial": 2}
 
 #: Source positions per singleton in the packed profile columns
 #: (stride of the ``src_sum``/``src_count``/``src_ready`` columns; the
@@ -149,7 +167,9 @@ class _CTrace(ctypes.Structure):
         ("h_cnt", _I64P),
         ("c_opclass", _I64P), ("c_latency", _I64P), ("c_addr", _I64P),
         ("c_rd", _I64P),
+        ("c_srcs", _I64P), ("c_srcs_start", _I64P), ("c_taken", _I8P),
         ("site_consumer_ix", _I64P),
+        ("site_outlined_pc", _I64P), ("site_id", _I64P),
         ("n_handles", ctypes.c_int64), ("n_sites", ctypes.c_int64),
     ]
 
@@ -172,8 +192,8 @@ class _CBatchPoint(ctypes.Structure):
 
 
 #: Native entry points, each timed around its ctypes call alone.
-ENTRY_POINTS = ("fold", "run", "run_tap", "run_batch", "tap_fold",
-                "profile_build", "plan_enumerate", "plan_score",
+ENTRY_POINTS = ("fold", "run", "run_tap", "run_policy", "run_batch",
+                "tap_fold", "profile_build", "plan_enumerate", "plan_score",
                 "global_fold")
 
 # Dispatch/fallback tallies, harvested post-hoc by
@@ -186,6 +206,8 @@ counters = {
     "batch_threads_last": 0,   # threads used by the most recent batch
     "tap_overflow_retries": 0,  # single-point 4x event-buffer retries
     "fold_fallbacks": 0,       # folds run by the Python reference
+    "policy_runs_native": 0,   # Slack-Dynamic runs whose result came from C
+    "policy_fallbacks": 0,     # kernel-accepted policy runs rerun in Python
     # Plan-construction kernels (profile build / enumeration / scoring).
     "profiles_built_native": 0,       # repro_profile_build successes
     "candidates_enumerated_native": 0,  # candidates packed by C enumeration
@@ -231,6 +253,15 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
+#: Compiler flags of the ``REPRO_CKERN_SANITIZE=1`` build. Loading it
+#: needs the sanitizer runtimes preloaded (``LD_PRELOAD`` the paths
+#: ``cc -print-file-name=libasan.so`` / ``libubsan.so`` print); without
+#: them the load fails and the Python path runs.
+SANITIZE_FLAGS = ["-O1", "-g", "-fno-omit-frame-pointer",
+                  "-fsanitize=address,undefined",
+                  "-fno-sanitize-recover=undefined"]
+
+
 def _build() -> Optional[str]:
     """Compile ``_ckern.c`` into a cached shared object; None on failure."""
     try:
@@ -242,9 +273,12 @@ def _build() -> Optional[str]:
     compiler = _find_compiler()
     if compiler is None:
         return None
+    sanitize = os.environ.get("REPRO_CKERN_SANITIZE") == "1"
+    opt = SANITIZE_FLAGS if sanitize else ["-O2"]
+    name = f"ckern-{digest}-san.so" if sanitize else f"ckern-{digest}.so"
     for cache_dir in (_cache_dir(),
                       os.path.join(tempfile.gettempdir(), "repro-ckern")):
-        lib_path = os.path.join(cache_dir, f"ckern-{digest}.so")
+        lib_path = os.path.join(cache_dir, name)
         if os.path.exists(lib_path):
             return lib_path
         try:
@@ -256,7 +290,7 @@ def _build() -> Optional[str]:
             # full kernel with an in-call serial batch loop.
             built = False
             for extra in (["-pthread", "-DREPRO_THREADS=1"], []):
-                cmd = [compiler, "-O2", "-fPIC", "-shared", *extra,
+                cmd = [compiler, *opt, "-fPIC", "-shared", *extra,
                        "-o", tmp, _SOURCE]
                 proc = subprocess.run(cmd, capture_output=True, timeout=120)
                 if proc.returncode == 0:
@@ -285,6 +319,10 @@ def _load():
         lib.repro_run.restype = ctypes.c_int64
         lib.repro_run.argtypes = [_I64P, ctypes.POINTER(_CTrace), _I64P,
                                   ctypes.c_int64]
+        lib.repro_run_policy.restype = ctypes.c_int64
+        lib.repro_run_policy.argtypes = [_I64P, ctypes.POINTER(_CTrace),
+                                         _I64P, ctypes.c_int64, _I64P,
+                                         _I64P]
         lib.repro_run_tap.restype = ctypes.c_int64
         lib.repro_run_tap.argtypes = [_I64P, ctypes.POINTER(_CTrace), _I64P,
                                       ctypes.c_int64, _I64P, ctypes.c_int64,
@@ -365,19 +403,23 @@ class MarshalledTrace:
     def columns(self) -> dict:
         """Every column (as a list) and count of the arena, by name."""
         t = self.struct
-        n, nh = t.n, t.n_handles
+        n, nh, ns = t.n, t.n_handles, t.n_sites
         nc = t.h_coff[nh - 1] + t.h_cnt[nh - 1] if nh else 0
-        cols = {"n": n, "n_handles": nh, "n_sites": t.n_sites,
+        cols = {"n": n, "n_handles": nh, "n_sites": ns,
                 "srcs_start": t.srcs_start[:n + 1],
                 "srcs": t.srcs[:t.srcs_start[n]],
-                "site_consumer_ix": t.site_consumer_ix[:32 * t.n_sites]}
+                "c_srcs_start": t.c_srcs_start[:nc + 1],
+                "c_srcs": t.c_srcs[:t.c_srcs_start[nc]],
+                "site_consumer_ix": t.site_consumer_ix[:32 * ns],
+                "site_outlined_pc": t.site_outlined_pc[:ns],
+                "site_id": t.site_id[:ns]}
         for name in ("pc", "op", "opclass", "latency", "rd", "addr",
                      "next_pc", "kind", "taken", "hidx"):
             cols[name] = getattr(t, name)[:n]
         for name in ("h_tpl", "h_nominal", "h_outix", "h_flags",
                      "h_mem_pc", "h_site", "h_coff", "h_cnt"):
             cols[name] = getattr(t, name)[:nh]
-        for name in ("c_opclass", "c_latency", "c_addr", "c_rd"):
+        for name in ("c_opclass", "c_latency", "c_addr", "c_rd", "c_taken"):
             cols[name] = getattr(t, name)[:nc]
         return cols
 
@@ -408,8 +450,13 @@ def marshal(packed) -> Optional[MarshalledTrace]:
     c_latency = array("q")
     c_addr = array("q")
     c_rd = array("q")
+    c_srcs = array("q")
+    c_srcs_start = array("q", [0])
+    c_taken = array("b")
     site_ids = {}           # id(site) -> dense index
     site_tables = array("q")
+    site_outlined_pc = array("q")
+    site_id = array("q")
     kinds = packed.kind
     objs = packed.objs
     for ix in range(n):
@@ -428,6 +475,8 @@ def marshal(packed) -> Optional[MarshalledTrace]:
                 if 0 <= reg < 32:
                     table[reg] = consumer
             site_tables.extend(table)
+            site_outlined_pc.append(site.outlined_pc)
+            site_id.append(site.id)
         hidx[ix] = len(h_tpl)
         h_tpl.append(tpl.id)
         h_nominal.append(tpl.nominal_out_latency)
@@ -440,10 +489,15 @@ def marshal(packed) -> Optional[MarshalledTrace]:
         h_coff.append(len(c_opclass))
         h_cnt.append(len(rec.constituents))
         for c in rec.constituents:
+            if len(c.srcs) > MAX_PRODUCERS:
+                return None
             c_opclass.append(c.opclass)
             c_latency.append(c.latency)
             c_addr.append(c.addr)
             c_rd.append(c.rd)
+            c_srcs.extend(c.srcs)
+            c_srcs_start.append(len(c_srcs))
+            c_taken.append(c.taken)
 
     keepalive = []
 
@@ -467,7 +521,10 @@ def marshal(packed) -> Optional[MarshalledTrace]:
         h_cnt=col(h_cnt),
         c_opclass=col(c_opclass), c_latency=col(c_latency),
         c_addr=col(c_addr), c_rd=col(c_rd),
+        c_srcs=col(c_srcs), c_srcs_start=col(c_srcs_start),
+        c_taken=col(c_taken, ctypes.c_int8),
         site_consumer_ix=col(site_tables),
+        site_outlined_pc=col(site_outlined_pc), site_id=col(site_id),
         n_handles=len(h_tpl), n_sites=len(site_ids),
     )
     return MarshalledTrace(struct, keepalive)
@@ -623,6 +680,36 @@ def run(cfg: array, mtrace: MarshalledTrace, max_cycles: int):
         "run", lib.repro_run,
         ctypes.cast(cfg_buf, _I64P), ctypes.byref(mtrace.struct),
         ctypes.cast(out_buf, _I64P), max_cycles)
+    return rc, out
+
+
+def run_policy(cfg: array, mtrace: MarshalledTrace, max_cycles: int,
+               header: array, sites: array):
+    """Invoke the kernel under the Slack-Dynamic monitor.
+
+    ``header`` (:data:`PP_WORDS`) and ``sites`` (:data:`PS_WORDS` per
+    arena site, ``mtrace.struct.site_id`` order) hold the policy's
+    parameters and starting state and are updated in place to its final
+    state. Returns ``(rc, out)`` like :func:`run`; on ``RC_NOMEM`` the
+    arrays are partly updated and must be discarded.
+    """
+    lib = _load()
+    if lib is None:
+        return RC_NOMEM, None
+    if len(header) != PP_WORDS or \
+            len(sites) != PS_WORDS * mtrace.struct.n_sites:
+        raise ValueError("policy state does not match the trace's sites")
+    out = array("q", [0] * OUT_COUNT)
+    cfg_buf, _cfg_owner = _col(cfg, ctypes.c_int64)
+    out_buf = (ctypes.c_int64 * OUT_COUNT).from_buffer(out)
+    head_buf = (ctypes.c_int64 * PP_WORDS).from_buffer(header)
+    sites_buf, _sites_owner = _col(sites, ctypes.c_int64)
+    rc = _native(
+        "run_policy", lib.repro_run_policy,
+        ctypes.cast(cfg_buf, _I64P), ctypes.byref(mtrace.struct),
+        ctypes.cast(out_buf, _I64P), max_cycles,
+        ctypes.cast(head_buf, _I64P), ctypes.cast(sites_buf, _I64P))
+    del head_buf, sites_buf  # release from_buffer exports before returning
     return rc, out
 
 

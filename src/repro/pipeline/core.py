@@ -183,7 +183,12 @@ class OoOCore:
         decode).
     policy:
         Optional run-time mini-graph policy (Slack-Dynamic). ``None`` keeps
-        every mini-graph enabled.
+        every mini-graph enabled. An exact
+        :class:`~repro.minigraph.dynamic.SlackDynamicPolicy` (or base
+        :class:`~repro.minigraph.dynamic.MiniGraphPolicy`) with no
+        observer runs in the compiled kernel, which writes the final
+        policy state back; subclasses, which may override the callbacks,
+        run the Python loop.
     collector:
         Optional slack-profile collector receiving dataflow timing
         events. Collectors advertising ``supports_ckern_tap`` keep the
@@ -265,21 +270,32 @@ class OoOCore:
         self._ports = (config.ports_simple, config.ports_complex,
                        config.ports_load, config.ports_store, config.width)
 
-        # Compiled fast path: eligible when nothing *steers* the run from
-        # the inside (no policy) and every attached observer either is
-        # absent or can rebuild its state post-hoc from the kernel's
-        # packed event tap (``supports_ckern_tap``) — slack profiling and
-        # attribution runs included. Tracers render per-cycle pipeline
-        # occupancy and still force the Python loop. The Python loop
-        # below remains the behavioural reference and the fallback (no
-        # compiler, REPRO_PURE_PY=1, a kernel bound exceeded, or an event
-        # buffer overflowing its retry).
+        # Compiled fast path: eligible with no tracer (tracers render
+        # per-cycle pipeline occupancy) when either no policy steers the
+        # run and every attached observer can rebuild its state post-hoc
+        # from the kernel's packed event tap (``supports_ckern_tap``) —
+        # slack profiling and attribution runs included — or the policy
+        # is one the kernel implements (Slack-Dynamic, or the base policy,
+        # which changes nothing) and no observer is attached. The Python
+        # loop below remains the behavioural reference and the fallback
+        # (no compiler, REPRO_PURE_PY=1, a kernel bound exceeded, or an
+        # event buffer overflowing its retry).
         self._ctrace = None
         self._want_tap = False
         self._tap_flags = 0
-        if policy is None and tracer is None and self._n_records \
-                and self._tap_capable(collector) \
-                and self._tap_capable(attribution) and ckern.available():
+        self._kernel_policy = None
+        if policy is None:
+            eligible = self._tap_capable(collector) and \
+                self._tap_capable(attribution)
+        else:
+            from ..minigraph.dynamic import MiniGraphPolicy, \
+                SlackDynamicPolicy
+            eligible = type(policy) in (MiniGraphPolicy, SlackDynamicPolicy) \
+                and collector is None and attribution is None
+            if type(policy) is SlackDynamicPolicy:
+                self._kernel_policy = policy
+        if eligible and tracer is None and self._n_records \
+                and ckern.available():
             self._ctrace = arena if arena is not None \
                 else ckern.marshal_shared(self._packed)
             self._want_tap = collector is not None or attribution is not None
@@ -1205,8 +1221,8 @@ class OoOCore:
         program, a config sweep on one machine) reference the same
         arena, and the kernel reads both strictly read-only.
         """
-        if self._ctrace is None:
-            return None
+        if self._ctrace is None or self._kernel_policy is not None:
+            return None  # batch descriptors carry no policy state
         cfg = ckern.pack_config_cached(self.config, self._warm_caches)
         tap_words = self._tap_words() if self._want_tap else 0
         return (cfg, self._ctrace, max_cycles, tap_words, self._tap_flags)
@@ -1233,11 +1249,13 @@ class OoOCore:
         always safe. On success (or a simulated deadlock, which the
         Python loop reports by raising mid-run) every externally visible
         counter — ``stats``, ``activity``, hierarchy/TLB/prefetcher and
-        branch-unit totals — is copied back so callers cannot tell which
-        path ran.
+        branch-unit totals, and a Slack-Dynamic policy's state — is
+        copied back so callers cannot tell which path ran.
         """
         ck = ckern
         cfg = ck.pack_config_cached(self.config, self._warm_caches)
+        if self._kernel_policy is not None:
+            return self._run_policy(cfg, max_cycles)
         events = n_words = None
         if self._want_tap:
             # Opt-in event tap: one retry at 4x capacity (squash storms
@@ -1256,6 +1274,29 @@ class OoOCore:
         if rc == ck.RC_NOMEM or out is None:
             return None
         return self._apply_kernel_result(rc, out, events, n_words)
+
+    def _run_policy(self, cfg, max_cycles: int) -> Optional[RunStats]:
+        """Run under the Slack-Dynamic policy in C; None means fall back.
+
+        The kernel gets the policy's state as of now and the policy
+        adopts its final state only once the kernel has returned a
+        result (a simulated deadlock included), so a fallback rerun
+        starts from the pre-run state.
+        """
+        ck = ckern
+        policy = self._kernel_policy
+        struct = self._ctrace.struct
+        site_ids = struct.site_id[:struct.n_sites]
+        state = policy.kernel_state(site_ids)
+        if state is None:
+            return None
+        header, sites = state
+        rc, out = ck.run_policy(cfg, self._ctrace, max_cycles, header, sites)
+        if rc == ck.RC_NOMEM or out is None:
+            return None
+        policy.load_kernel_state(site_ids, header, sites)
+        ck.counters["policy_runs_native"] += 1
+        return self._apply_kernel_result(rc, out, None, None)
 
     def _apply_kernel_result(self, rc, out, events,
                              n_words) -> Optional[RunStats]:
@@ -1278,6 +1319,8 @@ class OoOCore:
         stats.mg_serialized_instances = out[ck.OUT_MG_SERIALIZED]
         stats.mg_consumer_delays = out[ck.OUT_MG_CONSUMER_DELAYS]
         stats.mgt_misses = out[ck.OUT_MGT_MISSES]
+        stats.mg_disabled_instances = out[ck.OUT_MG_DISABLED]
+        stats.outline_jumps_committed = out[ck.OUT_OUTLINE_JUMPS]
         branch_unit = self.branch_unit
         branch_unit.cond_predictions = out[ck.OUT_COND_PRED]
         branch_unit.cond_mispredictions = out[ck.OUT_COND_MISPRED]
@@ -1353,6 +1396,8 @@ class OoOCore:
             if result is not None:
                 return result
             self._ctrace = None
+            if self._kernel_policy is not None:
+                ckern.counters["policy_fallbacks"] += 1
         if self._objs is None:
             self._bind_records()
         stats = self.stats

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.harness import Runner
-from repro.minigraph import SlackProfileSelector, StructAll, StructNone
+from repro.minigraph import (
+    SlackDynamicSelector, SlackProfileSelector, StructAll, StructNone,
+)
 from repro.pipeline import (
     ckern, cross_2way_config, full_config, reduced_config,
 )
@@ -108,4 +110,20 @@ def test_kernel_selector_point_builds_no_records(reduced_cfg,
     record_objects.update(TraceRecord=0, MGHandleRecord=0)
     run = runner.run_selector("crc32", StructAll(), reduced_cfg)
     assert run.stats.handles_committed > 0
+    assert record_objects == {"TraceRecord": 0, "MGHandleRecord": 0}
+
+
+@pytest.mark.skipif(not ckern.available(),
+                    reason="compiled kernel unavailable")
+def test_kernel_dynamic_point_builds_no_records(reduced_cfg,
+                                                record_objects):
+    """A Slack-Dynamic point folds and runs in C, disabled sites
+    included: once the trace and plan exist, no TraceRecord or
+    MGHandleRecord is constructed."""
+    runner = Runner()
+    runner.trace("crc32")
+    runner.plan("crc32", SlackDynamicSelector())
+    record_objects.update(TraceRecord=0, MGHandleRecord=0)
+    run = runner.run_slack_dynamic("crc32", reduced_cfg)
+    assert run.stats.mg_disabled_instances > 0
     assert record_objects == {"TraceRecord": 0, "MGHandleRecord": 0}

@@ -75,6 +75,26 @@ def test_resurrection_after_quiet_period():
     assert not policy.enabled(site)
 
 
+def test_is_disabled_reads_without_counting():
+    """A site one quiet instance short of resurrection reads as disabled,
+    and the query changes neither its state nor the event count (the
+    fetch-time ``enabled`` would resurrect it)."""
+    policy = SlackDynamicPolicy(mode="delay", threshold=1,
+                                resurrect_interval=4)
+    site = FakeSite(1)
+    policy.on_issue(site, True, True)
+    for _ in range(3):
+        assert not policy.enabled(site)
+    state = policy._sites[site.id]
+    assert (state.disabled, state.quiet) == (True, 3)
+    for _ in range(2):
+        assert policy.is_disabled(site)
+    assert (state.counter, state.disabled, state.quiet) == (1, True, 3)
+    assert policy.resurrect_events == 0
+    assert not policy.is_disabled(FakeSite(2))
+    assert 2 not in policy._sites
+
+
 def test_sites_tracked_independently():
     policy = SlackDynamicPolicy(mode="delay", threshold=1)
     bad = FakeSite(1)

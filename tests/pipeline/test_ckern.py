@@ -12,7 +12,7 @@ import pytest
 
 from repro.isa.interp import Trace, TraceRecord
 from repro.minigraph import StructAll, fold_trace, make_plan
-from repro.minigraph.dynamic import SlackDynamicPolicy
+from repro.minigraph.dynamic import MiniGraphPolicy, SlackDynamicPolicy
 from repro.minigraph.transform import MGHandleRecord, fold_records
 from repro.pipeline import ckern, full_config, reduced_config
 from repro.pipeline.core import OoOCore, SimulationDeadlock
@@ -313,3 +313,185 @@ def test_policy_and_tracer_see_record_objects(sum_loop, sum_trace,
     assert any(isinstance(rec, MGHandleRecord) for rec in folded)
     if observer == "policy":
         assert seen and all(site in plan.sites for site in seen)
+
+
+# ---------------------------------------------------------------------
+# Slack-Dynamic in the kernel: every way off it gives the reference
+# ---------------------------------------------------------------------
+
+#: Disables and resurrects both sites of the sum loop several times.
+DYNAMIC = dict(mode="sial", threshold=1, resurrect_interval=3)
+
+
+def _policy_state(policy):
+    return ([(site_id, s.counter, s.disabled, s.quiet)
+             for site_id, s in policy._sites.items()],
+            list(policy._benign.items()), policy.disable_events,
+            policy.resurrect_events)
+
+
+def _dynamic_reference(trace, plan, max_cycles=200_000_000, **kwargs):
+    """(stats, policy state, deadlock message) of the Python loop over
+    the reference records, optionally from a policy that already ran."""
+    policy = kwargs.pop("policy", None) or SlackDynamicPolicy(**DYNAMIC)
+    core = OoOCore(full_config(), fold_records(trace, plan),
+                   warm_caches=True, policy=policy, **kwargs)
+    core._ctrace = None
+    try:
+        core.run(max_cycles)
+        message = None
+    except SimulationDeadlock as err:
+        message = str(err)
+    return _full_stats(core, core.stats), _policy_state(policy), message
+
+
+def _dynamic_run(trace, plan, max_cycles=200_000_000, **kwargs):
+    """Same as _dynamic_reference on a fresh fold, whichever path the
+    core picks; also returns that core."""
+    policy = kwargs.pop("policy", None) or SlackDynamicPolicy(**DYNAMIC)
+    core = OoOCore(full_config(), fold_trace(trace, plan), warm_caches=True,
+                   policy=policy, **kwargs)
+    try:
+        core.run(max_cycles)
+        message = None
+    except SimulationDeadlock as err:
+        message = str(err)
+    return (_full_stats(core, core.stats), _policy_state(policy),
+            message), core
+
+
+@needs_kernel
+def test_dynamic_run_takes_the_kernel(sum_loop, sum_trace):
+    """An exact SlackDynamicPolicy with no observer runs in C, builds no
+    records and leaves the policy as the Python loop would."""
+    plan = _sum_plan(sum_loop, sum_trace)
+    want = _dynamic_reference(sum_trace, plan)
+    before = dict(ckern.counters)
+    got, core = _dynamic_run(sum_trace, plan)
+    assert core._ctrace is not None and core._objs is None
+    assert got == want
+    assert want[0]["mg_disabled_instances"] > 0
+    assert want[2] is None and want[1][3] > 0  # resurrections happened
+    assert ckern.counters["policy_runs_native"] == \
+        before["policy_runs_native"] + 1
+    assert ckern.counters["policy_fallbacks"] == before["policy_fallbacks"]
+
+
+@needs_kernel
+def test_base_policy_runs_as_a_plain_kernel_run(sum_loop, sum_trace):
+    """The base MiniGraphPolicy never disables a site: it keeps the
+    kernel, with no policy state, and matches a policy-free run."""
+    plan = _sum_plan(sum_loop, sum_trace)
+    want = _reference_stats(sum_trace, plan)
+    core = OoOCore(full_config(), fold_trace(sum_trace, plan),
+                   warm_caches=True, policy=MiniGraphPolicy())
+    assert core._ctrace is not None and core._kernel_policy is None
+    assert _full_stats(core, core.run()) == want
+
+
+def test_dynamic_run_pure_python_env(monkeypatch, sum_loop, sum_trace):
+    """REPRO_PURE_PY: the Python loop runs, with the reference result."""
+    plan = _sum_plan(sum_loop, sum_trace)
+    want = _dynamic_reference(sum_trace, plan)
+    monkeypatch.setenv("REPRO_PURE_PY", "1")
+    before = dict(ckern.counters)
+    got, core = _dynamic_run(sum_trace, plan)
+    assert core._ctrace is None
+    assert got == want
+    assert ckern.counters["policy_runs_native"] == \
+        before["policy_runs_native"]
+
+
+@needs_kernel
+def test_dynamic_kernel_failure_reruns_from_pre_run_state(monkeypatch,
+                                                          sum_loop,
+                                                          sum_trace):
+    """The kernel failing (RC_NOMEM) after it updated its copy of the
+    state: the Python rerun starts from the policy's pre-run state, here
+    that of a policy which already ran once."""
+    plan = _sum_plan(sum_loop, sum_trace)
+
+    def ran_once():
+        policy = SlackDynamicPolicy(**DYNAMIC)
+        _dynamic_reference(sum_trace, plan, policy=policy)
+        return policy
+
+    want = _dynamic_reference(sum_trace, plan, policy=ran_once())
+    real = ckern.run_policy
+
+    def failing(*args):
+        real(*args)  # writes the kernel's final state into the arrays
+        return ckern.RC_NOMEM, None
+
+    monkeypatch.setattr(ckern, "run_policy", failing)
+    before = dict(ckern.counters)
+    got, core = _dynamic_run(sum_trace, plan, policy=ran_once())
+    assert got == want
+    assert core._ctrace is None
+    assert ckern.counters["policy_fallbacks"] == \
+        before["policy_fallbacks"] + 1
+    assert ckern.counters["policy_runs_native"] == \
+        before["policy_runs_native"]
+
+
+@needs_kernel
+@pytest.mark.parametrize("observer", ["tracer", "attribution"])
+def test_dynamic_run_with_observer_stays_in_python(sum_loop, sum_trace,
+                                                   observer):
+    """A policy together with a PipeTracer or an AttributionCollector
+    (what attribute_point attaches for slack-dynamic) takes the Python
+    loop and gives the reference result."""
+    from repro.obs.attribution import AttributionCollector
+
+    def make():
+        return {"tracer": PipeTracer()} if observer == "tracer" \
+            else {"attribution": AttributionCollector()}
+
+    plan = _sum_plan(sum_loop, sum_trace)
+    want = _dynamic_reference(sum_trace, plan, **make())
+    before = dict(ckern.counters)
+    got, core = _dynamic_run(sum_trace, plan, **make())
+    assert core._ctrace is None
+    assert got == want
+    assert ckern.counters["policy_runs_native"] == \
+        before["policy_runs_native"]
+    assert ckern.counters["policy_fallbacks"] == before["policy_fallbacks"]
+
+
+@needs_kernel
+@pytest.mark.parametrize("max_cycles", [3, 120])
+def test_dynamic_deadlock_parity(sum_loop, sum_trace, max_cycles):
+    """A cycle budget cut before the end (at once, and mid-run with
+    sites disabled): the same SimulationDeadlock message, counters and
+    policy state on both paths."""
+    plan = _sum_plan(sum_loop, sum_trace)
+    want = _dynamic_reference(sum_trace, plan, max_cycles)
+    before = dict(ckern.counters)
+    got, core = _dynamic_run(sum_trace, plan, max_cycles)
+    assert core._ctrace is not None
+    assert got == want
+    assert want[2] == "exceeded max cycle budget"
+    assert ckern.counters["policy_runs_native"] == \
+        before["policy_runs_native"] + 1
+    if max_cycles > 3:
+        assert want[1][2] > 0  # sites were disabled before the cut
+
+
+@needs_kernel
+def test_dynamic_non_integer_parameter_reruns_in_python(sum_loop,
+                                                        sum_trace):
+    """A parameter the int64 state block cannot carry (a float
+    threshold): the kernel declines before running and the Python loop
+    gives the reference result."""
+    plan = _sum_plan(sum_loop, sum_trace)
+    params = dict(DYNAMIC, threshold=1.5)
+    want = _dynamic_reference(sum_trace, plan,
+                              policy=SlackDynamicPolicy(**params))
+    before = dict(ckern.counters)
+    got, core = _dynamic_run(sum_trace, plan,
+                             policy=SlackDynamicPolicy(**params))
+    assert got == want
+    assert core._ctrace is None
+    assert ckern.counters["run_policy_calls"] == before["run_policy_calls"]
+    assert ckern.counters["policy_fallbacks"] == \
+        before["policy_fallbacks"] + 1
