@@ -25,7 +25,7 @@ from repro.workloads import benchmark as get_benchmark
 def _mg_stats(program, reduced):
     trace = execute(program)
     collector = SlackCollector(program, config_name="reduced")
-    OoOCore(reduced, trace.records, collector=collector,
+    OoOCore(reduced, trace.packed(), collector=collector,
             warm_caches=True).run()
     plan = make_plan(program, trace.dynamic_count_of(),
                      SlackProfileSelector(), profile=collector.profile())
@@ -42,7 +42,7 @@ def main():
     reduced = reduced_config()
     program = get_benchmark(args.benchmark).program("train")
     trace = execute(program)
-    baseline = OoOCore(reduced, trace.records, warm_caches=True).run()
+    baseline = OoOCore(reduced, trace.packed(), warm_caches=True).run()
     _, mg = _mg_stats(program, reduced)
 
     print(f"benchmark: {args.benchmark} on the reduced machine\n")

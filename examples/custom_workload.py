@@ -54,7 +54,7 @@ def main():
     trace = execute(program)
 
     collector = SlackCollector(program, config_name="reduced")
-    OoOCore(reduced_config(), trace.records, collector=collector,
+    OoOCore(reduced_config(), trace.packed(), collector=collector,
             warm_caches=True).run()
     profile = collector.profile()
 

@@ -55,15 +55,15 @@ def main():
           f"({len(program)} static / {len(trace)} dynamic instructions)\n")
 
     # 1. Baselines: no mini-graphs.
-    ipc_full = OoOCore(full, trace.records, warm_caches=True).run().ipc
-    ipc_reduced = OoOCore(reduced, trace.records, warm_caches=True).run().ipc
+    ipc_full = OoOCore(full, trace.packed(), warm_caches=True).run().ipc
+    ipc_reduced = OoOCore(reduced, trace.packed(), warm_caches=True).run().ipc
     print(f"4-wide full machine   : {ipc_full:5.2f} IPC")
     print(f"3-wide reduced machine: {ipc_reduced:5.2f} IPC "
           f"({ipc_reduced / ipc_full - 1:+.1%})\n")
 
     # 2. Slack-profile the singleton execution on the reduced machine.
     collector = SlackCollector(program, config_name="reduced")
-    OoOCore(reduced, trace.records, collector=collector,
+    OoOCore(reduced, trace.packed(), collector=collector,
             warm_caches=True).run()
     profile = collector.profile()
 

@@ -108,7 +108,7 @@ def _cmd_trace(args) -> int:
     runner = Runner()
     config = config_by_name(args.config)
     if args.selector == "none":
-        records = runner.trace(args.benchmark, args.input).records
+        records = runner.trace(args.benchmark, args.input).packed()
     else:
         from .minigraph.transform import fold_trace
         selector = SELECTORS[args.selector]()

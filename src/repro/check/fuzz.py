@@ -134,7 +134,7 @@ def _slack_profile(program: Program, trace: Trace):
     config = config_by_name("reduced")
     collector = SlackCollector(program, config_name=config.name,
                                input_name="fuzz")
-    OoOCore(config, trace.records, collector=collector,
+    OoOCore(config, trace.packed(), collector=collector,
             warm_caches=True).run()
     return collector.profile()
 

@@ -110,6 +110,15 @@ class StoreStats:
     puts: int = 0
     corrupt_dropped: int = 0
     by_kind: Dict[str, List[int]] = field(default_factory=dict)  # [hit, miss]
+    #: Disk-layer time (ns) and bytes, split into encoding and file I/O:
+    #: ``pickle.dumps`` / ``backend.write`` per put, ``backend.read`` /
+    #: ``pickle.loads`` per disk lookup. A memory-only store leaves them 0.
+    put_encode_ns: int = 0
+    put_write_ns: int = 0
+    get_read_ns: int = 0
+    get_decode_ns: int = 0
+    put_bytes: int = 0
+    get_bytes: int = 0
 
     @property
     def hits(self) -> int:
@@ -391,20 +400,26 @@ class ArtifactStore:
             self.stats.record(kind, hit=True)
             return self._memory[key]
         if self.backend is not None:
+            stats = self.stats
+            start = time.perf_counter_ns()
             try:
                 payload = self.backend.read(key)
             except Exception:
                 payload = None
                 self._drop_corrupt(key)
+            read = time.perf_counter_ns()
+            stats.get_read_ns += read - start
             if payload is not None:
+                stats.get_bytes += len(payload)
                 try:
                     value = pickle.loads(payload)
                 except Exception:
                     self._drop_corrupt(key)
                 else:
+                    stats.get_decode_ns += time.perf_counter_ns() - read
                     self._memory[key] = value
-                    self.stats.disk_hits += 1
-                    self.stats.record(kind, hit=True)
+                    stats.disk_hits += 1
+                    stats.record(kind, hit=True)
                     return value
         self.stats.misses += 1
         self.stats.record(kind, hit=False)
@@ -429,15 +444,22 @@ class ArtifactStore:
         self.stats.puts += 1
         if self.backend is None:
             return
+        stats = self.stats
+        start = time.perf_counter_ns()
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        self.backend.write(key, payload, {
+        stats.put_encode_ns += time.perf_counter_ns() - start
+        stats.put_bytes += len(payload)
+        meta = {
             "kind": kind,
             "params": params or {},
             "created": time.time(),
             "size": len(payload),
             "sha": hashlib.sha256(payload).hexdigest(),
             "salt": self.salt,
-        })
+        }
+        start = time.perf_counter_ns()
+        self.backend.write(key, payload, meta)
+        stats.put_write_ns += time.perf_counter_ns() - start
 
     def get_or_compute(self, kind: str, params: Dict[str, Any],
                        compute: Callable[[], Any]) -> Any:

@@ -126,7 +126,7 @@ def timing_summary(run) -> Dict[str, Any]:
 def run_trace(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Materialize the functional trace artifact for one benchmark."""
     trace = _runner(spec).trace(spec["bench"], spec["input"])
-    return {"records": len(trace.records)}
+    return {"records": len(trace)}
 
 
 def run_candidates(spec: Dict[str, Any]) -> Dict[str, Any]:

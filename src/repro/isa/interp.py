@@ -13,6 +13,7 @@ operations reinterpret as needed. Register ``r0`` is hardwired to zero.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate, chain
 from typing import List, Optional
 
 from . import opcodes as oc
@@ -73,17 +74,21 @@ class TraceRecord:
 
 
 class PackedTrace:
-    """Struct-of-arrays view of a dynamic record stream.
+    """Struct-of-arrays form of a dynamic record stream.
 
-    The timing core's hot loops (fetch grouping, cache warm-up) read one
-    field from thousands of records per call; chasing a Python object per
-    record for that is cache-hostile and megamorphic. ``PackedTrace``
-    packs the scalar fields into parallel typed columns (``array('q')``,
-    with ``array('b')`` for the two flags) built once per trace, while
-    ``objs`` keeps the original record objects so consumers that want the
-    object view (rename sources, mini-graph constituents, lockstep
-    checking, tests) index it transparently: a ``PackedTrace`` is a
-    drop-in sequence of records.
+    The timing core's hot loops (fetch grouping, cache warm-up) and the
+    compiled kernel read one field from thousands of records per call,
+    so the scalar fields live in parallel typed columns (``array('q')``,
+    with ``array('b')`` for the two flags). For a functional trace the
+    columns are the trace itself: :func:`execute` writes them directly
+    and a stored :class:`Trace` is its narrowed columns.
+
+    ``objs`` is the record-object view, a drop-in sequence of records
+    for consumers that want objects (the Python cycle loop, mini-graph
+    constituents, lockstep checking, the pipeline tracer, tests). A
+    ``PackedTrace`` packed from records keeps those records; one built
+    from columns alone creates its :class:`TraceRecord` objects on the
+    first read of ``objs`` and caches the list.
 
     Ragged ``srcs`` tuples are flattened into ``srcs`` with a CSR-style
     ``srcs_start`` offset column (record ``i`` owns
@@ -91,15 +96,16 @@ class PackedTrace:
 
     Mini-graph handle records (``kind == 1``) have no opcode; their
     ``op``/``opclass``/``latency`` columns hold ``-1``/``OC_MGH``/``0``.
+    Handle rows exist only in a stream packed from record objects.
     """
 
-    __slots__ = ("objs", "n", "kind", "pc", "op", "opclass", "latency",
+    __slots__ = ("_objs", "n", "kind", "pc", "op", "opclass", "latency",
                  "rd", "addr", "taken", "next_pc", "srcs", "srcs_start")
 
     def __init__(self, objs, kind, pc, op, opclass, latency, rd, addr,
                  taken, next_pc, srcs, srcs_start):
-        self.objs = objs
-        self.n = len(objs)
+        self._objs = objs
+        self.n = len(pc)
         self.kind = kind
         self.pc = pc
         self.op = op
@@ -155,6 +161,22 @@ class PackedTrace:
         return cls(objs, kind, pc, op, opclass, latency, rd, addr, taken,
                    next_pc, srcs, srcs_start)
 
+    @property
+    def objs(self) -> list:
+        """The record objects, built from the columns on first read."""
+        objs = self._objs
+        if objs is None:
+            srcs_of = self.srcs_of
+            objs = [TraceRecord(pc, op, opclass, latency, rd, srcs_of(i),
+                                addr, taken != 0, next_pc)
+                    for i, (pc, op, opclass, latency, rd, addr, taken,
+                            next_pc)
+                    in enumerate(zip(self.pc, self.op, self.opclass,
+                                     self.latency, self.rd, self.addr,
+                                     self.taken, self.next_pc))]
+            self._objs = objs
+        return objs
+
     def srcs_of(self, i: int) -> tuple:
         """The source-register tuple of record ``i`` (columnar view)."""
         return tuple(self.srcs[self.srcs_start[i]:self.srcs_start[i + 1]])
@@ -174,37 +196,109 @@ class PackedTrace:
         return f"<PackedTrace n={self.n}>"
 
 
-class Trace:
-    """A complete dynamic execution of a program."""
+#: Every column of a singleton trace and its in-memory typecode, in the
+#: order a stored :class:`Trace` lists them.
+_COLUMNS = (("kind", "b"), ("pc", "q"), ("op", "q"), ("opclass", "q"),
+            ("latency", "q"), ("rd", "q"), ("addr", "q"), ("taken", "b"),
+            ("next_pc", "q"), ("srcs", "q"), ("srcs_start", "q"))
 
-    def __init__(self, program: Program, records: List[TraceRecord],
+#: Stored typecodes from narrowest to widest; a column is stored in the
+#: first that holds all of its values.
+_NARROW = "bhiq"
+
+
+def _narrow(col: array) -> array:
+    """``col`` in the narrowest of :data:`_NARROW` holding its values
+    (``array`` raises OverflowError on a value its type cannot hold)."""
+    values = col.tolist()
+    for code in _NARROW[:_NARROW.index(col.typecode)]:
+        try:
+            return array(code, values)
+        except OverflowError:
+            pass
+    return col
+
+
+def _widen(name: str, code: str, col) -> array:
+    """A stored column back at its in-memory typecode ``code``."""
+    if not isinstance(col, array) or \
+            col.typecode not in _NARROW[:_NARROW.index(code) + 1]:
+        raise ValueError(f"trace column {name!r}: unknown stored form")
+    return col if col.typecode == code else array(code, col.tolist())
+
+
+class Trace:
+    """A complete dynamic execution of a program.
+
+    The trace is its :class:`PackedTrace` columns (``records`` may be
+    those columns or a record sequence, packed here); the ``records``
+    attribute is their record-object view, built on first read. A trace
+    pickles as its program, input name, final memory and each column
+    narrowed to the smallest integer typecode that holds it, and
+    unpickles straight back to the in-memory columns without building a
+    record.
+    """
+
+    def __init__(self, program: Program, records,
                  input_name: str = "default",
                  final_memory: Optional[List[int]] = None):
         self.program = program
-        self.records = records
         self.input_name = input_name
         #: Final memory image, present when executed with capture_memory.
         self.final_memory = final_memory
-        self._packed: Optional[PackedTrace] = None
+        self._packed = records if isinstance(records, PackedTrace) \
+            else PackedTrace.from_records(records)
 
     def packed(self) -> PackedTrace:
-        """Struct-of-arrays view of ``records``, built once and cached."""
-        packed = getattr(self, "_packed", None)
-        if packed is None:
-            packed = PackedTrace.from_records(self.records)
-            self._packed = packed
-        return packed
+        """The trace's columns."""
+        return self._packed
+
+    @property
+    def records(self) -> List[TraceRecord]:
+        """The record objects (built once, on first read)."""
+        return self._packed.objs
 
     def __getstate__(self):
-        # The packed view and the counts are derived data; rebuild them
-        # after unpickling rather than growing the stored artifact.
-        state = self.__dict__.copy()
-        state["_packed"] = None
-        state.pop("_counts", None)
-        return state
+        # The record view and the counts are derived; only the columns
+        # are stored, each at its narrowest width.
+        packed = self._packed
+        return {"program": self.program, "input_name": self.input_name,
+                "final_memory": self.final_memory,
+                "columns": tuple(_narrow(getattr(packed, name))
+                                 for name, _code in _COLUMNS)}
+
+    def __setstate__(self, state) -> None:
+        """Restore a stored trace, rejecting columns that disagree.
+
+        The compiled kernel indexes these columns without bounds checks,
+        so inconsistent ones raise :class:`ValueError` here (the store
+        then drops the payload and recomputes the trace).
+        """
+        stored = state["columns"]
+        if len(stored) != len(_COLUMNS):
+            raise ValueError(f"trace has {len(stored)} columns, "
+                             f"expected {len(_COLUMNS)}")
+        cols = {name: _widen(name, code, col)
+                for (name, code), col in zip(_COLUMNS, stored)}
+        n = len(cols["pc"])
+        for name, _code in _COLUMNS[:-2]:  # one entry per record
+            if len(cols[name]) != n:
+                raise ValueError(f"trace column {name!r} has "
+                                 f"{len(cols[name])} entries, expected {n}")
+        starts = cols["srcs_start"].tolist()
+        if len(starts) != n + 1 or starts[0] != 0 or \
+                starts[n] != len(cols["srcs"]) or starts != sorted(starts):
+            raise ValueError("trace srcs_start does not delimit srcs")
+        if any(cols["kind"]):
+            raise ValueError("stored trace holds non-singleton records")
+        self.program = state["program"]
+        self.input_name = state["input_name"]
+        self.final_memory = state["final_memory"]
+        self._packed = PackedTrace(None, *(cols[name]
+                                           for name, _code in _COLUMNS))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._packed.n
 
     def dynamic_count_of(self) -> List[int]:
         """Per-static-PC dynamic execution counts (computed once per
@@ -212,14 +306,14 @@ class Trace:
         counts = getattr(self, "_counts", None)
         if counts is None:
             counts = [0] * len(self.program)
-            for rec in self.records:
-                counts[rec.pc] += 1
+            for pc in self._packed.pc:
+                counts[pc] += 1
             self._counts = counts
         return counts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Trace {self.program.name!r}/{self.input_name}: "
-                f"{len(self.records)} dynamic insts>")
+                f"{len(self)} dynamic insts>")
 
 
 class ExecutionLimitExceeded(RuntimeError):
@@ -407,8 +501,14 @@ def execute(program: Program, max_insts: int = 2_000_000,
                                          - len(program.data))
     regs = list(regs_init) if regs_init is not None else [0] * 32
     regs[0] = 0
-    records: List[TraceRecord] = []
-    append = records.append
+    # Per retired instruction, only the fields that vary between
+    # instances of one static instruction; _pack_execution adds the rest.
+    pcs = array("q")
+    addrs = array("q")
+    takens = array("b")
+    pc_append = pcs.append
+    addr_append = addrs.append
+    taken_append = takens.append
     pc = 0
     retired = 0
 
@@ -546,20 +646,49 @@ def execute(program: Program, max_insts: int = 2_000_000,
         elif opclass == oc.OC_NOP:
             pass
         elif opclass == oc.OC_HALT:
-            append(TraceRecord(pc, op, opclass, inst.latency, -1, srcs,
-                               -1, False, pc))
             break
         else:  # pragma: no cover - MGH never appears in source programs
             raise NotImplementedError(oc.op_name(op))
 
         if value is not None and rd is not None and rd != 0:
             regs[rd] = value
-        append(TraceRecord(pc, op, opclass, inst.latency,
-                           rd if (rd is not None and rd != 0
-                                  and inst.writes_reg) else -1,
-                           srcs, addr, taken, next_pc))
+        pc_append(pc)
+        addr_append(addr)
+        taken_append(taken)
         retired += 1
         pc = next_pc
 
-    return Trace(program, records, input_name=input_name,
+    # The halt retires too: no address, not taken.
+    pc_append(pc)
+    addr_append(-1)
+    taken_append(0)
+    return Trace(program, _pack_execution(insts, pcs, addrs, takens),
+                 input_name=input_name,
                  final_memory=memory if capture_memory else None)
+
+
+def _pack_execution(insts, pc: array, addr: array,
+                    taken: array) -> PackedTrace:
+    """The complete columns of an executed trace.
+
+    Every field but ``addr`` and ``taken`` is either fixed by the static
+    instruction at ``pc`` or, for ``next_pc``, the pc that retired next
+    (the halt names itself).
+    """
+    ops = [inst.op for inst in insts]
+    opclasses = [inst.opclass for inst in insts]
+    latencies = [inst.latency for inst in insts]
+    rds = [inst.rd if inst.writes_reg else -1 for inst in insts]
+    srcs_of = [inst.srcs for inst in insts]
+    widths = [len(srcs) for srcs in srcs_of]
+    next_pc = pc[1:]
+    next_pc.append(pc[-1])
+    return PackedTrace(
+        None, array("b", bytes(len(pc))), pc,
+        array("q", [ops[p] for p in pc]),
+        array("q", [opclasses[p] for p in pc]),
+        array("q", [latencies[p] for p in pc]),
+        array("q", [rds[p] for p in pc]),
+        addr, taken, next_pc,
+        array("q", chain.from_iterable(map(srcs_of.__getitem__, pc))),
+        array("q", accumulate(map(widths.__getitem__, pc), initial=0)))

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Set
 
 from ..isa import opcodes as oc
 from ..isa.instruction import Instruction
-from ..isa.interp import execute
+from ..isa.interp import Trace, execute
 from ..isa.program import Program
 
 
@@ -159,6 +159,13 @@ def reschedule(program: Program, verify: bool = False,
     return rewritten
 
 
+def _store_addrs(trace: Trace) -> List[int]:
+    """The trace's store addresses in retirement order."""
+    packed = trace.packed()
+    return [addr for addr, opclass in zip(packed.addr, packed.opclass)
+            if opclass == oc.OC_STORE]
+
+
 def verify_equivalence(original: Program, rewritten: Program,
                        max_insts: int = 2_000_000) -> None:
     """Architectural equivalence check: same final memory and same store
@@ -168,11 +175,9 @@ def verify_equivalence(original: Program, rewritten: Program,
     if trace_a.final_memory != trace_b.final_memory:
         raise SchedulingError(
             f"{original.name}: rescheduling changed the final memory image")
-    stores_a = [r.addr for r in trace_a.records if r.is_store]
-    stores_b = [r.addr for r in trace_b.records if r.is_store]
-    if stores_a != stores_b:
+    if _store_addrs(trace_a) != _store_addrs(trace_b):
         raise SchedulingError(
             f"{original.name}: rescheduling changed the store sequence")
-    if len(trace_a.records) != len(trace_b.records):
+    if len(trace_a) != len(trace_b):
         raise SchedulingError(
             f"{original.name}: rescheduling changed the dynamic length")

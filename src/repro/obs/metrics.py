@@ -493,6 +493,22 @@ def collect_store(registry: MetricsRegistry, store) -> None:
         stats.corrupt_dropped)
     registry.gauge("store.hit_rate",
                    "Artifact-store hit rate").set(stats.hit_rate)
+    registry.counter("store.put.encode_ns",
+                     "Nanoseconds pickling artifacts for disk").inc(
+        stats.put_encode_ns)
+    registry.counter("store.put.write_ns",
+                     "Nanoseconds writing artifact files").inc(
+        stats.put_write_ns)
+    registry.counter("store.put.bytes",
+                     "Artifact payload bytes written").inc(stats.put_bytes)
+    registry.counter("store.get.read_ns",
+                     "Nanoseconds reading artifact files").inc(
+        stats.get_read_ns)
+    registry.counter("store.get.decode_ns",
+                     "Nanoseconds unpickling disk artifacts").inc(
+        stats.get_decode_ns)
+    registry.counter("store.get.bytes",
+                     "Artifact payload bytes read").inc(stats.get_bytes)
     for kind, (hit, miss) in sorted(stats.by_kind.items()):
         registry.counter(f"store.kind.{kind}.hits",
                          f"{kind} artifact hits").inc(hit)

@@ -458,11 +458,12 @@ def marshal(packed) -> Optional[MarshalledTrace]:
     site_outlined_pc = array("q")
     site_id = array("q")
     kinds = packed.kind
-    objs = packed.objs
     for ix in range(n):
         if kinds[ix] != 1:
             continue
-        rec = objs[ix]
+        # Only a stream packed from handle objects has handle rows, so
+        # a singleton trace never builds its record view here.
+        rec = packed.objs[ix]
         site = rec.site
         tpl = rec.template
         key = id(site)

@@ -1,5 +1,6 @@
 """Artifact store: addressing, hit/miss accounting, corruption recovery."""
 
+import json
 import pickle
 
 import pytest
@@ -146,6 +147,35 @@ def test_clear_removes_killed_writers_temp_files(tmp_path):
     assert store.clear() == 1          # temp files are not artifacts
     assert not leftover.exists()
     assert list(tmp_path.glob("??/*")) == []
+
+
+_DISK_TOTALS = ("put_encode_ns", "put_write_ns", "get_read_ns",
+                "get_decode_ns", "put_bytes", "get_bytes")
+
+
+def test_disk_time_splits_into_encoding_and_file_io(tmp_path):
+    from repro.obs.metrics import MetricsRegistry, collect_store
+
+    writer = ArtifactStore(tmp_path)
+    key = writer.key("x", {"p": 1})
+    writer.put(key, list(range(1000)), kind="x")
+    reader = ArtifactStore(tmp_path)
+    assert reader.get(key, "x") == list(range(1000))
+    size = json.loads(writer.backend.sidecar_path(key).read_text())["size"]
+    assert writer.stats.put_encode_ns > 0 and writer.stats.put_write_ns > 0
+    assert reader.stats.get_read_ns > 0 and reader.stats.get_decode_ns > 0
+    assert writer.stats.put_bytes == reader.stats.get_bytes == size
+    registry = MetricsRegistry()
+    collect_store(registry, reader)
+    assert registry.get("store.get.bytes").value == size
+    assert registry.get("store.get.decode_ns").value == \
+        reader.stats.get_decode_ns
+
+    memory = ArtifactStore()
+    memory.put(key, [1], kind="x")
+    assert memory.get(key, "x") == [1]
+    assert [getattr(memory.stats, name) for name in _DISK_TOTALS] == \
+        [0] * len(_DISK_TOTALS)
 
 
 def test_stats_render_mentions_rate(tmp_path):
