@@ -286,57 +286,16 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .harness.bench import (
-        DEFAULT_BENCHMARKS, DEFAULT_SELECTORS, QUICK_BENCHMARKS,
-        QUICK_SELECTORS, check_against, load_report, run_bench, write_report,
+        DEFAULT_BENCHMARKS, QUICK_BENCHMARKS, QUICK_SELECTORS, check_against,
+        check_speedups, load_report, run_bench, write_report,
     )
-    if args.plan:
-        from .harness.bench import (
-            check_plan_report, run_plan_bench, write_plan_report,
-        )
-        benchmarks = list(args.benchmarks or
-                          (QUICK_BENCHMARKS if args.quick
-                           else DEFAULT_BENCHMARKS))
-        label = "plankern" if args.label == "local" else args.label
-        report = run_plan_bench(
-            benchmarks, label=label, repeat=max(3, args.repeat),
-            log=lambda line: print(line, file=sys.stderr))
-        print(report.render())
-        path = write_plan_report(report, args.out)
-        print(f"wrote {path}")
-        failures = check_plan_report(report,
-                                     min_speedup=args.min_speedup)
-        if failures:
-            for failure in failures:
-                print(f"bench: FAIL {failure}", file=sys.stderr)
-            return 1
-        return 0
-    if args.batch:
-        from .harness.bench import (
-            check_batch_report, run_batch_bench, write_batch_report,
-        )
-        benchmarks = list(args.benchmarks or
-                          (QUICK_BENCHMARKS if args.quick
-                           else DEFAULT_BENCHMARKS))
-        label = "batch" if args.label == "local" else args.label
-        report = run_batch_bench(
-            benchmarks, threads=args.batch_threads, label=label,
-            log=lambda line: print(line, file=sys.stderr))
-        print(report.render())
-        path = write_batch_report(report, args.out)
-        print(f"wrote {path}")
-        failures = check_batch_report(report,
-                                      min_speedup=args.min_speedup)
-        if failures:
-            for failure in failures:
-                print(f"bench: FAIL {failure}", file=sys.stderr)
-            return 1
-        return 0
-    if args.quick:
-        benchmarks = list(args.benchmarks or QUICK_BENCHMARKS)
-        selectors = list(args.selectors or QUICK_SELECTORS)
-    else:
-        benchmarks = list(args.benchmarks or DEFAULT_BENCHMARKS)
-        selectors = list(args.selectors or DEFAULT_SELECTORS)
+    mode = "batch" if args.batch else "plan" if args.plan else "kips"
+    benchmarks = args.benchmarks or \
+        (QUICK_BENCHMARKS if args.quick else DEFAULT_BENCHMARKS)
+    # None leaves each bench its own default selectors.
+    selectors = args.selectors or \
+        (QUICK_SELECTORS if args.quick and mode == "kips" else None)
+    config = config_by_name(args.config) if args.config else None
     runner = Runner(store=_store_for(args))
     telemetry = None
     if args.telemetry:
@@ -345,31 +304,31 @@ def _cmd_bench(args) -> int:
         )
         telemetry = TelemetryWriter(
             args.telemetry,
-            run_manifest(config=config_by_name(args.config),
+            run_manifest(config=config or config_by_name("reduced"),
                          label=args.label))
         attach_store_telemetry(runner.store, telemetry)
     try:
-        report = run_bench(benchmarks, selectors,
-                           config=config_by_name(args.config),
+        report = run_bench(benchmarks, selectors, config=config,
                            label=args.label, repeat=args.repeat,
                            runner=runner, telemetry=telemetry,
-                           log=lambda line: print(line, file=sys.stderr))
+                           log=lambda line: print(line, file=sys.stderr),
+                           mode=mode)
     finally:
         if telemetry is not None:
             telemetry.close()
             print(f"[telemetry] {telemetry.events_written} events -> "
                   f"{telemetry.path}", file=sys.stderr)
     print(report.render())
-    path = write_report(report, args.out)
-    print(f"wrote {path}")
+    print(f"wrote {write_report(report, args.out)}")
+    failures = check_speedups(report, min_speedup=args.min_speedup)
     if args.check_against is not None:
         baseline = load_report(args.check_against)
-        failures = check_against(report, baseline,
-                                 tolerance=args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"bench: FAIL {failure}", file=sys.stderr)
-            return 1
+        failures += check_against(report, baseline, tolerance=args.tolerance)
+    for failure in failures:
+        print(f"bench: FAIL {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    if args.check_against is not None:
         print(f"bench: OK against {args.check_against} "
               f"(KIPS {report.kips:.1f} vs baseline {baseline.kips:.1f})")
     return 0
@@ -636,24 +595,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_gen.set_defaults(fn=_cmd_gen)
 
     p_bench = sub.add_parser(
-        "bench", help="simulator throughput benchmark (KIPS) over a "
-                      "benchmark x selector matrix")
+        "bench", help="simulator benches: throughput (KIPS) over a "
+                      "benchmark x selector matrix, or --batch/--plan "
+                      "native-vs-reference comparisons")
     p_bench.add_argument("--quick", action="store_true",
                          help="small matrix for CI smoke runs")
     p_bench.add_argument("--benchmarks", nargs="*", default=None,
                          help="override the benchmark list")
     p_bench.add_argument("--selectors", nargs="*", default=None,
-                         help="override the selector list "
-                              "(none struct-all struct-none struct-bounded "
-                              "slack-profile)")
-    p_bench.add_argument("--config", default="reduced")
+                         help="override the selector list: none, observed "
+                              "(tap vs Python observer) or a selector "
+                              "family (struct-all, slack-profile, ...)")
+    p_bench.add_argument("--config", default=None,
+                         help="machine (default: reduced; --batch runs "
+                              "reduced and full)")
     p_bench.add_argument("--label", default="local",
                          help="writes BENCH_<label>.json")
     p_bench.add_argument("--out", default=".",
                          help="directory for the BENCH json "
                               "(default: current directory)")
     p_bench.add_argument("--repeat", type=int, default=1,
-                         help="time each point N times, keep the fastest")
+                         help="time each layer N times, keep the fastest")
     p_bench.add_argument("--check-against", default=None, metavar="FILE",
                          help="fail on fidelity drift or aggregate KIPS "
                               "regression vs this BENCH json")
@@ -663,21 +625,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_bench.add_argument("--telemetry", default=None, metavar="PATH",
                          help="write run telemetry JSONL to PATH "
                               "(bench spans + runner phases)")
-    p_bench.add_argument("--batch", action="store_true",
-                         help="benchmark batched native dispatch against "
-                              "per-point process dispatch; writes "
-                              "BENCH_batch.json")
-    p_bench.add_argument("--batch-threads", type=int, default=0,
-                         help="C threads for --batch (default: auto)")
-    p_bench.add_argument("--plan", action="store_true",
-                         help="benchmark native plan construction "
-                              "(profile build, enumeration, scoring) "
-                              "against the pure-Python reference; writes "
-                              "BENCH_plankern.json")
+    mode = p_bench.add_mutually_exclusive_group()
+    mode.add_argument("--batch", action="store_true",
+                      help="batched native dispatch vs one pool task per "
+                           "point, per selector")
+    mode.add_argument("--plan", action="store_true",
+                      help="native plan construction (profile build, "
+                           "enumeration, scoring) vs the pure-Python "
+                           "reference")
     p_bench.add_argument("--min-speedup", type=float, default=3.0,
-                         help="--batch/--plan gate: the native path must "
-                              "beat the reference by this factor "
-                              "(default 3.0)")
+                         help="every comparison point (--batch, --plan, "
+                              "the observed selector) must beat its "
+                              "reference by this factor (default 3.0)")
     _add_cache_flags(p_bench)
     p_bench.set_defaults(fn=_cmd_bench)
 

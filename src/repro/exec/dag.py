@@ -18,9 +18,6 @@ which is what the fault-tolerance layer leans on:
 * a worker process dying (``BrokenProcessPool``) degrades the run to
   serial in-process execution of everything still pending — slower, but
   the run completes;
-* a task exceeding its ``timeout`` is failed without retry (a stuck
-  simulation stays stuck), its pool is torn down, and the remainder of
-  the graph likewise degrades to serial;
 * a failed task poisons its transitive dependents (``skipped``), but
   independent subgraphs still complete.
 
@@ -58,7 +55,6 @@ class Task:
     deps: Tuple[str, ...] = ()
     stage: str = "task"
     retries: Optional[int] = None       # None → scheduler default
-    timeout: Optional[float] = None     # None → scheduler default
 
 
 class TaskError(RuntimeError):
@@ -143,13 +139,12 @@ class Scheduler:
     """Runs a task DAG serially, in native batches, or on a process pool."""
 
     def __init__(self, jobs: int = 1, retries: int = 1,
-                 backoff: float = 0.1, timeout: Optional[float] = None,
+                 backoff: float = 0.1,
                  on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
                  threads: int = 0):
         self.jobs = max(1, int(jobs))
         self.retries = retries
         self.backoff = backoff
-        self.timeout = timeout
         self.on_event = on_event
         #: Batched native dispatch (``--jobs threads:N``). When set (and
         #: ``jobs == 1``), each wave of ready timing nodes is packed into
@@ -255,8 +250,7 @@ class Scheduler:
 
     def _run_one_serial(self, task: Task, table: Dict[str, Task],
                         report: ExecReport) -> None:
-        """In-process execution with the retry policy (no preemption, so
-        per-task timeouts are not enforceable here)."""
+        """In-process execution with the retry policy."""
         retries = self.retries if task.retries is None else task.retries
         for attempt in range(retries + 1):
             try:
@@ -338,17 +332,16 @@ class Scheduler:
         # Built per run, inside :meth:`run`: forked workers inherit the
         # parent's state as of this call.
         pool = ProcessPoolExecutor(max_workers=self.jobs)
-        # future → (task, submit time, attempt); submissions are throttled
-        # to ``jobs`` so "submitted" ≈ "started" and deadlines are fair.
-        in_flight: Dict[Future, Tuple[Task, float, int]] = {}
+        # future → (task, attempt); submissions are throttled to ``jobs``
+        # so "submitted" ≈ "started".
+        in_flight: Dict[Future, Tuple[Task, int]] = {}
         attempts: Dict[str, int] = {}
         pending: List[str] = list(order)
         degrade = False
 
         def submit(task: Task) -> None:
             future = pool.submit(_invoke, task.fn, task.args)
-            in_flight[future] = (task, time.monotonic(),
-                                 attempts.get(task.id, 0))
+            in_flight[future] = (task, attempts.get(task.id, 0))
             self._emit("submit", task, self._state(table, report,
                                                    running=len(in_flight)))
 
@@ -372,10 +365,10 @@ class Scheduler:
                         continue
                     break
 
-                completed, _ = wait(list(in_flight), timeout=0.05,
+                completed, _ = wait(list(in_flight),
                                     return_when=FIRST_COMPLETED)
                 for future in completed:
-                    task, _submitted, attempt = in_flight.pop(future)
+                    task, attempt = in_flight.pop(future)
                     try:
                         result, duration = future.result()
                     except (BrokenProcessPool, CancelledError):
@@ -406,35 +399,12 @@ class Scheduler:
                     self._emit("done", task,
                                self._state(table, report,
                                            running=len(in_flight)))
-
-                # Deadline sweep: a run-away task cannot be killed without
-                # killing its worker, so fail it and degrade.
-                if not degrade:
-                    now = time.monotonic()
-                    timed_out = False
-                    for future, (task, submitted, _a) in list(in_flight.items()):
-                        limit = self.timeout if task.timeout is None \
-                            else task.timeout
-                        if limit is not None and now - submitted > limit \
-                                and not future.cancel():
-                            in_flight.pop(future)
-                            report.failures[task.id] = \
-                                f"timeout after {limit:.1f}s"
-                            self._emit("failed", task,
-                                       self._state(table, report,
-                                                   running=len(in_flight)))
-                            degrade = timed_out = True
-                    if timed_out:
-                        # A stuck worker would block interpreter exit (the
-                        # pool joins its processes at shutdown).
-                        for proc in list(pool._processes.values()):
-                            proc.terminate()
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
         if degrade or pending or in_flight:
-            # Anything still unfinished (including tasks whose futures were
-            # cancelled above) is re-run in-process.
+            # Anything still unfinished (including tasks whose futures the
+            # shutdown cancelled) is re-run in-process.
             report.degraded = True
             self._emit("degraded", None, self._state(table, report))
             leftovers = [tid for tid in order

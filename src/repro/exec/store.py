@@ -216,11 +216,14 @@ class ArtifactBackend:
             return None
 
     def write(self, key: str, payload: bytes, meta: Dict[str, Any]) -> None:
+        """Sidecar first, payload last: the payload's rename commits the
+        artifact, so a writer killed in between leaves only a sidecar,
+        which no reader serves and :meth:`prune`/:meth:`clear` remove."""
         shard = self.root / key[:2]
         shard.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.payload_path(key), payload)
         _atomic_write(self.sidecar_path(key),
                       json.dumps(meta, sort_keys=True).encode())
+        _atomic_write(self.payload_path(key), payload)
 
     def delete(self, key: str) -> None:
         for path in (self.payload_path(key), self.sidecar_path(key)):
@@ -236,9 +239,11 @@ class ArtifactBackend:
         return iter_sidecars(self.root)
 
     def summary(self) -> Dict[str, Dict[str, int]]:
-        """Per-kind ``{count, bytes}``."""
+        """Per-kind ``{count, bytes}`` of the committed artifacts."""
         summary: Dict[str, Dict[str, int]] = {}
-        for _key, meta in self.entries():
+        for key, meta in self.entries():
+            if not self.payload_path(key).exists():
+                continue
             kind = meta.get("kind", "?")
             entry = summary.setdefault(kind, {"count": 0, "bytes": 0})
             entry["count"] += 1
@@ -250,6 +255,8 @@ class ArtifactBackend:
         """Delete artifacts older than ``cutoff`` / of ``kind_set``.
 
         Returns the deleted keys so the store can evict its memory layer.
+        A matching sidecar whose payload is missing (a killed writer's) is
+        deleted too, but is not an artifact and is not returned.
         """
         removed = []
         for key, meta in list(self.entries()):
@@ -258,16 +265,19 @@ class ArtifactBackend:
             if cutoff is not None and \
                     float(meta.get("created", 0) or 0) > cutoff:
                 continue
+            committed = self.payload_path(key).exists()
             self.delete(key)
-            removed.append(key)
+            if committed:
+                removed.append(key)
         return removed
 
     def clear(self) -> int:
         """Drop every artifact; returns artifacts removed."""
         removed = 0
         for key, _meta in list(self.entries()):
+            if self.payload_path(key).exists():
+                removed += 1
             self.delete(key)
-            removed += 1
         # Payloads whose sidecar was already lost.
         for orphan in list(self.root.glob("??/*.pkl")):
             try:

@@ -1,41 +1,59 @@
 """``repro bench``: the performance harness for the simulator itself.
 
-Every experiment in the reproduction bottlenecks on
-:meth:`repro.pipeline.core.OoOCore.run`, so simulator throughput is a
-first-class, regression-gated metric. This module runs a fixed
-benchmark × selector matrix, times the *timing run only* (traces, plans
-and trace folding are prepared — and memoized — before the stopwatch
-starts), and reports per-point and aggregate:
+The paper's evidence is simulator output, so this module checks that
+the simulator producing it stays exact and fast. Every bench writes one
+report shape: a :class:`BenchReport` is a run manifest plus points, and
+each :class:`BenchPoint` carries its simulated results (``instructions``,
+``cycles``, ``ipc``, ``coverage``) and a table of wall milliseconds per
+timed layer (``ms``). Every layer keeps the fastest of ``repeat``
+timings; the simulated results are asserted identical across repeats.
 
-``wall_s``
-    Wall-clock seconds of ``OoOCore.run()``.
-``cycles`` / ``ipc`` / ``coverage``
-    The simulated results, recorded so a perf report doubles as a
-    fidelity check: two BENCH files for the same matrix must agree on
-    these byte-for-byte, whatever their KIPS say.
-``kips``
-    Thousands of trace records retired per wall-second — committed
-    *original-program* instructions (a retired mini-graph handle counts
-    its constituents), so the figure is comparable across selectors.
+The benches (:data:`MODES`):
 
-Results are written to ``BENCH_<label>.json`` so the perf trajectory of
-the simulator is part of the repository history, and
-:func:`check_against` gates CI on both fidelity (exact) and throughput
-(tolerance). See ``docs/performance.md``.
+``kips`` (the default)
+    A benchmark x selector matrix. Layer ``run`` times
+    ``OoOCore.run()`` alone; ``prepare`` is the ungated plan, fold and
+    core set-up around it (the trace is generated beforehand). The
+    aggregate ``kips`` counts committed original-program instructions
+    (a retired mini-graph handle counts its constituents) per
+    run-second, so it is comparable across selectors.
+``batch``
+    For each selector, the benchmark x machine matrix as one
+    ``repro_run_batch`` call against one pool task per point (layer
+    ``dispatch``; the reference leg's workers set their point up and run
+    it, writing nothing to the store).
+``plan``
+    Plan construction from one captured event-tap log: the slack
+    profile (``profile``), candidate enumeration (``enumerate``) and the
+    selector's scoring (``score``).
+
+Batch and plan points are comparisons, and so is the selector
+``observed`` in the ``kips`` matrix: a slack-profiling run on the
+kernel's event tap against the Python observer loop. A comparison times
+a native leg (``ms``) and a reference leg (``reference_ms``: the pool
+for ``batch``, ``REPRO_PURE_PY`` set in-process otherwise), asserts the
+two agree before either timing counts, and reports ``speedup``, which
+:func:`check_speedups` gates per point. :func:`check_against` gates a
+report against a committed one on fidelity and aggregate KIPS. Every
+point is set up as the pipeline sets it up: through the Runner's
+``*_prepared`` helpers. See ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..exec.batch import DEFAULT_MAX_CYCLES
 from ..pipeline.config import MachineConfig, config_by_name
-from ..pipeline.core import OoOCore
 from .runner import Runner
 
 #: The default matrix: a deliberate mix of compute-bound (crafty, fft),
@@ -49,77 +67,108 @@ DEFAULT_SELECTORS = ("none", "struct-all", "slack-profile")
 QUICK_BENCHMARKS = ("crc32", "dijkstra", "mcf")
 QUICK_SELECTORS = ("none", "struct-all")
 
-#: Observed-run modes: a singleton profiling run with a
-#: :class:`~repro.minigraph.slack.SlackCollector` attached. ``observed``
-#: takes whatever path the core picks (the compiled kernel's event tap
-#: where available); ``observed-py`` pins the Python reference loop with
-#: in-loop callbacks — the pre-event-tap behaviour, kept as the
-#: denominator for the speedup gate in CI (see ``profile-smoke``).
-OBSERVED_SELECTORS = ("observed", "observed-py")
+#: Each bench's default selectors. Besides the registered selector
+#: families, ``none`` is the singleton baseline and ``observed`` a
+#: slack-profiling run.
+MODES = {"kips": DEFAULT_SELECTORS, "batch": ("none", "observed"),
+         "plan": ("slack-profile",)}
 
-SCHEMA_VERSION = 1
+#: The simulated results a point may record, all compared exactly by
+#: :func:`check_against`.
+RESULTS = ("cycles", "ipc", "coverage", "instructions")
+
+SCHEMA_VERSION = 2
 
 
 @dataclass
 class BenchPoint:
-    """One benchmark × selector measurement."""
+    """One point: a benchmark x selector x machine, or a batch's matrix
+    (comma-joined names). A result it does not record is None."""
 
     bench: str
     selector: str
     config: str
-    records: int          # records in the (possibly folded) trace
-    instructions: int     # committed original-program instructions
-    cycles: int
-    ipc: float
-    coverage: float
-    wall_s: float
-    kips: float
+    instructions: Optional[int] = None
+    cycles: Optional[int] = None
+    ipc: Optional[float] = None
+    coverage: Optional[float] = None
+    #: Wall milliseconds per timed layer (the native leg's, in a
+    #: comparison).
+    ms: Dict[str, float] = field(default_factory=dict)
+    #: A comparison's reference leg, for the layers it compares.
+    reference_ms: Dict[str, float] = field(default_factory=dict)
+    #: Sizes of the work: trace ``records``; a batch's ``points`` and
+    #: ``threads``; a plan's ``static`` instructions, ``candidates`` and
+    #: ``tap_words``.
+    counts: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def kips(self) -> float:
+        """Thousands of instructions per second of the ``run`` layer."""
+        run = self.ms.get("run")
+        return self.instructions / run if run and self.instructions else 0.0
+
+    @property
+    def speedup(self) -> float:
+        """Reference over native milliseconds, on the compared layers."""
+        native = sum(self.ms[layer] for layer in self.reference_ms)
+        return sum(self.reference_ms.values()) / native if native else 0.0
 
 
 @dataclass
 class BenchReport:
-    """A full matrix run, serializable to ``BENCH_<label>.json``."""
+    """A bench run, serialized to ``BENCH_<label>.json``."""
 
     label: str
     schema: int = SCHEMA_VERSION
-    created: str = ""
     python: str = ""
     platform: str = ""
-    config: str = "reduced"
     repeat: int = 1
+    #: Run manifest (git SHA, config digest, code-version salt, created,
+    #: …) shared with the telemetry subsystem.
+    manifest: Dict = field(default_factory=dict)
     points: List[BenchPoint] = field(default_factory=list)
-    total_instructions: int = 0
-    total_wall_s: float = 0.0
+    #: Aggregate KIPS over every point's ``run`` layer (0 without one).
     kips: float = 0.0
     peak_rss_kb: int = 0
-    #: Run manifest (git SHA, config digest, code-version salt, …) shared
-    #: with the telemetry subsystem; empty in pre-manifest reports.
-    manifest: Dict = field(default_factory=dict)
+
+    @property
+    def total_instructions(self) -> int:
+        return sum(p.instructions or 0 for p in self.points)
 
     def finalize(self) -> None:
-        self.total_instructions = sum(p.instructions for p in self.points)
-        self.total_wall_s = sum(p.wall_s for p in self.points)
-        self.kips = (self.total_instructions / self.total_wall_s / 1e3
-                     if self.total_wall_s else 0.0)
+        runs = [p for p in self.points if "run" in p.ms and p.instructions]
+        run_ms = sum(p.ms["run"] for p in runs)
+        self.kips = sum(p.instructions for p in runs) / run_ms \
+            if run_ms else 0.0
         self.peak_rss_kb = peak_rss_kb()
 
     def to_dict(self) -> Dict:
         return asdict(self)
 
     def render(self) -> str:
-        lines = [f"{'bench':<10s} {'selector':<14s} {'cycles':>9s} "
-                 f"{'ipc':>7s} {'cover':>7s} {'wall_s':>8s} {'KIPS':>8s}"]
+        lines = [f"{'bench':<10s} {'selector':<14s} {'config':<8s} "
+                 f"{'cycles':>9s} {'ipc':>6s} {'cover':>6s} {'KIPS':>8s} "
+                 f"{'speedup':>8s}  ms per layer (native/reference)"]
         for p in self.points:
+            layers = "  ".join(
+                f"{layer} {ms:.3f}" + (f"/{p.reference_ms[layer]:.3f}"
+                                       if layer in p.reference_ms else "")
+                for layer, ms in p.ms.items())
+            speedup = f"{p.speedup:.1f}x" if p.reference_ms else "-"
             lines.append(
-                f"{p.bench:<10s} {p.selector:<14s} {p.cycles:>9d} "
-                f"{p.ipc:>7.3f} {p.coverage:>7.1%} {p.wall_s:>8.3f} "
-                f"{p.kips:>8.1f}")
-        lines.append(
-            f"{'total':<10s} {'':<14s} {'':>9s} {'':>7s} {'':>7s} "
-            f"{self.total_wall_s:>8.3f} {self.kips:>8.1f}")
-        lines.append(f"peak RSS: {self.peak_rss_kb} kB   "
-                     f"({self.python}, {self.platform})")
+                f"{p.bench:<10s} {p.selector:<14s} {p.config:<8s} "
+                f"{_show(p.cycles, 'd'):>9s} {_show(p.ipc, '.3f'):>6s} "
+                f"{_show(p.coverage, '.1%'):>6s} {p.kips:>8.1f} "
+                f"{speedup:>8s}  {layers}")
+        lines.append(f"aggregate KIPS {self.kips:.1f}   peak RSS "
+                     f"{self.peak_rss_kb} kB   ({self.python}, "
+                     f"{self.platform}, repeat {self.repeat}, keep fastest)")
         return "\n".join(lines)
+
+
+def _show(value, spec: str) -> str:
+    return "-" if value is None else format(value, spec)
 
 
 def peak_rss_kb() -> int:
@@ -135,115 +184,293 @@ def peak_rss_kb() -> int:
     return int(peak)
 
 
-def _prepare_point(runner: Runner, bench: str, selector: str):
-    """Build the record stream for one point (not timed)."""
-    trace = runner.trace(bench)
-    if selector == "none" or selector in OBSERVED_SELECTORS:
-        return trace.packed()
-    from ..minigraph.transform import fold_trace
-    sel = _selector_by_name(selector)
-    plan = runner.plan(bench, sel)
-    return fold_trace(trace, plan)
+# -- point set-up and timing ---------------------------------------------------
+
+def _prepared(runner: Runner, bench: str, selector: str,
+              config: MachineConfig):
+    """``(core, finalize)`` for one point, set up as the pipeline does."""
+    if selector == "none":
+        return runner.baseline_prepared(bench, config)
+    if selector == "observed":
+        return runner.profile_prepared(bench, config)
+    from ..minigraph.selectors import selector_from_spec
+    return runner.selector_prepared(
+        bench, selector_from_spec({"kind": selector}), config)
 
 
-def _make_core(runner: Runner, bench: str, selector: str, records,
-               config: MachineConfig) -> OoOCore:
-    """The core for one timed run; observed modes attach a collector."""
-    if selector not in OBSERVED_SELECTORS:
-        return OoOCore(config, records, warm_caches=True)
-    from ..minigraph.slack import SlackCollector
-    collector = SlackCollector(runner._bench(bench).program("train"),
-                               config_name=config.name, input_name="train")
-    core = OoOCore(config, records, collector=collector, warm_caches=True)
-    if selector == "observed-py":
-        core._ctrace = None
-        core._want_tap = False
-    return core
-
-
-def _selector_by_name(name: str):
-    from ..minigraph.selectors import (
-        SlackProfileSelector, StructAll, StructBounded, StructNone,
-    )
-    table = {"struct-all": StructAll, "struct-none": StructNone,
-             "struct-bounded": StructBounded,
-             "slack-profile": SlackProfileSelector}
+@contextmanager
+def _pure_python():
+    """Route every kernel entry point to its Python reference inside the
+    block: ``ckern.available()`` rereads ``REPRO_PURE_PY`` per call."""
+    prior = os.environ.get("REPRO_PURE_PY")
+    os.environ["REPRO_PURE_PY"] = "1"
     try:
-        return table[name]()
-    except KeyError:
-        raise ValueError(f"unknown bench selector {name!r} "
-                         f"(choose from none, {', '.join(sorted(table))})") \
-            from None
+        yield
+    finally:
+        if prior is None:
+            del os.environ["REPRO_PURE_PY"]
+        else:
+            os.environ["REPRO_PURE_PY"] = prior
 
+
+def _ms(start: float) -> float:
+    return (time.perf_counter() - start) * 1e3
+
+
+def _fastest(name: str, leg: Callable[[], Tuple[Dict[str, float], Any]],
+             repeat: int) -> Tuple[Dict[str, float], Any]:
+    """Run ``leg() -> (ms per layer, result)`` ``repeat`` times, keeping
+    each layer's fastest time; the result may not vary between runs."""
+    best, first = leg()
+    for _ in range(max(1, repeat) - 1):
+        ms, result = leg()
+        if result != first:
+            raise RuntimeError(f"{name}: non-deterministic rerun "
+                               f"({result!r:.200} vs {first!r:.200})")
+        best = {layer: min(t, ms[layer]) for layer, t in best.items()}
+    return best, first
+
+
+def _parity(name: str, native: Any, reference: Any) -> None:
+    if native != reference:
+        raise RuntimeError(f"{name}: the native leg diverged from the "
+                           f"reference ({native!r:.200} != "
+                           f"{reference!r:.200})")
+
+
+def _results(stats) -> Dict[str, Any]:
+    return {"instructions": stats.original_committed,
+            "cycles": stats.cycles, "ipc": stats.ipc,
+            "coverage": stats.coverage}
+
+
+def _run_point(runner: Runner, bench: str, selector: str,
+               config: MachineConfig, repeat: int) -> BenchPoint:
+    """One ``kips`` matrix point (an ``observed`` one is a comparison)."""
+    name = f"{bench}/{selector}"
+    runner.trace(bench)
+
+    def leg():
+        start = time.perf_counter()
+        core, finalize = _prepared(runner, bench, selector, config)
+        prepare = _ms(start)
+        start = time.perf_counter()
+        stats = core.run()
+        run = _ms(start)
+        # Every run completes, so each trace record commits once.
+        result = (_results(stats), stats.slots_committed)
+        if selector == "observed":
+            result += (pickle.dumps(finalize(stats)),)
+        return {"prepare": prepare, "run": run}, result
+
+    ms, result = _fastest(name, leg, repeat)
+    point = BenchPoint(bench, selector, config.name, ms=ms,
+                       counts={"records": result[1]}, **result[0])
+    if selector == "observed":
+        with _pure_python():
+            reference_ms, reference = _fastest(name, leg, repeat)
+        _parity(name, result, reference)
+        # The Python loop against the tap, on the run alone.
+        point.reference_ms = {"run": reference_ms["run"]}
+    return point
+
+
+def _dispatch_point(spec: Dict) -> Tuple[int, int]:
+    """One pool task of the batch reference leg: set up, run, summarize."""
+    from ..exec.tasks import _runner
+    core, _ = _prepared(_runner(spec), spec["bench"], spec["selector"],
+                        config_by_name(spec["config"]))
+    stats = core.run()
+    return stats.cycles, stats.original_committed
+
+
+def _batch_point(runner: Runner, benchmarks: Sequence[str], selector: str,
+                 configs: Sequence[MachineConfig],
+                 repeat: int) -> BenchPoint:
+    """One selector's matrix: batched native call vs per-point pool."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from ..exec.tasks import runner_params
+    from ..pipeline import ckern
+    name = f"batch/{selector}"
+    threads = max(1, min(8, (os.cpu_count() or 2) - 1))
+    matrix = [(bench, config) for bench in benchmarks for config in configs]
+    # Set-up first, so traces and plans are stored before the pool reads.
+    cores = [_prepared(runner, bench, selector, config)[0]
+             for bench, config in matrix]
+    entries = [core.kernel_batch_entry(DEFAULT_MAX_CYCLES) for core in cores]
+    if None in entries:
+        raise RuntimeError(f"{name}: a point cannot take the kernel")
+
+    def native():
+        start = time.perf_counter()
+        outcome = ckern.run_batch(entries, threads)
+        return {"dispatch": _ms(start)}, outcome
+
+    ms, outcome = _fastest(name, native, repeat)
+    summaries = []
+    for core, result in zip(cores, outcome):
+        stats = core.apply_kernel_result(*result)
+        if stats is None:
+            raise RuntimeError(f"{name}: a batched point fell back")
+        summaries.append((stats.cycles, stats.original_committed))
+
+    specs = [{**runner_params(runner), "bench": bench,
+              "config": config.name, "selector": selector}
+             for bench, config in matrix]
+
+    def reference():
+        start = time.perf_counter()
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            outcome = list(pool.map(_dispatch_point, specs))
+        return {"dispatch": _ms(start)}, outcome
+
+    reference_ms, per_point = _fastest(name, reference, repeat)
+    _parity(name, summaries, per_point)
+    return BenchPoint(
+        ",".join(benchmarks), selector,
+        ",".join(config.name for config in configs),
+        instructions=sum(insts for _, insts in summaries),
+        cycles=sum(cycles for cycles, _ in summaries), ms=ms,
+        reference_ms=reference_ms,
+        counts={"points": len(matrix), "threads": threads})
+
+
+def _plan_point(runner: Runner, bench: str, selector: str,
+                config: MachineConfig, repeat: int) -> BenchPoint:
+    """Plan construction from one tap log, native vs Python reference."""
+    from ..minigraph import candidates as candidates_mod
+    from ..minigraph.candidates import enumerate_candidates
+    from ..minigraph.selectors import selector_from_spec
+    from ..minigraph.slack import SlackCollector
+    from ..minigraph.templates import build_templates
+    from ..pipeline import ckern
+    name = f"plan/{bench}/{selector}"
+    scorer = selector_from_spec({"kind": selector})
+    program = runner._bench(bench).program("train")
+    counts = runner.trace(bench).dynamic_count_of()
+    # Capture one event log from the pipeline's profiling core (untimed).
+    core, _ = runner.profile_prepared(bench, config)
+    entry = core.kernel_batch_entry(DEFAULT_MAX_CYCLES)
+    if entry is None:
+        raise RuntimeError(f"{name}: the profiling core cannot take the "
+                           f"kernel")
+    (tap,) = ckern.run_batch([entry], 1)
+    stats = core.apply_kernel_result(*tap)
+    if stats is None:
+        raise RuntimeError(f"{name}: tap capture failed (rc={tap[0]})")
+    _rc, out, events, n_words, _overflowed = tap
+    committed = out[ckern.OUT_SLOTS_COMMITTED]
+
+    def leg():
+        start = time.perf_counter()
+        collector = SlackCollector(program, config_name=config.name,
+                                   input_name="train")
+        collector.ingest_ckern_tap(core.records, events, n_words, committed)
+        profile = collector.profile()
+        ms = {"profile": _ms(start)}
+        start = time.perf_counter()
+        # Charge the native leg its packed-column build and rehydration.
+        candidates_mod._STATIC_CACHE.clear()
+        candidates_mod._PACK_CACHE.clear()
+        candidates = enumerate_candidates(program,
+                                          max_size=runner.max_mg_size)
+        listed = list(candidates)
+        ms["enumerate"] = _ms(start)
+        sites = [site for template in build_templates(listed, counts)
+                 for site in template.sites]
+        start = time.perf_counter()
+        pool = scorer.build_pool(sites, profile, candidates)
+        ms["score"] = _ms(start)
+        return ms, (pickle.dumps(profile), pickle.dumps(listed),
+                    [site.id for site in pool], len(listed))
+
+    ms, result = _fastest(name, leg, repeat)
+    with _pure_python():
+        reference_ms, reference = _fastest(name, leg, repeat)
+    _parity(name, result, reference)
+    return BenchPoint(bench, selector, config.name, ms=ms,
+                      reference_ms=reference_ms,
+                      counts={"static": len(program),
+                              "candidates": result[3],
+                              "tap_words": n_words},
+                      **_results(stats))
+
+
+# -- the bench -----------------------------------------------------------------
 
 def run_bench(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
-              selectors: Sequence[str] = DEFAULT_SELECTORS,
+              selectors: Optional[Sequence[str]] = None,
               config: Optional[MachineConfig] = None,
               label: str = "local",
               repeat: int = 1,
               runner: Optional[Runner] = None,
               log: Optional[Callable[[str], None]] = None,
-              telemetry=None) -> BenchReport:
-    """Run the matrix and return a :class:`BenchReport`.
+              telemetry=None,
+              mode: str = "kips") -> BenchReport:
+    """Run one bench (a key of :data:`MODES`) and return its report.
 
-    ``repeat`` times each point's ``OoOCore.run()`` that many times and
-    keeps the *fastest* wall time (simulated results are deterministic,
-    so repeats only tighten the clock; cycles/IPC/coverage come from the
-    first run and are asserted identical across repeats).
-
+    ``selectors`` defaults to the mode's; ``config`` to the reduced
+    machine, or for ``batch`` to reduced and full. ``batch`` pool
+    workers load traces from the runner's store, so without a
+    persistent one it runs over a scratch directory.
     ``telemetry`` optionally takes a
-    :class:`~repro.obs.telemetry.TelemetryWriter`: every point's timed
-    region becomes a ``bench`` span and the report embeds the writer's
-    manifest (without a writer a fresh manifest is built directly).
+    :class:`~repro.obs.telemetry.TelemetryWriter`: every point becomes
+    a ``bench`` span and the report embeds the writer's manifest.
     """
     from ..obs.telemetry import run_manifest
-    if config is None:
-        config = config_by_name("reduced")
+    if selectors is None:
+        selectors = MODES[mode]
+    configs = [config] if config is not None else \
+        [config_by_name(name) for name in
+         (("reduced", "full") if mode == "batch" else ("reduced",))]
     if runner is None:
         runner = Runner()
+    if mode == "batch" and not runner.store.persistent:
+        # The pool workers load traces from the store: give them one.
+        import tempfile
+
+        from ..exec.store import ArtifactStore
+        with tempfile.TemporaryDirectory(prefix="repro-bench-") as scratch:
+            store = ArtifactStore(scratch)
+            store.telemetry = runner.store.telemetry
+            return run_bench(benchmarks, selectors, config, label, repeat,
+                             Runner(store=store), log, telemetry, mode)
+    if mode != "kips":
+        from ..pipeline import ckern
+        if not ckern.available():
+            raise RuntimeError(f"the {mode} bench needs the compiled "
+                               f"kernel (C compiler available, "
+                               f"REPRO_PURE_PY unset)")
     report = BenchReport(
-        label=label,
-        created=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        python=platform.python_version(),
+        label=label, python=platform.python_version(),
         platform=f"{platform.system()}-{platform.machine()}",
-        config=config.name, repeat=repeat,
+        repeat=repeat,
         manifest=(telemetry.manifest if telemetry is not None
-                  else run_manifest(config=config, label=label)))
-    for bench in benchmarks:
-        for selector in selectors:
-            records = _prepare_point(runner, bench, selector)
-            best: Optional[Tuple[float, int, float, float, int]] = None
-            for _ in range(max(1, repeat)):
-                core = _make_core(runner, bench, selector, records, config)
-                start = time.perf_counter()
-                stats = core.run()
-                wall = time.perf_counter() - start
-                point = (wall, stats.cycles, stats.ipc, stats.coverage,
-                         stats.original_committed)
-                if best is not None and point[1:] != best[1:]:
-                    raise RuntimeError(
-                        f"{bench}/{selector}: non-deterministic rerun "
-                        f"({point[1:]} vs {best[1:]})")
-                if best is None or wall < best[0]:
-                    best = point
-            wall, cycles, ipc, coverage, insts = best
-            if telemetry is not None:
-                telemetry.event(
-                    f"{bench}/{selector}", "bench", "X",
-                    ts=max(0, telemetry.now_us() - int(wall * 1e6)),
-                    dur=int(wall * 1e6),
-                    args={"cycles": cycles, "ipc": ipc,
-                          "instructions": insts,
-                          "kips": insts / wall / 1e3 if wall else 0.0})
-            report.points.append(BenchPoint(
-                bench=bench, selector=selector, config=config.name,
-                records=len(records), instructions=insts, cycles=cycles,
-                ipc=ipc, coverage=coverage, wall_s=wall,
-                kips=insts / wall / 1e3 if wall else 0.0))
-            if log is not None:
-                p = report.points[-1]
-                log(f"[bench] {bench}/{selector}: {p.kips:.1f} KIPS "
-                    f"({p.cycles} cycles, ipc {p.ipc:.3f})")
+                  else run_manifest(config=configs[0], label=label)))
+    if mode == "batch":
+        work = [(_batch_point, (benchmarks, selector, configs))
+                for selector in selectors]
+    else:
+        measure = _plan_point if mode == "plan" else _run_point
+        work = [(measure, (bench, selector, cfg)) for bench in benchmarks
+                for selector in selectors for cfg in configs]
+    for measure, args in work:
+        point = measure(runner, *args, repeat)
+        report.points.append(point)
+        if telemetry is not None:
+            dur = int(sum(point.ms.values()) * 1e3)
+            telemetry.event(
+                f"{point.bench}/{point.selector}", "bench", "X",
+                ts=max(0, telemetry.now_us() - dur), dur=dur,
+                args={"cycles": point.cycles, "ipc": point.ipc,
+                      "instructions": point.instructions,
+                      "kips": point.kips, "speedup": point.speedup})
+        if log is not None:
+            log(f"[bench] {point.bench}/{point.selector}: "
+                + (f"{point.speedup:.1f}x the reference"
+                   if point.reference_ms else f"{point.kips:.1f} KIPS")
+                + f" ({point.cycles} cycles)")
     report.finalize()
     return report
 
@@ -260,215 +487,34 @@ def write_report(report: BenchReport, out_dir: Path = Path(".")) -> Path:
 
 
 def load_report(path) -> BenchReport:
-    """Load a ``BENCH_*.json`` back into a :class:`BenchReport`."""
+    """Load a ``BENCH_*.json`` back into a :class:`BenchReport`.
+
+    Fields this schema does not know are dropped, so a reader survives
+    a newer writer's additions.
+    """
     with open(path) as handle:
         data = json.load(handle)
-    points = [BenchPoint(**p) for p in data.pop("points", [])]
-    known = {f for f in BenchReport.__dataclass_fields__}
+    known = set(BenchPoint.__dataclass_fields__)
+    points = [BenchPoint(**{k: v for k, v in p.items() if k in known})
+              for p in data.pop("points", [])]
+    known = set(BenchReport.__dataclass_fields__)
     report = BenchReport(**{k: v for k, v in data.items() if k in known})
     report.points = points
     return report
 
 
-# -- batched-dispatch bench ---------------------------------------------------
-#
-# ``repro bench --batch`` measures what the batched native dispatcher
-# buys over the pre-existing per-point process dispatch: the same
-# benchmark x config matrix is run once as one-task-per-point through a
-# ProcessPoolExecutor (spec pickling, worker-side trace rehydration,
-# result round-trip — the real ``--jobs N`` cost per timing point) and
-# once as a single ``repro_run_batch`` call over the same number of C
-# threads. Both sides simulate identical work (asserted on committed
-# instruction counts), so aggregate KIPS is directly comparable and the
-# ratio is pure dispatch overhead. CI gates the committed
-# ``BENCH_batch.json`` with :func:`check_batch_report`.
+# -- gates ---------------------------------------------------------------------
 
-BATCH_SCHEMA_VERSION = 1
-
-#: Both record-stream shapes the batch path serves: plain singleton
-#: timing runs, and tap-observed profiling runs (SlackCollector riding
-#: the kernel's event tap).
-BATCH_MODES = ("unobserved", "observed")
-
-
-@dataclass
-class BatchBenchMode:
-    """One mode's per-point-vs-batched comparison."""
-
-    mode: str
-    points: int
-    instructions: int
-    perpoint_wall_s: float
-    batch_wall_s: float
-    perpoint_kips: float
-    batch_kips: float
-    speedup: float
-
-
-@dataclass
-class BatchBenchReport:
-    """Serialized to ``BENCH_batch.json``."""
-
-    label: str = "batch"
-    schema: int = BATCH_SCHEMA_VERSION
-    created: str = ""
-    python: str = ""
-    platform: str = ""
-    threads: int = 0
-    modes: List[BatchBenchMode] = field(default_factory=list)
-
-    def to_dict(self) -> Dict:
-        return asdict(self)
-
-    def render(self) -> str:
-        lines = [f"{'mode':<12s} {'points':>6s} {'perpoint':>10s} "
-                 f"{'batched':>10s} {'speedup':>8s}   (KIPS, "
-                 f"{self.threads} threads)"]
-        for m in self.modes:
-            lines.append(f"{m.mode:<12s} {m.points:>6d} "
-                         f"{m.perpoint_kips:>10.1f} {m.batch_kips:>10.1f} "
-                         f"{m.speedup:>7.1f}x")
-        return "\n".join(lines)
-
-
-#: Per-worker runner cache (mirrors ``repro.exec.tasks._RUNNERS``): the
-#: per-point baseline gets the same intra-worker memoization the real
-#: process path enjoys, so the comparison is not rigged against it.
-_DISPATCH_RUNNERS: Dict[str, Runner] = {}
-
-
-def _dispatch_point(spec: Dict) -> int:
-    """One per-point dispatch unit: rebuild state, run, return insts."""
-    cache_dir = spec["cache_dir"]
-    runner = _DISPATCH_RUNNERS.get(cache_dir)
-    if runner is None:
-        from ..exec.store import ArtifactStore
-        runner = Runner(store=ArtifactStore(cache_dir))
-        _DISPATCH_RUNNERS[cache_dir] = runner
-    config = config_by_name(spec["config"])
-    records = _prepare_point(runner, spec["bench"], spec["selector"])
-    core = _make_core(runner, spec["bench"], spec["selector"], records,
-                      config)
-    return core.run().original_committed
-
-
-def run_batch_bench(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
-                    threads: int = 0,
-                    label: str = "batch",
-                    log: Optional[Callable[[str], None]] = None
-                    ) -> BatchBenchReport:
-    """Per-point process dispatch vs one batched native call."""
-    import os
-    import tempfile
-    from concurrent.futures import ProcessPoolExecutor
-
-    from ..pipeline import ckern
-    if not ckern.available():
-        raise RuntimeError("batch bench needs the compiled kernel "
-                           "(C compiler available, REPRO_PURE_PY unset)")
-    if threads <= 0:
-        threads = max(1, min(8, (os.cpu_count() or 2) - 1))
-    report = BatchBenchReport(
-        label=label,
-        created=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        python=platform.python_version(),
-        platform=f"{platform.system()}-{platform.machine()}",
-        threads=threads)
-    configs = ("reduced", "full")
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as scratch:
-        from ..exec.store import ArtifactStore
-        runner = Runner(store=ArtifactStore(scratch))
-        for bench in benchmarks:
-            runner.trace(bench)  # shared persistent prewarm (both sides)
-        for mode in BATCH_MODES:
-            selector = "none" if mode == "unobserved" else "observed"
-            specs = [{"cache_dir": scratch, "bench": bench,
-                      "config": config, "selector": selector}
-                     for bench in benchmarks for config in configs]
-
-            start = time.perf_counter()
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                perpoint_insts = sum(pool.map(_dispatch_point, specs))
-            perpoint_wall = time.perf_counter() - start
-
-            cores = [_make_core(runner, spec["bench"], spec["selector"],
-                                _prepare_point(runner, spec["bench"],
-                                               spec["selector"]),
-                                config_by_name(spec["config"]))
-                     for spec in specs]
-            entries = [core.kernel_batch_entry(200_000_000)
-                       for core in cores]
-            start = time.perf_counter()
-            results = ckern.run_batch(entries, threads)
-            batch_wall = time.perf_counter() - start
-            batch_insts = 0
-            for core, point in zip(cores, results):
-                stats = core.apply_kernel_result(*point)
-                if stats is None:
-                    raise RuntimeError("batched point fell back mid-bench")
-                batch_insts += stats.original_committed
-            if batch_insts != perpoint_insts:
-                raise RuntimeError(
-                    f"{mode}: batched work diverged from per-point "
-                    f"({batch_insts} != {perpoint_insts} instructions)")
-
-            entry = BatchBenchMode(
-                mode=mode, points=len(specs), instructions=batch_insts,
-                perpoint_wall_s=perpoint_wall, batch_wall_s=batch_wall,
-                perpoint_kips=perpoint_insts / perpoint_wall / 1e3
-                if perpoint_wall else 0.0,
-                batch_kips=batch_insts / batch_wall / 1e3
-                if batch_wall else 0.0,
-                speedup=perpoint_wall / batch_wall if batch_wall else 0.0)
-            report.modes.append(entry)
-            if log is not None:
-                log(f"[bench] batch/{mode}: {entry.batch_kips:.1f} KIPS "
-                    f"batched vs {entry.perpoint_kips:.1f} per-point "
-                    f"({entry.speedup:.1f}x, {len(specs)} points)")
-    return report
-
-
-def write_batch_report(report: BatchBenchReport,
-                       out_dir: Path = Path(".")) -> Path:
-    """Write ``BENCH_<label>.json`` for a batch report."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"BENCH_{report.label}.json"
-    with open(path, "w") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_batch_report(path) -> BatchBenchReport:
-    """Load a batch report back from JSON."""
-    with open(path) as handle:
-        data = json.load(handle)
-    modes = [BatchBenchMode(**m) for m in data.pop("modes", [])]
-    known = set(BatchBenchReport.__dataclass_fields__)
-    report = BatchBenchReport(
-        **{k: v for k, v in data.items() if k in known})
-    report.modes = modes
-    return report
-
-
-def check_batch_report(report: BatchBenchReport,
-                       min_speedup: float = 3.0) -> List[str]:
-    """Gate: batched dispatch must beat per-point by ``min_speedup``.
-
-    Applied to both modes — the tap-observed batch pays event-buffer
-    allocation and post-hoc decode, and must still clear the bar.
-    """
-    failures: List[str] = []
-    if not report.modes:
-        return ["batch report has no modes"]
-    for mode in report.modes:
-        if mode.speedup < min_speedup:
-            failures.append(
-                f"{mode.mode}: batched dispatch only {mode.speedup:.2f}x "
-                f"per-point (gate {min_speedup:.1f}x, "
-                f"{mode.batch_kips:.1f} vs {mode.perpoint_kips:.1f} KIPS)")
-    return failures
+def check_speedups(report: BenchReport,
+                   min_speedup: float = 3.0) -> List[str]:
+    """Gate: every comparison point's native leg must beat its
+    reference by ``min_speedup`` — per point, so a large benchmark
+    cannot amortize a regression on a small one."""
+    return [f"{p.bench}/{p.selector}: native only {p.speedup:.2f}x the "
+            f"reference (gate {min_speedup:.1f}x; {p.ms} vs "
+            f"{p.reference_ms} ms)"
+            for p in report.points
+            if p.reference_ms and p.speedup < min_speedup]
 
 
 def check_against(current: BenchReport, baseline: BenchReport,
@@ -478,11 +524,12 @@ def check_against(current: BenchReport, baseline: BenchReport,
     Returns a list of failures (empty = pass):
 
     * fidelity — every point present in both reports must agree exactly
-      on cycles, IPC, and coverage (the simulated results are
-      deterministic; any drift is a correctness bug, not noise);
+      on each result of :data:`RESULTS` the baseline records (the
+      simulated results are deterministic; any drift is a correctness
+      bug, not noise);
     * throughput — aggregate KIPS must not fall more than ``tolerance``
-      below the baseline (per-point KIPS is reported but not gated: it
-      is too noisy on shared CI runners).
+      below the baseline's, when it has one (per-point KIPS is reported
+      but not gated: it is too noisy on shared CI runners).
     """
     failures: List[str] = []
     base_points = {(p.bench, p.selector, p.config): p
@@ -493,9 +540,9 @@ def check_against(current: BenchReport, baseline: BenchReport,
         if base is None:
             continue
         compared += 1
-        for fld in ("cycles", "ipc", "coverage", "instructions"):
+        for fld in RESULTS:
             got, want = getattr(point, fld), getattr(base, fld)
-            if got != want:
+            if want is not None and got != want:
                 failures.append(
                     f"{point.bench}/{point.selector}: {fld} diverged "
                     f"from baseline ({got!r} != {want!r})")
@@ -509,306 +556,4 @@ def check_against(current: BenchReport, baseline: BenchReport,
                 f"aggregate KIPS regressed: {current.kips:.1f} < "
                 f"{floor:.1f} (baseline {baseline.kips:.1f} "
                 f"- {tolerance:.0%})")
-    return failures
-
-
-# ---------------------------------------------------------------------
-# Plan-construction bench (``repro bench --plan``)
-# ---------------------------------------------------------------------
-#
-# The plan-kernel counterpart of the batch bench above: instead of the
-# cycle loop, it times the three plan-construction stages the compiled
-# kernel accelerates — post-hoc slack-profile build from the event tap,
-# candidate enumeration, and selector scoring — native against the
-# pure-Python reference (forced in-process via ``REPRO_PURE_PY``; both
-# sides run the same entry points, so the comparison is the real
-# fallback path, not a strawman). Every point asserts bit-identity
-# (pickled profiles, pickled candidate lists, selected pools) before
-# its timings count, so a plan-bench report doubles as a parity check.
-
-PLAN_SCHEMA_VERSION = 1
-
-#: Stages in report order; ``total`` rows aggregate all three.
-PLAN_STAGES = ("profile", "enumerate", "score")
-
-
-@dataclass
-class PlanBenchPoint:
-    """One benchmark's native-vs-Python plan-construction comparison."""
-
-    bench: str
-    n_static: int
-    n_candidates: int
-    tap_words: int
-    profile_py_ms: float
-    profile_native_ms: float
-    enumerate_py_ms: float
-    enumerate_native_ms: float
-    score_py_ms: float
-    score_native_ms: float
-    total_py_ms: float
-    total_native_ms: float
-    speedup: float
-
-
-@dataclass
-class PlanBenchReport:
-    """Serialized to ``BENCH_<label>.json`` (label default ``plankern``)."""
-
-    label: str = "plankern"
-    schema: int = PLAN_SCHEMA_VERSION
-    created: str = ""
-    python: str = ""
-    platform: str = ""
-    config: str = "reduced"
-    repeat: int = 3
-    max_mg_size: int = 4
-    max_ext_inputs: int = 3
-    points: List[PlanBenchPoint] = field(default_factory=list)
-    total_py_ms: float = 0.0
-    total_native_ms: float = 0.0
-    speedup: float = 0.0
-
-    def finalize(self) -> None:
-        self.total_py_ms = sum(p.total_py_ms for p in self.points)
-        self.total_native_ms = sum(p.total_native_ms for p in self.points)
-        self.speedup = (self.total_py_ms / self.total_native_ms
-                        if self.total_native_ms else 0.0)
-
-    def to_dict(self) -> Dict:
-        return asdict(self)
-
-    def render(self) -> str:
-        lines = [f"{'bench':<10s} {'static':>6s} {'cands':>6s} "
-                 f"{'profile':>9s} {'enum':>9s} {'score':>9s} "
-                 f"{'total':>13s} {'speedup':>8s}   (py/native ms)"]
-        for p in self.points:
-            lines.append(
-                f"{p.bench:<10s} {p.n_static:>6d} {p.n_candidates:>6d} "
-                f"{p.profile_py_ms:>4.1f}/{p.profile_native_ms:<4.2f} "
-                f"{p.enumerate_py_ms:>4.1f}/{p.enumerate_native_ms:<4.2f} "
-                f"{p.score_py_ms:>4.2f}/{p.score_native_ms:<4.2f} "
-                f"{p.total_py_ms:>6.1f}/{p.total_native_ms:<6.2f} "
-                f"{p.speedup:>7.1f}x")
-        lines.append(f"{'total':<10s} {'':>6s} {'':>6s} {'':>9s} {'':>9s} "
-                     f"{'':>9s} {self.total_py_ms:>6.1f}/"
-                     f"{self.total_native_ms:<6.2f} {self.speedup:>7.1f}x")
-        lines.append(f"({self.python}, {self.platform}, "
-                     f"repeat {self.repeat}, keep fastest)")
-        return "\n".join(lines)
-
-
-class _PurePy:
-    """Force the pure-Python reference path inside a ``with`` block.
-
-    ``ckern.available()`` re-reads ``REPRO_PURE_PY`` on every call, so
-    flipping the environment variable in-process is enough to route
-    every plan entry point (profile build, enumeration, scoring, tap
-    fold) through its reference implementation.
-    """
-
-    def __enter__(self):
-        import os
-        self._prior = os.environ.get("REPRO_PURE_PY")
-        os.environ["REPRO_PURE_PY"] = "1"
-        return self
-
-    def __exit__(self, *exc):
-        import os
-        if self._prior is None:
-            del os.environ["REPRO_PURE_PY"]
-        else:
-            os.environ["REPRO_PURE_PY"] = self._prior
-        return False
-
-
-def _best_of(fn: Callable[[], object], repeat: int) -> float:
-    """Fastest-of-N wall milliseconds for ``fn()`` (N >= 1)."""
-    best = float("inf")
-    for _ in range(max(1, repeat)):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1e3
-
-
-def run_plan_bench(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
-                   label: str = "plankern",
-                   repeat: int = 3,
-                   log: Optional[Callable[[str], None]] = None
-                   ) -> PlanBenchReport:
-    """Native vs pure-Python plan construction over the golden matrix.
-
-    For each benchmark, one kernel profiling run captures the event-tap
-    log (not timed); the stopwatch then covers (a) rebuilding the slack
-    profile from that log, (b) enumerating candidates — materialized to
-    ``Candidate`` objects on both legs, so lazy rehydration is charged
-    to the native side — and (c) scoring the full site list through
-    ``SlackProfileSelector.build_pool``. Parity between the legs is
-    asserted before any timing is recorded.
-    """
-    import pickle
-    import tempfile
-
-    from ..exec.store import ArtifactStore
-    from ..minigraph import candidates as candidates_mod
-    from ..minigraph.candidates import enumerate_candidates
-    from ..minigraph.selectors import SlackProfileSelector
-    from ..minigraph.slack import SlackCollector
-    from ..minigraph.templates import build_templates
-    from ..pipeline import ckern
-
-    if not ckern.available():
-        raise RuntimeError("plan bench needs the compiled kernel "
-                           "(C compiler available, REPRO_PURE_PY unset)")
-    config = config_by_name("reduced")
-    report = PlanBenchReport(
-        label=label,
-        created=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        python=platform.python_version(),
-        platform=f"{platform.system()}-{platform.machine()}",
-        config=config.name, repeat=repeat)
-    with tempfile.TemporaryDirectory(prefix="repro-planbench-") as scratch:
-        runner = Runner(store=ArtifactStore(scratch))
-        for name in benchmarks:
-            bench = runner._bench(name)
-            program = bench.program("train")
-
-            # -- capture one tap event log (not timed) ------------------
-            core, _finalize = runner.profile_prepared(bench, config,
-                                                      "train")
-            entry = core.kernel_batch_entry(200_000_000)
-            if entry is None:
-                raise RuntimeError(f"{name}: profiling core is not "
-                                   f"kernel-eligible")
-            (rc, out, events, n_words, overflowed), = \
-                ckern.run_batch([entry], 1)
-            if rc != ckern.RC_OK or overflowed:
-                raise RuntimeError(f"{name}: tap capture failed (rc={rc})")
-            committed = out[ckern.OUT_SLOTS_COMMITTED]
-            packed = core.records
-
-            # -- stage 1: profile build from the event log --------------
-            def build_profile():
-                collector = SlackCollector(program,
-                                           config_name=config.name,
-                                           input_name="train")
-                collector.ingest_ckern_tap(packed, events, n_words,
-                                           committed)
-                return collector.profile()
-
-            profile_native = build_profile()
-            profile_ms = _best_of(build_profile, repeat)
-            with _PurePy():
-                profile_py = build_profile()
-                profile_py_ms = _best_of(build_profile, repeat)
-            if pickle.dumps(profile_native) != pickle.dumps(profile_py):
-                raise RuntimeError(f"{name}: native profile diverged "
-                                   f"from the Python reference")
-
-            # -- stage 2: candidate enumeration -------------------------
-            def enumerate_fresh():
-                # Charge the native leg its full cost: packed-column
-                # build (caches cleared) plus Candidate rehydration.
-                candidates_mod._STATIC_CACHE.clear()
-                candidates_mod._PACK_CACHE.clear()
-                return list(enumerate_candidates(
-                    program, max_size=report.max_mg_size,
-                    max_ext_inputs=report.max_ext_inputs))
-
-            candidates = enumerate_candidates(
-                program, max_size=report.max_mg_size,
-                max_ext_inputs=report.max_ext_inputs)
-            enum_ms = _best_of(enumerate_fresh, repeat)
-            with _PurePy():
-                candidates_py = enumerate_fresh()
-                enum_py_ms = _best_of(enumerate_fresh, repeat)
-            if pickle.dumps(list(candidates)) != pickle.dumps(candidates_py):
-                raise RuntimeError(f"{name}: native enumeration diverged "
-                                   f"from the Python reference")
-
-            # -- stage 3: selector scoring ------------------------------
-            freq_counts = runner.trace(bench, "train").dynamic_count_of()
-            templates = build_templates(candidates, freq_counts)
-            sites = [site for template in templates
-                     for site in template.sites]
-            selector = SlackProfileSelector()
-
-            def score():
-                return selector.build_pool(sites, profile_native,
-                                           candidates)
-
-            pool_native = score()
-            score_ms = _best_of(score, repeat)
-            with _PurePy():
-                pool_py = score()
-                score_py_ms = _best_of(score, repeat)
-            if [site.id for site in pool_native] != \
-                    [site.id for site in pool_py]:
-                raise RuntimeError(f"{name}: native scoring diverged "
-                                   f"from the Python reference")
-
-            total_py = profile_py_ms + enum_py_ms + score_py_ms
-            total_native = profile_ms + enum_ms + score_ms
-            point = PlanBenchPoint(
-                bench=name, n_static=len(program),
-                n_candidates=len(candidates), tap_words=n_words,
-                profile_py_ms=profile_py_ms, profile_native_ms=profile_ms,
-                enumerate_py_ms=enum_py_ms, enumerate_native_ms=enum_ms,
-                score_py_ms=score_py_ms, score_native_ms=score_ms,
-                total_py_ms=total_py, total_native_ms=total_native,
-                speedup=total_py / total_native if total_native else 0.0)
-            report.points.append(point)
-            if log is not None:
-                log(f"[bench] plan/{name}: {point.speedup:.1f}x "
-                    f"({total_py:.1f} -> {total_native:.2f} ms, "
-                    f"{len(candidates)} candidates, {n_words} tap words)")
-    report.finalize()
-    return report
-
-
-def write_plan_report(report: PlanBenchReport,
-                      out_dir: Path = Path(".")) -> Path:
-    """Write ``BENCH_<label>.json`` for a plan report."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"BENCH_{report.label}.json"
-    with open(path, "w") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_plan_report(path) -> PlanBenchReport:
-    """Load a plan report back from JSON."""
-    with open(path) as handle:
-        data = json.load(handle)
-    points = [PlanBenchPoint(**p) for p in data.pop("points", [])]
-    known = set(PlanBenchReport.__dataclass_fields__)
-    report = PlanBenchReport(
-        **{k: v for k, v in data.items() if k in known})
-    report.points = points
-    return report
-
-
-def check_plan_report(report: PlanBenchReport,
-                      min_speedup: float = 3.0) -> List[str]:
-    """Gate: native plan construction must beat Python per point.
-
-    Per point rather than in aggregate so a large benchmark cannot
-    amortize a regression on a small one; the profile-build stage
-    scales with the dynamic event log while enumeration and scoring
-    scale with the static program, so every point clears the bar on
-    its own.
-    """
-    failures: List[str] = []
-    if not report.points:
-        return ["plan report has no points"]
-    for point in report.points:
-        if point.speedup < min_speedup:
-            failures.append(
-                f"{point.bench}: native plan construction only "
-                f"{point.speedup:.2f}x the Python reference "
-                f"(gate {min_speedup:.1f}x, {point.total_py_ms:.1f} vs "
-                f"{point.total_native_ms:.2f} ms)")
     return failures

@@ -17,7 +17,7 @@ Three post-hoc layers over the whole stack (see ``docs/observability.md``):
 Hard contract: with observability off, the timing core's C-kernel
 eligibility and the golden matrix stay bit-identical; attaching any
 observer is explicit, post-hoc, and bounded in overhead (the CI
-telemetry-smoke job measures it).
+bench-gates job measures it).
 """
 
 from .attribution import (  # noqa: F401

@@ -1,4 +1,4 @@
-"""DAG scheduler: ordering, fan-out, retry, crash and timeout handling.
+"""DAG scheduler: ordering, fan-out, retry and crash handling.
 
 Task callables live at module level so the ``ProcessPoolExecutor`` can
 pickle them; cross-process/cross-attempt state goes through sentinel
@@ -6,7 +6,6 @@ files in ``tmp_path``.
 """
 
 import os
-import time
 
 import pytest
 
@@ -47,12 +46,6 @@ def t_crash_once(sentinel, value):
             handle.write("seen")
         os._exit(13)  # hard death: no exception, no cleanup
     return value
-
-
-def t_sleep(seconds):
-    """Block long enough to trip a short scheduler timeout."""
-    time.sleep(seconds)
-    return "slept"
 
 
 def _chain(n=3):
@@ -151,16 +144,6 @@ def test_parallel_worker_crash_degrades_to_serial(tmp_path):
     assert report.results["steady"] == 7
     assert report.results["child"] == 8
     assert any(event["kind"] == "degraded" for event in events)
-
-
-def test_parallel_timeout_fails_stuck_task():
-    tasks = [Task(id="stuck", fn=t_sleep, args=(30.0,), timeout=0.5),
-             Task(id="quick", fn=t_const, args=(1,))]
-    start = time.monotonic()
-    report = Scheduler(jobs=2).run(tasks, raise_on_failure=False)
-    assert time.monotonic() - start < 20.0  # did not wait the full sleep
-    assert "timeout" in report.failures["stuck"]
-    assert report.results["quick"] == 1
 
 
 def test_events_carry_counts(tmp_path):

@@ -149,7 +149,38 @@ def test_clear_removes_killed_writers_temp_files(tmp_path):
     assert list(tmp_path.glob("??/*")) == []
 
 
-_DISK_TOTALS = ("put_encode_ns", "put_write_ns", "get_read_ns",
+def test_writer_killed_between_renames_leaves_no_unindexed_artifact(
+        tmp_path, monkeypatch):
+    """A put interrupted after its first file lands must leave the store
+    consistent: what ``contains`` serves, ``disk_summary`` counts, and
+    ``prune`` can remove it."""
+    from repro.exec import store as store_mod
+
+    real_write = store_mod._atomic_write
+    calls = []
+
+    def killed_on_second_write(path, data):
+        calls.append(path)
+        if len(calls) == 2:
+            raise KeyboardInterrupt("killed between the two renames")
+        real_write(path, data)
+
+    key = ArtifactStore(tmp_path).key("trace", {"b": "crc32"})
+    monkeypatch.setattr(store_mod, "_atomic_write", killed_on_second_write)
+    with pytest.raises(KeyboardInterrupt):
+        ArtifactStore(tmp_path).put(key, "records", kind="trace")
+    monkeypatch.setattr(store_mod, "_atomic_write", real_write)
+
+    store = ArtifactStore(tmp_path)
+    counted = store.disk_summary().get("trace", {}).get("count", 0)
+    assert store.contains(key) == (counted == 1)
+    store.prune(max_age=0.0)
+    assert not store.contains(key)
+    assert store.get(key) is MISS
+    assert list(tmp_path.glob("??/*")) == []
+
+
+_DISK_TOTALS =("put_encode_ns", "put_write_ns", "get_read_ns",
                 "get_decode_ns", "put_bytes", "get_bytes")
 
 

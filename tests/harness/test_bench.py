@@ -1,13 +1,24 @@
-"""``repro bench`` harness: measurement, serialization, regression gate."""
+"""``repro bench`` harness: measurement, serialization, regression gates."""
 
 import dataclasses
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from repro.harness.bench import (
-    BenchPoint, check_against, load_report, run_bench, write_report,
+    BenchPoint, check_against, check_speedups, load_report, run_bench,
+    write_report,
 )
+from repro.pipeline import ckern
+
+needs_kernel = pytest.mark.skipif(
+    not ckern.available(),
+    reason="compiled kernel unavailable (no C compiler or REPRO_PURE_PY)")
+
+BENCH_FILES = sorted(
+    (Path(__file__).resolve().parents[2] / "benchmarks").glob("BENCH_*.json"))
 
 
 @pytest.fixture(scope="module")
@@ -99,15 +110,15 @@ def test_render_mentions_every_point(report):
 
 
 def test_unknown_selector_rejected(runner_module):
-    with pytest.raises(ValueError, match="unknown bench selector"):
+    with pytest.raises(ValueError, match="unknown selector"):
         run_bench(benchmarks=("crc32",), selectors=("bogus",),
                   runner=runner_module)
 
 
 def test_point_is_serializable():
-    point = BenchPoint(bench="b", selector="s", config="c", records=1,
+    point = BenchPoint(bench="b", selector="s", config="c",
                        instructions=1, cycles=1, ipc=1.0, coverage=0.0,
-                       wall_s=0.001, kips=1.0)
+                       ms={"run": 1.0}, counts={"records": 1})
     assert json.loads(json.dumps(dataclasses.asdict(point)))
 
 
@@ -150,3 +161,90 @@ def test_bench_with_telemetry_spans_points(runner_module, tmp_path):
     span = next(l for l in lines[1:] if l.get("cat") == "bench")
     assert span["name"] == "crc32/none" and span["ph"] == "X"
     assert span["args"]["cycles"] == traced.points[0].cycles
+
+
+# -- comparisons: native leg vs reference leg ---------------------------------
+
+#: One comparison per mode: ``run_bench`` keyword arguments.
+COMPARISONS = {
+    "batch": {"mode": "batch"},
+    "plan": {"mode": "plan"},
+    "observed": {"selectors": ("observed",)},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(COMPARISONS))
+def comparison(request, tmp_path_factory):
+    if not ckern.available():
+        pytest.skip("compiled kernel unavailable (no C compiler or "
+                    "REPRO_PURE_PY)")
+    from repro.exec.store import ArtifactStore
+    from repro.harness import Runner
+    store = ArtifactStore(tmp_path_factory.mktemp(request.param))
+    report = run_bench(benchmarks=("crc32",), label=request.param,
+                       runner=Runner(store=store),
+                       **COMPARISONS[request.param])
+    return request.param, report
+
+
+def test_comparison_roundtrips_and_passes_its_gate(comparison, tmp_path):
+    mode, report = comparison
+    loaded = load_report(write_report(report, tmp_path))
+    assert loaded == report
+    assert loaded.points and all(p.reference_ms for p in loaded.points)
+    for point in loaded.points:
+        assert set(point.reference_ms) <= set(point.ms)
+        assert point.cycles > 0 and point.instructions > 0
+    assert check_speedups(loaded, min_speedup=1.0) == []
+
+
+def test_comparison_below_its_bound_fails_the_gate(comparison):
+    mode, report = comparison
+    doctored = dataclasses.replace(report, points=[
+        dataclasses.replace(p) for p in report.points])
+    slow = doctored.points[-1]
+    slow.reference_ms = {layer: slow.ms[layer] / 2
+                         for layer in slow.reference_ms}
+    failures = check_speedups(doctored, min_speedup=1.0)
+    assert len(failures) == 1
+    assert f"{slow.bench}/{slow.selector}: native only 0.50x" \
+        in failures[0]
+
+
+@needs_kernel
+def test_comparison_whose_legs_disagree_raises(monkeypatch, runner_module):
+    """The reference leg's results must match the native leg's before
+    either timing counts."""
+    from repro.pipeline.core import OoOCore
+
+    real_run = OoOCore.run
+
+    def skewed_run(self, *args, **kwargs):
+        stats = real_run(self, *args, **kwargs)
+        if os.environ.get("REPRO_PURE_PY"):
+            stats.cycles += 1
+        return stats
+
+    monkeypatch.setattr(OoOCore, "run", skewed_run)
+    with pytest.raises(RuntimeError, match="diverged from the reference"):
+        run_bench(benchmarks=("crc32",), selectors=("observed",),
+                  runner=runner_module)
+
+
+def test_non_comparison_points_are_not_gated(report):
+    assert all(not p.reference_ms for p in report.points)
+    assert check_speedups(report, min_speedup=1e9) == []
+
+
+# -- the committed reports ------------------------------------------------------
+
+def test_committed_reports_load():
+    assert BENCH_FILES
+    for path in BENCH_FILES:
+        report = load_report(path)
+        assert report.schema == 2, path.name
+        assert report.points, path.name
+        for point in report.points:
+            assert point.ms and all(ms > 0 for ms in point.ms.values())
+    baseline = load_report(BENCH_FILES[0].with_name("BENCH_baseline.json"))
+    assert check_against(baseline, baseline) == []
