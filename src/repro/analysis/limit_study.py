@@ -35,7 +35,8 @@ class SubsetPoint:
 
     def members(self) -> List[int]:
         """Candidate indices present in this subset's bitmask."""
-        return [i for i in range(10) if self.mask & (1 << i)]
+        return [i for i in range(self.mask.bit_length())
+                if self.mask >> i & 1]
 
 
 @dataclass

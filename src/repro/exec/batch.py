@@ -172,7 +172,7 @@ def run_batch_wave(tasks: Sequence, threads: int
             continue
         artifact = p.finalize(stats)
         p.runner.store.put(p.runner.store.key(p.kind, p.params), artifact,
-                           p.kind, p.params)
+                           p.kind)
         results[p.task_id] = (p.summarize(artifact),
                               p.prepare_s + share
                               + time.perf_counter() - publish_start)

@@ -5,7 +5,10 @@ candidates → plan → timing run per (benchmark × selector × machine)
 point, with upstream nodes shared between points. The :class:`Scheduler`
 topologically orders the graph and either runs it serially in-process
 (``jobs=1``, also the deterministic reference path) or fans ready tasks
-out over a ``ProcessPoolExecutor``.
+out over a ``ProcessPoolExecutor``. The pool path keeps two submissions
+per worker in flight and, when many tasks are ready at once (the limit
+study's 1,024 masks), packs several into one submission, so a worker
+pays one round trip per group rather than per task.
 
 Task functions must be module-level (picklable) and communicate bulk
 results through the shared on-disk :class:`~repro.exec.store.ArtifactStore`
@@ -13,11 +16,13 @@ rather than their return values; returns should be small summaries. This
 keeps inter-process traffic negligible and makes re-execution idempotent,
 which is what the fault-tolerance layer leans on:
 
-* a task raising an exception is retried up to ``retries`` times with
-  linear backoff;
+* a task raising an exception is retried up to ``retries`` times (with
+  linear backoff when serial; alone, in its own submission, on the
+  pool); the other tasks of its submission are unaffected;
 * a worker process dying (``BrokenProcessPool``) degrades the run to
-  serial in-process execution of everything still pending — slower, but
-  the run completes;
+  serial in-process execution of everything not yet recorded, every
+  task of an in-flight submission included — slower, but the run
+  completes;
 * a failed task poisons its transitive dependents (``skipped``), but
   independent subgraphs still complete.
 
@@ -43,6 +48,24 @@ def _invoke(fn: Callable, args: Tuple) -> Tuple[Any, float]:
     start = time.perf_counter()
     result = fn(*args)
     return result, time.perf_counter() - start
+
+
+def _invoke_group(calls: Sequence[Tuple[Callable, Tuple]]
+                  ) -> List[Tuple[bool, Any, float]]:
+    """Run one pool submission's tasks in order inside a worker.
+
+    Returns one ``(ok, result or error message, seconds)`` per task; a
+    task that raises does not stop the ones after it.
+    """
+    outcomes = []
+    for fn, args in calls:
+        try:
+            result, duration = _invoke(fn, args)
+        except Exception as error:  # noqa: BLE001 - task boundary
+            outcomes.append((False, f"{type(error).__name__}: {error}", 0.0))
+        else:
+            outcomes.append((True, result, duration))
+    return outcomes
 
 
 @dataclass
@@ -329,37 +352,80 @@ class Scheduler:
 
     def _run_parallel(self, table: Dict[str, Task], order: List[str],
                       report: ExecReport) -> None:
+        """Fan ready tasks out over a process pool, keeping it fed.
+
+        Up to two submissions per worker are in flight, so a worker
+        finishing one finds the next already queued. When more tasks are
+        ready than that, one submission carries ``ready // (4 * jobs)``
+        of them (at least one), which its worker runs in order; each
+        task still gets its own outcome, retries and event.
+        """
         # Built per run, inside :meth:`run`: forked workers inherit the
         # parent's state as of this call.
         pool = ProcessPoolExecutor(max_workers=self.jobs)
-        # future → (task, attempt); submissions are throttled to ``jobs``
-        # so "submitted" ≈ "started".
-        in_flight: Dict[Future, Tuple[Task, int]] = {}
-        attempts: Dict[str, int] = {}
+        depth = 2 * self.jobs
+        # future → the (task, attempt) pairs it carries, in order.
+        in_flight: Dict[Future, List[Tuple[Task, int]]] = {}
+        running = 0
         pending: List[str] = list(order)
+        retry: List[Tuple[Task, int]] = []
         degrade = False
 
-        def submit(task: Task) -> None:
-            future = pool.submit(_invoke, task.fn, task.args)
-            in_flight[future] = (task, attempts.get(task.id, 0))
-            self._emit("submit", task, self._state(table, report,
-                                                   running=len(in_flight)))
+        def submit(group: List[Tuple[Task, int]]) -> None:
+            nonlocal running
+            future = pool.submit(_invoke_group,
+                                 [(task.fn, task.args) for task, _ in group])
+            in_flight[future] = group
+            running += len(group)
+            for task, _ in group:
+                self._emit("submit", task,
+                           self._state(table, report, running=running))
+
+        def fill() -> None:
+            """Resubmit failed tasks alone, then submit ready tasks in
+            topological order until ``depth`` submissions are in flight."""
+            nonlocal pending
+            for task, attempt in retry:
+                submit([(task, attempt)])
+            retry.clear()
+            ready: List[str] = []
+            for tid in pending:
+                task = table[tid]
+                if any(dep in report.failures for dep in task.deps):
+                    self._skip_for_deps(task, report, table)
+                elif self._deps_ok(task, report):
+                    ready.append(tid)
+            size = max(1, len(ready) // (4 * self.jobs)) \
+                if len(ready) > depth else 1
+            taken = 0
+            while taken < len(ready) and len(in_flight) < depth:
+                submit([(table[tid], 0)
+                        for tid in ready[taken:taken + size]])
+                taken += size
+            gone = set(ready[:taken])
+            pending = [tid for tid in pending if tid not in gone
+                       and tid not in report.failures]
+
+        def fail(task: Task, attempt: int, message: str) -> None:
+            """Queue a failed task for retry, or record its failure."""
+            retries = self.retries if task.retries is None else task.retries
+            if attempt < retries:
+                report.retries += 1
+                self._emit("retry", task,
+                           self._state(table, report, running=running))
+                retry.append((task, attempt + 1))
+            else:
+                report.failures[task.id] = message
+                self._emit("failed", task,
+                           self._state(table, report, running=running))
 
         try:
-            while (pending or in_flight) and not degrade:
-                # Fill free workers with ready tasks, in topological order.
-                still_pending: List[str] = []
-                for tid in pending:
-                    task = table[tid]
-                    if len(in_flight) >= self.jobs:
-                        still_pending.append(tid)
-                    elif any(dep in report.failures for dep in task.deps):
-                        self._skip_for_deps(task, report, table)
-                    elif self._deps_ok(task, report):
-                        submit(task)
-                    else:
-                        still_pending.append(tid)
-                pending = still_pending
+            while (pending or in_flight or retry) and not degrade:
+                try:
+                    fill()
+                except BrokenProcessPool:
+                    degrade = True
+                    break
                 if not in_flight:
                     if pending:  # every remaining task is blocked on failures
                         continue
@@ -368,41 +434,32 @@ class Scheduler:
                 completed, _ = wait(list(in_flight),
                                     return_when=FIRST_COMPLETED)
                 for future in completed:
-                    task, attempt = in_flight.pop(future)
+                    group = in_flight.pop(future)
+                    running -= len(group)
                     try:
-                        result, duration = future.result()
+                        outcomes = future.result()
                     except (BrokenProcessPool, CancelledError):
-                        # The worker died mid-task (segfault, os._exit,
-                        # OOM kill) or the future was torn down. The pool
-                        # is unusable; finish serially.
-                        pending.insert(0, task.id)
+                        # A worker died mid-group (segfault, os._exit, OOM
+                        # kill) or the future was torn down. The pool is
+                        # unusable; every unrecorded task reruns serially.
                         degrade = True
                         break
-                    except Exception as error:  # noqa: BLE001 - task boundary
-                        retries = self.retries if task.retries is None \
-                            else task.retries
-                        if attempt < retries:
-                            attempts[task.id] = attempt + 1
-                            report.retries += 1
-                            self._emit("retry", task,
-                                       self._state(table, report,
-                                                   running=len(in_flight)))
-                            submit(table[task.id])
-                        else:
-                            report.failures[task.id] = \
-                                f"{type(error).__name__}: {error}"
-                            self._emit("failed", task,
-                                       self._state(table, report,
-                                                   running=len(in_flight)))
-                        continue
-                    self._record(task, result, duration, report)
-                    self._emit("done", task,
-                               self._state(table, report,
-                                           running=len(in_flight)))
+                    except Exception as error:  # noqa: BLE001 - result pipe
+                        message = f"{type(error).__name__}: {error}"
+                        outcomes = [(False, message, 0.0)] * len(group)
+                    for (task, attempt), (ok, value, duration) in \
+                            zip(group, outcomes):
+                        if not ok:
+                            fail(task, attempt, value)
+                            continue
+                        self._record(task, value, duration, report)
+                        self._emit("done", task,
+                                   self._state(table, report,
+                                               running=running))
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
-        if degrade or pending or in_flight:
+        if degrade or pending or in_flight or retry:
             # Anything still unfinished (including tasks whose futures the
             # shutdown cancelled) is re-run in-process.
             report.degraded = True

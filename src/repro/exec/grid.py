@@ -304,7 +304,7 @@ def prune_cached(runner, tasks: Sequence[Task]
         address = task_fns.task_artifact(runner, task)
         if address is not None:
             kind, params = address
-            if runner.store.contains(runner.store.key(kind, params)):
+            if runner.store.contains(runner.store.key(kind, params), kind):
                 continue
         scheduled.add(task.id)
     pruned = [task.id for task in tasks if task.id not in scheduled]

@@ -20,11 +20,13 @@ and deleted rather than propagated.
 
 The disk layer, :class:`ArtifactBackend`, owns the blob layout::
 
-    <root>/ab/<sha256>.pkl    # pickled payload  (sharded by 2-hex prefix)
-    <root>/ab/<sha256>.json   # sidecar: kind, params, created, size, sha
+    <root>/ab/<sha256>.<kind>.pkl   # pickled payload, sharded by 2-hex prefix
 
-The sidecars are the index: maintenance (``stats``/``prune``/``dedup``)
-walks them.
+One file per artifact: its rename is the commit point, so a writer
+killed at any moment leaves either the whole artifact or nothing a
+reader sees. Maintenance (``stats``/``prune``/``dedup``) walks the
+payload files, taking the kind from the name and size and age from
+``stat``.
 """
 
 from __future__ import annotations
@@ -172,27 +174,13 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def iter_sidecars(root: Path) -> Iterable[Tuple[str, Dict[str, Any]]]:
-    """Walk the shared blob layout's JSON sidecars: ``(key, meta)`` pairs.
-
-    Unreadable sidecars yield an empty meta rather than raising, so one
-    torn write can never poison a maintenance sweep.
-    """
-    for sidecar in sorted(root.glob("??/*.json")):
-        try:
-            meta = json.loads(sidecar.read_text())
-        except (OSError, ValueError):
-            meta = {}
-        yield sidecar.stem, meta
-
-
 class ArtifactBackend:
     """Disk layer of an :class:`ArtifactStore`.
 
-    Moves payload bytes (sharded ``.pkl`` + ``.json`` sidecar pairs,
-    atomic writes) and answers maintenance queries by walking the
-    sidecars; keys, pickling, the memory layer, and corruption policy
-    all stay in the store.
+    Moves payload bytes (sharded ``<key>.<kind>.pkl`` files, atomic
+    writes) and answers maintenance queries by walking them; keys,
+    pickling, the memory layer, and corruption policy all stay in the
+    store.
     """
 
     def __init__(self, root: Union[str, os.PathLike]):
@@ -201,96 +189,85 @@ class ArtifactBackend:
 
     # -- blob layout ----------------------------------------------------------
 
-    def payload_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+    def payload_path(self, key: str, kind: str) -> Path:
+        return self.root / key[:2] / f"{key}.{kind}.pkl"
 
-    def sidecar_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def read(self, key: str) -> Optional[bytes]:
+    def read(self, key: str, kind: str) -> Optional[bytes]:
         """Payload bytes, or ``None`` if absent. I/O errors propagate."""
         try:
-            with open(self.payload_path(key), "rb") as handle:
+            with open(self.payload_path(key, kind), "rb") as handle:
                 return handle.read()
         except FileNotFoundError:
             return None
 
-    def write(self, key: str, payload: bytes, meta: Dict[str, Any]) -> None:
-        """Sidecar first, payload last: the payload's rename commits the
-        artifact, so a writer killed in between leaves only a sidecar,
-        which no reader serves and :meth:`prune`/:meth:`clear` remove."""
-        shard = self.root / key[:2]
-        shard.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.sidecar_path(key),
-                      json.dumps(meta, sort_keys=True).encode())
-        _atomic_write(self.payload_path(key), payload)
+    def write(self, key: str, payload: bytes, kind: str) -> None:
+        """Publish one artifact: the payload file's rename commits it."""
+        path = self.payload_path(key, kind)
+        path.parent.mkdir(exist_ok=True)
+        _atomic_write(path, payload)
 
-    def delete(self, key: str) -> None:
-        for path in (self.payload_path(key), self.sidecar_path(key)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+    def delete(self, key: str, kind: str) -> None:
+        try:
+            self.payload_path(key, kind).unlink()
+        except OSError:
+            pass
 
     # -- index ----------------------------------------------------------------
 
-    def entries(self) -> Iterable[Tuple[str, Dict[str, Any]]]:
-        """Every ``(key, meta)`` on disk, sorted by key."""
-        return iter_sidecars(self.root)
+    def entries(self) -> Iterable[Tuple[str, str, Path]]:
+        """Every committed ``(key, kind, path)``, sorted by file name.
+
+        Temp files of killed writers (``.tmp-*.part``) and ``dedup``
+        links (``.lnk-*``) are not artifacts and never match.
+        """
+        for path in sorted(self.root.glob("??/*.*.pkl")):
+            key, kind = path.name[:-len(".pkl")].split(".", 1)
+            yield key, kind, path
 
     def summary(self) -> Dict[str, Dict[str, int]]:
         """Per-kind ``{count, bytes}`` of the committed artifacts."""
         summary: Dict[str, Dict[str, int]] = {}
-        for key, meta in self.entries():
-            if not self.payload_path(key).exists():
+        for _key, kind, path in self.entries():
+            try:
+                size = path.stat().st_size
+            except OSError:
                 continue
-            kind = meta.get("kind", "?")
             entry = summary.setdefault(kind, {"count": 0, "bytes": 0})
             entry["count"] += 1
-            entry["bytes"] += int(meta.get("size", 0) or 0)
+            entry["bytes"] += size
         return summary
 
     def prune(self, cutoff: Optional[float],
               kind_set: Optional[set]) -> List[str]:
-        """Delete artifacts older than ``cutoff`` / of ``kind_set``.
+        """Delete artifacts written before ``cutoff`` / of ``kind_set``.
 
         Returns the deleted keys so the store can evict its memory layer.
-        A matching sidecar whose payload is missing (a killed writer's) is
-        deleted too, but is not an artifact and is not returned.
         """
         removed = []
-        for key, meta in list(self.entries()):
-            if kind_set is not None and meta.get("kind") not in kind_set:
+        for key, kind, path in list(self.entries()):
+            if kind_set is not None and kind not in kind_set:
                 continue
-            if cutoff is not None and \
-                    float(meta.get("created", 0) or 0) > cutoff:
+            try:
+                if cutoff is not None and path.stat().st_mtime > cutoff:
+                    continue
+                path.unlink()
+            except OSError:
                 continue
-            committed = self.payload_path(key).exists()
-            self.delete(key)
-            if committed:
-                removed.append(key)
+            removed.append(key)
         return removed
 
     def clear(self) -> int:
-        """Drop every artifact; returns artifacts removed."""
+        """Delete every file in the shard directories, killed writers'
+        temp files and ``dedup`` links included; returns artifacts
+        removed."""
         removed = 0
-        for key, _meta in list(self.entries()):
-            if self.payload_path(key).exists():
-                removed += 1
-            self.delete(key)
-        # Payloads whose sidecar was already lost.
-        for orphan in list(self.root.glob("??/*.pkl")):
+        for path in list(self.root.glob("??/*")):
             try:
-                orphan.unlink()
+                path.unlink()
             except OSError:
                 continue
-            removed += 1
-        # Temp files of writers killed before their rename (not artifacts).
-        for partial in list(self.root.glob("??/.tmp-*.part")):
-            try:
-                partial.unlink()
-            except OSError:
-                pass
+            if path.name.endswith(".pkl"):
+                removed += 1
         return removed
 
     def dedup(self) -> Dict[str, int]:
@@ -298,33 +275,27 @@ class ArtifactBackend:
 
         Distinct keys can address identical payloads (e.g. two configs
         that happen to produce the same plan). Linking them reclaims the
-        duplicate bytes without touching any key or sidecar — reads are
-        unaffected. Returns ``{groups, linked, bytes_saved}``.
+        duplicate bytes without touching any key or file name — reads
+        are unaffected. Returns ``{groups, linked, bytes_saved}``.
         """
-        by_sha: Dict[str, List[Tuple[str, int]]] = {}
-        for key, meta in self.entries():
-            sha = meta.get("sha")
-            if not sha:
-                # Sidecars from before the digest was recorded.
-                try:
-                    sha = hashlib.sha256(
-                        self.payload_path(key).read_bytes()).hexdigest()
-                except OSError:
-                    continue
-            by_sha.setdefault(sha, []).append(
-                (key, int(meta.get("size", 0) or 0)))
+        by_sha: Dict[str, List[Tuple[str, Path]]] = {}
+        for key, _kind, path in self.entries():
+            try:
+                sha = hashlib.sha256(path.read_bytes()).hexdigest()
+            except OSError:
+                continue
+            by_sha.setdefault(sha, []).append((key, path))
         report = {"groups": 0, "linked": 0, "bytes_saved": 0}
         for _sha, members in sorted(by_sha.items()):
             if len(members) < 2:
                 continue
-            canon = self.payload_path(members[0][0])
+            canon = members[0][1]
             try:
                 canon_stat = os.stat(canon)
             except OSError:
                 continue
             group_linked = 0
-            for key, size in members[1:]:
-                dup = self.payload_path(key)
+            for key, dup in members[1:]:
                 try:
                     dup_stat = os.stat(dup)
                 except OSError:
@@ -344,7 +315,7 @@ class ArtifactBackend:
                     continue
                 group_linked += 1
                 report["linked"] += 1
-                report["bytes_saved"] += size or dup_stat.st_size
+                report["bytes_saved"] += dup_stat.st_size
             if group_linked:
                 report["groups"] += 1
         return report
@@ -389,21 +360,20 @@ class ArtifactStore:
         blob = f"{kind}|{self.salt}|{canonical}".encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def _payload_path(self, key: str) -> Path:
-        return self.backend.payload_path(key)
-
     # -- lookup / insert ------------------------------------------------------
 
-    def _drop_corrupt(self, key: str) -> None:
+    def _drop_corrupt(self, key: str, kind: str) -> None:
         self.stats.corrupt_dropped += 1
-        self.backend.delete(key)
+        self.backend.delete(key, kind)
 
     def get(self, key: str, kind: str = "?") -> Any:
         """The stored value, or :data:`MISS`.
 
-        A disk payload that fails to read or unpickle (torn write from a
-        killed process, version skew, bit rot) is deleted and reported as
-        a miss: corruption degrades to recomputation, never to an error.
+        ``kind`` names the payload file, so it must be the kind the key
+        was derived from. A disk payload that fails to read or unpickle
+        (torn write from a killed process, version skew, bit rot) is
+        deleted and reported as a miss: corruption degrades to
+        recomputation, never to an error.
         """
         if key in self._memory:
             self.stats.memory_hits += 1
@@ -413,10 +383,10 @@ class ArtifactStore:
             stats = self.stats
             start = time.perf_counter_ns()
             try:
-                payload = self.backend.read(key)
+                payload = self.backend.read(key, kind)
             except Exception:
                 payload = None
-                self._drop_corrupt(key)
+                self._drop_corrupt(key, kind)
             read = time.perf_counter_ns()
             stats.get_read_ns += read - start
             if payload is not None:
@@ -424,7 +394,7 @@ class ArtifactStore:
                 try:
                     value = pickle.loads(payload)
                 except Exception:
-                    self._drop_corrupt(key)
+                    self._drop_corrupt(key, kind)
                 else:
                     stats.get_decode_ns += time.perf_counter_ns() - read
                     self._memory[key] = value
@@ -435,7 +405,7 @@ class ArtifactStore:
         self.stats.record(kind, hit=False)
         return MISS
 
-    def contains(self, key: str) -> bool:
+    def contains(self, key: str, kind: str = "?") -> bool:
         """Whether ``key`` is stored, without reading or unpickling it.
 
         True when the memory layer holds the key or its disk payload
@@ -445,10 +415,9 @@ class ArtifactStore:
         if key in self._memory:
             return True
         return self.backend is not None and \
-            self.backend.payload_path(key).exists()
+            self.backend.payload_path(key, kind).exists()
 
-    def put(self, key: str, value: Any, kind: str = "?",
-            params: Optional[Dict[str, Any]] = None) -> None:
+    def put(self, key: str, value: Any, kind: str = "?") -> None:
         """Publish an artifact (memory always; disk atomically if enabled)."""
         self._memory[key] = value
         self.stats.puts += 1
@@ -459,16 +428,8 @@ class ArtifactStore:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         stats.put_encode_ns += time.perf_counter_ns() - start
         stats.put_bytes += len(payload)
-        meta = {
-            "kind": kind,
-            "params": params or {},
-            "created": time.time(),
-            "size": len(payload),
-            "sha": hashlib.sha256(payload).hexdigest(),
-            "salt": self.salt,
-        }
         start = time.perf_counter_ns()
-        self.backend.write(key, payload, meta)
+        self.backend.write(key, payload, kind)
         stats.put_write_ns += time.perf_counter_ns() - start
 
     def get_or_compute(self, kind: str, params: Dict[str, Any],
@@ -486,7 +447,7 @@ class ArtifactStore:
                     value = compute()
             else:
                 value = compute()
-            self.put(key, value, kind, params)
+            self.put(key, value, kind)
         elif telemetry is not None:
             telemetry.instant("cache-hit", "store", {"kind": kind})
         return value
@@ -494,7 +455,7 @@ class ArtifactStore:
     # -- maintenance ----------------------------------------------------------
 
     def disk_summary(self) -> Dict[str, Dict[str, int]]:
-        """Per-kind ``{count, bytes}`` from the sidecars."""
+        """Per-kind ``{count, bytes}`` of the payload files on disk."""
         if self.backend is None:
             return {}
         return self.backend.summary()

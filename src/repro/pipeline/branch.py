@@ -13,20 +13,25 @@ from __future__ import annotations
 
 from typing import List
 
+from .caches import LazySets, LazyTables
 from .config import MachineConfig
 
 
-class DirectionPredictor:
+class DirectionPredictor(LazyTables):
     """Hybrid bimodal/gshare conditional-branch direction predictor."""
+
+    _LAZY = ("_bimodal", "_gshare", "_chooser")
 
     def __init__(self, config: MachineConfig):
         self._bim_mask = (1 << config.bimodal_bits) - 1
         self._gsh_mask = (1 << config.gshare_bits) - 1
         self._cho_mask = (1 << config.chooser_bits) - 1
+        self._history = 0
+
+    def _build(self) -> None:
         self._bimodal: List[int] = [2] * (self._bim_mask + 1)
         self._gshare: List[int] = [2] * (self._gsh_mask + 1)
         self._chooser: List[int] = [2] * (self._cho_mask + 1)
-        self._history = 0
 
     def predict(self, pc: int) -> bool:
         """Predicted direction for the branch at ``pc``."""
@@ -52,14 +57,13 @@ class DirectionPredictor:
         self._history = ((self._history << 1) | int(taken)) & self._gsh_mask
 
 
-class BranchTargetBuffer:
+class BranchTargetBuffer(LazySets):
     """Set-associative BTB with true-LRU replacement."""
 
     def __init__(self, config: MachineConfig):
+        # Each set is an ordered list of (tag, target); front = MRU.
         self._n_sets = config.btb_entries // config.btb_assoc
         self._assoc = config.btb_assoc
-        # Each set is an ordered list of (tag, target); front = MRU.
-        self._sets: List[List[tuple]] = [[] for _ in range(self._n_sets)]
 
     def lookup(self, pc: int) -> int:
         """Predicted target for ``pc``, or ``-1`` on a BTB miss."""

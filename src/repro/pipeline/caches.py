@@ -11,7 +11,7 @@ instruction); data addresses are word indices (8 bytes per word).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Tuple
 
 from .config import CacheConfig, MachineConfig
 from .prefetch import NextLinePrefetcher, StridePrefetcher
@@ -23,7 +23,36 @@ _PAGE_SHIFT = PAGE_BYTES.bit_length() - 1
 TLB_MISS_PENALTY = 30
 
 
-class Cache:
+class LazyTables:
+    """Tables that only the Python cycle loop reads, built on first use.
+
+    A core whose run takes the compiled kernel never touches them, so it
+    never pays for them (a reduced machine's L2 alone is 4,096 lists).
+    A subclass names its tables in ``_LAZY`` and assigns every one of
+    them in ``_build``; the first read of any builds them all, and later
+    reads are plain attribute hits. Counters are ordinary attributes.
+    """
+
+    _LAZY: Tuple[str, ...] = ()
+
+    def __getattr__(self, name: str):
+        if name not in self._LAZY:
+            raise AttributeError(name)
+        self._build()
+        return self.__dict__[name]
+
+
+class LazySets(LazyTables):
+    """Set-associative storage: ``_n_sets`` MRU-first lists in ``_sets``."""
+
+    _LAZY = ("_sets",)
+    _n_sets: int
+
+    def _build(self) -> None:
+        self._sets = [[] for _ in range(self._n_sets)]
+
+
+class Cache(LazySets):
     """One set-associative cache level with true-LRU replacement."""
 
     def __init__(self, config: CacheConfig, name: str = "cache"):
@@ -32,7 +61,6 @@ class Cache:
         self.line_bytes = config.line_bytes
         self._n_sets = config.n_sets
         self._assoc = config.assoc
-        self._sets: List[List[int]] = [[] for _ in range(self._n_sets)]
         self.accesses = 0
         self.misses = 0
         # Floor-dividing by a power of two is an arithmetic shift; the
@@ -93,13 +121,12 @@ class Cache:
             pass
 
 
-class Tlb:
+class Tlb(LazySets):
     """Set-associative TLB; misses add a fixed fill penalty."""
 
     def __init__(self, entries: int = 64, assoc: int = 4):
         self._n_sets = entries // assoc
         self._assoc = assoc
-        self._sets: List[List[int]] = [[] for _ in range(self._n_sets)]
         self.accesses = 0
         self.misses = 0
 

@@ -20,21 +20,26 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from .caches import LazyTables
 
-class StoreSets:
+
+class StoreSets(LazyTables):
     """Store-set memory dependence predictor."""
 
     INVALID = -1
+    _LAZY = ("_ssit",)
 
     def __init__(self, n_sets: int = 1024):
         self._mask = n_sets - 1
         if n_sets & self._mask:
             raise ValueError("store-set table size must be a power of two")
-        self._ssit = [self.INVALID] * n_sets
         self._next_id = 0
         # store-set id -> sequence number of last renamed store in the set
         self._lfst: Dict[int, int] = {}
         self.violations = 0
+
+    def _build(self) -> None:
+        self._ssit = [self.INVALID] * (self._mask + 1)
 
     def _index(self, pc: int) -> int:
         return pc & self._mask

@@ -75,6 +75,8 @@ def test_subset_members():
     from repro.analysis import SubsetPoint
     point = SubsetPoint(0b1010001101, 0.5, 1.0)
     assert point.members() == [0, 2, 3, 7, 9]
+    # A 12-candidate study's Struct-All mask lists all twelve sites.
+    assert SubsetPoint(0xfff, 0.5, 1.0).members() == list(range(12))
 
 
 def test_full_mask_has_max_coverage():

@@ -21,7 +21,7 @@ from repro.exec.dag import Scheduler
 from repro.exec.grid import (
     baseline_point, build_tasks, prune_cached, run_points, selector_point,
 )
-from repro.exec.store import ArtifactStore, iter_sidecars
+from repro.exec.store import ArtifactStore
 from repro.harness.runner import Runner
 from repro.minigraph.selectors import StructAll
 
@@ -123,9 +123,10 @@ class TestResume:
         cache = tmp_path / "cache"
         total = len(_run_fresh(cache, _points()).results)
         # Destroy exactly one durable output (a baseline timing run).
-        victims = [key for key, meta in iter_sidecars(cache)
-                   if meta.get("kind") == "baseline"]
-        ArtifactStore(cache).backend.delete(victims[0])
+        backend = ArtifactStore(cache).backend
+        victims = [key for key, kind, _ in backend.entries()
+                   if kind == "baseline"]
+        backend.delete(victims[0], "baseline")
 
         before = {path: path.stat().st_mtime_ns
                   for path in cache.glob("??/*.pkl")}
@@ -133,8 +134,8 @@ class TestResume:
         assert len(report.results) == 1
         assert len(report.pruned) == total - 1
         # The deleted artifact is durable again...
-        assert any(meta.get("kind") == "baseline" and key == victims[0]
-                   for key, meta in iter_sidecars(cache))
+        assert any(kind == "baseline" and key == victims[0]
+                   for key, kind, _ in backend.entries())
         # ...and nothing that already existed was rewritten.
         for path, mtime in before.items():
             assert path.stat().st_mtime_ns == mtime, path
@@ -159,11 +160,11 @@ class TestLimitStudyResume:
 
         first = study(jobs=1)
         store = ArtifactStore(cache)
-        victims = [key for key, meta in iter_sidecars(cache)
-                   if meta.get("kind") == "subset"][:2]
+        victims = [key for key, kind, _ in store.backend.entries()
+                   if kind == "subset"][:2]
         assert len(victims) == 2
         for key in victims:
-            store.backend.delete(key)
+            store.backend.delete(key, "subset")
         before = {path: path.stat().st_mtime_ns
                   for path in cache.glob("??/*.pkl")}
         task_fns._RUNNERS.clear()      # workers fork from this process
@@ -171,8 +172,8 @@ class TestLimitStudyResume:
 
         assert study(jobs=2) == first
         after = set(cache.glob("??/*.pkl"))
-        assert after - set(before) == {store.backend.payload_path(key)
-                                       for key in victims}
+        assert after - set(before) == {
+            store.backend.payload_path(key, "subset") for key in victims}
         for path, mtime in before.items():
             assert path.stat().st_mtime_ns == mtime, path
 

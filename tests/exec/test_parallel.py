@@ -8,14 +8,14 @@ import pytest
 from repro.exec.grid import (
     baseline_point, build_tasks, dynamic_point, run_points, selector_point,
 )
-from repro.exec.store import ArtifactStore, iter_sidecars
+from repro.exec.store import ArtifactStore
 from repro.exec.tasks import selector_from_spec
 from repro.harness.experiments import fig1, grid_points
 from repro.harness.runner import Runner
 from repro.minigraph.selectors import (
     SlackProfileSelector, StructAll, StructNone,
 )
-from repro.pipeline.config import full_config, reduced_config
+from repro.pipeline.config import config_by_name, full_config, reduced_config
 from repro.workloads import all_benchmarks
 
 BENCHES = ("crc32", "adpcm")
@@ -135,28 +135,25 @@ def test_corrupt_payloads_are_recomputed_where_they_are_read(
     source, benches, cold_text = fig1_store
     cache = tmp_path / "store"
     shutil.copytree(source, cache)
-    metas = dict(iter_sidecars(cache))
     store = ArtifactStore(cache)
+    keys = Runner(store=store)
 
-    def truncate(key):
-        payload = store._payload_path(key)
+    def truncate(key, kind):
+        payload = store.backend.payload_path(key, kind)
         payload.write_bytes(payload.read_bytes()[:10])
 
-    truncate(next(key for key, meta in metas.items()
-                  if meta["kind"] == "run"))
-    trace_key = next(key for key, meta in metas.items()
-                     if meta["kind"] == "trace")
-    truncate(trace_key)
-    bench = metas[trace_key]["params"]["bench"]
-    baseline_key, baseline_meta = next(
-        (key, meta) for key, meta in metas.items()
-        if meta["kind"] == "baseline" and meta["params"]["bench"] == bench)
-    store.backend.delete(baseline_key)
+    truncate(next(key for key, kind, _ in store.backend.entries()
+                  if kind == "run"), "run")
+    bench, config = benches[0].name, "reduced"
+    truncate(store.key("trace", keys.trace_params(bench, "train")), "trace")
+    baseline_key = store.key("baseline", keys.baseline_params(
+        bench, config_by_name(config), "train"))
+    assert store.contains(baseline_key, "baseline")
+    store.backend.delete(baseline_key, "baseline")
 
     runner = Runner(store=ArtifactStore(cache))
     report = run_points(runner, grid_points("fig1", benches), jobs=1,
                         threads=2)
-    config = baseline_meta["params"]["config"]["name"]
     assert set(report.results) == {f"baseline/{bench}/train/{config}"}
     assert runner.store.stats.corrupt_dropped == 1    # the trace
     assert fig1(runner, benches).render(full_tables=True) == cold_text

@@ -6,9 +6,11 @@ files in ``tmp_path``.
 """
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.exec import dag
 from repro.exec.dag import ProgressPrinter, Scheduler, Task, TaskError
 
 
@@ -144,6 +146,84 @@ def test_parallel_worker_crash_degrades_to_serial(tmp_path):
     assert report.results["steady"] == 7
     assert report.results["child"] == 8
     assert any(event["kind"] == "degraded" for event in events)
+
+
+def _recording_pool(monkeypatch):
+    """Record each pool submission as its tasks' ``(fn name, args)``."""
+    submissions = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, calls):
+            submissions.append([(task_fn.__name__, args)
+                                for task_fn, args in calls])
+            return super().submit(fn, calls)
+
+    monkeypatch.setattr(dag, "ProcessPoolExecutor", RecordingPool)
+    return submissions
+
+
+def _independent(n=40):
+    return [Task(id=f"x{i}", fn=t_const, args=(i,)) for i in range(n)]
+
+
+def test_failures_inside_grouped_submissions(tmp_path, monkeypatch):
+    """With more tasks ready than two submissions per worker, tasks
+    travel in groups; a failing task is retried alone, a permanent
+    failure poisons only its dependent, and every other task of those
+    groups matches the serial run."""
+    def graph(sentinel):
+        tasks = _independent()
+        tasks[1] = Task(id="flaky", fn=t_fail_once, args=(sentinel, "ok"))
+        tasks[7] = Task(id="bad", fn=t_always_fail, retries=0)
+        return tasks + [
+            Task(id="child", fn=t_const, args=(-1,), deps=("bad",)),
+            Task(id="sibling", fn=t_const, args=(-2,), deps=("x0",))]
+
+    serial = Scheduler(jobs=1, retries=2, backoff=0.01).run(
+        graph(str(tmp_path / "serial")), raise_on_failure=False)
+    submissions = _recording_pool(monkeypatch)
+    sentinel = str(tmp_path / "pool")
+    report = Scheduler(jobs=2, retries=2).run(graph(sentinel),
+                                              raise_on_failure=False)
+    flaky = ("t_fail_once", (sentinel, "ok"))
+
+    grouped = [calls for calls in submissions if len(calls) > 1]
+    assert any(flaky in calls for calls in grouped)
+    assert any(("t_always_fail", ()) in calls for calls in grouped)
+    assert [calls for calls in submissions if flaky in calls][-1] == [flaky]
+    assert report.retries == 1
+    assert report.results["flaky"] == "ok"
+    assert set(report.failures) == {"bad", "child"}
+    assert "injected permanent failure" in report.failures["bad"]
+    assert report.failures["child"].startswith("skipped")
+    assert report.results == serial.results
+    assert report.failures == serial.failures
+    assert not report.degraded
+
+
+def test_worker_crash_inside_a_group_degrades_and_completes(
+        tmp_path, monkeypatch):
+    """A worker dying mid-group breaks the pool: every task not yet
+    recorded, the rest of its group included, reruns serially."""
+    sentinel = str(tmp_path / "seen")
+    tasks = _independent()
+    tasks[3] = Task(id="crasher", fn=t_crash_once, args=(sentinel, "ok"))
+    tasks.append(Task(id="child", fn=t_const, args=(-1,),
+                      deps=("crasher",)))
+    submissions = _recording_pool(monkeypatch)
+    events = []
+    report = Scheduler(jobs=2, on_event=events.append).run(tasks)
+
+    crash = ("t_crash_once", (sentinel, "ok"))
+    assert any(len(calls) > 1 and crash in calls for calls in submissions)
+    assert report.degraded
+    assert any(event["kind"] == "degraded" for event in events)
+    expected = {f"x{i}": i for i in range(40) if i != 3}
+    expected.update(crasher="ok", child=-1)
+    assert report.results == expected
+    assert not report.failures
+    done = [event["task"] for event in events if event["kind"] == "done"]
+    assert sorted(done) == sorted(expected)
 
 
 def test_events_carry_counts(tmp_path):

@@ -1,7 +1,8 @@
 """Artifact store: addressing, hit/miss accounting, corruption recovery."""
 
-import json
+import os
 import pickle
+import tempfile
 
 import pytest
 
@@ -53,9 +54,9 @@ def test_memory_only_roundtrip():
 def test_disk_roundtrip_across_instances(tmp_path):
     first = ArtifactStore(tmp_path)
     key = first.key("x", {"p": 1})
-    first.put(key, {"payload": 42}, kind="x", params={"p": 1})
+    first.put(key, {"payload": 42}, kind="x")
     second = ArtifactStore(tmp_path)
-    assert second.contains(key)
+    assert second.contains(key, "x")
     assert second.stats.lookups == 0     # a probe reads nothing
     assert second.get(key, "x") == {"payload": 42}
     assert second.stats.disk_hits == 1
@@ -83,7 +84,7 @@ def test_corrupted_payload_recovers_as_miss(tmp_path):
     store = ArtifactStore(tmp_path)
     key = store.key("x", {"p": 1})
     store.put(key, [1, 2, 3], kind="x")
-    payload = store._payload_path(key)
+    payload = store.backend.payload_path(key, "x")
     payload.write_bytes(b"not a pickle at all")
 
     fresh = ArtifactStore(tmp_path)
@@ -92,27 +93,26 @@ def test_corrupted_payload_recovers_as_miss(tmp_path):
     assert not payload.exists()  # dropped, not left to fail again
     # Recomputation repopulates the slot.
     assert fresh.get_or_compute("x", {"p": 1}, lambda: [1, 2, 3]) == [1, 2, 3]
-    assert ArtifactStore(tmp_path).get(key) == [1, 2, 3]
+    assert ArtifactStore(tmp_path).get(key, "x") == [1, 2, 3]
 
 
 def test_truncated_payload_recovers_as_miss(tmp_path):
     store = ArtifactStore(tmp_path)
     key = store.key("x", {"p": 1})
     store.put(key, list(range(1000)), kind="x")
-    payload = store._payload_path(key)
+    payload = store.backend.payload_path(key, "x")
     payload.write_bytes(payload.read_bytes()[:10])  # torn write
     fresh = ArtifactStore(tmp_path)
-    assert fresh.contains(key)      # probes never read the payload...
-    assert fresh.get(key) is MISS   # ...the read validates it
+    assert fresh.contains(key, "x")      # probes never read the payload...
+    assert fresh.get(key, "x") is MISS   # ...the read validates it
     assert fresh.stats.corrupt_dropped == 1
-    assert not fresh.contains(key)
+    assert not fresh.contains(key, "x")
 
 
 def test_disk_summary_clear_and_prune(tmp_path):
     store = ArtifactStore(tmp_path)
     for i in range(3):
-        store.put(store.key("trace", {"i": i}), i, kind="trace",
-                  params={"i": i})
+        store.put(store.key("trace", {"i": i}), i, kind="trace")
     store.put(store.key("plan", {"i": 0}), "p", kind="plan")
     summary = store.disk_summary()
     assert summary["trace"]["count"] == 3
@@ -125,7 +125,7 @@ def test_disk_summary_clear_and_prune(tmp_path):
     assert store.prune(max_age=3600.0) == 0
     assert store.clear() == 3
     assert store.disk_summary() == {}
-    assert store.get(store.key("trace", {"i": 0})) is MISS
+    assert store.get(store.key("trace", {"i": 0}), "trace") is MISS
 
 
 def test_put_leaves_no_partial_files(tmp_path):
@@ -138,45 +138,48 @@ def test_put_leaves_no_partial_files(tmp_path):
 
 def test_clear_removes_killed_writers_temp_files(tmp_path):
     """A writer killed between ``mkstemp`` and ``os.replace`` leaves a
-    ``.tmp-*.part`` file; ``clear`` must not leave it behind."""
+    ``.tmp-*.part`` file, and a ``dedup`` killed between ``os.link`` and
+    ``os.replace`` a ``.lnk-*`` link; ``clear`` must not leave either
+    behind."""
     store = ArtifactStore(tmp_path)
     key = store.key("x", {"i": 0})
     store.put(key, "payload", kind="x")
-    leftover = store.backend.payload_path(key).parent / ".tmp-x.part"
-    leftover.write_bytes(b"torn")
-    assert store.clear() == 1          # temp files are not artifacts
-    assert not leftover.exists()
+    shard = store.backend.payload_path(key, "x").parent
+    leftovers = [shard / ".tmp-x.part", shard / ".lnk-x"]
+    for leftover in leftovers:
+        leftover.write_bytes(b"torn")
+    assert store.clear() == 1          # neither is an artifact
+    assert not any(leftover.exists() for leftover in leftovers)
     assert list(tmp_path.glob("??/*")) == []
 
 
-def test_writer_killed_between_renames_leaves_no_unindexed_artifact(
+def test_writer_killed_before_rename_leaves_nothing_visible(
         tmp_path, monkeypatch):
-    """A put interrupted after its first file lands must leave the store
-    consistent: what ``contains`` serves, ``disk_summary`` counts, and
-    ``prune`` can remove it."""
+    """A put killed after writing its temp file but before the rename
+    that commits it leaves nothing that ``get``, ``contains`` or
+    ``disk_summary`` sees, and ``clear`` removes the temp file."""
     from repro.exec import store as store_mod
 
-    real_write = store_mod._atomic_write
-    calls = []
-
-    def killed_on_second_write(path, data):
-        calls.append(path)
-        if len(calls) == 2:
-            raise KeyboardInterrupt("killed between the two renames")
-        real_write(path, data)
+    def killed_before_rename(path, data):
+        fd, _name = tempfile.mkstemp(dir=path.parent,
+                                     prefix=".tmp-", suffix=".part")
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        raise KeyboardInterrupt("killed before the rename")
 
     key = ArtifactStore(tmp_path).key("trace", {"b": "crc32"})
-    monkeypatch.setattr(store_mod, "_atomic_write", killed_on_second_write)
+    monkeypatch.setattr(store_mod, "_atomic_write", killed_before_rename)
     with pytest.raises(KeyboardInterrupt):
         ArtifactStore(tmp_path).put(key, "records", kind="trace")
-    monkeypatch.setattr(store_mod, "_atomic_write", real_write)
+    monkeypatch.undo()
 
+    assert len(list(tmp_path.glob("??/.tmp-*.part"))) == 1
     store = ArtifactStore(tmp_path)
-    counted = store.disk_summary().get("trace", {}).get("count", 0)
-    assert store.contains(key) == (counted == 1)
-    store.prune(max_age=0.0)
-    assert not store.contains(key)
-    assert store.get(key) is MISS
+    assert not store.contains(key, "trace")
+    assert store.get(key, "trace") is MISS
+    assert store.disk_summary() == {}
+    assert store.prune(max_age=0.0) == 0
+    assert store.clear() == 0
     assert list(tmp_path.glob("??/*")) == []
 
 
@@ -192,7 +195,7 @@ def test_disk_time_splits_into_encoding_and_file_io(tmp_path):
     writer.put(key, list(range(1000)), kind="x")
     reader = ArtifactStore(tmp_path)
     assert reader.get(key, "x") == list(range(1000))
-    size = json.loads(writer.backend.sidecar_path(key).read_text())["size"]
+    size = writer.backend.payload_path(key, "x").stat().st_size
     assert writer.stats.put_encode_ns > 0 and writer.stats.put_write_ns > 0
     assert reader.stats.get_read_ns > 0 and reader.stats.get_decode_ns > 0
     assert writer.stats.put_bytes == reader.stats.get_bytes == size
@@ -307,26 +310,26 @@ def test_code_version_matches_source_digest_of_tree():
 
 def test_dedup_hard_links_identical_payloads(tmp_path):
     """Distinct keys with identical bytes end up sharing one inode;
-    reads and sidecars are untouched."""
+    reads and file names are untouched."""
     store = ArtifactStore(tmp_path)
     keys = [store.key("plan", {"n": n}) for n in range(3)]
     other = store.key("plan", {"n": "other"})
     for key in keys:
-        store.put(key, {"same": [1, 2, 3]}, "plan", {"k": key})
+        store.put(key, {"same": [1, 2, 3]}, "plan")
     store.put(other, {"different": True}, "plan")
-    sidecars = {key: store.backend.sidecar_path(key).read_bytes()
-                for key in keys + [other]}
+    names = sorted(path.name for path in tmp_path.glob("??/*"))
+
+    def payload(key):
+        return store.backend.payload_path(key, "plan")
 
     report = store.dedup()
     assert report["groups"] == 1
     assert report["linked"] == 2
-    assert report["bytes_saved"] == 2 * store._payload_path(keys[0]) \
-        .stat().st_size
-    inodes = {store._payload_path(key).stat().st_ino for key in keys}
+    assert report["bytes_saved"] == 2 * payload(keys[0]).stat().st_size
+    inodes = {payload(key).stat().st_ino for key in keys}
     assert len(inodes) == 1
-    assert store._payload_path(other).stat().st_ino not in inodes
-    for key, sidecar in sidecars.items():
-        assert store.backend.sidecar_path(key).read_bytes() == sidecar
+    assert payload(other).stat().st_ino not in inodes
+    assert sorted(path.name for path in tmp_path.glob("??/*")) == names
 
     fresh = ArtifactStore(tmp_path)
     for key in keys:

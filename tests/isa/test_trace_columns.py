@@ -136,7 +136,7 @@ def test_inconsistent_stored_trace_is_recomputed(tmp_path, monkeypatch,
         patch.setattr(Trace, "__getstate__", lambda self: state)
         writer.store.put(key, trace, kind="trace")
     with pytest.raises(ValueError):
-        pickle.loads(writer.store.backend.read(key))
+        pickle.loads(writer.store.backend.read(key, "trace"))
 
     store = ArtifactStore(tmp_path)
     trace = Runner(store=store).trace("crc32")

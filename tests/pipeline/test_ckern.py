@@ -240,6 +240,37 @@ def test_kernel_folded_run_matches_reference(sum_loop, sum_trace):
     assert folded._packed is None
 
 
+@needs_kernel
+def test_kernel_path_core_allocates_no_python_loop_tables(sum_loop,
+                                                          sum_trace):
+    """A core whose run takes the kernel never builds the Python loop's
+    cache, TLB, BTB, predictor or store-set tables (about 470 kB of
+    lists on ``reduced``); its counters still read the kernel's."""
+    import tracemalloc
+
+    folded = fold_trace(sum_trace, _sum_plan(sum_loop, sum_trace))
+    config = reduced_config()
+    OoOCore(config, folded)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        core = OoOCore(config, folded)
+        allocated = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert core._ctrace is folded.arena
+    assert allocated < 32_000, allocated
+    core.run()
+    hierarchy, branch_unit = core.hierarchy, core.branch_unit
+    tables = [vars(hierarchy.il1), vars(hierarchy.dl1), vars(hierarchy.l2),
+              vars(hierarchy.itlb), vars(hierarchy.dtlb),
+              vars(branch_unit.btb), vars(branch_unit.direction),
+              vars(core.storesets)]
+    assert not any(name in table for table in tables
+                   for name in ("_sets", "_bimodal", "_ssit"))
+    assert hierarchy.l2.accesses > 0 and branch_unit.cond_predictions > 0
+
+
 def _truncate_mid_site(trace, plan, drop_last_constituent):
     """``trace`` cut inside (or with a hole in) the last site instance."""
     starts = {site.start: site for site in plan.sites}
