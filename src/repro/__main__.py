@@ -9,7 +9,7 @@ Subcommands::
     python -m repro experiments fig1 ...       # figure regeneration
     python -m repro limit-study --jobs 4 --cache-dir DIR   # Figure 8
     python -m repro cache stats                # artifact store maintenance
-    python -m repro metrics crc32 --format prom   # metrics registry export
+    python -m repro metrics crc32 --out m.json  # metrics registry export
     python -m repro attribution --benchmarks crc32 # predicted-vs-observed
     python -m repro telemetry trace.jsonl      # validate a telemetry file
 
@@ -147,6 +147,10 @@ def _cmd_report(args) -> int:
 
 def _cmd_limit_study(args) -> int:
     from .analysis.limit_study import run_limit_study
+    from .exec.grid import parse_jobs
+    parse_jobs(args.jobs)          # --jobs < 1 is a one-line error
+    if args.cap is not None and args.cap < 1:
+        raise ValueError(f"bad --cap value {args.cap}: must be >= 1")
     store = _store_for(args)
     telemetry = None
     if getattr(args, "telemetry", None):
@@ -359,12 +363,9 @@ def _cmd_metrics(args) -> int:
     stats = core.run()
     stats.program_name = args.benchmark
     registry = run_registry(core=core, store=runner.store)
-    if args.format == "prom":
-        text = registry.to_prometheus()
-    else:
-        doc = registry.to_json()
-        validate_metrics(doc)
-        text = _json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    doc = registry.to_json()
+    validate_metrics(doc)
+    text = _json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         from pathlib import Path
         Path(args.out).write_text(text)
@@ -408,10 +409,7 @@ def _cmd_telemetry(args) -> int:
 def _cmd_tune(args) -> int:
     from .exec.grid import parse_jobs
     from .tune import SearchSpace, run_tune
-    from .tune.ledger import TuneLedgerError
     from .tune.report import tune_doc, write_doc, write_plot
-    if args.resume and not args.ledger:
-        raise ValueError("--resume needs --ledger")
     if args.space:
         space = SearchSpace.from_file(args.space)
     else:
@@ -423,17 +421,12 @@ def _cmd_tune(args) -> int:
     jobs, threads = parse_jobs(args.jobs)
     log = None if args.quiet \
         else (lambda line: print(line, file=sys.stderr))
-    try:
-        result = run_tune(
-            space, strategy=args.strategy, trials=args.trials,
-            seed=args.seed, store=_store_for(args), budget=args.budget,
-            jobs=jobs, threads=threads, max_insts=args.max_insts,
-            halving_eta=args.halving_eta,
-            halving_min_insts=args.halving_min_insts,
-            ledger_path=args.ledger, resume=args.resume, log=log)
-    except TuneLedgerError as error:
-        print(f"repro: error: {error}", file=sys.stderr)
-        return 2
+    result = run_tune(
+        space, strategy=args.strategy, trials=args.trials,
+        seed=args.seed, store=_store_for(args), budget=args.budget,
+        jobs=jobs, threads=threads, max_insts=args.max_insts,
+        halving_eta=args.halving_eta,
+        halving_min_insts=args.halving_min_insts, log=log)
     print(result.render())
     if args.out:
         doc = tune_doc(space, result.evals, result.frontier,
@@ -642,15 +635,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_metrics = sub.add_parser(
         "metrics", help="run one point and export the unified metrics "
-                        "registry (JSON or Prometheus text)")
+                        "registry as JSON")
     p_metrics.add_argument("benchmark", nargs="?", default="crc32")
     p_metrics.add_argument("--config", default="reduced")
     p_metrics.add_argument("--input", default="train")
     p_metrics.add_argument("--selector", default="none",
                            choices=sorted(SELECTORS) + ["none"])
-    p_metrics.add_argument("--format", default="json",
-                           choices=["json", "prom"],
-                           help="export format (default json)")
     p_metrics.add_argument("--out", default=None, metavar="PATH",
                            help="write the export here instead of stdout")
     _add_cache_flags(p_metrics)
@@ -714,10 +704,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="successive-halving promotion factor")
     p_tune.add_argument("--halving-min-insts", type=int, default=50_000,
                         help="shortest successive-halving rung")
-    p_tune.add_argument("--ledger", default=None, metavar="FILE",
-                        help="JSONL tuning ledger (enables --resume)")
-    p_tune.add_argument("--resume", action="store_true",
-                        help="skip trials already journaled in --ledger")
     p_tune.add_argument("--out", default=None, metavar="FILE",
                         help="write the benchmarks/-style JSON artifact")
     p_tune.add_argument("--plot", default=None, metavar="PNG",

@@ -205,10 +205,13 @@ def run_limit_study(runner: Optional[Runner] = None, bench: str = "adpcm",
 
     ``subset_cap`` truncates the exhaustive sweep (tests use small caps);
     the full Figure 8 sweep needs ``2 ** n_candidates`` evaluations.
+    A cap below 1 raises :class:`ValueError` before any work.
     With ``jobs > 1`` (and a persistent artifact store on ``runner`` and
     a *named* machine configuration) the sweep fans out over worker
     processes; results are identical to the serial path.
     """
+    if subset_cap is not None and subset_cap < 1:
+        raise ValueError(f"subset_cap must be >= 1, got {subset_cap}")
     runner = runner or Runner()
     config = config or reduced_config()
     sites = top_nonoverlapping_sites(runner, bench, input_name,

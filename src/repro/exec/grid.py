@@ -144,6 +144,25 @@ def dynamic_point(bench: str, config: str, input_name: str = "train",
                  policy=_freeze(policy_kwargs))
 
 
+def point_id(point: Point) -> str:
+    """Id of the DAG node :func:`build_tasks` gives ``point``'s own run.
+
+    That node is the point's ``baseline`` or ``timing`` stage; a caller
+    finds it in :attr:`ExecReport.pruned` when the store already held
+    the point's result.
+    """
+    if point.kind == "baseline":
+        return f"baseline/{point.bench}/{point.input_name}/{point.config}"
+    prefix = f"timing/{point.bench}/{point.input_name}/{point.config}"
+    if point.kind == "slack-dynamic":
+        policy_tag = ",".join(f"{k}={v}" for k, v in point.policy) \
+            or "default"
+        return f"{prefix}/slack-dynamic/{policy_tag}"
+    return (f"{prefix}/{_sel_tag(_thaw(point.selector))}"
+            f"/{point.profile_config}/{point.profile_input}"
+            f"/{point.global_slack}")
+
+
 def build_tasks(points: Sequence[Point], runner,
                 check: bool = False) -> List[Task]:
     """Expand points into a deduplicated trace→profile→plan→timing DAG.
@@ -232,8 +251,7 @@ def build_tasks(points: Sequence[Point], runner,
         if point.kind == "baseline":
             spec = dict(base, bench=point.bench, input=point.input_name,
                         config=point.config)
-            add(Task(id=f"baseline/{point.bench}/{point.input_name}"
-                        f"/{point.config}",
+            add(Task(id=point_id(point),
                      fn=task_fns.run_baseline, args=(spec,),
                      deps=(trace_task(point.bench, point.input_name),),
                      stage="baseline"))
@@ -246,10 +264,7 @@ def build_tasks(points: Sequence[Point], runner,
             spec = dict(base, point_kind="slack-dynamic", bench=point.bench,
                         input=point.input_name, config=point.config,
                         policy=_thaw(point.policy))
-            policy_tag = ",".join(f"{k}={v}" for k, v in point.policy) \
-                or "default"
-            add(Task(id=f"timing/{point.bench}/{point.input_name}"
-                        f"/{point.config}/slack-dynamic/{policy_tag}",
+            add(Task(id=point_id(point),
                      fn=task_fns.run_timing, args=(spec,), deps=deps,
                      stage="timing"))
             continue
@@ -262,10 +277,7 @@ def build_tasks(points: Sequence[Point], runner,
                     selector=selector, profile_config=point.profile_config,
                     profile_input=point.profile_input,
                     global_slack=point.global_slack)
-        add(Task(id=f"timing/{point.bench}/{point.input_name}"
-                    f"/{point.config}/{_sel_tag(selector)}"
-                    f"/{point.profile_config}/{point.profile_input}"
-                    f"/{point.global_slack}",
+        add(Task(id=point_id(point),
                  fn=task_fns.run_timing, args=(spec,), deps=deps,
                  stage="timing"))
     return list(table.values())

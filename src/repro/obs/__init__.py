@@ -2,10 +2,10 @@
 
 Three post-hoc layers over the whole stack (see ``docs/observability.md``):
 
-* :mod:`repro.obs.metrics` — a namespaced registry the simulator's
-  counters (RunStats, activity, caches/TLBs, branch unit, store sets),
-  the artifact store and the exec DAG are harvested into, with JSON and
-  Prometheus-text exporters (``repro metrics``);
+* :mod:`repro.obs.metrics` — a namespaced registry of counters and
+  gauges the simulator's counters (RunStats, activity, caches/TLBs,
+  branch unit, store sets), the compiled kernel and the artifact store
+  are harvested into, with a JSON exporter (``repro metrics``);
 * :mod:`repro.obs.telemetry` — Chrome trace-event–compatible JSONL spans
   and instants, headed by a run manifest (git SHA, config digest, seed,
   code-version salt), behind ``--telemetry`` on ``experiments`` /
@@ -25,10 +25,10 @@ from .attribution import (  # noqa: F401
     SiteAttribution, attribute_point, render_table, run_attribution,
 )
 from .metrics import (  # noqa: F401
-    METRICS_SCHEMA, Counter, Gauge, Histogram, MetricsError,
-    MetricsRegistry, collect_activity, collect_branch, collect_ckern,
-    collect_core, collect_exec_report, collect_hierarchy, collect_run,
-    collect_store, collect_storesets, run_registry, validate_metrics,
+    METRICS_SCHEMA, Counter, Gauge, MetricsError, MetricsRegistry,
+    collect_activity, collect_branch, collect_ckern, collect_core,
+    collect_hierarchy, collect_run, collect_store, collect_storesets,
+    run_registry, validate_metrics,
 )
 from .telemetry import (  # noqa: F401
     TELEMETRY_SCHEMA, TelemetryError, TelemetryWriter,

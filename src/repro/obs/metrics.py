@@ -1,32 +1,27 @@
-"""Unified metrics registry: namespaced counters, gauges, histograms.
+"""Unified metrics registry: namespaced counters and gauges.
 
 Every subsystem that counts something — the timing core's
 :class:`~repro.pipeline.stats.RunStats` and
 :class:`~repro.pipeline.activity.ActivityCounters`, the cache/TLB
-hierarchy, the branch unit, store sets, the artifact store, the DAG
-scheduler — can be *harvested* into one :class:`MetricsRegistry` through
-the ``collect_*`` adapters below. Collection is post-hoc: the simulator
+hierarchy, the branch unit, store sets, the compiled kernel's dispatch
+counters, the artifact store, the autotuner — can be *harvested* into
+one :class:`MetricsRegistry` through the ``collect_*`` adapters below. Collection is post-hoc: the simulator
 keeps its existing plain-integer counters on the hot path (so C-kernel
 eligibility and the golden matrix are untouched) and the registry reads
 them out after a run. See ``docs/observability.md`` for the namespace
 conventions and the export schema.
 
-Registries support snapshot/delta semantics (:meth:`MetricsRegistry.
-snapshot` / :meth:`MetricsRegistry.delta`) and two exporters: a JSON
-document (``{"schema": 1, "metrics": [...]}``) and the Prometheus text
-exposition format. ``repro metrics`` is the CLI frontend.
+A registry freezes its values with :meth:`MetricsRegistry.snapshot`
+and exports one JSON document (``{"schema": 1, "metrics": [...]}``).
+``repro metrics`` is the CLI frontend.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict
 
 #: Version of the ``to_json``/``validate_metrics`` document schema.
 METRICS_SCHEMA = 1
-
-#: Default histogram bucket upper bounds (powers of two, cycles/events).
-DEFAULT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 _NAME_ALLOWED = set("abcdefghijklmnopqrstuvwxyz0123456789_.")
 
@@ -91,58 +86,8 @@ class Gauge:
                 "value": self.value}
 
 
-class Histogram:
-    """A distribution over fixed, cumulative-style buckets.
-
-    ``buckets`` holds the inclusive upper bound of each bin; observations
-    above the last bound land in the implicit ``+Inf`` bin. Counts are
-    stored per-bin and cumulated at export time (the Prometheus
-    convention).
-    """
-
-    kind = "histogram"
-    __slots__ = ("name", "help", "buckets", "counts", "sum", "count")
-
-    def __init__(self, name: str, help: str = "",
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
-        if not buckets or list(buckets) != sorted(buckets):
-            raise MetricsError(
-                f"histogram {name}: buckets must be non-empty and sorted")
-        self.name = name
-        self.help = help
-        self.buckets = tuple(float(b) for b in buckets)
-        self.counts = [0] * (len(self.buckets) + 1)  # +1 for +Inf
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.sum += value
-        self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-    def cumulative(self) -> List[int]:
-        """Per-bucket cumulative counts, ending with the total."""
-        out, running = [], 0
-        for c in self.counts:
-            running += c
-            out.append(running)
-        return out
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Export entry for the JSON document."""
-        return {"name": self.name, "kind": self.kind, "help": self.help,
-                "buckets": list(self.buckets),
-                "counts": list(self.counts),
-                "sum": self.sum, "count": self.count}
-
-
 class MetricsRegistry:
-    """A namespace of metrics with snapshot/delta and export support."""
+    """A namespace of metrics with snapshot and JSON export."""
 
     def __init__(self):
         self._metrics: Dict[str, Any] = {}
@@ -157,7 +102,7 @@ class MetricsRegistry:
         """The registered metric object, or ``None``."""
         return self._metrics.get(name)
 
-    def _register(self, cls, name: str, help: str, **kwargs):
+    def _register(self, cls, name: str, help: str):
         _check_name(name)
         existing = self._metrics.get(name)
         if existing is not None:
@@ -166,7 +111,7 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as "
                     f"{existing.kind}, not {cls.kind}")
             return existing
-        metric = cls(name, help, **kwargs)
+        metric = cls(name, help)
         self._metrics[name] = metric
         return metric
 
@@ -178,75 +123,15 @@ class MetricsRegistry:
         """Register (or fetch) a gauge."""
         return self._register(Gauge, name, help)
 
-    def histogram(self, name: str, help: str = "",
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        """Register (or fetch) a histogram."""
-        return self._register(Histogram, name, help, buckets=buckets)
-
-    # -- snapshot / delta -----------------------------------------------------
-
     def snapshot(self) -> Dict[str, Any]:
-        """Freeze current values: ``{name: value-or-(sum, count)}``."""
-        snap: Dict[str, Any] = {}
-        for name, metric in self._metrics.items():
-            if metric.kind == "histogram":
-                snap[name] = (metric.sum, metric.count)
-            else:
-                snap[name] = metric.value
-        return snap
-
-    def delta(self, since: Dict[str, Any]) -> Dict[str, Any]:
-        """Change of every metric relative to a :meth:`snapshot`.
-
-        Metrics registered after the snapshot diff against zero; gauges
-        report their raw difference (which may be negative).
-        """
-        out: Dict[str, Any] = {}
-        for name, metric in self._metrics.items():
-            if metric.kind == "histogram":
-                base_sum, base_count = since.get(name, (0.0, 0))
-                out[name] = (metric.sum - base_sum,
-                             metric.count - base_count)
-            else:
-                out[name] = metric.value - since.get(name, 0)
-        return out
-
-    # -- exporters ------------------------------------------------------------
+        """Freeze current values: ``{name: value}``."""
+        return {name: metric.value for name, metric in self._metrics.items()}
 
     def to_json(self) -> Dict[str, Any]:
         """The JSON export document (see ``docs/observability.md``)."""
         return {"schema": METRICS_SCHEMA,
                 "metrics": [self._metrics[name].to_dict()
                             for name in sorted(self._metrics)]}
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition (dots become underscores)."""
-        lines: List[str] = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            flat = name.replace(".", "_")
-            if metric.help:
-                lines.append(f"# HELP {flat} {metric.help}")
-            lines.append(f"# TYPE {flat} {metric.kind}")
-            if metric.kind == "histogram":
-                cumulative = metric.cumulative()
-                for bound, count in zip(metric.buckets, cumulative):
-                    le = _format_value(bound)
-                    lines.append(f'{flat}_bucket{{le="{le}"}} {count}')
-                lines.append(f'{flat}_bucket{{le="+Inf"}} {cumulative[-1]}')
-                lines.append(f"{flat}_sum {_format_value(metric.sum)}")
-                lines.append(f"{flat}_count {metric.count}")
-            else:
-                lines.append(f"{flat} {_format_value(metric.value)}")
-        return "\n".join(lines) + "\n"
-
-
-def _format_value(value: float) -> str:
-    """Integral floats render without a trailing ``.0``."""
-    if isinstance(value, float) and math.isfinite(value) \
-            and value == int(value):
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def validate_metrics(doc: Any) -> int:
@@ -276,30 +161,14 @@ def validate_metrics(doc: Any) -> int:
             raise MetricsError(f"duplicate metric {name!r}")
         seen.add(name)
         kind = entry.get("kind")
-        if kind not in ("counter", "gauge", "histogram"):
+        if kind not in ("counter", "gauge"):
             raise MetricsError(f"{name}: bad kind {kind!r}")
         if not isinstance(entry.get("help", ""), str):
             raise MetricsError(f"{name}: 'help' must be a string")
-        if kind == "histogram":
-            buckets = entry.get("buckets")
-            counts = entry.get("counts")
-            if not isinstance(buckets, list) or not buckets \
-                    or buckets != sorted(buckets):
-                raise MetricsError(f"{name}: bad histogram buckets")
-            if not isinstance(counts, list) \
-                    or len(counts) != len(buckets) + 1 \
-                    or any(not isinstance(c, int) or c < 0 for c in counts):
-                raise MetricsError(f"{name}: bad histogram counts")
-            if not isinstance(entry.get("count"), int) \
-                    or entry["count"] != sum(counts):
-                raise MetricsError(f"{name}: histogram count mismatch")
-            if not isinstance(entry.get("sum"), (int, float)):
-                raise MetricsError(f"{name}: bad histogram sum")
-        else:
-            if not isinstance(entry.get("value"), (int, float)):
-                raise MetricsError(f"{name}: missing numeric 'value'")
-            if kind == "counter" and entry["value"] < 0:
-                raise MetricsError(f"{name}: counter is negative")
+        if not isinstance(entry.get("value"), (int, float)):
+            raise MetricsError(f"{name}: missing numeric 'value'")
+        if kind == "counter" and entry["value"] < 0:
+            raise MetricsError(f"{name}: counter is negative")
     return len(metrics)
 
 
@@ -532,7 +401,7 @@ def collect_tune(registry: MetricsRegistry, stats) -> None:
         "space_trials": "Trials enumerated by the search space",
         "planned_trials": "Trials selected by the strategy",
         "evaluations": "(trial, rung) evaluations executed",
-        "resumed": "(trial, rung) evaluations replayed from the ledger",
+        "resumed": "(trial, rung) evaluations served by the store",
         "rungs": "Trace-length rungs scheduled",
         "store_hits": "Artifact-store hits during the search",
         "store_misses": "Artifact-store misses during the search",
@@ -548,40 +417,12 @@ def collect_tune(registry: MetricsRegistry, stats) -> None:
                 value)
 
 
-def collect_exec_report(registry: MetricsRegistry, report) -> None:
-    """Harvest a scheduler :class:`~repro.exec.dag.ExecReport`."""
-    registry.counter("exec.tasks_done",
-                     "Scheduler tasks completed").inc(len(report.results))
-    registry.counter("exec.tasks_failed",
-                     "Scheduler tasks failed").inc(len(report.failures))
-    registry.counter("exec.retries",
-                     "Scheduler task retries").inc(report.retries)
-    registry.gauge("exec.elapsed_s",
-                   "Scheduler wall-clock seconds").set(report.elapsed)
-    registry.gauge("exec.degraded",
-                   "1 if the run degraded to serial").set(
-        1.0 if report.degraded else 0.0)
-    wall = registry.histogram("exec.stage_wall_s",
-                              "Per-stage wall seconds",
-                              buckets=(0.1, 0.5, 1, 5, 10, 30, 60, 300))
-    for stage, seconds in sorted(report.stage_wall.items()):
-        wall.observe(seconds)
-        registry.counter(f"exec.stage.{stage}.tasks",
-                         f"{stage} tasks run").inc(
-            report.stage_tasks.get(stage, 0))
-
-
-def run_registry(stats=None, core=None, store=None,
-                 exec_report=None) -> MetricsRegistry:
+def run_registry(core=None, store=None) -> MetricsRegistry:
     """Convenience builder: one registry over whatever is available."""
     registry = MetricsRegistry()
     if core is not None:
         collect_core(registry, core)
-    elif stats is not None:
-        collect_run(registry, stats)
     if store is not None:
         collect_store(registry, store)
-    if exec_report is not None:
-        collect_exec_report(registry, exec_report)
     collect_ckern(registry)
     return registry

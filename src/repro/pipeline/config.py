@@ -191,7 +191,7 @@ def config_by_name(name: str) -> MachineConfig:
     to a named base via :meth:`MachineConfig.scaled`. The resulting
     config's ``name`` is the full spec string, so override configs
     survive any round-trip that serializes configs by name (grid
-    points, worker processes, ledgers) and never alias a named config
+    points, worker processes, tune reports) and never alias a named config
     in store keys.
 
     The autotuner (:mod:`repro.tune`) leans on this to search

@@ -13,16 +13,16 @@ every artifact already present, so objectives come from full
 
 Repeated or overlapping trials — across batches, strategies, rungs with
 the same trace length, or whole re-runs — hit the store rather than the
-simulator; that is what makes exhaustive search affordable and
-``--resume`` exact.
+simulator; that is what makes exhaustive search affordable and lets a
+killed search resume by running again over the same ``--cache-dir``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..exec.grid import baseline_point, run_points, selector_point
+from ..exec.grid import baseline_point, point_id, run_points, selector_point
 from ..harness.runner import Runner
 from ..pipeline.config import config_by_name
 from .space import Trial
@@ -51,15 +51,6 @@ class TrialEval:
                 "rung": self.rung, "coverage": self.coverage,
                 "ipc_norm": self.ipc_norm, "read_ports": self.read_ports,
                 "per_bench": self.per_bench}
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, Any]) -> "TrialEval":
-        return cls(trial_id=doc["trial"], selector=doc["selector"],
-                   display_name=doc["display_name"], config=doc["config"],
-                   rung=int(doc["rung"]), coverage=float(doc["coverage"]),
-                   ipc_norm=float(doc["ipc_norm"]),
-                   read_ports=float(doc["read_ports"]),
-                   per_bench=list(doc.get("per_bench", [])))
 
 
 def plan_read_ports(plan) -> float:
@@ -100,33 +91,40 @@ class Evaluator:
 
     def evaluate(self, trials: Sequence[Trial],
                  benchmarks: Sequence[str], input_name: str,
-                 max_insts: int) -> Dict[str, TrialEval]:
-        """Evaluate ``trials`` at ``max_insts``; returns by trial id.
+                 max_insts: int) -> Tuple[Dict[str, TrialEval], Set[str]]:
+        """Evaluate ``trials`` at ``max_insts``.
 
-        One ``run_points`` call covers the whole batch, so the DAG
-        scheduler deduplicates shared traces/candidates/profiles across
-        trials and the batched dispatcher packs every ready timing node
-        of a wave into one native call.
+        Returns the results by trial id and the ids of the trials the
+        store served: every timing node of theirs was pruned, so none
+        ran now. One ``run_points`` call covers the whole batch, so the
+        DAG scheduler deduplicates shared traces/candidates/profiles
+        across trials and the batched dispatcher packs every ready
+        timing node of a wave into one native call.
         """
         if not trials:
-            return {}
+            return {}, set()
         runner = self.runner_for(max_insts)
         points = []
         for config in dict.fromkeys(trial.config for trial in trials):
             points.extend(baseline_point(bench, config, input_name)
                           for bench in benchmarks)
-        for trial in trials:
-            points.extend(
-                selector_point(bench, trial.selector_spec, trial.config,
-                               input_name)
-                for bench in benchmarks)
-        run_points(runner, points, jobs=self.jobs, threads=self.threads,
-                   raise_on_failure=True)
+        own_points = {
+            trial.trial_id: [selector_point(bench, trial.selector_spec,
+                                            trial.config, input_name)
+                             for bench in benchmarks]
+            for trial in trials}
+        for own in own_points.values():
+            points.extend(own)
+        report = run_points(runner, points, jobs=self.jobs,
+                            threads=self.threads, raise_on_failure=True)
+        pruned = set(report.pruned)
+        served = {trial_id for trial_id, own in own_points.items()
+                  if all(point_id(point) in pruned for point in own)}
         results: Dict[str, TrialEval] = {}
         for trial in trials:
             results[trial.trial_id] = self._reduce(
                 runner, trial, benchmarks, input_name, max_insts)
-        return results
+        return results, served
 
     def _reduce(self, runner: Runner, trial: Trial,
                 benchmarks: Sequence[str], input_name: str,

@@ -30,8 +30,8 @@ per-family default grids (:data:`DEFAULT_SELECTOR_GRIDS`).
 Enumeration order is deterministic — selectors in listed order, each
 grid expanded with hyperparameters in sorted-name order and values in
 listed order, crossed with configs in listed order — so a trial list is
-a pure function of the space and :meth:`SearchSpace.digest` can pin a
-ledger to it.
+a pure function of the space and :meth:`SearchSpace.digest` names it
+in the tune report.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ class SearchSpace:
                 "input": self.input_name}
 
     def digest(self) -> str:
-        """Content digest pinning ledgers to one exact space."""
+        """Content digest of the normalized space document."""
         return hashlib.sha256(_canonical(self.to_doc()).encode()) \
             .hexdigest()[:16]
 

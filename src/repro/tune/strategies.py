@@ -11,7 +11,7 @@ Three strategies, all deterministic functions of (space, seed):
   by relative IPC to a longer trace until the survivors get the full
   evaluation. Cheap rungs prune the space before expensive ones.
 
-Strategies only *plan*; the tuner owns evaluation and ledger replay.
+Strategies only *plan*; the tuner owns evaluation.
 """
 
 from __future__ import annotations

@@ -1,27 +1,27 @@
-"""The tuning loop: plan → evaluate (warm) → journal → prune → report.
+"""The tuning loop: plan → evaluate (warm) → prune → report.
 
 :func:`run_tune` glues the subsystem together. The search space is
 enumerated once; the strategy picks the trial population (and, for
 successive halving, the trace-length rung schedule); every evaluation
 batch goes through the :class:`~repro.tune.evaluate.Evaluator` (DAG
-scheduler + artifact store, so overlap is warm); each finished trial is
-journaled to the :class:`~repro.tune.ledger.TuneLedger` before the next
-one runs; completed trials replay from the ledger without touching the
-simulator at all. The final-rung results reduce to a Pareto frontier.
+scheduler + artifact store, so overlap is warm). The store is the only
+checkpoint: a killed or finished search resumes by running again over
+the same store, and every trial whose timing runs are stored counts as
+served by the store instead of evaluated. The final-rung results reduce
+to a Pareto frontier.
 
 Determinism contract (tested): same space, strategy, seed, and trace
 budget → the same trials in the same order, the same objectives, and
-the same frontier — on a warm store or ledger, with zero recomputation.
+the same frontier — on a warm store, with zero recomputation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..harness.runner import DEFAULT_MAX_INSTS
 from .evaluate import Evaluator, TrialEval
-from .ledger import TuneLedger
 from .pareto import OBJECTIVES, pareto_front
 from .report import render_table
 from .space import SearchSpace, Trial
@@ -37,7 +37,7 @@ class TuneStats:
     space_trials: int = 0          # enumerated by the space
     planned_trials: int = 0        # selected by the strategy
     evaluations: int = 0           # (trial, rung) evaluations run now
-    resumed: int = 0               # (trial, rung) replayed from ledger
+    resumed: int = 0               # (trial, rung) served by the store
     rungs: int = 0                 # rung count (1 for grid/random)
     frontier_size: int = 0
     dominated: int = 0
@@ -66,21 +66,15 @@ class TuneResult:
     frontier: List[TrialEval]
     dominated: List[TrialEval]
     stats: TuneStats
-    ledger_path: Optional[str] = None
 
     def render(self) -> str:
         lines = [render_table(self.evals, self.frontier)]
         s = self.stats
         lines.append(
             f"tune: {s.planned_trials}/{s.space_trials} trials planned, "
-            f"{s.evaluations} evaluated, {s.resumed} resumed from ledger, "
+            f"{s.evaluations} evaluated, {s.resumed} from the store, "
             f"{s.rungs} rung(s)")
         return "\n".join(lines)
-
-
-def _runner_doc(budget: int, max_insts: int) -> Dict[str, Any]:
-    """Runner parameters a ledger pins (objective-shaping knobs only)."""
-    return {"budget": budget, "max_insts": max_insts}
 
 
 def run_tune(space: SearchSpace,
@@ -94,15 +88,13 @@ def run_tune(space: SearchSpace,
              max_insts: int = DEFAULT_MAX_INSTS,
              halving_eta: int = 2,
              halving_min_insts: int = 50_000,
-             ledger_path=None,
-             resume: bool = False,
              log: Optional[Callable[[str], None]] = None) -> TuneResult:
     """Run one search over ``space``; see the module doc for the shape.
 
     ``trials`` caps the planned population (mandatory for ``random``,
-    an optional truncation for the others). ``ledger_path`` enables the
-    journal; with ``resume`` an existing compatible ledger's completed
-    trials are skipped outright.
+    an optional truncation for the others). Pass a persistent ``store``
+    to make the search resumable: a rerun over it evaluates only the
+    trials whose timing runs it lacks.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r} "
@@ -122,75 +114,45 @@ def run_tune(space: SearchSpace,
 
     evaluator = Evaluator(store=store, budget=budget, jobs=jobs,
                           threads=threads)
-    ledger: Optional[TuneLedger] = None
-    completed: Dict[Tuple[str, int], TrialEval] = {}
-    if ledger_path is not None:
-        from ..exec.store import code_version
-        ledger, completed = TuneLedger.open(
-            ledger_path, space.digest(), code_version(),
-            _runner_doc(budget, max_insts), resume=resume)
-        if completed:
-            say(f"tune: ledger replays {len(completed)} completed "
-                "evaluation(s)")
-
-    store_obj = store
-    hits0 = store_obj.stats.hits if store_obj is not None else 0
-    misses0 = store_obj.stats.misses if store_obj is not None else 0
+    hits0 = store.stats.hits if store is not None else 0
+    misses0 = store.stats.misses if store is not None else 0
 
     def evaluate_rung(population: List[Trial],
                       rung: int) -> Dict[str, TrialEval]:
-        """Ledger-aware batch evaluation at one trace length."""
-        pending = [t for t in population
-                   if (t.trial_id, rung) not in completed]
-        stats.resumed += len(population) - len(pending)
-        if pending:
-            say(f"tune: evaluating {len(pending)} trial(s) at "
-                f"max_insts={rung} "
-                f"({len(population) - len(pending)} from ledger)")
-        fresh = evaluator.evaluate(pending, space.benchmarks,
-                                   space.input_name, rung)
-        stats.evaluations += len(fresh)
-        for trial in pending:            # planned order, journaled as done
-            entry = fresh[trial.trial_id]
-            completed[(trial.trial_id, rung)] = entry
-            if ledger is not None:
-                ledger.record(entry)
-        return {t.trial_id: completed[(t.trial_id, rung)]
-                for t in population}
+        """Batch evaluation at one trace length, counted by origin."""
+        results, served = evaluator.evaluate(population, space.benchmarks,
+                                             space.input_name, rung)
+        stats.resumed += len(served)
+        stats.evaluations += len(results) - len(served)
+        say(f"tune: max_insts={rung}: {len(results) - len(served)} "
+            f"trial(s) evaluated, {len(served)} from the store")
+        return results
 
-    try:
-        if strategy == "halving":
-            rungs = halving_rungs(max_insts, eta=halving_eta,
-                                  min_insts=halving_min_insts)
-            stats.rungs = len(rungs)
-            population = planned
-            for rung in rungs[:-1]:
-                results = evaluate_rung(population, rung)
-                ranked = sorted(
-                    population,
-                    key=lambda t: (-results[t.trial_id].ipc_norm,
-                                   t.trial_id))
-                population = survivors(ranked, halving_eta)
-                say(f"tune: rung max_insts={rung} promotes "
-                    f"{len(population)} trial(s)")
-            final = evaluate_rung(population, rungs[-1])
-            evals = [final[t.trial_id] for t in planned
-                     if t.trial_id in final]
-        else:
-            stats.rungs = 1
-            final = evaluate_rung(planned, max_insts)
-            evals = [final[t.trial_id] for t in planned]
-    finally:
-        if ledger is not None:
-            ledger.close()
+    if strategy == "halving":
+        rungs = halving_rungs(max_insts, eta=halving_eta,
+                              min_insts=halving_min_insts)
+        stats.rungs = len(rungs)
+        population = planned
+        for rung in rungs[:-1]:
+            results = evaluate_rung(population, rung)
+            ranked = sorted(
+                population,
+                key=lambda t: (-results[t.trial_id].ipc_norm, t.trial_id))
+            population = survivors(ranked, halving_eta)
+            say(f"tune: rung max_insts={rung} promotes "
+                f"{len(population)} trial(s)")
+        final = evaluate_rung(population, rungs[-1])
+        evals = [final[t.trial_id] for t in planned if t.trial_id in final]
+    else:
+        stats.rungs = 1
+        final = evaluate_rung(planned, max_insts)
+        evals = [final[t.trial_id] for t in planned]
 
     frontier, dominated = pareto_front(evals, OBJECTIVES)
     stats.frontier_size = len(frontier)
     stats.dominated = len(dominated)
-    if store_obj is not None:
-        stats.store_hits = store_obj.stats.hits - hits0
-        stats.store_misses = store_obj.stats.misses - misses0
+    if store is not None:
+        stats.store_hits = store.stats.hits - hits0
+        stats.store_misses = store.stats.misses - misses0
     return TuneResult(space=space, strategy=strategy, evals=evals,
-                      frontier=frontier, dominated=dominated, stats=stats,
-                      ledger_path=str(ledger_path)
-                      if ledger_path is not None else None)
+                      frontier=frontier, dominated=dominated, stats=stats)

@@ -20,6 +20,15 @@ def study():
     return run_limit_study(Runner(), subset_cap=32)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_below_one_is_rejected_before_any_work(tmp_path, cap):
+    from repro.exec.store import ArtifactStore
+    with pytest.raises(ValueError, match="subset_cap"):
+        run_limit_study(Runner(store=ArtifactStore(tmp_path)),
+                        subset_cap=cap)
+    assert not any(tmp_path.rglob("*.pkl"))
+
+
 def test_top_sites_nonoverlapping():
     runner = Runner()
     sites = top_nonoverlapping_sites(runner, "adpcm", "tiny", 10)

@@ -50,6 +50,24 @@ def test_limit_study_capped(capsys):
     assert "FIG8" in out
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_limit_study_rejects_a_cap_below_one(capsys, tmp_path, cap):
+    cache = tmp_path / "cache"
+    assert main(["limit-study", "--cap", cap,
+                 "--cache-dir", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error:") and err.count("\n") == 1
+    assert "--cap" in err
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+def test_limit_study_rejects_a_job_count_below_one(capsys):
+    assert main(["limit-study", "--cap", "4", "--jobs", "-2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error:") and err.count("\n") == 1
+    assert "--jobs" in err
+
+
 def test_experiments_forwarding(capsys):
     assert main(["experiments", "fig1", "--suites", "comm",
                  "--limit", "2"]) == 0
@@ -202,13 +220,16 @@ def test_metrics_json_validates(capsys):
             "branch.cond_predictions", "store.misses"} <= names
 
 
-def test_metrics_prometheus_and_out_file(capsys, tmp_path):
-    out = tmp_path / "metrics.prom"
-    assert main(["metrics", "crc32", "--format", "prom",
-                 "--out", str(out)]) == 0
+def test_metrics_out_file(capsys, tmp_path):
+    import json
+    out = tmp_path / "metrics.json"
+    assert main(["metrics", "crc32", "--out", str(out)]) == 0
     assert "wrote" in capsys.readouterr().out
-    text = out.read_text()
-    assert "# TYPE core_cycles counter" in text
+    doc = json.loads(out.read_text())
+    from repro.obs.metrics import validate_metrics
+    validate_metrics(doc)
+    kinds = {m["name"]: m["kind"] for m in doc["metrics"]}
+    assert kinds["core.cycles"] == "counter"
 
 
 def test_metrics_unknown_benchmark_is_one_line_error(capsys):

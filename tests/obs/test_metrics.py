@@ -1,12 +1,12 @@
-"""Metrics registry: primitives, snapshot/delta, exporters, adapters."""
+"""Metrics registry: primitives, snapshot, JSON export, adapters."""
 
 import json
 
 import pytest
 
 from repro.obs.metrics import (
-    METRICS_SCHEMA, Histogram, MetricsError, MetricsRegistry, collect_core,
-    collect_exec_report, collect_store, run_registry, validate_metrics,
+    METRICS_SCHEMA, MetricsError, MetricsRegistry, collect_core,
+    collect_store, run_registry, validate_metrics,
 )
 
 
@@ -44,47 +44,15 @@ def test_invalid_names_rejected(bad):
         MetricsRegistry().counter(bad)
 
 
-def test_histogram_buckets_and_cumulative():
-    h = Histogram("lat", buckets=(1, 2, 4))
-    for v in (0.5, 1, 2, 3, 100):
-        h.observe(v)
-    assert h.count == 5
-    assert h.counts == [2, 1, 1, 1]       # per-bin, +Inf last
-    assert h.cumulative() == [2, 3, 4, 5]  # prometheus-style
-    assert h.sum == pytest.approx(106.5)
-
-
-def test_histogram_rejects_unsorted_buckets():
-    with pytest.raises(MetricsError):
-        Histogram("x", buckets=(4, 2))
-
-
-def test_snapshot_delta():
-    reg = MetricsRegistry()
-    c = reg.counter("n.events")
-    c.inc(5)
-    h = reg.histogram("n.lat", buckets=(10,))
-    h.observe(3)
-    snap = reg.snapshot()
-    c.inc(7)
-    h.observe(4)
-    reg.gauge("n.g").set(-2)  # registered after the snapshot
-    delta = reg.delta(snap)
-    assert delta["n.events"] == 7
-    assert delta["n.lat"] == (4.0, 1)
-    assert delta["n.g"] == -2
-
-
 def test_json_export_validates_and_round_trips():
     reg = MetricsRegistry()
     reg.counter("a.n", "help text").inc(3)
     reg.gauge("a.g").set(0.5)
-    reg.histogram("a.h", buckets=(1, 2)).observe(1.5)
     doc = reg.to_json()
     assert doc["schema"] == METRICS_SCHEMA
-    assert validate_metrics(doc) == 3
+    assert validate_metrics(doc) == 2
     # Survives a JSON round trip.
-    assert validate_metrics(json.loads(json.dumps(doc))) == 3
+    assert validate_metrics(json.loads(json.dumps(doc))) == 2
 
 
 @pytest.mark.parametrize("mutate", [
@@ -102,33 +70,6 @@ def test_validate_rejects_malformed_documents(mutate):
     mutate(doc)
     with pytest.raises(MetricsError):
         validate_metrics(doc)
-
-
-def test_validate_histogram_count_consistency():
-    reg = MetricsRegistry()
-    reg.histogram("a.h", buckets=(1,)).observe(0.5)
-    doc = reg.to_json()
-    doc["metrics"][0]["count"] = 99
-    with pytest.raises(MetricsError):
-        validate_metrics(doc)
-
-
-def test_prometheus_export_format():
-    reg = MetricsRegistry()
-    reg.counter("core.mg_serialized_instances", "serialized").inc(4)
-    reg.gauge("core.ipc").set(1.5)
-    reg.histogram("exec.wall", buckets=(1, 10)).observe(3)
-    text = reg.to_prometheus()
-    assert "# TYPE core_mg_serialized_instances counter" in text
-    assert "core_mg_serialized_instances 4" in text
-    assert "# HELP core_mg_serialized_instances serialized" in text
-    assert "core_ipc 1.5" in text
-    assert 'exec_wall_bucket{le="1"} 0' in text
-    assert 'exec_wall_bucket{le="10"} 1' in text
-    assert 'exec_wall_bucket{le="+Inf"} 1' in text
-    assert "exec_wall_sum 3" in text
-    assert "exec_wall_count 1" in text
-    assert text.endswith("\n")
 
 
 def test_collect_core_harvests_every_namespace():
@@ -157,36 +98,31 @@ def test_collect_core_harvests_every_namespace():
     assert reg.get("core.ipc").value == pytest.approx(stats.ipc)
 
 
-def test_collect_store_and_exec_report():
-    from repro.exec.dag import ExecReport
+def test_collect_store():
     from repro.exec.store import ArtifactStore
 
     store = ArtifactStore()
     store.get_or_compute("trace", {"x": 1}, lambda: "v")
     store.get_or_compute("trace", {"x": 1}, lambda: "v")
-    report = ExecReport(results={"a": 1, "b": 2}, failures={"c": "boom"},
-                        stage_wall={"trace": 0.2}, stage_tasks={"trace": 3},
-                        elapsed=1.5, retries=2)
-    reg = run_registry(store=store, exec_report=report)
+    reg = run_registry(store=store)
     validate_metrics(reg.to_json())
     assert reg.get("store.misses").value == 1
     assert reg.get("store.memory_hits").value == 1
     assert reg.get("store.kind.trace.hits").value == 1
-    assert reg.get("exec.tasks_done").value == 2
-    assert reg.get("exec.tasks_failed").value == 1
-    assert reg.get("exec.retries").value == 2
-    assert reg.get("exec.stage.trace.tasks").value == 3
 
 
 def test_collect_twice_accumulates():
-    """Adapters add into existing metrics (snapshot/delta across runs)."""
-    from repro.exec.dag import ExecReport
+    """Adapters add into existing metrics; a snapshot keeps the old value."""
+    from repro.exec.store import ArtifactStore
+
+    store = ArtifactStore()
+    store.get_or_compute("trace", {"x": 1}, lambda: "v")
     reg = MetricsRegistry()
-    collect_exec_report(reg, ExecReport(results={"a": 1}, retries=1))
+    collect_store(reg, store)
     snap = reg.snapshot()
-    collect_exec_report(reg, ExecReport(results={"b": 1}, retries=2))
-    assert reg.get("exec.tasks_done").value == 2
-    assert reg.delta(snap)["exec.retries"] == 2
+    collect_store(reg, store)
+    assert snap["store.misses"] == 1
+    assert reg.get("store.misses").value == 2
 
 
 def test_collect_store_smoke_via_helper():

@@ -1,10 +1,9 @@
-"""End-to-end ``run_tune``: determinism, warm stores, ledger resume."""
+"""End-to-end ``run_tune``: determinism, warm stores, resume by rerun."""
 
 import pytest
 
 from repro.exec.store import ArtifactStore
 from repro.tune import SearchSpace, pareto_front, run_tune
-from repro.tune.ledger import TuneLedgerError
 from repro.tune.pareto import dominates
 from repro.tune.report import load_doc, render_table, tune_doc, write_doc
 
@@ -72,39 +71,33 @@ def test_warm_store_rerun_recomputes_nothing():
     assert _docs(first) == _docs(again)
 
 
-def test_ledger_resume_schedules_zero_trials(tmp_path):
-    path = tmp_path / "tune.jsonl"
-    first = _tune(ledger_path=path)
+def test_rerun_over_a_persistent_store_evaluates_nothing(tmp_path):
+    """A finished search resumes by running again over its store: a new
+    store object on the same directory serves every trial."""
+    first = _tune(store=ArtifactStore(tmp_path))
     assert first.stats.evaluations == 4
-    resumed = _tune(ledger_path=path, resume=True)
-    assert resumed.stats.evaluations == 0
-    assert resumed.stats.resumed == 4
-    assert _docs(resumed) == _docs(first)
-    assert [e.trial_id for e in resumed.frontier] \
+    assert first.stats.resumed == 0
+    again = _tune(store=ArtifactStore(tmp_path))
+    assert again.stats.evaluations == 0
+    assert again.stats.resumed == 4
+    assert again.stats.store_misses == 0
+    assert _docs(again) == _docs(first)
+    assert [e.trial_id for e in again.frontier] \
         == [e.trial_id for e in first.frontier]
 
 
-def test_partial_ledger_completes_the_rest(tmp_path):
-    """Losing the tail of a journal costs only the missing trials."""
-    path = tmp_path / "tune.jsonl"
-    _tune(ledger_path=path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:3]) + "\n")   # header + 2 trials
-    resumed = _tune(ledger_path=path, resume=True)
-    assert resumed.stats.resumed == 2
-    assert resumed.stats.evaluations == 2
-    assert len(resumed.evals) == 4
-
-
-def test_resume_refuses_a_foreign_ledger(tmp_path):
-    path = tmp_path / "tune.jsonl"
-    _tune(ledger_path=path)
-    other = SearchSpace.from_doc({"selectors": [{"kind": "struct-all"}],
-                                  "configs": ["full"],
-                                  "benchmarks": ["crc32"]})
-    with pytest.raises(TuneLedgerError):
-        run_tune(other, max_insts=MAX_INSTS, ledger_path=path,
-                 resume=True)
+def test_rerun_evaluates_only_trials_missing_from_the_store(tmp_path):
+    """Losing two trials' timing runs (a search killed part-way) costs
+    exactly those two evaluations on the rerun."""
+    first = _tune(store=ArtifactStore(tmp_path))
+    runs = sorted(tmp_path.glob("??/*.run.pkl"))
+    assert len(runs) == 4                 # one per trial on crc32
+    for path in runs[:2]:
+        path.unlink()
+    again = _tune(store=ArtifactStore(tmp_path))
+    assert again.stats.evaluations == 2
+    assert again.stats.resumed == 2
+    assert _docs(again) == _docs(first)
 
 
 def test_random_strategy_prefix_reuses_warm_work():
@@ -124,6 +117,13 @@ def test_halving_promotes_and_finishes_at_full_budget():
     assert result.evals                 # survivors reach the full budget
     assert all(e.rung == 120_000 for e in result.evals)
     assert len(result.evals) <= len(SPACE)
+    # A rerun over the same store evaluates nothing on any rung.
+    again = _tune(store=store, strategy="halving",
+                  max_insts=120_000, halving_min_insts=30_000,
+                  halving_eta=2)
+    assert again.stats.evaluations == 0
+    assert again.stats.resumed == result.stats.evaluations
+    assert _docs(again) == _docs(result)
 
 
 def test_unknown_strategy_rejected():
