@@ -5,9 +5,10 @@ process per timing point. For grids whose points all ride the compiled
 kernel that overhead dominates: the cycle loop itself releases the GIL
 (ctypes drops it for the call's duration), so the natural unit of
 parallelism is a *batch* — every ready timing node of one scheduler
-wave packed into an array of descriptors and handed to
-``repro_run_batch``, which fans the points over a pthread pool inside
-the single call. No processes, no pickling, no persistent store.
+wave (baselines, slack profiles, selector and Slack-Dynamic runs)
+packed into an array of descriptors and handed to ``repro_run_batch``,
+which fans the points over a pthread pool inside the single call. No
+processes, no pickling, no persistent store.
 
 :func:`run_batch_wave` is the bridge. For each batchable task it
 reconstructs the runner-side setup through the ``*_prepared`` helpers
@@ -17,12 +18,13 @@ collects one :func:`repro.pipeline.ckern.run_batch` descriptor per
 store miss, dispatches once, and publishes each finished artifact under
 the identical store key with the identical summary dict the task
 function would have returned. Any point the kernel cannot finish (tap
-overflow, simulated deadlock, ineligible core, store hit) is simply
-left out of the returned map; the scheduler reruns it through
-:func:`~repro.exec.tasks.run_timing` et al. serially, preserving the
-retry/raise semantics bit for bit. Results are bit-identical to
-``--jobs 1`` by construction: the batch path runs the same kernel on
-the same descriptors and the fallback path *is* the serial path.
+overflow, simulated deadlock, ineligible core or declined policy, store
+hit) is simply left out of the returned map; the scheduler reruns it
+through :func:`~repro.exec.tasks.run_timing` et al. serially,
+preserving the retry/raise semantics bit for bit. Results are
+bit-identical to ``--jobs 1`` by construction: a serial run is itself a
+``repro_run_batch`` batch of one, so both paths run the same kernel on
+the same descriptors, and the fallback path *is* the serial path.
 """
 
 from __future__ import annotations
@@ -42,17 +44,13 @@ DEFAULT_MAX_CYCLES = 200_000_000
 def is_batchable(task) -> bool:
     """Can this DAG node ride the batched kernel dispatch?
 
-    Timing-shaped nodes only: baselines, slack profiles, and selector
-    timing runs. Slack-dynamic points carry a run-time policy, and
-    batch descriptors carry no policy state (such a point runs in the
-    kernel one at a time); every other stage (trace, candidates, plan,
+    Every timing node: baselines, slack profiles, and selector and
+    Slack-Dynamic timing runs (a descriptor carries the run-time
+    policy's state). Every other stage (trace, candidates, plan,
     check) is not a cycle loop at all.
     """
-    if task.fn in (task_fns.run_baseline, task_fns.run_profile):
-        return True
-    if task.fn is task_fns.run_timing:
-        return task.args[0].get("point_kind") != "slack-dynamic"
-    return False
+    return task.fn in (task_fns.run_baseline, task_fns.run_profile,
+                       task_fns.run_timing)
 
 
 @dataclass
@@ -79,7 +77,7 @@ def _prepare(task) -> Optional[_Prepared]:
     covers every reason the batch cannot help: the artifact is already
     stored (the serial rerun is a memo hit), or the constructed core is
     not kernel-eligible (``REPRO_PURE_PY``, no compiler, tap-incapable
-    observer).
+    observer, a policy parameter the kernel's state cannot carry).
     """
     start = time.perf_counter()
     spec = task.args[0]
@@ -99,6 +97,11 @@ def _prepare(task) -> Optional[_Prepared]:
     elif task.fn is task_fns.run_baseline:
         core, finalize = runner.baseline_prepared(bench, config, input_name)
         summarize = task_fns.baseline_summary
+    elif spec["point_kind"] == "slack-dynamic":
+        core, finalize = runner.dynamic_prepared(
+            bench, config, input_name=input_name,
+            **dict(spec.get("policy") or {}))
+        summarize = task_fns.timing_summary
     else:
         core, finalize = runner.selector_prepared(
             bench, task_fns.selector_from_spec(spec["selector"]), config,

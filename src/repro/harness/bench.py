@@ -298,11 +298,14 @@ def _batch_point(runner: Runner, benchmarks: Sequence[str], selector: str,
     # Set-up first, so traces and plans are stored before the pool reads.
     cores = [_prepared(runner, bench, selector, config)[0]
              for bench, config in matrix]
-    entries = [core.kernel_batch_entry(DEFAULT_MAX_CYCLES) for core in cores]
-    if None in entries:
-        raise RuntimeError(f"{name}: a point cannot take the kernel")
 
     def native():
+        # Fresh descriptors per leg: the kernel updates a Slack-Dynamic
+        # point's policy state in place.
+        entries = [core.kernel_batch_entry(DEFAULT_MAX_CYCLES)
+                   for core in cores]
+        if None in entries:
+            raise RuntimeError(f"{name}: a point cannot take the kernel")
         start = time.perf_counter()
         outcome = ckern.run_batch(entries, threads)
         return {"dispatch": _ms(start)}, outcome

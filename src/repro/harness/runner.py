@@ -34,7 +34,7 @@ from ..isa.interp import Trace, execute
 from ..minigraph.candidates import Candidate, enumerate_candidates
 from ..minigraph.dynamic import MiniGraphPolicy, SlackDynamicPolicy
 from ..minigraph.selection import MiniGraphPlan
-from ..minigraph.selectors import Selector, make_plan
+from ..minigraph.selectors import Selector, SlackDynamicSelector, make_plan
 from ..minigraph.slack import SlackCollector, SlackProfile
 from ..minigraph.templates import build_templates
 from ..minigraph.transform import fold_trace
@@ -290,8 +290,15 @@ class Runner:
                           label: Optional[str] = None,
                           policy: Optional[MiniGraphPolicy] = None):
         """``(core, finalize)`` for one selector timing run (plan, trace
-        fold, and core construction — everything but the cycle loop)."""
+        fold, and core construction — everything but the cycle loop).
+
+        A :class:`SlackDynamicSelector` run gets the default
+        :class:`SlackDynamicPolicy` unless ``policy`` is given: the
+        selector is only the static half of Slack-Dynamic.
+        """
         bench = self._bench(bench)
+        if policy is None and isinstance(selector, SlackDynamicSelector):
+            policy = SlackDynamicPolicy()
         plan = self.plan(bench, selector, input_name=input_name,
                          profile_config=profile_config,
                          profile_input=profile_input,
@@ -307,6 +314,20 @@ class Runner:
                                config.name, stats, plan)
 
         return core, finalize
+
+    def dynamic_prepared(self, bench, config: MachineConfig,
+                         mode: str = "full", outlining_penalty: bool = True,
+                         input_name: str = DEFAULT_INPUT, **policy_kwargs):
+        """``(core, finalize)`` for one Slack-Dynamic run: the Struct-All
+        pool under a fresh :class:`SlackDynamicPolicy`."""
+        suffix = "" if mode == "full" else f"-{mode}"
+        ideal = "" if outlining_penalty else "ideal-"
+        policy = SlackDynamicPolicy(mode=mode,
+                                    outlining_penalty=outlining_penalty,
+                                    **policy_kwargs)
+        return self.selector_prepared(
+            bench, SlackDynamicSelector(), config, input_name=input_name,
+            label=f"{ideal}slack-dynamic{suffix}", policy=policy)
 
     def baseline(self, bench, config: MachineConfig,
                  input_name: str = DEFAULT_INPUT) -> RunStats:
@@ -463,20 +484,14 @@ class Runner:
                           input_name: str = DEFAULT_INPUT,
                           **policy_kwargs) -> SelectorRun:
         """Slack-Dynamic: Struct-All pool + run-time disabling policy."""
-        from ..minigraph.selectors import SlackDynamicSelector
         bench = self._bench(bench)
-        suffix = "" if mode == "full" else f"-{mode}"
-        ideal = "" if outlining_penalty else "ideal-"
-        name = f"{ideal}slack-dynamic{suffix}"
         params = self.dynamic_params(bench.name, config, input_name, mode,
                                      outlining_penalty, policy_kwargs)
 
         def compute() -> SelectorRun:
-            policy = SlackDynamicPolicy(mode=mode,
-                                        outlining_penalty=outlining_penalty,
-                                        **policy_kwargs)
-            return self._run_selector(bench, SlackDynamicSelector(), config,
-                                      input_name, None, None, policy,
-                                      False, name)
+            core, finalize = self.dynamic_prepared(
+                bench, config, mode, outlining_penalty, input_name,
+                **policy_kwargs)
+            return finalize(core.run())
 
         return self.store.get_or_compute("run-dynamic", params, compute)

@@ -169,8 +169,10 @@ class SlackDynamicPolicy(MiniGraphPolicy):
     def kernel_state(self, site_ids: Sequence[int]
                      ) -> Optional[Tuple[array, array]]:
         """The parameters and the starting state of ``site_ids``, packed
-        for :func:`repro.pipeline.ckern.run_policy`; None when a parameter
-        is not an integer or the mode is unknown (the Python loop runs)."""
+        as the ``(header, sites)`` policy pair of a
+        :func:`repro.pipeline.ckern.run_batch` descriptor; None when a
+        parameter is not an integer or the mode is unknown (the Python
+        loop runs)."""
         mode = ckern.POLICY_MODES.get(self.mode)
         params = (self.threshold, self.decay_interval,
                   self.resurrect_interval, self.disable_events,

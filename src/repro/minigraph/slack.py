@@ -201,7 +201,7 @@ class SlackCollector:
                          n_committed: int) -> None:
         """Rebuild the profile from the kernel's packed event log.
 
-        ``events`` is the ``array('q')`` written by ``repro_run_tap``:
+        ``events`` is a ``repro_run_batch`` point's tap ``array('q')``:
         ``n_words`` valid int64 words of ``(ix << 4) | tag, a, b``
         triples in simulation order. The decode mirrors the in-loop
         callbacks exactly:

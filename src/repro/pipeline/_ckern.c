@@ -2,12 +2,13 @@
  *
  * This is a statement-for-statement port of the hot loop in
  * ``repro/pipeline/core.py`` for runs with no tracer (every ``repro
- * bench`` point and all memoized timing runs). Tap-capable observers
- * (SlackCollector, AttributionCollector) run here too: ``repro_run_tap``
- * appends fixed-width [(ix<<4)|tag, a, b] event triples to a
- * caller-supplied buffer, and the collectors rebuild their profiles
- * post-hoc from the log — bit-identical to the in-loop path. So does
- * the Slack-Dynamic monitor (``repro_run_policy``, a port of
+ * bench`` point and all memoized timing runs), entered through
+ * ``repro_run_batch`` alone: a single run is a batch of one.
+ * Tap-capable observers (SlackCollector, AttributionCollector) run here
+ * too: a point's event tap appends fixed-width [(ix<<4)|tag, a, b]
+ * event triples to a caller-supplied buffer, and the collectors rebuild
+ * their profiles post-hoc from the log — bit-identical to the in-loop
+ * path. So does the Slack-Dynamic monitor (a port of
  * minigraph/dynamic.py): per-site hysteresis state lives in a
  * caller-owned array and disabled sites are fetched in outlined form.
  * The Python implementation remains the behavioural reference: results
@@ -102,7 +103,7 @@ enum {
     OUT_COUNT
 };
 
-/* Return codes of repro_run (and of the fold / plan kernels). */
+/* Return codes of a timing run (and of the fold / plan kernels). */
 #define RC_OK 0
 #define RC_BUDGET 1
 #define RC_NO_COMMIT 2
@@ -123,7 +124,7 @@ enum {
                            a = value-ready (reg value, else store resolve,
                            else complete), b = complete_cycle */
 
-/* tap_flags bits (repro_run_tap / BatchPoint.tap_flags). */
+/* BatchPoint.tap_flags bits. */
 #define TAPF_GLOBAL 1   /* emit TAP_VALUE records for the global-slack DP */
 
 /* Python's collector treats out_actual_ready >= 1<<50 as "no register
@@ -1921,47 +1922,31 @@ static int64_t run_core(const int64_t *cfg, const CTrace *T, int64_t *out,
     return rc;
 }
 
-int64_t repro_run(const int64_t *cfg, const CTrace *T, int64_t *out,
-                  int64_t max_cycles) {
-    return run_core(cfg, T, out, max_cycles, NULL, 0, NULL, 0, NULL, NULL);
-}
-
-/* Same simulation under the Slack-Dynamic monitor. ``pol`` (PP_WORDS)
- * and ``pol_sites`` (PS_WORDS per CTrace site) carry the policy's
- * parameters and starting state in and its final state out, also on a
- * simulated deadlock (RC_BUDGET / RC_NO_COMMIT), where the Python loop
- * raises with its policy state as the kernel left it. On RC_NOMEM the
- * arrays are partly updated and the caller discards them. */
-int64_t repro_run_policy(const int64_t *cfg, const CTrace *T, int64_t *out,
-                         int64_t max_cycles, int64_t *pol,
-                         int64_t *pol_sites) {
-    return run_core(cfg, T, out, max_cycles, NULL, 0, NULL, 0, pol,
-                    pol_sites);
-}
-
-/* Same simulation with the event tap armed. ``tap_meta[0]`` receives the
- * number of int64 words written, ``tap_meta[1]`` the overflow flag; on
- * overflow the log is truncated but the simulated results are still
- * exact (emission just stops). ``tap_flags`` selects optional record
- * families (TAPF_GLOBAL -> TAP_VALUE). */
-int64_t repro_run_tap(const int64_t *cfg, const CTrace *T, int64_t *out,
-                      int64_t max_cycles, int64_t *tap_buf,
-                      int64_t tap_cap, int64_t *tap_meta,
-                      int64_t tap_flags) {
-    return run_core(cfg, T, out, max_cycles, tap_buf, tap_cap, tap_meta,
-                    tap_flags, NULL, NULL);
-}
-
 /* ------------------------------------------------------------------ */
 /* batched dispatch: N independent points per native call              */
 /* ------------------------------------------------------------------ */
 
-/* One (config, trace, result, tap) descriptor. ``run_core`` is fully
- * self-contained (it allocates and frees its own Sim, touches no
- * globals, and reads the CTrace columns read-only), so points are
+/* One (config, trace, result, tap, policy) descriptor: the only way in
+ * to ``run_core``, a single-point run being a batch of one. ``run_core``
+ * is fully self-contained (it allocates and frees its own Sim, touches
+ * no globals, and reads the CTrace columns read-only), so points are
  * embarrassingly parallel: one marshalled trace may be shared by many
  * points, and ctypes releases the GIL for the whole call. Mirrors
- * ckern._CBatchPoint field for field. */
+ * ckern._CBatchPoint field for field.
+ *
+ * ``tap`` (NULL: unobserved) receives ``tap_cap`` words at most of
+ * [(ix<<4)|tag, a, b] events; on overflow the log is truncated and
+ * ``tap_ovf`` set, but the simulated results are still exact (emission
+ * just stops). ``tap_flags`` selects optional record families
+ * (TAPF_GLOBAL -> TAP_VALUE).
+ *
+ * ``pol`` (PP_WORDS) and ``pol_sites`` (PS_WORDS per CTrace site) run
+ * the point under the Slack-Dynamic monitor; both are NULL for a point
+ * without a policy. They carry the policy's parameters and starting
+ * state in and its final state out: they are updated on RC_OK and on a
+ * simulated deadlock (RC_BUDGET / RC_NO_COMMIT), where the Python loop
+ * raises with its policy state as the kernel left it. On RC_NOMEM they
+ * are partly updated and the caller discards them. */
 typedef struct {
     const int64_t *cfg;
     const CTrace *trace;
@@ -1970,6 +1955,8 @@ typedef struct {
     int64_t *tap;
     int64_t tap_cap;
     int64_t tap_flags;
+    int64_t *pol;
+    int64_t *pol_sites;
     int64_t status;      /* out: RC_* for this point */
     int64_t tap_len;     /* out: valid tap words */
     int64_t tap_ovf;     /* out: tap overflow flag */
@@ -1989,7 +1976,7 @@ static void batch_drain(BatchQueue *q) {
         int64_t meta[2] = {0, 0};
         p->status = run_core(p->cfg, p->trace, p->out, p->max_cycles,
                              p->tap, p->tap_cap, meta, p->tap_flags,
-                             NULL, NULL);
+                             p->pol, p->pol_sites);
         p->tap_len = meta[0];
         p->tap_ovf = meta[1];
     }

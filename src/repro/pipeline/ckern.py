@@ -2,15 +2,16 @@
 
 ``_ckern.c`` is a statement-for-statement C port of the hot loop in
 :mod:`repro.pipeline.core` for runs without a tracer (every ``repro
-bench`` point and every memoized timing run). Observed runs whose
-collectors support the packed event tap
+bench`` point and every memoized timing run). Every timing run enters
+it through :func:`run_batch`; a single point is a batch of one.
+Observed runs whose collectors support the packed event tap
 (:class:`~repro.minigraph.slack.SlackCollector`,
 :class:`~repro.obs.attribution.AttributionCollector`) also run here: the
 kernel appends fixed-width events into a preallocated ``array('q')``
 buffer and the collectors reconstruct their profiles post-hoc,
 bit-identical to the Python observer path. Slack-Dynamic runs
 (:class:`~repro.minigraph.dynamic.SlackDynamicPolicy`, no observer) run
-here too: :func:`run_policy` carries the policy's parameters and
+here too: a batch descriptor carries the policy's parameters and
 per-site state in and out as int64 arrays. This module
 
 * compiles it on demand with the system C compiler (no third-party
@@ -108,8 +109,8 @@ RC_LAYOUT = 5       # fold: the trace does not follow the plan's sites
 FOLD_SITE_WORDS = 15
 
 # -- Slack-Dynamic state words (must match PP_* / PS_* in _ckern.c) ----
-# ``run_policy``'s header: parameters, running event totals and the
-# sequence that numbers dict entries the run creates.
+# A batch descriptor's policy header: parameters, running event totals
+# and the sequence that numbers dict entries the run creates.
 (PP_MODE, PP_OUTLINED, PP_THRESHOLD, PP_DECAY, PP_RESURRECT,
  PP_DISABLE_EVENTS, PP_RESURRECT_EVENTS, PP_SEQ, PP_WORDS) = range(9)
 # Per arena site: hysteresis state, benign count, and whether the
@@ -185,6 +186,8 @@ class _CBatchPoint(ctypes.Structure):
         ("tap", _I64P),
         ("tap_cap", ctypes.c_int64),
         ("tap_flags", ctypes.c_int64),
+        ("pol", _I64P),
+        ("pol_sites", _I64P),
         ("status", ctypes.c_int64),
         ("tap_len", ctypes.c_int64),
         ("tap_ovf", ctypes.c_int64),
@@ -192,9 +195,8 @@ class _CBatchPoint(ctypes.Structure):
 
 
 #: Native entry points, each timed around its ctypes call alone.
-ENTRY_POINTS = ("fold", "run", "run_tap", "run_policy", "run_batch",
-                "tap_fold", "profile_build", "plan_enumerate", "plan_score",
-                "global_fold")
+ENTRY_POINTS = ("fold", "run_batch", "tap_fold", "profile_build",
+                "plan_enumerate", "plan_score", "global_fold")
 
 # Dispatch/fallback tallies, harvested post-hoc by
 # ``repro.obs.metrics.collect_ckern`` (pure counters: reading or
@@ -316,17 +318,6 @@ def _load():
         return None
     try:
         lib = ctypes.CDLL(lib_path)
-        lib.repro_run.restype = ctypes.c_int64
-        lib.repro_run.argtypes = [_I64P, ctypes.POINTER(_CTrace), _I64P,
-                                  ctypes.c_int64]
-        lib.repro_run_policy.restype = ctypes.c_int64
-        lib.repro_run_policy.argtypes = [_I64P, ctypes.POINTER(_CTrace),
-                                         _I64P, ctypes.c_int64, _I64P,
-                                         _I64P]
-        lib.repro_run_tap.restype = ctypes.c_int64
-        lib.repro_run_tap.argtypes = [_I64P, ctypes.POINTER(_CTrace), _I64P,
-                                      ctypes.c_int64, _I64P, ctypes.c_int64,
-                                      _I64P, ctypes.c_int64]
         lib.repro_fold.restype = ctypes.c_int64
         lib.repro_fold.argtypes = [
             ctypes.POINTER(_CTrace), _I64P, ctypes.c_int64,  # trace, pc_map
@@ -665,55 +656,6 @@ def pack_config_cached(config, warm_caches: bool) -> array:
     return pack_config(config, warm_caches)
 
 
-def run(cfg: array, mtrace: MarshalledTrace, max_cycles: int):
-    """Invoke the kernel. Returns ``(rc, out)``; out is the counter block.
-
-    The kernel never mutates Python state, so any non-zero internal
-    failure (``RC_NOMEM``) leaves the core free to rerun in pure Python.
-    """
-    lib = _load()
-    if lib is None:
-        return RC_NOMEM, None
-    out = array("q", [0] * OUT_COUNT)
-    cfg_buf, _cfg_owner = _col(cfg, ctypes.c_int64)
-    out_buf = (ctypes.c_int64 * OUT_COUNT).from_buffer(out)
-    rc = _native(
-        "run", lib.repro_run,
-        ctypes.cast(cfg_buf, _I64P), ctypes.byref(mtrace.struct),
-        ctypes.cast(out_buf, _I64P), max_cycles)
-    return rc, out
-
-
-def run_policy(cfg: array, mtrace: MarshalledTrace, max_cycles: int,
-               header: array, sites: array):
-    """Invoke the kernel under the Slack-Dynamic monitor.
-
-    ``header`` (:data:`PP_WORDS`) and ``sites`` (:data:`PS_WORDS` per
-    arena site, ``mtrace.struct.site_id`` order) hold the policy's
-    parameters and starting state and are updated in place to its final
-    state. Returns ``(rc, out)`` like :func:`run`; on ``RC_NOMEM`` the
-    arrays are partly updated and must be discarded.
-    """
-    lib = _load()
-    if lib is None:
-        return RC_NOMEM, None
-    if len(header) != PP_WORDS or \
-            len(sites) != PS_WORDS * mtrace.struct.n_sites:
-        raise ValueError("policy state does not match the trace's sites")
-    out = array("q", [0] * OUT_COUNT)
-    cfg_buf, _cfg_owner = _col(cfg, ctypes.c_int64)
-    out_buf = (ctypes.c_int64 * OUT_COUNT).from_buffer(out)
-    head_buf = (ctypes.c_int64 * PP_WORDS).from_buffer(header)
-    sites_buf, _sites_owner = _col(sites, ctypes.c_int64)
-    rc = _native(
-        "run_policy", lib.repro_run_policy,
-        ctypes.cast(cfg_buf, _I64P), ctypes.byref(mtrace.struct),
-        ctypes.cast(out_buf, _I64P), max_cycles,
-        ctypes.cast(head_buf, _I64P), ctypes.cast(sites_buf, _I64P))
-    del head_buf, sites_buf  # release from_buffer exports before returning
-    return rc, out
-
-
 def tap_capacity(packed) -> int:
     """Initial event-buffer capacity (int64 words) for ``packed``.
 
@@ -725,54 +667,41 @@ def tap_capacity(packed) -> int:
     return (2 * packed.n + len(packed.srcs) + 4096) * TAP_WORDS
 
 
-def run_tap(cfg: array, mtrace: MarshalledTrace, max_cycles: int,
-            tap_words: int, tap_flags: int = 0):
-    """Invoke the kernel with the event tap armed.
-
-    Returns ``(rc, out, events, n_words, overflowed)``. ``events`` is an
-    ``array('q')`` whose first ``n_words`` entries are valid packed
-    events; on overflow the log is truncated (the counters are still
-    exact) and the caller either retries with a larger buffer or falls
-    back to the Python observer loop. ``tap_flags`` selects opt-in
-    record families (:data:`TAP_FLAG_GLOBAL` adds TAP_VALUE records).
-    """
-    lib = _load()
-    if lib is None:
-        return RC_NOMEM, None, None, 0, False
-    out = array("q", [0] * OUT_COUNT)
-    events = array("q", bytes(8 * tap_words))
-    meta = array("q", [0, 0])
-    cfg_buf, _cfg_owner = _col(cfg, ctypes.c_int64)
-    out_buf = (ctypes.c_int64 * OUT_COUNT).from_buffer(out)
-    tap_buf = (ctypes.c_int64 * tap_words).from_buffer(events)
-    meta_buf = (ctypes.c_int64 * 2).from_buffer(meta)
-    rc = _native(
-        "run_tap", lib.repro_run_tap,
-        ctypes.cast(cfg_buf, _I64P), ctypes.byref(mtrace.struct),
-        ctypes.cast(out_buf, _I64P), max_cycles,
-        ctypes.cast(tap_buf, _I64P), tap_words,
-        ctypes.cast(meta_buf, _I64P), tap_flags)
-    del tap_buf, meta_buf  # release from_buffer exports before returning
-    return rc, out, events, meta[0], bool(meta[1])
-
-
 #: One batch descriptor: ``(cfg, mtrace, max_cycles, tap_words,
-#: tap_flags)`` — ``tap_words == 0`` runs the point unobserved.
-BatchEntry = Tuple[array, MarshalledTrace, int, int, int]
+#: tap_flags, policy)`` — ``tap_words == 0`` runs the point unobserved,
+#: ``policy`` is a Slack-Dynamic ``(header, sites)`` pair or None.
+BatchEntry = Tuple[array, MarshalledTrace, int, int, int,
+                   Optional[Tuple[array, array]]]
 
 
 def run_batch(entries: Sequence[BatchEntry], threads: int
               ) -> Optional[List[tuple]]:
-    """Run N points in one native, GIL-released call.
+    """Run N timing points in one native, GIL-released call: the only
+    way into the compiled timing kernel (a single run is a batch of one).
 
-    Each entry is ``(cfg, mtrace, max_cycles, tap_words, tap_flags)``;
-    marshalled traces and packed configs may (and should) be shared
-    between entries — the kernel reads both strictly read-only. Returns
-    a per-point list of ``(rc, out, events, n_words, overflowed)`` in
-    entry order, exactly what :func:`run` / :func:`run_tap` would have
-    returned point by point, or None when the library is unavailable
-    (caller falls back to per-point dispatch). Failures are per-point:
-    one point's budget/deadlock/overflow never poisons its batchmates.
+    Each entry is ``(cfg, mtrace, max_cycles, tap_words, tap_flags,
+    policy)``; marshalled traces and packed configs may (and should) be
+    shared between entries — the kernel reads both strictly read-only.
+    ``tap_words > 0`` arms the event tap with a buffer of that many
+    int64 words (``tap_flags`` selects opt-in record families,
+    :data:`TAP_FLAG_GLOBAL` adds TAP_VALUE records). ``policy`` runs the
+    point under the Slack-Dynamic monitor: ``header``
+    (:data:`PP_WORDS`) and ``sites`` (:data:`PS_WORDS` per arena site,
+    ``mtrace.struct.site_id`` order) hold the policy's parameters and
+    starting state and are updated in place to its final state, also
+    on a simulated deadlock; on ``RC_NOMEM`` they are partly updated
+    and must be discarded.
+
+    Returns a per-point list of ``(rc, out, events, n_words,
+    overflowed)`` in entry order: ``out`` is the counter block, and the
+    first ``n_words`` entries of ``events`` are valid packed events (on
+    overflow the log is truncated, the counters are still exact, and
+    the caller retries with a larger buffer or runs the Python loop).
+    None when the library is unavailable (the caller runs the Python
+    loop). Failures are per-point: one point's budget/deadlock/overflow
+    never poisons its batchmates. The kernel never mutates Python state
+    other than these buffers, so any failure leaves a core free to
+    rerun in pure Python.
     """
     if not available():
         return None
@@ -783,7 +712,7 @@ def run_batch(entries: Sequence[BatchEntry], threads: int
     pts = (_CBatchPoint * n)()
     keepalive = []
     cells = []
-    for i, (cfg, mtrace, max_cycles, tap_words, tap_flags) in \
+    for i, (cfg, mtrace, max_cycles, tap_words, tap_flags, policy) in \
             enumerate(entries):
         out = array("q", [0] * OUT_COUNT)
         cfg_buf, cfg_owner = _col(cfg, ctypes.c_int64)
@@ -804,6 +733,17 @@ def run_batch(entries: Sequence[BatchEntry], threads: int
             p.tap = None
             p.tap_cap = 0
         p.tap_flags = tap_flags
+        if policy is not None:
+            header, sites = policy
+            if len(header) != PP_WORDS or \
+                    len(sites) != PS_WORDS * mtrace.struct.n_sites:
+                raise ValueError("policy state does not match the trace's "
+                                 "sites")
+            head_buf = (ctypes.c_int64 * PP_WORDS).from_buffer(header)
+            sites_buf, sites_owner = _col(sites, ctypes.c_int64)
+            p.pol = ctypes.cast(head_buf, _I64P)
+            p.pol_sites = ctypes.cast(sites_buf, _I64P)
+            keepalive.append((head_buf, sites_buf, sites_owner))
         keepalive.append((cfg_buf, cfg_owner, out_buf, tap_buf, mtrace))
         cells.append((out, events))
     used = _native("run_batch", lib.repro_run_batch, pts, n,

@@ -284,6 +284,7 @@ class OoOCore:
         self._want_tap = False
         self._tap_flags = 0
         self._kernel_policy = None
+        self._policy_state = None  # (site ids, (header, sites)) last packed
         if policy is None:
             eligible = self._tap_capable(collector) and \
                 self._tap_capable(attribution)
@@ -1214,96 +1215,59 @@ class OoOCore:
 
     def kernel_batch_entry(self, max_cycles: int):
         """This run as a ``ckern.run_batch`` descriptor; None when the
-        compiled path is unavailable (caller keeps per-point dispatch).
+        compiled path is unavailable, or a Slack-Dynamic policy declines
+        (a parameter its int64 state cannot carry): the caller then runs
+        the point through :meth:`run`, which takes the Python loop.
 
         The marshalled trace and packed config are shared, memoized
         objects — many points in one batch (a selector sweep over one
         program, a config sweep on one machine) reference the same
-        arena, and the kernel reads both strictly read-only.
+        arena, and the kernel reads both strictly read-only. A
+        Slack-Dynamic core's descriptor carries the policy's state as
+        of now, which the policy adopts once the kernel has returned a
+        result for it.
         """
-        if self._ctrace is None or self._kernel_policy is not None:
-            return None  # batch descriptors carry no policy state
+        if self._ctrace is None:
+            return None
+        state = None
+        if self._kernel_policy is not None:
+            struct = self._ctrace.struct
+            site_ids = struct.site_id[:struct.n_sites]
+            state = self._kernel_policy.kernel_state(site_ids)
+            if state is None:
+                return None
+            self._policy_state = (site_ids, state)
         cfg = ckern.pack_config_cached(self.config, self._warm_caches)
         tap_words = self._tap_words() if self._want_tap else 0
-        return (cfg, self._ctrace, max_cycles, tap_words, self._tap_flags)
+        return (cfg, self._ctrace, max_cycles, tap_words, self._tap_flags,
+                state)
 
     def apply_kernel_result(self, rc, out, events, n_words,
                             overflowed) -> Optional[RunStats]:
         """Copy back one batched point's kernel result.
 
         Returns the completed :class:`RunStats`; None means the caller
-        must rerun the point through the ordinary per-point path — tap
-        overflow (which that path retries at 4x before degrading to the
-        Python loop), allocation failure, or a simulated deadlock (which
-        that path reports by raising exactly as the Python loop would).
+        must rerun the point through :meth:`run` — tap overflow (which
+        that path retries at 4x before degrading to the Python loop),
+        allocation failure, or a simulated deadlock (which that path
+        reports by raising exactly as the Python loop would).
         """
         ck = ckern
         if overflowed or out is None or rc != ck.RC_OK:
             return None
         return self._apply_kernel_result(rc, out, events, n_words)
 
-    def _run_compiled(self, max_cycles: int) -> Optional[RunStats]:
-        """Run via the C kernel; None means fall back to the Python loop.
-
-        The kernel never mutates Python state, so a fallback rerun is
-        always safe. On success (or a simulated deadlock, which the
-        Python loop reports by raising mid-run) every externally visible
-        counter — ``stats``, ``activity``, hierarchy/TLB/prefetcher and
-        branch-unit totals, and a Slack-Dynamic policy's state — is
-        copied back so callers cannot tell which path ran.
-        """
-        ck = ckern
-        cfg = ck.pack_config_cached(self.config, self._warm_caches)
-        if self._kernel_policy is not None:
-            return self._run_policy(cfg, max_cycles)
-        events = n_words = None
-        if self._want_tap:
-            # Opt-in event tap: one retry at 4x capacity (squash storms
-            # can exceed the static estimate), then Python fallback.
-            cap = self._tap_words()
-            rc, out, events, n_words, overflow = ck.run_tap(
-                cfg, self._ctrace, max_cycles, cap, self._tap_flags)
-            if overflow:
-                ck.counters["tap_overflow_retries"] += 1
-                rc, out, events, n_words, overflow = ck.run_tap(
-                    cfg, self._ctrace, max_cycles, 4 * cap, self._tap_flags)
-            if overflow:
-                return None
-        else:
-            rc, out = ck.run(cfg, self._ctrace, max_cycles)
-        if rc == ck.RC_NOMEM or out is None:
-            return None
-        return self._apply_kernel_result(rc, out, events, n_words)
-
-    def _run_policy(self, cfg, max_cycles: int) -> Optional[RunStats]:
-        """Run under the Slack-Dynamic policy in C; None means fall back.
-
-        The kernel gets the policy's state as of now and the policy
-        adopts its final state only once the kernel has returned a
-        result (a simulated deadlock included), so a fallback rerun
-        starts from the pre-run state.
-        """
-        ck = ckern
-        policy = self._kernel_policy
-        struct = self._ctrace.struct
-        site_ids = struct.site_id[:struct.n_sites]
-        state = policy.kernel_state(site_ids)
-        if state is None:
-            return None
-        header, sites = state
-        rc, out = ck.run_policy(cfg, self._ctrace, max_cycles, header, sites)
-        if rc == ck.RC_NOMEM or out is None:
-            return None
-        policy.load_kernel_state(site_ids, header, sites)
-        ck.counters["policy_runs_native"] += 1
-        return self._apply_kernel_result(rc, out, None, None)
-
     def _apply_kernel_result(self, rc, out, events,
                              n_words) -> Optional[RunStats]:
         """Copy every externally visible counter out of one kernel run
         (shared by the per-point and batched paths; raises on simulated
-        deadlocks exactly as the Python loop does mid-run)."""
+        deadlocks exactly as the Python loop does mid-run), a
+        Slack-Dynamic policy's final state included."""
         ck = ckern
+        if self._kernel_policy is not None:
+            site_ids, (header, sites) = self._policy_state
+            self._kernel_policy.load_kernel_state(site_ids, header, sites)
+            ck.counters["policy_runs_native"] += 1
         stats = self.stats
         stats.cycles_skipped = out[ck.OUT_CYCLES_SKIPPED]
         stats.original_committed = out[ck.OUT_ORIGINAL_COMMITTED]
@@ -1390,14 +1354,33 @@ class OoOCore:
         return stats
 
     def run(self, max_cycles: int = 200_000_000) -> RunStats:
-        """Run the trace to completion and return statistics."""
+        """Run the trace to completion and return statistics.
+
+        A kernel-eligible core runs as a batch of one. The kernel writes
+        only into its descriptor's buffers, and a policy adopts the
+        kernel's copy of its state only once the kernel has returned a
+        result (a simulated deadlock included, which raises as the
+        Python loop would), so a declined descriptor, an event buffer
+        overflowing its 4x retry, or an allocation failure reruns the
+        point in the Python loop from the pre-run state.
+        """
         if self._ctrace is not None:
-            result = self._run_compiled(max_cycles)
-            if result is not None:
-                return result
+            ck = ckern
+            entry = self.kernel_batch_entry(max_cycles)
+            batch = None if entry is None else ck.run_batch([entry], 1)
+            if batch is not None and batch[0][4]:
+                # Squash storms can exceed the tap's static estimate.
+                ck.counters["tap_overflow_retries"] += 1
+                entry = entry[:3] + (4 * entry[3],) + entry[4:]
+                batch = ck.run_batch([entry], 1)
+            if batch is not None:
+                rc, out, events, n_words, overflowed = batch[0]
+                if not overflowed and rc != ck.RC_NOMEM:
+                    return self._apply_kernel_result(rc, out, events,
+                                                     n_words)
             self._ctrace = None
             if self._kernel_policy is not None:
-                ckern.counters["policy_fallbacks"] += 1
+                ck.counters["policy_fallbacks"] += 1
         if self._objs is None:
             self._bind_records()
         stats = self.stats

@@ -10,9 +10,11 @@ serial path's failure semantics.
 
 import pytest
 
+from repro.exec import batch
 from repro.exec import tasks as task_fns
-from repro.exec.grid import (baseline_point, dynamic_point, parse_jobs,
-                             run_points, selector_point)
+from repro.exec.grid import (baseline_point, build_tasks, dynamic_point,
+                             parse_jobs, point_id, run_points,
+                             selector_point)
 from repro.exec.store import StoreStats
 from repro.harness.runner import Runner
 from repro.minigraph.selectors import SlackProfileSelector, StructAll
@@ -83,13 +85,27 @@ def _artifacts(runner):
 
 
 @needs_kernel
-def test_threaded_run_points_bit_identical_to_serial():
-    """threads:N prewarms the store with exactly the serial artifacts."""
+def test_threaded_run_points_bit_identical_to_serial(monkeypatch):
+    """threads:N prewarms the store with exactly the serial artifacts;
+    every timing node rides a wave, the Slack-Dynamic one included."""
     threaded = Runner()
+    for task in build_tasks(_points(), threaded):
+        if task.stage in ("baseline", "profile", "timing"):
+            assert batch.is_batchable(task), task.id
+    batched = set()
+    real_wave = batch.run_batch_wave
+
+    def recording_wave(tasks, threads):
+        done = real_wave(tasks, threads)
+        batched.update(done)
+        return done
+
+    monkeypatch.setattr(batch, "run_batch_wave", recording_wave)
     before = ckern.counters["batch_points"]
     report = run_points(threaded, _points(), jobs=1, threads=4)
     assert not report.failures
     assert ckern.counters["batch_points"] > before  # batches actually ran
+    assert point_id(dynamic_point("crc32", "reduced")) in batched
 
     serial = Runner()
     serial_report = run_points(serial, _points(), jobs=1)

@@ -92,6 +92,21 @@ def test_slack_dynamic_variants_labelled(runner, reduced_cfg):
     assert sial.selector == "ideal-slack-dynamic-sial"
 
 
+def test_slack_dynamic_selector_gets_its_policy(runner, reduced_cfg):
+    """A SlackDynamicSelector run set up without a policy (run_selector,
+    a bench point) times Slack-Dynamic, not the bare Struct-All pool."""
+    from repro.harness.bench import run_bench
+    want = runner.run_slack_dynamic("crc32", reduced_cfg)
+    got = runner.run_selector("crc32", SlackDynamicSelector(), reduced_cfg)
+    assert want.stats.mg_disabled_instances > 0
+    assert (got.stats.cycles, got.ipc, got.coverage,
+            got.stats.mg_disabled_instances) == \
+        (want.stats.cycles, want.ipc, want.coverage,
+         want.stats.mg_disabled_instances)
+    (point,) = run_bench(["crc32"], ["slack-dynamic"], runner=runner).points
+    assert point.cycles == want.stats.cycles
+
+
 def test_budget_respected():
     tight = Runner(budget=3)
     plan = tight.plan("adpcm", StructAll())

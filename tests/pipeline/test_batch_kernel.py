@@ -48,6 +48,13 @@ def _full_stats(core, stats):
     return out
 
 
+def _profile_entries(profile):
+    """Every field of every slack-profile entry, by pc."""
+    return {pc: (e.count, e.rel_issue, e.src_ready, e.out_ready, e.slack,
+                 e.min_slack)
+            for pc, e in profile.entries.items()}
+
+
 def _matrix_cores(runner):
     """One un-run core per golden-matrix point, in deterministic order."""
     cores = []
@@ -165,13 +172,60 @@ def test_batched_tap_points_bit_identical(runner):
             else collector.profile()
         want = serial_collector.global_profile() if global_slack \
             else serial_collector.profile()
+        assert _profile_entries(profile) == _profile_entries(want)
 
-        def entries(prof):
-            return {pc: (e.count, e.rel_issue, e.src_ready, e.out_ready,
-                         e.slack, e.min_slack)
-                    for pc, e in prof.entries.items()}
 
-        assert entries(profile) == entries(want)
+@needs_kernel
+@pytest.mark.parametrize("threads", [1, 4])
+def test_mixed_batch_matches_python_loop(runner, threads):
+    """One batch mixing, per program, an unobserved point, a tapped
+    profiling point and Figure 7's four Slack-Dynamic variants: every
+    point's stats, the slack profile and each policy's final state
+    equal the REPRO_PURE_PY loop's."""
+    from repro.minigraph.dynamic import SlackDynamicPolicy
+    from repro.minigraph.selectors import SlackDynamicSelector
+    from repro.minigraph.slack import SlackCollector
+
+    from .test_policy_kernel import VARIANTS, policy_state
+    config = reduced_config()
+
+    def points():
+        """(un-run core, reader of its observer's or policy's state)."""
+        made = []
+        for bench in ("crc32", "adpcm"):
+            trace = runner.trace(bench)
+            plain = OoOCore(config, fold_trace(trace, runner.plan(
+                bench, StructAll())), warm_caches=True)
+            made.append((plain, lambda: None))
+            collector = SlackCollector(runner._bench(bench).program("train"),
+                                       config_name=config.name,
+                                       input_name="train")
+            tapped = OoOCore(config, trace.packed(), collector=collector,
+                             warm_caches=True)
+            made.append((tapped,
+                         lambda c=collector: _profile_entries(c.profile())))
+            plan = runner.plan(bench, SlackDynamicSelector())
+            for kwargs in VARIANTS:
+                policy = SlackDynamicPolicy(**kwargs)
+                dynamic = OoOCore(config, fold_trace(trace, plan),
+                                  policy=policy, warm_caches=True)
+                made.append((dynamic, lambda p=policy: policy_state(p)))
+        return made
+
+    batch = points()
+    got = []
+    for (core, state), point in zip(
+            batch, _run_batch([core for core, _ in batch], threads)):
+        stats = core.apply_kernel_result(*point)
+        assert stats is not None
+        got.append((_full_stats(core, stats), state()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_PURE_PY", "1")
+        want = []
+        for core, state in points():
+            assert core._ctrace is None
+            want.append((_full_stats(core, core.run()), state()))
+    assert got == want
 
 
 @needs_kernel

@@ -310,8 +310,8 @@ def test_kernel_failure_after_fold_uses_reference(monkeypatch, sum_loop,
     folded = fold_trace(sum_trace, plan)
     core = OoOCore(full_config(), folded, warm_caches=True)
     assert core._ctrace is folded.arena and folded._packed is None
-    monkeypatch.setattr(ckern, "run",
-                        lambda *args: (ckern.RC_NOMEM, None))
+    monkeypatch.setattr(ckern, "run_batch", lambda entries, threads: [
+        (ckern.RC_NOMEM, None, None, 0, False) for _ in entries])
     before = ckern.counters["fold_fallbacks"]
     assert _full_stats(core, core.run()) == want
     assert folded._packed is not None
@@ -448,13 +448,14 @@ def test_dynamic_kernel_failure_reruns_from_pre_run_state(monkeypatch,
         return policy
 
     want = _dynamic_reference(sum_trace, plan, policy=ran_once())
-    real = ckern.run_policy
+    real = ckern.run_batch
 
-    def failing(*args):
-        real(*args)  # writes the kernel's final state into the arrays
-        return ckern.RC_NOMEM, None
+    def failing(entries, threads):
+        # The real batch writes the kernel's final state into the arrays.
+        return [(ckern.RC_NOMEM,) + point[1:]
+                for point in real(entries, threads)]
 
-    monkeypatch.setattr(ckern, "run_policy", failing)
+    monkeypatch.setattr(ckern, "run_batch", failing)
     before = dict(ckern.counters)
     got, core = _dynamic_run(sum_trace, plan, policy=ran_once())
     assert got == want
@@ -523,6 +524,6 @@ def test_dynamic_non_integer_parameter_reruns_in_python(sum_loop,
                              policy=SlackDynamicPolicy(**params))
     assert got == want
     assert core._ctrace is None
-    assert ckern.counters["run_policy_calls"] == before["run_policy_calls"]
+    assert ckern.counters["run_batch_calls"] == before["run_batch_calls"]
     assert ckern.counters["policy_fallbacks"] == \
         before["policy_fallbacks"] + 1

@@ -1,8 +1,9 @@
 """Event-tap parity: C-kernel event-log decode vs the Python observers.
 
-The compiled kernel's opt-in event tap (``repro_run_tap``) appends
-fixed-width ``[(ix << 4) | tag, a, b]`` triples for issue, operand
-consumption, branch redirects, handle issue, and consumer delays.
+The compiled kernel's opt-in event tap (a ``repro_run_batch`` point's
+``tap`` buffer) appends fixed-width ``[(ix << 4) | tag, a, b]`` triples
+for issue, operand consumption, branch redirects, handle issue, and
+consumer delays.
 :class:`SlackCollector` and :class:`AttributionCollector` rebuild their
 per-static-instruction profiles post-hoc from that log. These tests pin
 the contract that the reconstruction is **bit-identical** to the in-loop
@@ -197,8 +198,8 @@ def test_tap_capacity_is_generous(runner):
     cap = ckern.tap_capacity(packed)
     mtrace = ckern.marshal(packed)
     cfg = ckern.pack_config(config, True)
-    rc, out, events, n_words, overflow = ckern.run_tap(
-        cfg, mtrace, 10_000_000, cap)
+    (point,) = ckern.run_batch([(cfg, mtrace, 10_000_000, cap, 0, None)], 1)
+    rc, out, events, n_words, overflow = point
     assert rc == ckern.RC_OK
     assert not overflow
     assert 0 < n_words <= cap

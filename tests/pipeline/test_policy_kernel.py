@@ -1,9 +1,10 @@
 """Slack-Dynamic in the compiled kernel: bit parity with the Python loop.
 
-``repro_run_policy`` ports ``SlackDynamicPolicy`` (per-site saturating
-counters, hysteresis, resurrection) and the core's outlined expansion of
-disabled sites. The Python loop under ``REPRO_PURE_PY=1`` is the
-reference: every counter of the run and the policy's final state —
+The kernel ports ``SlackDynamicPolicy`` (per-site saturating counters,
+hysteresis, resurrection) and the core's outlined expansion of disabled
+sites; a ``repro_run_batch`` descriptor carries the policy's state. The
+Python loop under ``REPRO_PURE_PY=1`` is the reference: every counter of
+the run and the policy's final state —
 which sites have entries, their (counter, disabled, quiet), the benign
 counts and the event totals — must match exactly, on the golden-matrix
 programs under the four Figure 7 variants, on the synthetic programs
@@ -148,19 +149,19 @@ def test_policy_state_carries_over_between_runs():
 
 @needs_kernel
 def test_policy_counters_are_exported():
-    """collect_ckern exports the policy-run counters and the run_policy
-    entry point's native calls and time."""
+    """collect_ckern exports the policy-run counters and the run_batch
+    entry point's native calls and time, which a policy run adds to."""
     before = dict(ckern.counters)
     trace = RUNNER.trace("crc32")
     plan = RUNNER.plan("crc32", SlackDynamicSelector())
     run_point(reduced_config(), trace, plan, VARIANTS[0], pure=False)
-    assert ckern.counters["run_policy_calls"] == \
-        before["run_policy_calls"] + 1
-    assert ckern.counters["run_policy_ns"] > before["run_policy_ns"]
+    assert ckern.counters["run_batch_calls"] == \
+        before["run_batch_calls"] + 1
+    assert ckern.counters["run_batch_ns"] > before["run_batch_ns"]
     values = MetricsRegistry()
     collect_ckern(values)
     snapshot = values.snapshot()
     for name in ("policy_runs_native", "policy_fallbacks"):
         assert snapshot[f"ckern.{name}"] == ckern.counters[name]
-    assert snapshot["ckern.run_policy.calls"] == \
-        ckern.counters["run_policy_calls"]
+    assert snapshot["ckern.run_batch.calls"] == \
+        ckern.counters["run_batch_calls"]
