@@ -12,7 +12,8 @@ import argparse
 
 from repro.harness import Runner
 from repro.minigraph import (
-    SlackProfileSelector, StructAll, StructBounded, StructNone,
+    SlackDynamicSelector, SlackProfileSelector, StructAll, StructBounded,
+    StructNone,
 )
 from repro.pipeline import full_config, reduced_config
 
@@ -43,20 +44,22 @@ def main():
                                          input_name=args.input)
         on_full = runner.run_selector(args.benchmark, selector, full,
                                       input_name=args.input)
+        plan = runner.plan(args.benchmark, selector, input_name=args.input)
         print(f"{selector.name:>16s} {on_reduced.ipc / base_full:12.3f} "
               f"{on_full.ipc / base_full:10.3f} "
               f"{on_reduced.coverage:9.1%} "
-              f"{len(on_reduced.plan.sites):6d} "
-              f"{on_reduced.plan.n_templates:9d}")
+              f"{len(plan.sites):6d} {plan.n_templates:9d}")
 
     dynamic = runner.run_slack_dynamic(args.benchmark, reduced,
                                        input_name=args.input)
     dynamic_full = runner.run_slack_dynamic(args.benchmark, full,
                                             input_name=args.input)
+    plan = runner.plan(args.benchmark, SlackDynamicSelector(),
+                       input_name=args.input)
     print(f"{'slack-dynamic':>16s} {dynamic.ipc / base_full:12.3f} "
           f"{dynamic_full.ipc / base_full:10.3f} "
           f"{dynamic.coverage:9.1%} "
-          f"{len(dynamic.plan.sites):6d} {dynamic.plan.n_templates:9d}")
+          f"{len(plan.sites):6d} {plan.n_templates:9d}")
     print(f"\n(slack-dynamic disabled instances: "
           f"{dynamic.stats.mg_disabled_instances}, "
           f"outline jumps paid: {dynamic.stats.outline_jumps_committed})")

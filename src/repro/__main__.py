@@ -32,8 +32,8 @@ from .harness.runner import Runner
 from .isa.interp import ExecutionLimitExceeded, MemoryFault
 from .isa.validate import ValidationError
 from .minigraph.selectors import (
-    ReadPortAwareSelector, SlackProfileSelector, StructAll, StructBounded,
-    StructNone,
+    ReadPortAwareSelector, SlackDynamicSelector, SlackProfileSelector,
+    StructAll, StructBounded, StructNone,
 )
 from .pipeline.config import config_by_name
 from .workloads.suite import all_benchmarks, benchmark
@@ -84,18 +84,20 @@ def _cmd_run(args) -> int:
     if args.selector == "none":
         return 0
     if args.selector == "slack-dynamic":
+        selector = SlackDynamicSelector()
         run = runner.run_slack_dynamic(args.benchmark, config,
                                        input_name=args.input)
     else:
         selector = SELECTORS[args.selector]()
         run = runner.run_selector(args.benchmark, selector, config,
                                   input_name=args.input)
+    plan = runner.plan(args.benchmark, selector, input_name=args.input)
     stats = run.stats
     print(f"  {run.selector:<15s}: IPC {stats.ipc:.3f} "
           f"({stats.ipc / base_full.ipc:.3f}x), "
           f"coverage {stats.coverage:.1%}, "
           f"{stats.handles_committed} handles, "
-          f"{run.plan.n_templates} templates")
+          f"{plan.n_templates} templates")
     if stats.mg_serialized_instances:
         print(f"  serialization  : {stats.mg_serialized_instances} "
               f"serialized instances, {stats.mg_consumer_delays} "

@@ -54,14 +54,15 @@ class SelectorRun:
     Frozen: results are placed in the artifact store and shared between
     callers, so no field may be rebound after construction. Display-name
     variants (e.g. ``ideal-slack-dynamic-sial``) are passed into the
-    constructor via :meth:`Runner.run_selector`'s ``label``.
+    constructor via :meth:`Runner.run_selector`'s ``label``. The plan the
+    run timed is its input, not part of its outcome: :meth:`Runner.plan`
+    with the run's own arguments returns it (the ``plan`` artifact).
     """
 
     program: str
     selector: str
     config: str
     stats: RunStats
-    plan: MiniGraphPlan
 
     @property
     def ipc(self) -> float:
@@ -311,7 +312,7 @@ class Runner:
         def finalize(stats: RunStats) -> SelectorRun:
             stats.program_name = bench.name
             return SelectorRun(bench.name, label or selector.name,
-                               config.name, stats, plan)
+                               config.name, stats)
 
         return core, finalize
 

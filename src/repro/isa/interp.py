@@ -80,8 +80,9 @@ class PackedTrace:
     compiled kernel read one field from thousands of records per call,
     so the scalar fields live in parallel typed columns (``array('q')``,
     with ``array('b')`` for the two flags). For a functional trace the
-    columns are the trace itself: :func:`execute` writes them directly
-    and a stored :class:`Trace` is its narrowed columns.
+    columns are the trace itself: :func:`execute` writes them directly,
+    and a stored :class:`Trace` is its narrowed ``pc``, ``addr`` and
+    ``taken`` columns, from which the program fixes the rest.
 
     ``objs`` is the record-object view, a drop-in sequence of records
     for consumers that want objects (the Python cycle loop, mini-graph
@@ -196,11 +197,10 @@ class PackedTrace:
         return f"<PackedTrace n={self.n}>"
 
 
-#: Every column of a singleton trace and its in-memory typecode, in the
-#: order a stored :class:`Trace` lists them.
-_COLUMNS = (("kind", "b"), ("pc", "q"), ("op", "q"), ("opclass", "q"),
-            ("latency", "q"), ("rd", "q"), ("addr", "q"), ("taken", "b"),
-            ("next_pc", "q"), ("srcs", "q"), ("srcs_start", "q"))
+#: The columns execution decides and their in-memory typecodes, in the
+#: order a stored :class:`Trace` lists them; :func:`_pack_execution`
+#: derives every other column from the program.
+_COLUMNS = (("pc", "q"), ("addr", "q"), ("taken", "b"))
 
 #: Stored typecodes from narrowest to widest; a column is stored in the
 #: first that holds all of its values.
@@ -233,10 +233,13 @@ class Trace:
     The trace is its :class:`PackedTrace` columns (``records`` may be
     those columns or a record sequence, packed here); the ``records``
     attribute is their record-object view, built on first read. A trace
-    pickles as its program, input name, final memory and each column
-    narrowed to the smallest integer typecode that holds it, and
-    unpickles straight back to the in-memory columns without building a
-    record.
+    pickles as its program, input name, final memory and the ``pc``,
+    ``addr`` and ``taken`` columns, each narrowed to the smallest
+    integer typecode that holds it. It unpickles straight back to the
+    in-memory columns without building a record: :func:`_pack_execution`
+    rebuilds the other columns from the program, as :func:`execute` does.
+    So ``Trace(program, records)`` round-trips only when its records are
+    the ones :func:`execute` would write for ``program``.
     """
 
     def __init__(self, program: Program, records,
@@ -259,8 +262,9 @@ class Trace:
         return self._packed.objs
 
     def __getstate__(self):
-        # The record view and the counts are derived; only the columns
-        # are stored, each at its narrowest width.
+        # The record view, the counts and every column the program fixes
+        # are derived; only what execution decided is stored, each column
+        # at its narrowest width.
         packed = self._packed
         return {"program": self.program, "input_name": self.input_name,
                 "final_memory": self.final_memory,
@@ -268,34 +272,33 @@ class Trace:
                                  for name, _code in _COLUMNS)}
 
     def __setstate__(self, state) -> None:
-        """Restore a stored trace, rejecting columns that disagree.
+        """Restore a stored trace, rebuilding its derived columns.
 
-        The compiled kernel indexes these columns without bounds checks,
-        so inconsistent ones raise :class:`ValueError` here (the store
-        then drops the payload and recomputes the trace).
+        The rebuild indexes the program's instructions by ``pc`` and the
+        compiled kernel indexes the columns without bounds checks, so
+        columns that cannot be an execution of the program raise
+        :class:`ValueError` here (the store then drops the payload and
+        recomputes the trace).
         """
         stored = state["columns"]
         if len(stored) != len(_COLUMNS):
             raise ValueError(f"trace has {len(stored)} columns, "
                              f"expected {len(_COLUMNS)}")
-        cols = {name: _widen(name, code, col)
-                for (name, code), col in zip(_COLUMNS, stored)}
-        n = len(cols["pc"])
-        for name, _code in _COLUMNS[:-2]:  # one entry per record
-            if len(cols[name]) != n:
-                raise ValueError(f"trace column {name!r} has "
-                                 f"{len(cols[name])} entries, expected {n}")
-        starts = cols["srcs_start"].tolist()
-        if len(starts) != n + 1 or starts[0] != 0 or \
-                starts[n] != len(cols["srcs"]) or starts != sorted(starts):
-            raise ValueError("trace srcs_start does not delimit srcs")
-        if any(cols["kind"]):
-            raise ValueError("stored trace holds non-singleton records")
-        self.program = state["program"]
+        pc, addr, taken = (_widen(name, code, col)
+                           for (name, code), col in zip(_COLUMNS, stored))
+        n = len(pc)
+        if not n or len(addr) != n or len(taken) != n:
+            raise ValueError(f"trace columns have {n}, {len(addr)} and "
+                             f"{len(taken)} entries")
+        program = state["program"]
+        if min(pc) < 0 or max(pc) >= len(program):
+            raise ValueError(f"trace pc outside its {len(program)}-"
+                             f"instruction program")
+        self.program = program
         self.input_name = state["input_name"]
         self.final_memory = state["final_memory"]
-        self._packed = PackedTrace(None, *(cols[name]
-                                           for name, _code in _COLUMNS))
+        self._packed = _pack_execution(program.instructions, pc, addr,
+                                       taken)
 
     def __len__(self) -> int:
         return self._packed.n

@@ -28,7 +28,6 @@ from ..pipeline.ckern import (
     TAP_CONSUME as _TAP_CONSUME,
     TAP_ISSUE as _TAP_ISSUE,
     TAP_REDIRECT as _TAP_REDIRECT,
-    tap_fold as _tap_fold,
 )
 
 SLACK_CAP = 64
@@ -224,6 +223,9 @@ class SlackCollector:
 
         Sums of ints and mins are order-independent, so the result is
         bit-identical to the Python observer path, profile for profile.
+        :func:`~repro.pipeline.ckern.profile_build` runs the whole decode
+        in one C call; when it declines, the pure-Python reference below
+        runs both passes.
         """
         if self._finished:
             return
@@ -232,8 +234,9 @@ class SlackCollector:
             # Preferred path: one C call fuses the event fold with the
             # commit-prefix aggregation and hands back dense SoA columns
             # (bit-identical: int sums, same order, same clamps). Any
-            # failure (REPRO_PURE_PY, no compiler, unsupported shape)
-            # returns None and the reference loop below runs instead.
+            # failure (REPRO_PURE_PY, no compiler, unsupported shape,
+            # RC_NOMEM) returns None and the reference decode below runs
+            # instead.
             n_static = len(self.program)
             is_leader = array("b", bytes(n_static))
             for pc in self._leaders:
@@ -251,26 +254,24 @@ class SlackCollector:
         cells = array("q", [none]) * n
         issue_cycle = array("q", bytes(8 * n))
         out_ready = array("q", [1 << 60]) * n
-        if not _tap_fold(events, n_words, cells, issue_cycle, out_ready):
-            # Library gone mid-run: pure-Python reference fold.
-            i = 0
-            while i < n_words:
-                w0 = events[i]
-                a = events[i + 1]
-                b = events[i + 2]
-                i += 3
-                tag = w0 & 15
-                ix = w0 >> 4
-                if tag == _TAP_CONSUME:
-                    if a < cells[ix]:
-                        cells[ix] = a
-                elif tag == _TAP_ISSUE:
-                    cells[ix] = none
-                    issue_cycle[ix] = a
-                    out_ready[ix] = b
-                elif tag == _TAP_REDIRECT:
-                    cells[ix] = 0
-                # HANDLE / CDELAY events belong to the attribution decode.
+        i = 0
+        while i < n_words:
+            w0 = events[i]
+            a = events[i + 1]
+            b = events[i + 2]
+            i += 3
+            tag = w0 & 15
+            ix = w0 >> 4
+            if tag == _TAP_CONSUME:
+                if a < cells[ix]:
+                    cells[ix] = a
+            elif tag == _TAP_ISSUE:
+                cells[ix] = none
+                issue_cycle[ix] = a
+                out_ready[ix] = b
+            elif tag == _TAP_REDIRECT:
+                cells[ix] = 0
+            # HANDLE / CDELAY events belong to the attribution decode.
 
         kinds = packed.kind
         pcs = packed.pc

@@ -2027,16 +2027,16 @@ int64_t repro_run_batch(BatchPoint *pts, int64_t n, int64_t threads) {
     return 1;
 }
 
-/* First pass of the slack-profile decode: fold the O(events) log into
- * per-static-record cells so the Python side only walks the O(n)
- * committed prefix. Exactly mirrors the reference loop in
+/* First pass of the slack-profile decode (repro_profile_build): fold
+ * the O(events) log into per-record cells so the second pass only walks
+ * the O(n) committed prefix. Exactly mirrors the reference loop in
  * SlackCollector.ingest_ckern_tap — CONSUME takes the min sample into
  * the producer's open cell, ISSUE re-opens the cell (squash orphaning)
  * and records issue/ready cycles, REDIRECT zeroes the cell. The
  * ``none`` sentinel (1<<62) matches the Python decoder. */
-void repro_tap_fold(const int64_t *events, int64_t n_words,
-                    int64_t *cells, int64_t *issue_cycle,
-                    int64_t *out_ready) {
+static void tap_fold(const int64_t *events, int64_t n_words,
+                     int64_t *cells, int64_t *issue_cycle,
+                     int64_t *out_ready) {
     for (int64_t i = 0; i + 2 < n_words; i += 3) {
         int64_t w0 = events[i];
         int64_t tag = w0 & 15;
@@ -2315,7 +2315,7 @@ void repro_fold_free(void *block) {
 #define PLAN_BIG50 (((int64_t)1) << 50)
 
 /* Build the whole slack profile from one run's packed event log: the
- * repro_tap_fold first pass plus the committed-prefix aggregation loop
+ * tap_fold first pass plus the committed-prefix aggregation loop
  * of SlackCollector.ingest_ckern_tap, in one call. Aggregates are
  * int64 sums per static pc (stride PLAN_MAX_SRC for the per-position
  * source columns); ``order`` receives static pcs in first-commit order
@@ -2345,7 +2345,7 @@ int64_t repro_profile_build(
         cells[i] = PLAN_NONE62;
         out_ready[i] = BIG;
     }
-    repro_tap_fold(events, n_words, cells, issue_cycle, out_ready);
+    tap_fold(events, n_words, cells, issue_cycle, out_ready);
 
     int64_t last_writer[32];
     for (int k = 0; k < 32; k++) last_writer[k] = -1;

@@ -195,8 +195,8 @@ class _CBatchPoint(ctypes.Structure):
 
 
 #: Native entry points, each timed around its ctypes call alone.
-ENTRY_POINTS = ("fold", "run_batch", "tap_fold", "profile_build",
-                "plan_enumerate", "plan_score", "global_fold")
+ENTRY_POINTS = ("fold", "run_batch", "profile_build", "plan_enumerate",
+                "plan_score", "global_fold")
 
 # Dispatch/fallback tallies, harvested post-hoc by
 # ``repro.obs.metrics.collect_ckern`` (pure counters: reading or
@@ -328,9 +328,6 @@ def _load():
         lib.repro_run_batch.restype = ctypes.c_int64
         lib.repro_run_batch.argtypes = [ctypes.POINTER(_CBatchPoint),
                                         ctypes.c_int64, ctypes.c_int64]
-        lib.repro_tap_fold.restype = None
-        lib.repro_tap_fold.argtypes = [_I64P, ctypes.c_int64, _I64P, _I64P,
-                                       _I64P]
         lib.repro_profile_build.restype = ctypes.c_int64
         lib.repro_profile_build.argtypes = [
             _I64P, ctypes.c_int64, ctypes.c_int64,       # event log
@@ -382,6 +379,14 @@ def _col(arr, ctype):
     if not len(arr):
         arr = array(arr.typecode, [0])
     return ((ctype * len(arr)).from_buffer(arr), arr)
+
+
+def _ptr(buf, ptr_type):
+    """A ``ptr_type`` at ``buf``'s address, holding no reference to it:
+    ``ctypes.cast(buf, ptr_type)`` would keep ``buf`` and the array it
+    exports in a reference cycle until the next full collection.
+    Callers keep ``buf`` alive while the kernel may read it."""
+    return ctypes.cast(ctypes.addressof(buf), ptr_type)
 
 
 class MarshalledTrace:
@@ -497,7 +502,7 @@ def marshal(packed) -> Optional[MarshalledTrace]:
         buf, owner = _col(arr, ctype)
         keepalive.append(owner)
         keepalive.append(buf)
-        return ctypes.cast(buf, ctypes.POINTER(ctype))
+        return _ptr(buf, ctypes.POINTER(ctype))
 
     struct = _CTrace(
         pc=col(packed.pc), op=col(packed.op), opclass=col(packed.opclass),
@@ -573,7 +578,7 @@ def fold(packed, pc_map: array, sites: array, ext: array
     def p64(arr):
         buf, owner = _col(arr, ctypes.c_int64)
         keep.append((buf, owner))
-        return ctypes.cast(buf, _I64P)
+        return _ptr(buf, _I64P)
 
     struct = _CTrace()
     block = ctypes.c_void_p()
@@ -718,14 +723,14 @@ def run_batch(entries: Sequence[BatchEntry], threads: int
         cfg_buf, cfg_owner = _col(cfg, ctypes.c_int64)
         out_buf = (ctypes.c_int64 * OUT_COUNT).from_buffer(out)
         p = pts[i]
-        p.cfg = ctypes.cast(cfg_buf, _I64P)
+        p.cfg = _ptr(cfg_buf, _I64P)
         p.trace = ctypes.pointer(mtrace.struct)
-        p.out = ctypes.cast(out_buf, _I64P)
+        p.out = _ptr(out_buf, _I64P)
         p.max_cycles = max_cycles
         if tap_words > 0:
             events = array("q", bytes(8 * tap_words))
             tap_buf = (ctypes.c_int64 * tap_words).from_buffer(events)
-            p.tap = ctypes.cast(tap_buf, _I64P)
+            p.tap = _ptr(tap_buf, _I64P)
             p.tap_cap = tap_words
         else:
             events = None
@@ -741,8 +746,8 @@ def run_batch(entries: Sequence[BatchEntry], threads: int
                                  "sites")
             head_buf = (ctypes.c_int64 * PP_WORDS).from_buffer(header)
             sites_buf, sites_owner = _col(sites, ctypes.c_int64)
-            p.pol = ctypes.cast(head_buf, _I64P)
-            p.pol_sites = ctypes.cast(sites_buf, _I64P)
+            p.pol = _ptr(head_buf, _I64P)
+            p.pol_sites = _ptr(sites_buf, _I64P)
             keepalive.append((head_buf, sites_buf, sites_owner))
         keepalive.append((cfg_buf, cfg_owner, out_buf, tap_buf, mtrace))
         cells.append((out, events))
@@ -758,36 +763,6 @@ def run_batch(entries: Sequence[BatchEntry], threads: int
                         bool(p.tap_ovf)))
     del keepalive, pts  # release from_buffer exports before returning
     return results
-
-
-def tap_fold(events: array, n_words: int, cells: array,
-             issue_cycle: array, out_ready: array) -> bool:
-    """Fold the event log into per-record decode cells, in C.
-
-    Performs exactly the first pass of
-    :meth:`~repro.minigraph.slack.SlackCollector.ingest_ckern_tap`
-    (CONSUME min / ISSUE reset / REDIRECT zero) over the ``n_words``
-    valid words of ``events``, mutating the three ``array('q')`` columns
-    in place. Returns False when the library is unavailable (or
-    ``REPRO_PURE_PY`` demands the reference loop) so callers keep the
-    pure-Python fold as a fallback.
-    """
-    if not available():
-        return False
-    lib = _load()
-    if lib is None:
-        return False
-    if n_words:
-        ev_buf = (ctypes.c_int64 * len(events)).from_buffer(events)
-        cell_buf = (ctypes.c_int64 * len(cells)).from_buffer(cells)
-        ic_buf = (ctypes.c_int64 * len(issue_cycle)).from_buffer(issue_cycle)
-        or_buf = (ctypes.c_int64 * len(out_ready)).from_buffer(out_ready)
-        _native("tap_fold", lib.repro_tap_fold,
-                ctypes.cast(ev_buf, _I64P), n_words,
-                ctypes.cast(cell_buf, _I64P), ctypes.cast(ic_buf, _I64P),
-                ctypes.cast(or_buf, _I64P))
-        del ev_buf, cell_buf, ic_buf, or_buf
-    return True
 
 
 # ---------------------------------------------------------------------
@@ -824,11 +799,11 @@ def profile_build(events: array, n_words: int, n_committed: int,
                   ) -> Optional[PackedProfileAcc]:
     """One-call slack-profile build from a packed event log.
 
-    Fuses the :func:`tap_fold` first pass with the committed-prefix
-    aggregation loop of ``SlackCollector.ingest_ckern_tap``. Returns
-    the packed accumulator columns, or None (library unavailable,
-    ``REPRO_PURE_PY``, or unsupported shape) — the caller then runs the
-    Python reference loop.
+    Runs both passes of ``SlackCollector.ingest_ckern_tap`` in C: the
+    event fold into per-record cells, then the committed-prefix
+    aggregation. Returns the packed accumulator columns, or None
+    (library unavailable, ``REPRO_PURE_PY``, unsupported shape or
+    ``RC_NOMEM``) — the caller then runs the Python reference decode.
     """
     if not available():
         return None
@@ -854,12 +829,12 @@ def profile_build(events: array, n_words: int, n_committed: int,
     def p64(arr):
         buf, owner = _col(arr, ctypes.c_int64)
         keep.append((buf, owner))
-        return ctypes.cast(buf, _I64P)
+        return _ptr(buf, _I64P)
 
     def p8(arr):
         buf, owner = _col(arr, ctypes.c_int8)
         keep.append((buf, owner))
-        return ctypes.cast(buf, _I8P)
+        return _ptr(buf, _I8P)
 
     rc = _native(
         "profile_build", lib.repro_profile_build,
@@ -906,7 +881,7 @@ def plan_enumerate(opclass: array, rd_eff: array, srcs3: array,
     def p64(arr):
         buf, owner = _col(arr, ctypes.c_int64)
         keep.append((buf, owner))
-        return ctypes.cast(buf, _I64P)
+        return _ptr(buf, _I64P)
 
     n_cand = _native(
         "plan_enumerate", lib.repro_enumerate_candidates,
@@ -943,19 +918,19 @@ def plan_score(n_cand: int, c_start: array, c_end: array, c_ext: array,
     def p64(arr):
         buf, owner = _col(arr, ctypes.c_int64)
         keep.append((buf, owner))
-        return ctypes.cast(buf, _I64P)
+        return _ptr(buf, _I64P)
 
     def p8(arr):
         buf, owner = _col(arr, ctypes.c_int8)
         keep.append((buf, owner))
-        return ctypes.cast(buf, _I8P)
+        return _ptr(buf, _I8P)
 
     def pd(arr):
         if not len(arr):
             arr = array("d", [0.0])
         buf = (ctypes.c_double * len(arr)).from_buffer(arr)
         keep.append((buf, arr))
-        return ctypes.cast(buf, _DBLP)
+        return _ptr(buf, _DBLP)
 
     rc = _native(
         "plan_score", lib.repro_score_candidates,
@@ -995,17 +970,17 @@ def global_fold(events: array, n_words: int, n_committed: int,
     def p64(arr):
         buf, owner = _col(arr, ctypes.c_int64)
         keep.append((buf, owner))
-        return ctypes.cast(buf, _I64P)
+        return _ptr(buf, _I64P)
 
     def p8(arr):
         buf, owner = _col(arr, ctypes.c_int8)
         keep.append((buf, owner))
-        return ctypes.cast(buf, _I8P)
+        return _ptr(buf, _I8P)
 
     def pd(arr):
         buf = (ctypes.c_double * len(arr)).from_buffer(arr)
         keep.append((buf, arr))
-        return ctypes.cast(buf, _DBLP)
+        return _ptr(buf, _DBLP)
 
     rc = _native(
         "global_fold", lib.repro_global_fold,

@@ -8,8 +8,9 @@ experiments``: ``--jobs N`` fans out worker processes over a persistent
 store, ``--jobs threads:N`` keeps the run in-process and turns each
 scheduler wave into one batched native kernel call. Afterwards the
 (serial) reduction replays the same calls through the Runner and finds
-every artifact already present, so objectives come from full
-:class:`~repro.harness.runner.SelectorRun` objects at warm-hit cost.
+every artifact already present, so objectives come from each point's
+stored :class:`~repro.harness.runner.SelectorRun` (IPC and coverage)
+and its stored plan (read-port demand and templates) at warm-hit cost.
 
 Repeated or overlapping trials — across batches, strategies, rungs with
 the same trace length, or whole re-runs — hit the store rather than the
@@ -141,14 +142,15 @@ class Evaluator:
             base = runner.baseline(bench, config, input_name)
             run = runner.run_selector(bench, selector, config,
                                       input_name=input_name)
+            plan = runner.plan(bench, selector, input_name=input_name)
             ratio = run.ipc / base.ipc if base.ipc else 0.0
-            demand = plan_read_ports(run.plan)
+            demand = plan_read_ports(plan)
             per_bench.append({"bench": bench, "ipc": run.ipc,
                               "baseline_ipc": base.ipc,
                               "ipc_norm": ratio,
                               "coverage": run.coverage,
                               "read_ports": demand,
-                              "templates": run.plan.n_templates})
+                              "templates": plan.n_templates})
             coverages.append(run.coverage)
             ratios.append(ratio)
             ports.append(demand)

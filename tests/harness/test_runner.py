@@ -1,8 +1,12 @@
 """Runner orchestration: caching, selector runs, Slack-Dynamic wiring."""
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.harness import Runner
+from repro.exec.store import ArtifactStore
+from repro.harness import Runner, SelectorRun
 from repro.minigraph import (
     SlackDynamicSelector, SlackProfileSelector, StructAll, StructNone,
 )
@@ -105,6 +109,23 @@ def test_slack_dynamic_selector_gets_its_policy(runner, reduced_cfg):
          want.stats.mg_disabled_instances)
     (point,) = run_bench(["crc32"], ["slack-dynamic"], runner=runner).points
     assert point.cycles == want.stats.cycles
+
+
+def test_stored_timing_runs_hold_no_plan(tmp_path, reduced_cfg):
+    """A stored ``run`` or ``run-dynamic`` payload is the run's outcome:
+    the plan it timed is only in the ``plan`` artifact."""
+    runner = Runner(store=ArtifactStore(tmp_path))
+    runner.run_selector("crc32", StructAll(), reduced_cfg)
+    runner.run_slack_dynamic("crc32", reduced_cfg)
+    for kind in ("run", "run-dynamic"):
+        (path,) = tmp_path.glob(f"??/*.{kind}.pkl")
+        payload = path.read_bytes()
+        assert b"MiniGraphPlan" not in payload, kind
+        run = pickle.loads(payload)
+        assert isinstance(run, SelectorRun), kind
+        assert [f.name for f in dataclasses.fields(run)] == \
+            ["program", "selector", "config", "stats"]
+    assert len(list(tmp_path.glob("??/*.plan.pkl"))) == 2
 
 
 def test_budget_respected():

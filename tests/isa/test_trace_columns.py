@@ -3,8 +3,9 @@ and a cold path that builds no record.
 
 ``execute`` writes a trace straight into its ``PackedTrace`` columns;
 ``Trace.records`` is a view built on first read. A stored trace is its
-columns, each narrowed to the smallest typecode holding it, and loads
-back to the in-memory typecodes without building a record.
+``pc``, ``addr`` and ``taken`` columns, each narrowed to the smallest
+typecode holding it; loading widens them back and rebuilds the other
+eight columns from the program, without building a record.
 """
 
 import pickle
@@ -16,7 +17,7 @@ import pytest
 from repro.check.fuzz import FuzzSpec
 from repro.exec.store import ArtifactStore
 from repro.harness.runner import Runner
-from repro.isa import opcodes as oc
+from repro.isa import Assembler
 from repro.isa.interp import (
     MachineState, PackedTrace, Trace, TraceRecord, execute,
 )
@@ -32,10 +33,14 @@ needs_kernel = pytest.mark.skipif(
     not ckern.available(),
     reason="compiled kernel unavailable (no C compiler or REPRO_PURE_PY)")
 
-#: Every column and the typecode the kernel reads it at.
+#: Every in-memory column and the typecode the kernel reads it at.
 WIDE = {"kind": "b", "pc": "q", "op": "q", "opclass": "q", "latency": "q",
         "rd": "q", "addr": "q", "taken": "b", "next_pc": "q", "srcs": "q",
         "srcs_start": "q"}
+
+#: The columns a stored trace keeps, in its stored order; the program
+#: fixes the rest of ``WIDE``.
+STORED = ("pc", "addr", "taken")
 
 FUZZ_MAX_INSTS = 20_000
 PROGRAMS = [("bench", name) for name in BENCHES] + \
@@ -90,46 +95,106 @@ def test_columns_match_records(source, key):
     assert loaded.dynamic_count_of() == counts
 
 
-def test_stored_columns_widen_never_truncate(sum_loop):
-    """Each column is stored in the narrowest typecode that holds all of
-    its values, and loads back exactly."""
-    records = [TraceRecord(pc, oc.LD, oc.OC_LOAD, 1, 3, (1, 2)[:pc % 3],
-                           addr, pc % 2 == 1, pc + 100_000)
-               for pc, addr in zip(range(200, 500),
-                                   cycle([2 ** 31, -2 ** 31 - 1, 2 ** 40,
-                                          -1]))]
-    trace = Trace(sum_loop, records, "hand")
-    stored = dict(zip(WIDE, trace.__getstate__()["columns"]))
+def _long_loop(n_filler=200):
+    """A loop behind ``n_filler`` straight-line instructions, so its pcs
+    need an ``h`` column, with loads, stores and a taken back edge."""
+    a = Assembler("longloop")
+    buf = a.data_words(list(range(8)), label="buf")
+    a.li("r1", buf)
+    a.li("r2", 8)
+    for i in range(n_filler):
+        a.addi("r3", "r3", i % 5)
+    a.label("loop")
+    a.ld("r4", "r1", 0)
+    a.add("r3", "r3", "r4")
+    a.st("r3", "r1", 0)
+    a.addi("r1", "r1", 1)
+    a.addi("r2", "r2", -1)
+    a.bne("r2", "r0", "loop")
+    a.halt()
+    return a.build()
+
+
+def test_stored_columns_widen_never_truncate():
+    """Each stored column is in the narrowest typecode that holds all of
+    its values, and all eleven columns load back exactly."""
+    program = _long_loop()
+    # addr is not derived from the program, so the execution's records
+    # with addresses patched to each width's extremes still round-trip.
+    records = [TraceRecord(rec.pc, rec.op, rec.opclass, rec.latency,
+                           rec.rd, rec.srcs, addr, rec.taken, rec.next_pc)
+               for rec, addr in zip(execute(program).records,
+                                    cycle([2 ** 31, -2 ** 31 - 1, 2 ** 40,
+                                           -1]))]
+    trace = Trace(program, records, "hand")
+    assert max(trace.packed().pc) > 127 and any(trace.packed().taken)
+    stored = dict(zip(STORED, trace.__getstate__()["columns"]))
     assert {name: col.typecode for name, col in stored.items()} == {
-        "kind": "b", "pc": "h", "op": "b", "opclass": "b", "latency": "b",
-        "rd": "b", "addr": "q", "taken": "b", "next_pc": "i", "srcs": "b",
-        "srcs_start": "h"}
+        "pc": "h", "addr": "q", "taken": "b"}
     loaded = _roundtrip(trace)
     _assert_columns(loaded.packed(), trace.packed())
     assert [_fields(r) for r in loaded.records] == \
         [_fields(r) for r in records]
 
 
-def _pc_one_short(columns):
+class _StateOnly:
+    """Stands in for ``Trace`` when unpickling: keeps the stored state."""
+
+    def __setstate__(self, state):
+        self.state = state
+
+
+class _StateUnpickler(pickle.Unpickler):
+    def find_class(self, module, name):
+        if (module, name) == ("repro.isa.interp", "Trace"):
+            return _StateOnly
+        return super().find_class(module, name)
+
+
+def test_stored_trace_holds_only_what_execution_decided(tmp_path):
+    """The store's trace payload is the program, input name, final
+    memory and the narrowed pc/addr/taken columns, nothing derived."""
+    trace = Runner(store=ArtifactStore(tmp_path)).trace("crc32")
+    (path,) = tmp_path.glob("??/*.trace.pkl")
+    with open(path, "rb") as f:
+        state = _StateUnpickler(f).load().state
+    assert set(state) == {"program", "input_name", "final_memory",
+                          "columns"}
+    assert state["input_name"] == "train"
+    assert len(state["columns"]) == len(STORED)
+    packed = trace.packed()
+    for name, col in zip(STORED, state["columns"]):
+        assert col.tolist() == getattr(packed, name).tolist(), name
+
+
+def _pc_one_short(columns, program):
     columns["pc"] = columns["pc"][:-1]
 
 
-def _srcs_start_past_srcs(columns):
-    starts = array("q", columns["srcs_start"])
-    starts[-1] = len(columns["srcs"]) + 1
-    columns["srcs_start"] = starts
+def _pc_negative(columns, program):
+    pcs = array("q", columns["pc"])
+    pcs[-1] = -1
+    columns["pc"] = pcs
 
 
-@pytest.mark.parametrize("corrupt", [_pc_one_short, _srcs_start_past_srcs])
+def _pc_past_program(columns, program):
+    pcs = array("q", columns["pc"])
+    pcs[-1] = len(program)
+    columns["pc"] = pcs
+
+
+@pytest.mark.parametrize("corrupt",
+                         [_pc_one_short, _pc_negative, _pc_past_program])
 def test_inconsistent_stored_trace_is_recomputed(tmp_path, monkeypatch,
                                                  corrupt):
-    """Columns that disagree never reach the kernel: the load raises
-    ValueError, the store drops the payload and the trace is rebuilt."""
+    """Columns that cannot be an execution of the program never reach
+    the rebuild or the kernel: the load raises ValueError, the store
+    drops the payload and the trace is recomputed."""
     writer = Runner(store=ArtifactStore(tmp_path))
     trace = writer.trace("crc32")
     state = trace.__getstate__()
-    columns = dict(zip(WIDE, state["columns"]))
-    corrupt(columns)
+    columns = dict(zip(STORED, state["columns"]))
+    corrupt(columns, trace.program)
     state["columns"] = tuple(columns.values())
     key = writer.store.key("trace", writer.trace_params("crc32", "train"))
     with monkeypatch.context() as patch:

@@ -7,10 +7,11 @@ kernel degrades to the Python loop (never to an error) when unavailable.
 """
 
 import dataclasses
+import gc
 
 import pytest
 
-from repro.isa.interp import Trace, TraceRecord
+from repro.isa.interp import PackedTrace, Trace, TraceRecord
 from repro.minigraph import StructAll, fold_trace, make_plan
 from repro.minigraph.dynamic import MiniGraphPolicy, SlackDynamicPolicy
 from repro.minigraph.transform import MGHandleRecord, fold_records
@@ -196,6 +197,29 @@ def test_records_and_packed_inputs_agree(sum_trace):
     assert from_records._ctrace is not None
     assert _full_stats(from_packed, from_packed.run()) == \
         _full_stats(from_records, from_records.run())
+
+
+@needs_kernel
+def test_kernel_buffers_are_released_without_the_cyclic_collector(
+        sum_trace):
+    """The columns a kernel call reads stop being exported as soon as
+    the call's owners are dropped: no reference cycle holds them until
+    a full collection (an array resizes only once no export is left)."""
+    packed = PackedTrace.from_records(list(sum_trace.records))
+    cfg = ckern.pack_config(reduced_config(), True)
+    gc.disable()
+    try:
+        mtrace = ckern.marshal(packed)
+        with pytest.raises(BufferError):
+            packed.pc.append(0)
+        (point,) = ckern.run_batch([(cfg, mtrace, 10_000_000, 0, 0, None)],
+                                   1)
+        assert point[0] == ckern.RC_OK
+        del mtrace, point
+        packed.pc.append(0)
+        cfg.append(0)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------

@@ -13,6 +13,8 @@ profiling configuration, and that buffer overflow degrades to the
 reference loop (never to wrong numbers).
 """
 
+import pickle
+
 import pytest
 
 from repro.minigraph.selectors import SlackProfileSelector, StructAll
@@ -81,6 +83,24 @@ def test_slack_profile_bit_identical(runner, bench):
     assert _stats_key(stats_c) == _stats_key(stats_p)
     assert _profile_entries(prof_c) == _profile_entries(prof_p)
     assert len(prof_c) > 0
+
+
+@needs_kernel
+@pytest.mark.parametrize("bench", ["crc32", "gzip"])
+def test_declined_profile_build_decodes_in_python(runner, bench,
+                                                  monkeypatch):
+    """When ``ckern.profile_build`` declines, the kernel's tap is decoded
+    by the pure-Python reference into the very profile the native
+    build returns, pickle for pickle."""
+    core, native, stats = _run_profile(runner, bench, force_python=False)
+    assert core._want_tap and core.collector._packed_acc is not None
+    monkeypatch.setattr(ckern, "profile_build", lambda *args: None)
+    core, decoded, stats_d = _run_profile(runner, bench,
+                                          force_python=False)
+    assert core._want_tap and core.collector._packed_acc is None
+    assert _stats_key(stats_d) == _stats_key(stats)
+    assert pickle.dumps(decoded, protocol=pickle.HIGHEST_PROTOCOL) == \
+        pickle.dumps(native, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 @needs_kernel
