@@ -36,7 +36,7 @@ from .minigraph.selectors import (
     StructAll, StructBounded, StructNone,
 )
 from .pipeline.config import config_by_name
-from .workloads.suite import all_benchmarks, benchmark
+from .workloads.suite import SUITES, all_benchmarks, benchmark
 
 SELECTORS = {
     "struct-all": StructAll,
@@ -498,7 +498,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="list the benchmark population")
-    p_list.add_argument("--suites", nargs="*")
+    p_list.add_argument("--suites", nargs="*", choices=SUITES)
     p_list.set_defaults(fn=_cmd_list)
 
     p_run = sub.add_parser("run", help="run one benchmark")

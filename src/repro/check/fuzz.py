@@ -181,8 +181,7 @@ def check_program(program: Program,
                          profile=profile if selector.needs_profile
                          else None,
                          budget=budget, max_size=max_size,
-                         candidates=candidates, verify=False,
-                         sites=sites)
+                         candidates=candidates, sites=sites)
         if plan_hook is not None:
             plan = plan_hook(program, selector, plan)
         report = lockstep_check(program, plan, trace=trace,

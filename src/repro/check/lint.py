@@ -13,9 +13,7 @@ interface (``ext_inputs``/``output``/``edges``/``serialization``) must
 match a fresh recomputation from the program (dataflow closure), and each
 site's template must carry the candidate's canonical shape. It is pure
 and returns a list of :class:`PlanIssue`; :func:`check_plan` is the
-raising wrapper used as a library assertion (see
-``repro.minigraph.selectors.make_plan(verify=True)`` and the
-``REPRO_CHECK_PLANS`` environment variable).
+raising wrapper used as a library assertion.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from . import tasks as task_fns
+from .grid import point_prepared
 from .store import MISS
 
 #: ``OoOCore.run``'s cycle budget — batched points must deadlock at the
@@ -85,32 +86,15 @@ def _prepare(task) -> Optional[_Prepared]:
     kind, params = task_fns.task_artifact(runner, task)
     if runner.store.get(runner.store.key(kind, params), kind) is not MISS:
         return None
-    bench = runner._bench(spec["bench"])
-    input_name = spec["input"]
-    config = task_fns._config(spec["config"])
-
     if task.fn is task_fns.run_profile:
         core, finalize = runner.profile_prepared(
-            bench, config, input_name,
+            spec["bench"], task_fns._config(spec["config"]), spec["input"],
             global_slack=spec.get("global_slack", False))
         summarize = task_fns.profile_summary
-    elif task.fn is task_fns.run_baseline:
-        core, finalize = runner.baseline_prepared(bench, config, input_name)
-        summarize = task_fns.baseline_summary
-    elif spec["point_kind"] == "slack-dynamic":
-        core, finalize = runner.dynamic_prepared(
-            bench, config, input_name=input_name,
-            **dict(spec.get("policy") or {}))
-        summarize = task_fns.timing_summary
     else:
-        core, finalize = runner.selector_prepared(
-            bench, task_fns.selector_from_spec(spec["selector"]), config,
-            input_name=input_name,
-            profile_config=task_fns._config(spec["profile_config"])
-            if spec.get("profile_config") else None,
-            profile_input=spec.get("profile_input"),
-            global_slack=spec.get("global_slack", False))
-        summarize = task_fns.timing_summary
+        core, finalize = point_prepared(runner, spec["point"])
+        summarize = task_fns.baseline_summary \
+            if task.fn is task_fns.run_baseline else task_fns.timing_summary
 
     entry = core.kernel_batch_entry(DEFAULT_MAX_CYCLES)
     if entry is None:
@@ -144,7 +128,9 @@ def run_batch_wave(tasks: Sequence, threads: int
     # Results are keyed by task id, so the order is otherwise free.
     def _locality(task):
         spec = task.args[0]
-        return (str(spec.get("bench", "")), str(spec.get("input", "")))
+        point = spec.get("point")
+        return (point.bench, point.input_name) if point is not None \
+            else (spec["bench"], spec["input"])
 
     for task in sorted(tasks, key=_locality):
         try:

@@ -13,9 +13,15 @@ deterministic task ids from the parameters themselves.
 :func:`run_points` schedules only the nodes whose output is missing and
 needed (:func:`prune_cached`), executes them with a
 :class:`~repro.exec.dag.Scheduler` in the caller's runner, and
-afterwards the (serial) driver replays the same calls through the runner
-and finds every artifact already present — parallelism without touching
-the drivers' logic, and bit-identical results for any ``--jobs`` value.
+afterwards the caller reads each point back with :func:`point_result`
+and finds every artifact already present — parallelism without a second
+code path, and bit-identical results for any ``--jobs`` value.
+
+This module is the only code that turns a :class:`Point` into Runner
+arguments: :func:`point_result` (the memoized run),
+:func:`point_address` (its store address) and :func:`point_prepared`
+(its un-run core for batched dispatch) share one resolution of the
+point's machine, selector, profiling machine and input, and policy.
 """
 
 from __future__ import annotations
@@ -163,6 +169,65 @@ def point_id(point: Point) -> str:
             f"/{point.global_slack}")
 
 
+def _runner_kwargs(point: Point) -> Dict[str, Any]:
+    """``point`` resolved into the keyword arguments of its Runner entries.
+
+    Resolved as :meth:`~repro.harness.runner.Runner.run_selector` keys:
+    no profiling machine means ``reduced``, no profiling input means the
+    point's own, and a Slack-Dynamic policy defaults to ``mode="full"``
+    with the outlining penalty.
+    """
+    kwargs: Dict[str, Any] = {"config": task_fns._config(point.config),
+                              "input_name": point.input_name}
+    if point.kind == "selector":
+        kwargs.update(
+            selector=task_fns.selector_from_spec(_thaw(point.selector)),
+            profile_config=task_fns._config(point.profile_config
+                                            or "reduced"),
+            profile_input=point.profile_input or point.input_name,
+            global_slack=point.global_slack)
+    elif point.kind == "slack-dynamic":
+        kwargs.update(mode="full", outlining_penalty=True)
+        kwargs.update(point.policy)
+    return kwargs
+
+
+#: Per point kind: the Runner's memoized run and its un-run set-up.
+_ENTRIES = {"baseline": ("baseline", "baseline_prepared"),
+            "selector": ("run_selector", "selector_prepared"),
+            "slack-dynamic": ("run_slack_dynamic", "dynamic_prepared")}
+
+
+def point_result(runner, point: Point):
+    """``point``'s run through ``runner``'s store: the baseline's
+    ``RunStats``, or the selector or Slack-Dynamic ``SelectorRun``."""
+    entry = getattr(runner, _ENTRIES[point.kind][0])
+    return entry(point.bench, **_runner_kwargs(point))
+
+
+def point_prepared(runner, point: Point):
+    """``(core, finalize)`` for ``point``'s run, for batched dispatch."""
+    entry = getattr(runner, _ENTRIES[point.kind][1])
+    return entry(point.bench, **_runner_kwargs(point))
+
+
+def point_address(runner, point: Point) -> Tuple[str, Dict]:
+    """The ``(kind, params)`` store address of :func:`point_result`."""
+    kwargs = _runner_kwargs(point)
+    config, input_name = kwargs.pop("config"), kwargs.pop("input_name")
+    if point.kind == "baseline":
+        return "baseline", runner.baseline_params(point.bench, config,
+                                                  input_name)
+    if point.kind == "slack-dynamic":
+        return "run-dynamic", runner.dynamic_params(
+            point.bench, config, input_name, kwargs.pop("mode"),
+            kwargs.pop("outlining_penalty"), kwargs)
+    return "run", runner.run_params(
+        point.bench, kwargs["selector"].spec(), config, input_name,
+        kwargs["profile_config"], kwargs["profile_input"],
+        kwargs["global_slack"], None)
+
+
 def build_tasks(points: Sequence[Point], runner,
                 check: bool = False) -> List[Task]:
     """Expand points into a deduplicated trace→profile→plan→timing DAG.
@@ -240,45 +305,25 @@ def build_tasks(points: Sequence[Point], runner,
             stage="check", retries=0))
 
     for point in points:
-        if check and point.kind != "baseline":
-            # Slack-Dynamic folds the same Struct-All-pool plan as its
-            # static selector point; its run-time policy never alters
-            # the folded record stream, so one check covers both.
-            check_task(point if point.kind == "selector"
-                       else selector_point(point.bench,
-                                           {"kind": "slack-dynamic"},
-                                           point.config, point.input_name))
+        spec = dict(base, point=point)
         if point.kind == "baseline":
-            spec = dict(base, bench=point.bench, input=point.input_name,
-                        config=point.config)
             add(Task(id=point_id(point),
                      fn=task_fns.run_baseline, args=(spec,),
                      deps=(trace_task(point.bench, point.input_name),),
                      stage="baseline"))
             continue
-        if point.kind == "slack-dynamic":
-            deps = (plan_task(selector_point(
-                        point.bench, {"kind": "slack-dynamic"},
-                        point.config, point.input_name)),
-                    trace_task(point.bench, point.input_name))
-            spec = dict(base, point_kind="slack-dynamic", bench=point.bench,
-                        input=point.input_name, config=point.config,
-                        policy=_thaw(point.policy))
-            add(Task(id=point_id(point),
-                     fn=task_fns.run_timing, args=(spec,), deps=deps,
-                     stage="timing"))
-            continue
-        # Static selector timing run.
-        selector = _thaw(point.selector)
-        deps = (plan_task(point),
-                trace_task(point.bench, point.input_name))
-        spec = dict(base, point_kind="selector", bench=point.bench,
-                    input=point.input_name, config=point.config,
-                    selector=selector, profile_config=point.profile_config,
-                    profile_input=point.profile_input,
-                    global_slack=point.global_slack)
+        # Slack-Dynamic folds the same Struct-All-pool plan as its
+        # static selector point; its run-time policy never alters the
+        # folded record stream, so one plan and one check cover both.
+        plan_point = point if point.kind == "selector" else selector_point(
+            point.bench, {"kind": "slack-dynamic"}, point.config,
+            point.input_name)
+        if check:
+            check_task(plan_point)
         add(Task(id=point_id(point),
-                 fn=task_fns.run_timing, args=(spec,), deps=deps,
+                 fn=task_fns.run_timing, args=(spec,),
+                 deps=(plan_task(plan_point),
+                       trace_task(point.bench, point.input_name)),
                  stage="timing"))
     return list(table.values())
 

@@ -1,11 +1,14 @@
 """Picklable task payloads executed inside scheduler worker processes.
 
-Every function here takes one plain-dict ``spec`` (JSON-ish: strings,
-numbers, bools, lists) and returns a *small* summary dict; the real
-artifact lands in the on-disk :class:`~repro.exec.store.ArtifactStore`
-shared between the parent and all workers, which is how downstream tasks
-(and the parent's final reporting pass) pick it up without shipping
-multi-megabyte traces over the result pipe.
+Every function here takes one plain-dict ``spec`` and returns a *small*
+summary dict; the real artifact lands in the on-disk
+:class:`~repro.exec.store.ArtifactStore` shared between the parent and
+all workers, which is how downstream tasks (and the parent's final
+reporting pass) pick it up without shipping multi-megabyte traces over
+the result pipe. A baseline or timing node's spec holds its grid
+:class:`~repro.exec.grid.Point` under ``point``, which
+:mod:`repro.exec.grid` alone turns into Runner arguments; the other
+nodes' specs are JSON-ish (strings, numbers, bools, lists).
 
 Specs carry the runner parameters (``budget``, ``max_mg_size``,
 ``warm_caches``, ``max_insts``, ``cache_dir``); each worker process keeps
@@ -24,6 +27,7 @@ the DAG pruner and the batched dispatcher probe through it.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .store import ArtifactStore
@@ -82,7 +86,10 @@ def bound_runner(runner) -> Iterator[None]:
             _RUNNERS[key] = previous
 
 
+@lru_cache(maxsize=None)
 def _config(name: str):
+    """The named machine configuration, built once per process (frozen,
+    so callers share it)."""
     from ..pipeline.config import config_by_name
     return config_by_name(name)
 
@@ -136,10 +143,9 @@ def run_candidates(spec: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def run_baseline(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Singleton timing run on the named machine configuration."""
-    stats = _runner(spec).baseline(spec["bench"], _config(spec["config"]),
-                                   spec["input"])
-    return baseline_summary(stats)
+    """Singleton timing run of the spec's baseline point."""
+    from .grid import point_result
+    return baseline_summary(point_result(_runner(spec), spec["point"]))
 
 
 def run_profile(spec: Dict[str, Any]) -> Dict[str, Any]:
@@ -164,22 +170,9 @@ def run_plan(spec: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def run_timing(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Timing run for one experiment grid point."""
-    runner = _runner(spec)
-    if spec["point_kind"] == "slack-dynamic":
-        run = runner.run_slack_dynamic(
-            spec["bench"], _config(spec["config"]),
-            input_name=spec["input"],
-            **dict(spec.get("policy") or {}))
-    else:
-        run = runner.run_selector(
-            spec["bench"], selector_from_spec(spec["selector"]),
-            _config(spec["config"]), input_name=spec["input"],
-            profile_config=_config(spec["profile_config"])
-            if spec.get("profile_config") else None,
-            profile_input=spec.get("profile_input"),
-            global_slack=spec.get("global_slack", False))
-    return timing_summary(run)
+    """Timing run of the spec's selector or Slack-Dynamic point."""
+    from .grid import point_result
+    return timing_summary(point_result(_runner(spec), spec["point"]))
 
 
 class CheckFailed(RuntimeError):
@@ -277,29 +270,15 @@ def task_artifact(runner, task) -> Optional[Tuple[str, Dict]]:
         return "profile", runner.profile_params(
             spec["bench"], _config(spec["config"]), spec["input"],
             spec.get("global_slack", False))
-    if stage == "baseline":
-        return "baseline", runner.baseline_params(
-            spec["bench"], _config(spec["config"]), spec["input"])
     if stage == "plan":
         return "plan", runner.plan_params(
             spec["bench"], selector_from_spec(spec["selector"]).spec(),
             spec["input"], _config(spec.get("profile_config") or "reduced"),
             spec.get("profile_input") or spec["input"],
             spec.get("global_slack", False))
-    if stage == "timing":
-        if spec.get("point_kind") == "slack-dynamic":
-            policy = dict(spec.get("policy") or {})
-            mode = policy.pop("mode", "full")
-            outlining = policy.pop("outlining_penalty", True)
-            return "run-dynamic", runner.dynamic_params(
-                spec["bench"], _config(spec["config"]), spec["input"],
-                mode, outlining, policy)
-        return "run", runner.run_params(
-            spec["bench"], selector_from_spec(spec["selector"]).spec(),
-            _config(spec["config"]), spec["input"],
-            _config(spec.get("profile_config") or "reduced"),
-            spec.get("profile_input") or spec["input"],
-            spec.get("global_slack", False), None)
+    if stage in ("baseline", "timing"):
+        from .grid import point_address
+        return point_address(runner, spec["point"])
     if stage == "subset":
         return "subset", runner.subset_params(
             spec["bench"], spec["input"], _config(spec["config"]),

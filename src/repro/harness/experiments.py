@@ -1,10 +1,20 @@
-"""Per-figure experiment drivers (the paper's evaluation, §3 and §5).
+"""The paper's evaluation (§3 and §5), one declaration per figure.
 
-Each ``fig*`` function regenerates the data series of one paper figure over
-a benchmark population and returns an :class:`ExperimentResult` whose
-``render()`` prints the same rows/series the paper reports (S-curves with
-means/medians). Absolute numbers differ from the paper — the substrate is
-a different simulator and workload population — but the *shapes* (selector
+Each S-curve figure is a :class:`Figure`: its title, its groups in
+render order, each group's :class:`Curve`\\ s, and a notes function
+(crossovers, headline means, cross-training gaps). A curve is a label
+and the grid :class:`~repro.exec.grid.Point` it reads for one program;
+it plots that run's dynamic coverage, or its IPC relative to the
+program's full-machine baseline. Calling a figure reads each distinct
+point once, through :func:`~repro.exec.grid.point_result`, and
+:func:`grid_points` derives the figure's DAG from the same declaration,
+so a figure cannot read a point its grid did not schedule. Adding a
+figure is one declaration in :data:`EXPERIMENTS`.
+
+A figure returns an :class:`ExperimentResult` whose ``render()`` prints
+the same rows/series the paper reports (S-curves with means/medians).
+Absolute numbers differ from the paper — the substrate is a different
+simulator and workload population — but the *shapes* (selector
 ordering, crossovers, who compensates for the reduced machine) are the
 reproduction targets; see EXPERIMENTS.md.
 
@@ -19,16 +29,15 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..exec.grid import (
+    Point, baseline_point, dynamic_point, point_result, selector_point,
+)
 from ..minigraph.selectors import (
     SlackProfileSelector, StructAll, StructBounded, StructNone,
 )
-from ..pipeline.config import (
-    cross_2way_config, cross_8way_config, cross_dmem4_config, full_config,
-    reduced_config,
-)
-from ..workloads.suite import all_benchmarks
+from ..workloads.suite import SUITES, all_benchmarks
 from .runner import Runner
 from .scurve import SCurve, relative, render_scurves, summarize
 
@@ -72,205 +81,210 @@ def _population(suites: Optional[Sequence[str]] = None,
     return benches
 
 
-def _full_baseline_ipcs(runner: Runner, benches) -> Dict[str, float]:
-    full = full_config()
-    return {b.name: runner.baseline(b, full).ipc for b in benches}
-
-
-def _selector_curves(runner: Runner, benches, selectors, config,
-                     baselines: Dict[str, float]):
-    """Relative-performance and coverage curves for each selector."""
-    perf_curves: List[SCurve] = []
-    cov_curves: List[SCurve] = []
-    for selector in selectors:
-        perf: Dict[str, float] = {}
-        coverage: Dict[str, float] = {}
-        for bench in benches:
-            run = runner.run_selector(bench, selector, config)
-            perf[bench.name] = run.ipc
-            coverage[bench.name] = run.coverage
-        perf_curves.append(SCurve(selector.name, relative(perf, baselines)))
-        cov_curves.append(SCurve(selector.name, coverage))
-    return perf_curves, cov_curves
-
-
-def _no_mg_curve(runner: Runner, benches, config,
-                 baselines: Dict[str, float]) -> SCurve:
-    perf = {b.name: runner.baseline(b, config).ipc for b in benches}
-    return SCurve("no-mini-graphs", relative(perf, baselines))
-
-
 # ---------------------------------------------------------------------------
-# Figure 3: serialization-blind selection
+# Declarations
 # ---------------------------------------------------------------------------
 
-def fig3(runner: Runner, benches) -> ExperimentResult:
-    """Struct-All vs Struct-None on the reduced and full machines."""
-    result = ExperimentResult("FIG3 naive structural selectors")
-    baselines = _full_baseline_ipcs(runner, benches)
-    reduced = reduced_config()
-    full = full_config()
-    selectors = [StructAll(), StructNone()]
+@dataclass(frozen=True)
+class Curve:
+    """One S-curve: its label and the point it reads for a program.
 
-    perf_red, cov = _selector_curves(runner, benches, selectors, reduced,
-                                     baselines)
-    perf_red.insert(0, _no_mg_curve(runner, benches, reduced, baselines))
-    result.groups["performance on reduced (rel. full baseline)"] = perf_red
+    A coverage curve plots the run's dynamic coverage; any other plots
+    its IPC relative to the program's full-machine baseline.
+    """
 
-    perf_full, _ = _selector_curves(runner, benches, selectors, full,
-                                    baselines)
-    result.groups["performance on full (rel. full baseline)"] = perf_full
-    result.groups["coverage"] = cov
-
-    all_red = result.curve(
-        "performance on reduced (rel. full baseline)", "struct-all")
-    none_red = result.curve(
-        "performance on reduced (rel. full baseline)", "struct-none")
-    result.notes.append(
-        f"struct-all/struct-none cross on reduced: "
-        f"{all_red.crossover_with(none_red)}")
-    return result
+    label: str
+    point: Callable[[str], Point]
+    coverage: bool = False
 
 
-# ---------------------------------------------------------------------------
-# Figure 6 (and Figure 1): serialization-aware selection
-# ---------------------------------------------------------------------------
-
-def fig6(runner: Runner, benches) -> ExperimentResult:
-    """All five selectors: reduced perf, full perf, coverage."""
-    result = ExperimentResult("FIG6 serialization-aware selectors")
-    baselines = _full_baseline_ipcs(runner, benches)
-    reduced = reduced_config()
-    full = full_config()
-    static_selectors = [StructAll(), StructNone(), StructBounded(),
-                        SlackProfileSelector()]
-
-    for config, group in ((reduced, "performance on reduced"),
-                          (full, "performance on full")):
-        perf, cov = _selector_curves(runner, benches, static_selectors,
-                                     config, baselines)
-        dynamic_perf: Dict[str, float] = {}
-        dynamic_cov: Dict[str, float] = {}
-        for bench in benches:
-            run = runner.run_slack_dynamic(bench, config)
-            dynamic_perf[bench.name] = run.ipc
-            dynamic_cov[bench.name] = run.coverage
-        perf.append(SCurve("slack-dynamic",
-                           relative(dynamic_perf, baselines)))
-        perf.insert(0, _no_mg_curve(runner, benches, config, baselines))
-        result.groups[f"{group} (rel. full baseline)"] = perf
-        if config is reduced:
-            cov.append(SCurve("slack-dynamic", dynamic_cov))
-            result.groups["coverage"] = cov
-    return result
+def _no_notes(result: ExperimentResult) -> List[str]:
+    return []
 
 
-def fig1(runner: Runner, benches) -> ExperimentResult:
-    """Headline: Slack-Profile vs the naive selectors on the reduced machine."""
-    result = ExperimentResult("FIG1 headline S-curve")
-    baselines = _full_baseline_ipcs(runner, benches)
-    reduced = reduced_config()
-    selectors = [StructAll(), StructNone(), SlackProfileSelector()]
-    perf, _ = _selector_curves(runner, benches, selectors, reduced,
-                               baselines)
-    perf.insert(0, _no_mg_curve(runner, benches, reduced, baselines))
-    result.groups["performance on reduced (rel. full baseline)"] = perf
-    slack = result.curve("performance on reduced (rel. full baseline)",
-                         "slack-profile")
-    result.notes.append(
-        f"slack-profile mean relative performance: {slack.mean:.3f} "
-        f"(paper: 1.02)")
-    return result
+@dataclass(frozen=True)
+class Figure:
+    """One S-curve figure: groups of curves in render order, plus the
+    notes drawn from the finished curves."""
+
+    title: str
+    groups: Sequence[Tuple[str, Sequence[Curve]]]
+    notes: Callable[[ExperimentResult], List[str]] = _no_notes
+
+    def __call__(self, runner: Runner, benches) -> ExperimentResult:
+        """Read the figure over ``benches``, each distinct point once."""
+        names = [bench.name for bench in benches]
+        runs: Dict[Point, Any] = {}
+
+        def read(point: Point):
+            if point not in runs:
+                runs[point] = point_result(runner, point)
+            return runs[point]
+
+        full = {name: read(baseline_point(name, "full")).ipc
+                for name in names}
+
+        def values(curve: Curve) -> Dict[str, float]:
+            if curve.coverage:
+                return {name: read(curve.point(name)).coverage
+                        for name in names}
+            return relative({name: read(curve.point(name)).ipc
+                             for name in names}, full)
+
+        result = ExperimentResult(self.title)
+        for group, curves in self.groups:
+            result.groups[group] = [SCurve(curve.label, values(curve))
+                                    for curve in curves]
+        result.notes.extend(self.notes(result))
+        return result
+
+    def points(self, benches) -> List[Point]:
+        """The figure's grid, deduplicated, in scheduling order.
+
+        Every program's full-machine baseline first; then two blocks, in
+        the order the figure first reads them: its static-selector runs
+        and its other runs (baselines and Slack-Dynamic). Each block is
+        program-major, with curves in declaration order.
+        """
+        names = [bench.name for bench in benches]
+        runs = [curve.point(name) for name in names
+                for _, curves in self.groups for curve in curves]
+        static_first = bool(runs) and runs[0].kind == "selector"
+        runs.sort(key=lambda point: (point.kind == "selector")
+                  != static_first)
+        return list(dict.fromkeys(
+            [baseline_point(name, "full") for name in names] + runs))
 
 
-# ---------------------------------------------------------------------------
-# Figure 7: model component breakdowns
-# ---------------------------------------------------------------------------
+# One helper per curve kind: each binds its arguments in its own call,
+# so curves built in a comprehension do not share the last selector.
 
-def fig7(runner: Runner, benches) -> ExperimentResult:
-    """Slack-Profile and Slack-Dynamic ablations on the reduced machine."""
-    result = ExperimentResult("FIG7 model breakdowns")
-    baselines = _full_baseline_ipcs(runner, benches)
-    reduced = reduced_config()
-
-    profile_selectors = [StructAll(), StructNone(),
-                         SlackProfileSelector("sial"),
-                         SlackProfileSelector("delay"),
-                         SlackProfileSelector("full")]
-    perf, _ = _selector_curves(runner, benches, profile_selectors, reduced,
-                               baselines)
-    result.groups["slack-profile breakdown (reduced)"] = perf
-
-    dynamic_variants = [
-        ("slack-dynamic", dict(mode="full", outlining_penalty=True)),
-        ("ideal-slack-dynamic", dict(mode="full", outlining_penalty=False)),
-        ("ideal-slack-dynamic-delay",
-         dict(mode="delay", outlining_penalty=False)),
-        ("ideal-slack-dynamic-sial",
-         dict(mode="sial", outlining_penalty=False)),
-    ]
-    curves: List[SCurve] = []
-    for label, kwargs in dynamic_variants:
-        perf_values: Dict[str, float] = {}
-        for bench in benches:
-            run = runner.run_slack_dynamic(bench, reduced, **kwargs)
-            perf_values[bench.name] = run.ipc
-        curves.append(SCurve(label, relative(perf_values, baselines)))
-    result.groups["slack-dynamic breakdown (reduced)"] = curves
-    return result
+def _no_mg(config: str) -> Curve:
+    return Curve("no-mini-graphs", lambda name: baseline_point(name, config))
 
 
-# ---------------------------------------------------------------------------
-# Figure 9: slack profile robustness
-# ---------------------------------------------------------------------------
-
-def fig9_machines(runner: Runner, benches) -> ExperimentResult:
-    """Cross-training across microarchitectures (Figure 9 top)."""
-    result = ExperimentResult("FIG9 robustness to machine configuration")
-    baselines = _full_baseline_ipcs(runner, benches)
-    reduced = reduced_config()
-    trainers = [("self (reduced)", reduced),
-                ("cross 2-way", cross_2way_config()),
-                ("cross 8-way", cross_8way_config()),
-                ("cross dmem/4", cross_dmem4_config())]
-    curves = []
-    for label, train_config in trainers:
-        perf: Dict[str, float] = {}
-        for bench in benches:
-            run = runner.run_selector(bench, SlackProfileSelector(), reduced,
-                                      profile_config=train_config)
-            perf[bench.name] = run.ipc
-        curves.append(SCurve(label, relative(perf, baselines)))
-    result.groups["slack-profile perf on reduced, by training machine"] = \
-        curves
-    self_curve, rest = curves[0], curves[1:]
-    for curve in rest:
-        gap = abs(curve.mean - self_curve.mean)
-        result.notes.append(
-            f"{curve.label}: |mean - self| = {gap:.3f}")
-    return result
+def _selector(selector, config: str = "reduced", coverage: bool = False,
+              label: Optional[str] = None, **training) -> Curve:
+    spec = selector.spec()
+    return Curve(label or selector.name,
+                 lambda name: selector_point(name, spec, config, **training),
+                 coverage)
 
 
-def fig9_inputs(runner: Runner, benches) -> ExperimentResult:
-    """Cross-training across program inputs (Figure 9 bottom)."""
-    result = ExperimentResult("FIG9 robustness to input data sets")
-    baselines = _full_baseline_ipcs(runner, benches)
-    reduced = reduced_config()
-    curves = []
-    for label, profile_input in (("self (train)", "train"),
-                                 ("cross (ref)", "ref")):
-        perf: Dict[str, float] = {}
-        for bench in benches:
-            run = runner.run_selector(bench, SlackProfileSelector(), reduced,
-                                      profile_input=profile_input)
-            perf[bench.name] = run.ipc
-        curves.append(SCurve(label, relative(perf, baselines)))
-    result.groups["slack-profile perf on reduced, by training input"] = \
-        curves
-    gap = abs(curves[1].mean - curves[0].mean)
-    result.notes.append(f"cross-input |mean - self| = {gap:.3f} "
-                        f"(paper: <2% absolute)")
-    return result
+def _dynamic(label: str, config: str = "reduced", coverage: bool = False,
+             **policy) -> Curve:
+    return Curve(label, lambda name: dynamic_point(name, config, **policy),
+                 coverage)
+
+
+_REDUCED = "performance on reduced (rel. full baseline)"
+_FULL = "performance on full (rel. full baseline)"
+
+
+# Figure 1: headline — Slack-Profile vs the naive selectors on the
+# reduced machine.
+
+def _headline(result: ExperimentResult) -> List[str]:
+    slack = result.curve(_REDUCED, "slack-profile")
+    return [f"slack-profile mean relative performance: {slack.mean:.3f} "
+            f"(paper: 1.02)"]
+
+
+fig1 = Figure("FIG1 headline S-curve", [
+    (_REDUCED, [_no_mg("reduced")]
+     + [_selector(s) for s in (StructAll(), StructNone(),
+                               SlackProfileSelector())]),
+], _headline)
+
+
+# Figure 3: serialization-blind selection — Struct-All vs Struct-None
+# on the reduced and full machines.
+
+def _crossover(result: ExperimentResult) -> List[str]:
+    crossed = result.curve(_REDUCED, "struct-all").crossover_with(
+        result.curve(_REDUCED, "struct-none"))
+    return [f"struct-all/struct-none cross on reduced: {crossed}"]
+
+
+_NAIVE = (StructAll(), StructNone())
+fig3 = Figure("FIG3 naive structural selectors", [
+    (_REDUCED, [_no_mg("reduced")] + [_selector(s) for s in _NAIVE]),
+    (_FULL, [_selector(s, "full") for s in _NAIVE]),
+    ("coverage", [_selector(s, coverage=True) for s in _NAIVE]),
+], _crossover)
+
+
+# Figure 6: serialization-aware selection — all five selectors: reduced
+# performance, coverage on the reduced machine, full performance.
+
+def _aware(config: str, coverage: bool = False) -> List[Curve]:
+    curves = [_selector(s, config, coverage)
+              for s in (StructAll(), StructNone(), StructBounded(),
+                        SlackProfileSelector())]
+    curves.append(_dynamic("slack-dynamic", config, coverage, mode="full",
+                           outlining_penalty=True))
+    return curves if coverage else [_no_mg(config)] + curves
+
+
+fig6 = Figure("FIG6 serialization-aware selectors", [
+    (_REDUCED, _aware("reduced")),
+    ("coverage", _aware("reduced", coverage=True)),
+    (_FULL, _aware("full")),
+])
+
+
+# Figure 7: model component breakdowns — Slack-Profile and Slack-Dynamic
+# ablations on the reduced machine.
+
+fig7 = Figure("FIG7 model breakdowns", [
+    ("slack-profile breakdown (reduced)", [
+        _selector(s) for s in (StructAll(), StructNone(),
+                               SlackProfileSelector("sial"),
+                               SlackProfileSelector("delay"),
+                               SlackProfileSelector("full"))]),
+    ("slack-dynamic breakdown (reduced)", [
+        _dynamic("slack-dynamic", mode="full", outlining_penalty=True),
+        _dynamic("ideal-slack-dynamic", mode="full",
+                 outlining_penalty=False),
+        _dynamic("ideal-slack-dynamic-delay", mode="delay",
+                 outlining_penalty=False),
+        _dynamic("ideal-slack-dynamic-sial", mode="sial",
+                 outlining_penalty=False)]),
+])
+
+
+# Figure 9: slack-profile robustness to the training machine (top) and
+# the training input (bottom).
+
+def _machine_gaps(result: ExperimentResult) -> List[str]:
+    self_curve, *rest = next(iter(result.groups.values()))
+    return [f"{curve.label}: |mean - self| = "
+            f"{abs(curve.mean - self_curve.mean):.3f}" for curve in rest]
+
+
+fig9_machines = Figure("FIG9 robustness to machine configuration", [
+    ("slack-profile perf on reduced, by training machine", [
+        _selector(SlackProfileSelector(), label=label, profile_config=trainer)
+        for label, trainer in (("self (reduced)", "reduced"),
+                               ("cross 2-way", "cross-2way"),
+                               ("cross 8-way", "cross-8way"),
+                               ("cross dmem/4", "cross-dmem4"))]),
+], _machine_gaps)
+
+
+def _input_gap(result: ExperimentResult) -> List[str]:
+    self_curve, cross = next(iter(result.groups.values()))
+    return [f"cross-input |mean - self| = "
+            f"{abs(cross.mean - self_curve.mean):.3f} (paper: <2% absolute)"]
+
+
+fig9_inputs = Figure("FIG9 robustness to input data sets", [
+    ("slack-profile perf on reduced, by training input", [
+        _selector(SlackProfileSelector(), label=label,
+                  profile_input=profile_input)
+        for label, profile_input in (("self (train)", "train"),
+                                     ("cross (ref)", "ref"))]),
+], _input_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +305,7 @@ def fig8(runner: Runner, benches) -> ExperimentResult:
     return result
 
 
-EXPERIMENTS = {
+EXPERIMENTS: Dict[str, Callable[[Runner, Sequence], ExperimentResult]] = {
     "fig1": fig1,
     "fig3": fig3,
     "fig6": fig6,
@@ -302,69 +316,11 @@ EXPERIMENTS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Grid declarations: the same points the drivers above walk serially,
-# expressed as repro.exec grid Points so --jobs can prewarm the artifact
-# store in parallel before the driver replays them from cache.
-# ---------------------------------------------------------------------------
-
-def grid_points(name: str, benches) -> list:
-    """The (bench × selector × machine) points behind one experiment."""
-    from ..exec.grid import baseline_point, dynamic_point, selector_point
-    points = []
-    names = [b.name for b in benches]
-    if name == "fig8":
-        return points  # run_limit_study schedules its own subset tasks
-    for bench in names:
-        points.append(baseline_point(bench, "full"))
-
-    def selectors_on(configs, selectors):
-        for bench in names:
-            for config in configs:
-                for selector in selectors:
-                    points.append(selector_point(bench, selector, config))
-
-    if name == "fig1":
-        points.extend(baseline_point(b, "reduced") for b in names)
-        selectors_on(["reduced"], [StructAll(), StructNone(),
-                                   SlackProfileSelector()])
-    elif name == "fig3":
-        points.extend(baseline_point(b, "reduced") for b in names)
-        selectors_on(["reduced", "full"], [StructAll(), StructNone()])
-    elif name == "fig6":
-        for bench in names:
-            for config in ("reduced", "full"):
-                points.append(baseline_point(bench, config))
-                points.append(dynamic_point(bench, config, mode="full",
-                                            outlining_penalty=True))
-        selectors_on(["reduced", "full"],
-                     [StructAll(), StructNone(), StructBounded(),
-                      SlackProfileSelector()])
-    elif name == "fig7":
-        selectors_on(["reduced"],
-                     [StructAll(), StructNone(),
-                      SlackProfileSelector("sial"),
-                      SlackProfileSelector("delay"),
-                      SlackProfileSelector("full")])
-        for bench in names:
-            for mode, penalty in (("full", True), ("full", False),
-                                  ("delay", False), ("sial", False)):
-                points.append(dynamic_point(bench, "reduced", mode=mode,
-                                            outlining_penalty=penalty))
-    elif name == "fig9-machines":
-        for bench in names:
-            for trainer in ("reduced", "cross-2way", "cross-8way",
-                            "cross-dmem4"):
-                points.append(selector_point(bench, SlackProfileSelector(),
-                                             "reduced",
-                                             profile_config=trainer))
-    elif name == "fig9-inputs":
-        for bench in names:
-            for profile_input in ("train", "ref"):
-                points.append(selector_point(bench, SlackProfileSelector(),
-                                             "reduced",
-                                             profile_input=profile_input))
-    return points
+def grid_points(name: str, benches) -> List[Point]:
+    """The points behind one experiment (:meth:`Figure.points`); none
+    for Figure 8, whose limit study schedules its own subset tasks."""
+    figure = EXPERIMENTS[name]
+    return figure.points(benches) if isinstance(figure, Figure) else []
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -372,9 +328,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Regenerate a paper figure's data series.")
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["all"])
-    parser.add_argument("--suites", nargs="*", default=None,
-                        help="restrict to suites (spec media comm embedded "
-                             "synth)")
+    parser.add_argument("--suites", nargs="*", default=None, choices=SUITES,
+                        help="restrict to suites")
     parser.add_argument("--limit", type=int, default=None,
                         help="use only the first N benchmarks")
     parser.add_argument("--no-synthetic", action="store_true")
@@ -414,15 +369,23 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "docs/observability.md")
     args = parser.parse_args(argv)
 
-    import sys as _sys
-
     from ..exec import ArtifactStore, ProgressPrinter, resolve_cache_dir
     from ..exec.grid import parse_jobs, run_points
 
     try:
         jobs, threads = parse_jobs(args.jobs)
     except ValueError as error:
-        print(f"experiments: {error}", file=_sys.stderr)
+        print(f"experiments: {error}", file=sys.stderr)
+        return 2
+    if args.limit is not None and args.limit < 1:
+        print(f"experiments: --limit must be >= 1, got {args.limit}",
+              file=sys.stderr)
+        return 2
+    benches = _population(args.suites, args.limit,
+                          include_synthetic=not args.no_synthetic)
+    if not benches:
+        print("experiments: no benchmark matches the --suites and "
+              "--no-synthetic filters", file=sys.stderr)
         return 2
     cache_dir = resolve_cache_dir(args.cache_dir, args.no_cache)
     scratch = None
@@ -434,8 +397,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         scratch = tempfile.TemporaryDirectory(prefix="repro-exec-")
         cache_dir = scratch.name
 
-    benches = _population(args.suites, args.limit,
-                          include_synthetic=not args.no_synthetic)
     runner = Runner(budget=args.budget,
                     store=ArtifactStore(cache_dir),
                     jobs=jobs)
@@ -446,7 +407,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         telemetry = TelemetryWriter(
             args.telemetry,
             run_manifest(label=f"experiments-{args.experiment}",
-                         argv=argv if argv is not None else _sys.argv[1:]))
+                         argv=argv if argv is not None else sys.argv[1:]))
         attach_store_telemetry(runner.store, telemetry)
     names = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
@@ -469,10 +430,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                                             threads=threads)
                     except TaskError as error:
                         print(f"experiments: check failed: {error}",
-                              file=_sys.stderr)
+                              file=sys.stderr)
                         return 1
                     if not args.quiet:
-                        print(report.render(), file=_sys.stderr)
+                        print(report.render(), file=sys.stderr)
             if telemetry is not None:
                 with telemetry.span(name, "experiment"):
                     result = EXPERIMENTS[name](runner, benches)
@@ -491,16 +452,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         if telemetry is not None:
             telemetry.close()
             print(f"[telemetry] {telemetry.events_written} events -> "
-                  f"{telemetry.path}", file=_sys.stderr)
+                  f"{telemetry.path}", file=sys.stderr)
         if scratch is not None:
             scratch.cleanup()
     if runner.store.persistent and scratch is None:
-        print(runner.store.stats.render(), file=_sys.stderr)
+        print(runner.store.stats.render(), file=sys.stderr)
     if args.save_json:
         from .reporting import save_results
         path = save_results(results, args.save_json)
         print(f"[saved {len(results)} experiment(s) to {path}]",
-              file=_sys.stderr)
+              file=sys.stderr)
     return 0
 
 

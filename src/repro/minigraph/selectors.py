@@ -23,7 +23,6 @@ accounting with the operand-arrival-order heuristic of macro-op scheduling.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Set, Type
 
 from .candidates import Candidate, candidate_columns, enumerate_candidates
@@ -414,7 +413,6 @@ def make_plan(program, freq_counts: List[int], selector: Selector,
               profile: Optional[SlackProfile] = None, budget: int = 512,
               max_size: int = 4,
               candidates: Optional[List[Candidate]] = None,
-              verify: Optional[bool] = None,
               sites: Optional[List[MGSite]] = None) -> MiniGraphPlan:
     """Enumerate, filter, and select mini-graphs for ``program``.
 
@@ -428,12 +426,6 @@ def make_plan(program, freq_counts: List[int], selector: Selector,
     selector-independent, so the hoisted sites produce identical plans.
     When provided, it must come from ``candidates`` (site ids index that
     enumeration).
-
-    ``verify=True`` audits the resulting plan against the paper's
-    structural contract (:func:`repro.check.lint.check_plan`) and raises
-    :class:`repro.check.lint.PlanInvariantError` on any violation. The
-    default consults the ``REPRO_CHECK_PLANS`` environment variable, so a
-    whole run can be hardened without touching call sites.
     """
     if candidates is None and sites is None:
         candidates = enumerate_candidates(program, max_size=max_size)
@@ -441,10 +433,4 @@ def make_plan(program, freq_counts: List[int], selector: Selector,
         templates = build_templates(candidates, freq_counts)
         sites = [site for template in templates for site in template.sites]
     pool = selector.build_pool(sites, profile, candidates)
-    plan = select(pool, budget=budget)
-    if verify is None:
-        verify = bool(os.environ.get("REPRO_CHECK_PLANS"))
-    if verify:
-        from ..check.lint import check_plan
-        check_plan(program, plan, max_size=max_size, budget=budget)
-    return plan
+    return select(pool, budget=budget)

@@ -389,6 +389,31 @@ def _ptr(buf, ptr_type):
     return ctypes.cast(ctypes.addressof(buf), ptr_type)
 
 
+#: The ctypes element and pointer type of each array typecode a kernel
+#: entry takes.
+_PIN_TYPES = {"q": (ctypes.c_int64, _I64P), "b": (ctypes.c_int8, _I8P),
+              "d": (ctypes.c_double, _DBLP)}
+
+
+class _Pins(list):
+    """The array buffers one native call reads.
+
+    ``pin(arr)`` exports ``arr``'s buffer (zero-copy) and returns a
+    pointer typed by its typecode; any typecode outside
+    :data:`_PIN_TYPES` raises. The exports live in the list, so the
+    caller's ``del`` after the call releases them.
+    """
+
+    def __call__(self, arr):
+        try:
+            ctype, ptr_type = _PIN_TYPES[arr.typecode]
+        except KeyError:
+            raise TypeError(f"no kernel element type for array typecode "
+                            f"{arr.typecode!r}") from None
+        self.append(_col(arr, ctype))
+        return _ptr(self[-1][0], ptr_type)
+
+
 class MarshalledTrace:
     """The flat column view of one trace handed to the kernel."""
 
@@ -573,20 +598,14 @@ def fold(packed, pc_map: array, sites: array, ext: array
     if src is None:
         return None
     lib = _load()
-    keep = []
-
-    def p64(arr):
-        buf, owner = _col(arr, ctypes.c_int64)
-        keep.append((buf, owner))
-        return _ptr(buf, _I64P)
-
+    pin = _Pins()
     struct = _CTrace()
     block = ctypes.c_void_p()
     rc = _native("fold", lib.repro_fold, ctypes.byref(src.struct),
-                 p64(pc_map), len(pc_map), p64(sites),
-                 len(sites) // FOLD_SITE_WORDS, p64(ext), len(ext),
+                 pin(pc_map), len(pc_map), pin(sites),
+                 len(sites) // FOLD_SITE_WORDS, pin(ext), len(ext),
                  ctypes.byref(struct), ctypes.byref(block))
-    del keep
+    del pin
     if rc != RC_OK:
         return None
     mtrace = MarshalledTrace(struct, None)
@@ -824,30 +843,19 @@ def profile_build(events: array, n_words: int, n_committed: int,
     acc.min_slack = array("q", [slack_cap]) * n_static
     acc.order = array("q", bytes(8 * n_static))
     meta = array("q", [0, 0])
-    keep = []
-
-    def p64(arr):
-        buf, owner = _col(arr, ctypes.c_int64)
-        keep.append((buf, owner))
-        return _ptr(buf, _I64P)
-
-    def p8(arr):
-        buf, owner = _col(arr, ctypes.c_int8)
-        keep.append((buf, owner))
-        return _ptr(buf, _I8P)
-
+    pin = _Pins()
     rc = _native(
         "profile_build", lib.repro_profile_build,
-        p64(events), n_words, n_committed,
-        p8(packed.kind), p64(packed.pc), p64(packed.rd),
-        p64(packed.srcs), p64(packed.srcs_start), n,
-        p8(is_leader), n_static, anchor, slack_cap,
-        p64(acc.count), p64(acc.issue_sum),
-        p64(acc.src_sum), p64(acc.src_count), p64(acc.n_src),
-        p64(acc.out_sum), p64(acc.out_count),
-        p64(acc.slack_sum), p64(acc.min_slack),
-        p64(acc.order), p64(meta))
-    del keep
+        pin(events), n_words, n_committed,
+        pin(packed.kind), pin(packed.pc), pin(packed.rd),
+        pin(packed.srcs), pin(packed.srcs_start), n,
+        pin(is_leader), n_static, anchor, slack_cap,
+        pin(acc.count), pin(acc.issue_sum),
+        pin(acc.src_sum), pin(acc.src_count), pin(acc.n_src),
+        pin(acc.out_sum), pin(acc.out_count),
+        pin(acc.slack_sum), pin(acc.min_slack),
+        pin(acc.order), pin(meta))
+    del pin
     if rc != RC_OK:
         counters["plan_fallbacks"] += 1
         return None
@@ -876,20 +884,14 @@ def plan_enumerate(opclass: array, rd_eff: array, srcs3: array,
     n_blocks = len(block_start)
     cap = 3 * n_static + 8
     cols = tuple(array("q", bytes(8 * cap)) for _ in range(6))
-    keep = []
-
-    def p64(arr):
-        buf, owner = _col(arr, ctypes.c_int64)
-        keep.append((buf, owner))
-        return _ptr(buf, _I64P)
-
+    pin = _Pins()
     n_cand = _native(
         "plan_enumerate", lib.repro_enumerate_candidates,
-        p64(opclass), p64(rd_eff), p64(srcs3), p64(live_mask), n_static,
-        p64(block_start), p64(block_end), n_blocks, max_size, max_ext,
-        p64(cols[0]), p64(cols[1]), p64(cols[2]), p64(cols[3]),
-        p64(cols[4]), p64(cols[5]), cap)
-    del keep
+        pin(opclass), pin(rd_eff), pin(srcs3), pin(live_mask), n_static,
+        pin(block_start), pin(block_end), n_blocks, max_size, max_ext,
+        pin(cols[0]), pin(cols[1]), pin(cols[2]), pin(cols[3]),
+        pin(cols[4]), pin(cols[5]), cap)
+    del pin
     if n_cand < 0:
         counters["plan_fallbacks"] += 1
         return None
@@ -913,33 +915,15 @@ def plan_score(n_cand: int, c_start: array, c_end: array, c_ext: array,
         return None
     lib = _load()
     verdicts = array("q", bytes(8 * n_cand))
-    keep = []
-
-    def p64(arr):
-        buf, owner = _col(arr, ctypes.c_int64)
-        keep.append((buf, owner))
-        return _ptr(buf, _I64P)
-
-    def p8(arr):
-        buf, owner = _col(arr, ctypes.c_int8)
-        keep.append((buf, owner))
-        return _ptr(buf, _I8P)
-
-    def pd(arr):
-        if not len(arr):
-            arr = array("d", [0.0])
-        buf = (ctypes.c_double * len(arr)).from_buffer(arr)
-        keep.append((buf, arr))
-        return _ptr(buf, _DBLP)
-
+    pin = _Pins()
     rc = _native(
         "plan_score", lib.repro_score_candidates,
-        n_cand, p64(c_start), p64(c_end), p64(c_ext), p64(c_out),
-        p64(opclass), p64(latency), len(opclass),
-        p8(p_present), pd(p_rel_issue), pd(p_src_ready), pd(p_slack),
-        pd(p_out_ready), p8(p_has_out),
-        1 if measured else 0, float(tolerance), p64(verdicts))
-    del keep
+        n_cand, pin(c_start), pin(c_end), pin(c_ext), pin(c_out),
+        pin(opclass), pin(latency), len(opclass),
+        pin(p_present), pin(p_rel_issue), pin(p_src_ready), pin(p_slack),
+        pin(p_out_ready), pin(p_has_out),
+        1 if measured else 0, float(tolerance), pin(verdicts))
+    del pin
     if rc != RC_OK:
         counters["plan_fallbacks"] += 1
         return None
@@ -965,29 +949,13 @@ def global_fold(events: array, n_words: int, n_committed: int,
     sums = array("d", bytes(8 * n_static))
     mins = array("d", [float(slack_cap)]) * n_static
     counts = array("q", bytes(8 * n_static))
-    keep = []
-
-    def p64(arr):
-        buf, owner = _col(arr, ctypes.c_int64)
-        keep.append((buf, owner))
-        return _ptr(buf, _I64P)
-
-    def p8(arr):
-        buf, owner = _col(arr, ctypes.c_int8)
-        keep.append((buf, owner))
-        return _ptr(buf, _I8P)
-
-    def pd(arr):
-        buf = (ctypes.c_double * len(arr)).from_buffer(arr)
-        keep.append((buf, arr))
-        return _ptr(buf, _DBLP)
-
+    pin = _Pins()
     rc = _native(
         "global_fold", lib.repro_global_fold,
-        p64(events), n_words, n_committed,
-        p8(packed.kind), p64(packed.pc), n,
-        slack_cap, pd(sums), pd(mins), p64(counts))
-    del keep
+        pin(events), n_words, n_committed,
+        pin(packed.kind), pin(packed.pc), n,
+        slack_cap, pin(sums), pin(mins), pin(counts))
+    del pin
     if rc < 0:
         counters["plan_fallbacks"] += 1
         return None

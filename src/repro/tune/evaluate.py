@@ -7,8 +7,9 @@ through :func:`repro.exec.grid.run_points` exactly like ``repro
 experiments``: ``--jobs N`` fans out worker processes over a persistent
 store, ``--jobs threads:N`` keeps the run in-process and turns each
 scheduler wave into one batched native kernel call. Afterwards the
-(serial) reduction replays the same calls through the Runner and finds
-every artifact already present, so objectives come from each point's
+reduction reads the same points back through
+:func:`~repro.exec.grid.point_result` and finds every artifact already
+present, so objectives come from each point's
 stored :class:`~repro.harness.runner.SelectorRun` (IPC and coverage)
 and its stored plan (read-port demand and templates) at warm-hit cost.
 
@@ -23,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..exec.grid import baseline_point, point_id, run_points, selector_point
+from ..exec.grid import (
+    Point, baseline_point, point_id, point_result, run_points, selector_point,
+)
 from ..harness.runner import Runner
-from ..pipeline.config import config_by_name
 from .space import Trial
 
 #: Objective direction summary (see :mod:`repro.tune.pareto`):
@@ -124,28 +126,28 @@ class Evaluator:
         results: Dict[str, TrialEval] = {}
         for trial in trials:
             results[trial.trial_id] = self._reduce(
-                runner, trial, benchmarks, input_name, max_insts)
+                runner, trial, own_points[trial.trial_id], max_insts)
         return results, served
 
     def _reduce(self, runner: Runner, trial: Trial,
-                benchmarks: Sequence[str], input_name: str,
-                max_insts: int) -> TrialEval:
-        """Replay one trial through the warm store into objectives."""
+                points: Sequence[Point], max_insts: int) -> TrialEval:
+        """Read one trial's points and their same-machine baselines back
+        from the warm store into objectives."""
         from ..exec.tasks import selector_from_spec
-        config = config_by_name(trial.config)
+        selector = selector_from_spec(trial.selector_spec)
         per_bench: List[Dict[str, Any]] = []
         coverages: List[float] = []
         ratios: List[float] = []
         ports: List[float] = []
-        for bench in benchmarks:
-            selector = selector_from_spec(trial.selector_spec)
-            base = runner.baseline(bench, config, input_name)
-            run = runner.run_selector(bench, selector, config,
-                                      input_name=input_name)
-            plan = runner.plan(bench, selector, input_name=input_name)
+        for point in points:
+            base = point_result(runner, baseline_point(
+                point.bench, point.config, point.input_name))
+            run = point_result(runner, point)
+            plan = runner.plan(point.bench, selector,
+                               input_name=point.input_name)
             ratio = run.ipc / base.ipc if base.ipc else 0.0
             demand = plan_read_ports(plan)
-            per_bench.append({"bench": bench, "ipc": run.ipc,
+            per_bench.append({"bench": point.bench, "ipc": run.ipc,
                               "baseline_ipc": base.ipc,
                               "ipc_norm": ratio,
                               "coverage": run.coverage,
@@ -154,7 +156,7 @@ class Evaluator:
             coverages.append(run.coverage)
             ratios.append(ratio)
             ports.append(demand)
-        n = len(benchmarks)
+        n = len(points)
         return TrialEval(
             trial_id=trial.trial_id, selector=trial.selector_spec,
             display_name=trial.display_name, config=trial.config,

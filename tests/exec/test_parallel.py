@@ -10,7 +10,7 @@ from repro.exec.grid import (
 )
 from repro.exec.store import ArtifactStore
 from repro.exec.tasks import selector_from_spec
-from repro.harness.experiments import fig1, grid_points
+from repro.harness.experiments import EXPERIMENTS, fig1, grid_points
 from repro.harness.runner import Runner
 from repro.minigraph.selectors import (
     SlackProfileSelector, StructAll, StructNone,
@@ -125,6 +125,25 @@ def test_warm_rerun_schedules_nothing_and_loads_no_upstream(fig1_store):
     loaded = set(runner.store.stats.by_kind)
     assert not loaded & {"trace", "candidates", "profile", "plan"}
     assert runner.store.stats.puts == 0
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3", "fig6", "fig7",
+                                  "fig9-machines", "fig9-inputs"])
+def test_figure_reads_only_what_its_grid_scheduled(name, tmp_path):
+    """Each S-curve figure derives its grid and its reading from one
+    declaration: after ``run_points`` the figure computes and misses
+    nothing, and reads what a memory-only serial run computes."""
+    benches = all_benchmarks(suites=["comm"])[:2]
+    runner = Runner(store=ArtifactStore(tmp_path / "cache"))
+    report = run_points(runner, grid_points(name, benches), jobs=1,
+                        threads=2)
+    assert not report.failures
+    stats = runner.store.stats
+    before = (stats.puts, stats.misses)
+    text = EXPERIMENTS[name](runner, benches).render(full_tables=True)
+    assert (stats.puts, stats.misses) == before
+    assert text == EXPERIMENTS[name](Runner(), benches).render(
+        full_tables=True)
 
 
 def test_corrupt_payloads_are_recomputed_where_they_are_read(

@@ -72,3 +72,30 @@ def test_cli_smoke(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "FIG1" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suites", "comm", "--limit", "0"],
+    ["--suites", "comm", "--limit", "-1"],
+    ["--suites", "synth", "--no-synthetic"],
+])
+def test_empty_or_truncated_population_is_rejected(argv, tmp_path, capsys):
+    """A population the filters leave empty, or a --limit that would
+    print an all-zero figure or silently drop programs, is a one-line
+    error before any store is opened."""
+    store = tmp_path / "store"
+    assert main(["fig1", *argv, "--cache-dir", str(store)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("experiments: ")
+    assert not store.exists()
+
+
+def test_unknown_suite_is_rejected(tmp_path, capsys):
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exited:
+        main(["fig1", "--suites", "bogus", "--cache-dir", str(store)])
+    assert exited.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not store.exists()

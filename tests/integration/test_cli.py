@@ -11,6 +11,13 @@ def test_list(capsys):
     assert "crc32" in out and "benchmarks" in out
 
 
+def test_list_rejects_unknown_suite(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["list", "--suites", "bogus"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_run_with_selector(capsys):
     assert main(["run", "epicfilt", "--selector", "struct-all"]) == 0
     out = capsys.readouterr().out

@@ -222,6 +222,29 @@ def test_kernel_buffers_are_released_without_the_cyclic_collector(
         gc.enable()
 
 
+def test_pins_type_by_typecode_and_release_on_del():
+    """One native call's pins: the element type follows each array's
+    typecode, an unknown typecode raises, and ``del`` releases every
+    export without the cyclic collector."""
+    from array import array
+    arrays = [array("q", [1, 2]), array("b", [1]), array("d", [0.5]),
+              array("q")]
+    gc.disable()
+    try:
+        pin = ckern._Pins()
+        for arr in arrays:
+            pin(arr)
+        with pytest.raises(BufferError):
+            arrays[0].append(3)
+        del pin
+        for arr in arrays:
+            arr.append(1)
+    finally:
+        gc.enable()
+    with pytest.raises(TypeError, match="'i'"):
+        ckern._Pins()(array("i", [1]))
+
+
 # ---------------------------------------------------------------------
 # Folding in the kernel: every degrade path gives the reference result
 # ---------------------------------------------------------------------
