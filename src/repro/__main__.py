@@ -48,7 +48,7 @@ SELECTORS = {
 
 
 def _cmd_list(args) -> int:
-    benches = all_benchmarks(suites=args.suites or None)
+    benches = all_benchmarks(suites=args.suites)
     print(f"{'name':<14s} {'suite':<9s} {'inputs':<18s} description")
     print("-" * 72)
     for bench in benches:
@@ -191,6 +191,8 @@ def _cmd_limit_study(args) -> int:
             print(f"[telemetry] {telemetry.events_written} events -> "
                   f"{telemetry.path}", file=sys.stderr)
     print(result.render())
+    if store.persistent:
+        print(store.stats.render(), file=sys.stderr)
     return 0
 
 
@@ -498,7 +500,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="list the benchmark population")
-    p_list.add_argument("--suites", nargs="*", choices=SUITES)
+    p_list.add_argument("--suites", nargs="+", choices=SUITES)
     p_list.set_defaults(fn=_cmd_list)
 
     p_run = sub.add_parser("run", help="run one benchmark")

@@ -5,12 +5,16 @@ infeasible (§5.4); the paper instead takes the 10 most frequent
 non-overlapping static mini-graph candidates of the ADPCM coder, evaluates
 all 2^10 = 1024 subsets exhaustively on the reduced machine, and places
 each selector's choice on the resulting coverage/performance scatter.
+
+The sweep is evaluated, scheduled and stored in chunks of :data:`CHUNK`
+consecutive masks: each chunk is one ``subset`` artifact and, on a
+process pool, one task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..minigraph.dynamic import SlackDynamicPolicy
 from ..minigraph.selection import MiniGraphPlan
@@ -23,6 +27,10 @@ from ..minigraph.transform import fold_trace
 from ..pipeline.config import MachineConfig, reduced_config
 from ..pipeline.core import OoOCore
 from ..harness.runner import Runner
+
+#: Masks per chunk of the sweep, each chunk one ``subset`` artifact and
+#: one pool task: the full 2^10 sweep is 16 chunks.
+CHUNK = 64
 
 
 @dataclass
@@ -76,8 +84,6 @@ class LimitStudyResult:
 def top_nonoverlapping_sites(runner: Runner, bench: str, input_name: str,
                              count: int = 10) -> List[MGSite]:
     """The ``count`` most frequent, mutually non-overlapping candidates."""
-    bench_obj = runner._bench(bench)
-    program = bench_obj.program(input_name)
     trace = runner.trace(bench, input_name)
     candidates = runner.candidates(bench, input_name)
     templates = build_templates(candidates, trace.dynamic_count_of())
@@ -96,62 +102,83 @@ def top_nonoverlapping_sites(runner: Runner, bench: str, input_name: str,
     return chosen
 
 
-def subset_plan(runner: Runner, bench: str, input_name: str,
-                sites: List[MGSite], mask: int) -> MiniGraphPlan:
-    """The plan admitting exactly the ``mask`` subset of ``sites``.
+def _mask_planner(runner: Runner, bench: str, input_name: str,
+                  sites: List[MGSite],
+                  trace) -> Callable[[int], MiniGraphPlan]:
+    """``plan(mask)``: the plan admitting exactly the ``mask`` subset of
+    ``sites``, with the program, counts, candidates and hoisted sites
+    looked up once for every mask it plans.
 
     Template grouping is mask-independent, so every subset plans over
     the runner's hoisted sites (``FixedSetSelector`` matches on
     ``site.id``, which hoisting keeps): the plan is bit-identical to
     one grouped afresh.
     """
-    allowed = {site.id for i, site in enumerate(sites) if mask & (1 << i)}
     bench_obj = runner._bench(bench)
-    counts = runner.trace(bench, input_name).dynamic_count_of()
+    program = bench_obj.program(input_name)
+    counts = trace.dynamic_count_of()
     candidates = runner.candidates(bench, input_name)
-    return make_plan(bench_obj.program(input_name), counts,
-                     FixedSetSelector(allowed), budget=runner.budget,
-                     candidates=candidates,
-                     sites=runner._hoisted_sites(bench_obj.name, input_name,
-                                                 input_name, candidates,
-                                                 counts))
+    hoisted = runner._hoisted_sites(bench_obj.name, input_name, input_name,
+                                    candidates, counts)
+
+    def plan(mask: int) -> MiniGraphPlan:
+        allowed = {site.id for i, site in enumerate(sites)
+                   if mask >> i & 1}
+        return make_plan(program, counts, FixedSetSelector(allowed),
+                         budget=runner.budget, candidates=candidates,
+                         sites=hoisted)
+
+    return plan
 
 
-def _evaluate_subset(runner: Runner, bench: str, input_name: str,
-                     config: MachineConfig, sites: List[MGSite], mask: int,
-                     baseline_ipc: float,
-                     policy=None) -> SubsetPoint:
-    plan = subset_plan(runner, bench, input_name, sites, mask)
-    records = fold_trace(runner.trace(bench, input_name), plan)
-    core = OoOCore(config, records, policy=policy,
-                   warm_caches=runner.warm_caches)
-    stats = core.run()
-    return SubsetPoint(mask, stats.coverage, stats.ipc / baseline_ipc)
+def subset_plan(runner: Runner, bench: str, input_name: str,
+                sites: List[MGSite], mask: int) -> MiniGraphPlan:
+    """The plan admitting exactly the ``mask`` subset of ``sites``."""
+    return _mask_planner(runner, bench, input_name, sites,
+                         runner.trace(bench, input_name))(mask)
 
 
-def evaluate_subset_cached(runner: Runner, bench: str, input_name: str,
-                           config: MachineConfig, n_candidates: int,
-                           mask: int, baseline_ipc: float,
-                           sites: Optional[List[MGSite]] = None
-                           ) -> SubsetPoint:
-    """Store-backed subset evaluation: the durable form of one Figure 8
-    scatter point.
+def _evaluate_masks(runner: Runner, bench: str, input_name: str,
+                    config: MachineConfig, sites: List[MGSite],
+                    masks: Iterable[int], baseline_ipc: float,
+                    policy=None) -> List[SubsetPoint]:
+    """Plan, fold and time each mask in turn, one core at a time."""
+    trace = runner.trace(bench, input_name)
+    plan = _mask_planner(runner, bench, input_name, sites, trace)
+    points = []
+    for mask in masks:
+        records = fold_trace(trace, plan(mask))
+        stats = OoOCore(config, records, policy=policy,
+                        warm_caches=runner.warm_caches).run()
+        points.append(SubsetPoint(mask, stats.coverage,
+                                  stats.ipc / baseline_ipc))
+    return points
 
-    Keyed via :meth:`Runner.subset_params` (full machine sizing, mask,
-    candidate count, normalization baseline, runner knobs), so completed
-    masks survive process death: rerunning a killed study, or repeating
-    a sweep, over the same cache directory recomputes none of them.
-    ``sites`` skips the candidate ranking when the caller already holds
-    it.
+
+def evaluate_chunk_cached(runner: Runner, bench: str, input_name: str,
+                          config: MachineConfig, n_candidates: int,
+                          first: int, count: int, baseline_ipc: float,
+                          sites: Optional[List[MGSite]] = None
+                          ) -> List[SubsetPoint]:
+    """Store-backed evaluation of masks ``first`` to ``first + count - 1``:
+    the durable form of one chunk of Figure 8 scatter points, in mask
+    order.
+
+    Keyed via :meth:`Runner.subset_params` (full machine sizing, chunk,
+    candidate count, normalization baseline, runner knobs), so finished
+    chunks survive process death: rerunning a killed study, or
+    repeating a sweep, over the same cache directory recomputes none of
+    them. ``sites`` skips the candidate ranking when the caller already
+    holds it.
     """
     params = runner.subset_params(bench, input_name, config, n_candidates,
-                                  mask, baseline_ipc)
+                                  first, count, baseline_ipc)
 
-    def compute() -> SubsetPoint:
+    def compute() -> List[SubsetPoint]:
         ranked = sites if sites is not None else top_nonoverlapping_sites(
             runner, bench, input_name, n_candidates)
-        return _evaluate_subset(runner, bench, input_name, config, ranked,
-                                mask, baseline_ipc)
+        return _evaluate_masks(runner, bench, input_name, config, ranked,
+                               range(first, first + count), baseline_ipc)
 
     return runner.store.get_or_compute("subset", params, compute)
 
@@ -165,34 +192,40 @@ def _selector_mask(plan_sites: List[MGSite], sites: List[MGSite]) -> int:
     return mask
 
 
-def _parallel_subset_points(runner: Runner, bench: str, input_name: str,
+def _compute_missing_chunks(runner: Runner, bench: str, input_name: str,
                             config: MachineConfig, n_candidates: int,
-                            n_subsets: int, baseline_ipc: float,
-                            jobs: int) -> List[SubsetPoint]:
-    """Fan the exhaustive subset sweep out over worker processes.
+                            chunks: List[Tuple[int, int]],
+                            baseline_ipc: float, jobs: int) -> None:
+    """Evaluate the chunks the store lacks on a pool of ``jobs`` workers.
 
-    Each mask evaluation is one task; the trace and candidate
-    enumeration reach the workers through the runner's persistent
-    artifact store, loaded once per worker process. Results are ordered
-    by mask, so the outcome is independent of ``jobs``.
+    One ``run_subset`` task per missing chunk. Workers load the trace
+    and candidates from the runner's persistent store, once per worker
+    process, and publish each chunk there. A chunk whose task failed
+    stays missing, for the caller's read to recompute; a warm store
+    starts no pool.
     """
+    from ..exec import tasks as task_fns
     from ..exec.dag import Scheduler, Task
-    from ..exec.tasks import run_subset, runner_params
 
-    base = runner_params(runner)
-    tasks = [
-        Task(id=f"subset/{bench}/{input_name}/{mask}", fn=run_subset,
-             args=(dict(base, bench=bench, input=input_name,
-                        config=config.name, n_candidates=n_candidates,
-                        mask=mask, baseline_ipc=baseline_ipc),),
-             stage="subset")
-        for mask in range(n_subsets)
-    ]
-    report = Scheduler(jobs=jobs).run(tasks)
-    points = [SubsetPoint(r["mask"], r["coverage"], r["relative_ipc"])
-              for r in report.results.values()]
-    points.sort(key=lambda p: p.mask)
-    return points
+    base = task_fns.runner_params(runner)
+    store = runner.store
+    missing = []
+    for first, count in chunks:
+        params = runner.subset_params(bench, input_name, config,
+                                      n_candidates, first, count,
+                                      baseline_ipc)
+        if store.contains(store.key("subset", params), "subset"):
+            continue
+        missing.append(Task(
+            id=f"subset/{bench}/{input_name}/{first}+{count}",
+            fn=task_fns.run_subset,
+            args=(dict(base, bench=bench, input=input_name,
+                       config=config.name, n_candidates=n_candidates,
+                       first=first, count=count,
+                       baseline_ipc=baseline_ipc),),
+            stage="subset"))
+    if missing:
+        Scheduler(jobs=jobs).run(missing, raise_on_failure=False)
 
 
 def run_limit_study(runner: Optional[Runner] = None, bench: str = "adpcm",
@@ -206,9 +239,11 @@ def run_limit_study(runner: Optional[Runner] = None, bench: str = "adpcm",
     ``subset_cap`` truncates the exhaustive sweep (tests use small caps);
     the full Figure 8 sweep needs ``2 ** n_candidates`` evaluations.
     A cap below 1 raises :class:`ValueError` before any work.
-    With ``jobs > 1`` (and a persistent artifact store on ``runner`` and
-    a *named* machine configuration) the sweep fans out over worker
-    processes; results are identical to the serial path.
+    The sweep is read chunk by chunk through the store
+    (:func:`evaluate_chunk_cached`). With ``jobs > 1`` (and a persistent
+    artifact store on ``runner`` and a *named* machine configuration)
+    the chunks the store lacks are first computed on worker processes;
+    results are identical to the serial path.
     """
     if subset_cap is not None and subset_cap < 1:
         raise ValueError(f"subset_cap must be >= 1, got {subset_cap}")
@@ -222,20 +257,22 @@ def run_limit_study(runner: Optional[Runner] = None, bench: str = "adpcm",
     from ..pipeline.config import NAMED_CONFIGS, full_config
     baseline_ipc = runner.baseline(bench, full_config(), input_name).ipc
 
+    def chunk(first: int, count: int) -> List[SubsetPoint]:
+        return evaluate_chunk_cached(runner, bench, input_name, config,
+                                     n_candidates, first, count,
+                                     baseline_ipc, sites=sites)
+
     n_subsets = 1 << len(sites)
     if subset_cap is not None:
         n_subsets = min(n_subsets, subset_cap)
-    parallel_ok = (jobs > 1 and runner.store.persistent
-                   and config.name in NAMED_CONFIGS)
-    if parallel_ok:
-        result.points.extend(_parallel_subset_points(
-            runner, bench, input_name, config, n_candidates, n_subsets,
-            baseline_ipc, jobs))
-    else:
-        for mask in range(n_subsets):
-            result.points.append(evaluate_subset_cached(
-                runner, bench, input_name, config, n_candidates, mask,
-                baseline_ipc, sites=sites))
+    chunks = [(first, min(CHUNK, n_subsets - first))
+              for first in range(0, n_subsets, CHUNK)]
+    if (jobs > 1 and runner.store.persistent
+            and config.name in NAMED_CONFIGS):
+        _compute_missing_chunks(runner, bench, input_name, config,
+                                n_candidates, chunks, baseline_ipc, jobs)
+    for first, count in chunks:
+        result.points.extend(chunk(first, count))
 
     # Place each static selector: its pool restricted to the 10 candidates.
     profile = runner.slack_profile(bench, config, input_name)
@@ -246,17 +283,15 @@ def run_limit_study(runner: Optional[Runner] = None, bench: str = "adpcm",
         pool = selector.build_pool(sites, profile)
         mask = _selector_mask(pool, sites)
         point = by_mask.get(mask)
-        if point is None:
-            point = evaluate_subset_cached(runner, bench, input_name,
-                                           config, n_candidates, mask,
-                                           baseline_ipc, sites=sites)
+        if point is None:          # outside a capped sweep
+            point, = chunk(mask, 1)
         result.selector_points[selector.name] = point
 
     # Slack-Dynamic starts from the full set and disables at run time.
     policy = SlackDynamicPolicy()
     full_mask = (1 << len(sites)) - 1
-    dynamic_point = _evaluate_subset(runner, bench, input_name, config,
-                                     sites, full_mask, baseline_ipc,
+    dynamic_point, = _evaluate_masks(runner, bench, input_name, config,
+                                     sites, [full_mask], baseline_ipc,
                                      policy=policy)
     enabled_mask = 0
     for i, site in enumerate(sites):

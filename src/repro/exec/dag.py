@@ -6,9 +6,10 @@ point, with upstream nodes shared between points. The :class:`Scheduler`
 topologically orders the graph and either runs it serially in-process
 (``jobs=1``, also the deterministic reference path) or fans ready tasks
 out over a ``ProcessPoolExecutor``. The pool path keeps two submissions
-per worker in flight and, when many tasks are ready at once (the limit
-study's 1,024 masks), packs several into one submission, so a worker
-pays one round trip per group rather than per task.
+per worker in flight and, when many tasks are ready at once (a
+figure's timing runs over the whole population), packs several into
+one submission, so a worker pays one round trip per group rather than
+per task.
 
 Task functions must be module-level (picklable) and communicate bulk
 results through the shared on-disk :class:`~repro.exec.store.ArtifactStore`

@@ -32,9 +32,8 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .store import ArtifactStore
 
-# Per-process caches: one runner per parameter set (see bound_runner).
+# Per-process cache: one runner per parameter set (see bound_runner).
 _RUNNERS: Dict[Tuple, Any] = {}
-_SITES: Dict[Tuple, list] = {}
 
 
 def runner_params(runner) -> Dict[str, Any]:
@@ -219,33 +218,22 @@ def run_check(spec: Dict[str, Any]) -> Dict[str, Any]:
 
 # -- limit-study tasks ---------------------------------------------------------
 
-def _limit_sites(runner, bench: str, input_name: str, count: int):
-    from ..analysis.limit_study import top_nonoverlapping_sites
-    key = (id(runner), bench, input_name, count)
-    if key not in _SITES:
-        _SITES[key] = top_nonoverlapping_sites(runner, bench, input_name,
-                                               count)
-    return _SITES[key]
-
-
 def run_subset(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Evaluate one limit-study subset mask (Figure 8 scatter point).
+    """Evaluate one chunk of limit-study subset masks (Figure 8 scatter
+    points): the ``count`` masks from ``first`` on.
 
-    Memoized through the store under a ``subset`` artifact (the full
-    parameter set, via :meth:`Runner.subset_params`), so completed
-    masks are durable: rerunning a killed study with the same store
-    evaluates only the missing ones.
+    Memoized through the store under one ``subset`` artifact (the full
+    parameter set, via :meth:`Runner.subset_params`), so finished
+    chunks are durable: rerunning a killed study with the same store
+    evaluates only the missing ones. The task ranks the candidate sites
+    itself, from the trace and candidates its runner holds.
     """
-    from ..analysis.limit_study import evaluate_subset_cached
-    runner = _runner(spec)
-    sites = _limit_sites(runner, spec["bench"], spec["input"],
-                         spec["n_candidates"])
-    point = evaluate_subset_cached(runner, spec["bench"], spec["input"],
-                                   _config(spec["config"]),
-                                   spec["n_candidates"], spec["mask"],
-                                   spec["baseline_ipc"], sites=sites)
-    return {"mask": point.mask, "coverage": point.coverage,
-            "relative_ipc": point.relative_ipc}
+    from ..analysis.limit_study import evaluate_chunk_cached
+    points = evaluate_chunk_cached(
+        _runner(spec), spec["bench"], spec["input"], _config(spec["config"]),
+        spec["n_candidates"], spec["first"], spec["count"],
+        spec["baseline_ipc"])
+    return {"first": spec["first"], "points": len(points)}
 
 
 # -- store addresses -----------------------------------------------------------
@@ -257,7 +245,9 @@ def task_artifact(runner, task) -> Optional[Tuple[str, Dict]]:
     resolved arguments the task's compute path passes them: selectors
     are keyed by their canonical spec, profiling defaults are filled in.
     Returns ``None`` for nodes that are not backed by a store artifact
-    (``check`` validation nodes recompute by design).
+    (``check`` validation nodes recompute by design) and for
+    ``run_subset`` chunks, which the limit study probes itself before
+    it schedules them.
     """
     spec = task.args[0] if task.args else {}
     stage = task.stage
@@ -279,8 +269,4 @@ def task_artifact(runner, task) -> Optional[Tuple[str, Dict]]:
     if stage in ("baseline", "timing"):
         from .grid import point_address
         return point_address(runner, spec["point"])
-    if stage == "subset":
-        return "subset", runner.subset_params(
-            spec["bench"], spec["input"], _config(spec["config"]),
-            spec["n_candidates"], spec["mask"], spec["baseline_ipc"])
     return None

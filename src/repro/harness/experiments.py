@@ -295,8 +295,8 @@ def fig8(runner: Runner, benches) -> ExperimentResult:
     """Exhaustive 1024-subset limit study on the ADPCM coder (§5.4).
 
     The benchmark population argument is unused — the study is defined on
-    one short-running program, as in the paper. Parallelized over subset
-    masks when the runner carries ``jobs > 1``.
+    one short-running program, as in the paper. Parallelized over chunks
+    of subset masks when the runner carries ``jobs > 1``.
     """
     from ..analysis.limit_study import run_limit_study
     study = run_limit_study(runner, jobs=runner.jobs)
@@ -328,7 +328,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Regenerate a paper figure's data series.")
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["all"])
-    parser.add_argument("--suites", nargs="*", default=None, choices=SUITES,
+    parser.add_argument("--suites", nargs="+", default=None, choices=SUITES,
                         help="restrict to suites")
     parser.add_argument("--limit", type=int, default=None,
                         help="use only the first N benchmarks")

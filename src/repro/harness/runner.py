@@ -181,11 +181,13 @@ class Runner:
 
     def subset_params(self, bench_name: str, input_name: str,
                       config: MachineConfig, n_candidates: int,
-                      mask: int, baseline_ipc: float) -> Dict:
-        """Store-key params for one limit-study subset evaluation."""
+                      first: int, count: int, baseline_ipc: float) -> Dict:
+        """Store-key params for one chunk of limit-study subsets: the
+        ``count`` masks from ``first`` on."""
         return {"bench": bench_name, "input": input_name,
                 "config": _config_params(config),
-                "n_candidates": n_candidates, "mask": mask,
+                "n_candidates": n_candidates,
+                "first": first, "count": count,
                 "baseline_ipc": baseline_ipc,
                 "budget": self.budget, "max_mg_size": self.max_mg_size,
                 "warm_caches": self.warm_caches,

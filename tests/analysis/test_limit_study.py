@@ -4,12 +4,16 @@ import pickle
 
 import pytest
 
-from repro.analysis import run_limit_study, top_nonoverlapping_sites
-from repro.analysis.limit_study import evaluate_subset_cached, subset_plan
+from repro.analysis import SubsetPoint, run_limit_study, \
+    top_nonoverlapping_sites
+from repro.analysis.limit_study import (
+    CHUNK, evaluate_chunk_cached, subset_plan,
+)
+from repro.exec.store import ArtifactStore
 from repro.harness import Runner
 from repro.minigraph.selectors import FixedSetSelector, make_plan
 from repro.minigraph.transform import fold_records, fold_trace
-from repro.pipeline import ckern, full_config, reduced_config
+from repro.pipeline import OoOCore, ckern, full_config, reduced_config
 
 needs_kernel = pytest.mark.skipif(not ckern.available(),
                                   reason="compiled kernel unavailable")
@@ -22,7 +26,6 @@ def study():
 
 @pytest.mark.parametrize("cap", [0, -1])
 def test_cap_below_one_is_rejected_before_any_work(tmp_path, cap):
-    from repro.exec.store import ArtifactStore
     with pytest.raises(ValueError, match="subset_cap"):
         run_limit_study(Runner(store=ArtifactStore(tmp_path)),
                         subset_cap=cap)
@@ -137,8 +140,51 @@ def test_subset_point_builds_no_records(record_objects):
     sites = top_nonoverlapping_sites(runner, "adpcm", "tiny", 10)
     baseline_ipc = runner.baseline("adpcm", full_config(), "tiny").ipc
     record_objects.update(TraceRecord=0, MGHandleRecord=0)
-    point = evaluate_subset_cached(runner, "adpcm", "tiny",
-                                   reduced_config(), 10, 1023,
+    point, = evaluate_chunk_cached(runner, "adpcm", "tiny",
+                                   reduced_config(), 10, 1023, 1,
                                    baseline_ipc, sites=sites)
     assert point.coverage > 0
     assert record_objects == {"TraceRecord": 0, "MGHandleRecord": 0}
+
+
+def test_chunks_match_mask_by_mask_evaluation():
+    """A cap of 70 is a chunk of 64 masks and one of 6; point for point
+    they equal each mask planned, folded and run on its own."""
+    study = run_limit_study(Runner(), subset_cap=CHUNK + 6)
+    runner = Runner()
+    config = reduced_config()
+    sites = top_nonoverlapping_sites(runner, "adpcm", "tiny", 10)
+    trace = runner.trace("adpcm", "tiny")
+    baseline_ipc = runner.baseline("adpcm", full_config(), "tiny").ipc
+    reference = []
+    for mask in range(CHUNK + 6):
+        plan = subset_plan(runner, "adpcm", "tiny", sites, mask)
+        stats = OoOCore(config, fold_trace(trace, plan),
+                        warm_caches=runner.warm_caches).run()
+        reference.append(SubsetPoint(mask, stats.coverage,
+                                     stats.ipc / baseline_ipc))
+    assert study.points == reference
+
+
+def test_capped_sweep_stores_one_artifact_per_chunk(tmp_path):
+    """One ``subset`` file per chunk of the sweep, holding its points in
+    mask order, plus a chunk of one per selector mask outside it."""
+    runner = Runner(store=ArtifactStore(tmp_path))
+    study = run_limit_study(runner, subset_cap=CHUNK + 6)
+    baseline_ipc = runner.baseline("adpcm", full_config(), "tiny").ipc
+
+    def chunk_key(first, count):
+        return runner.store.key("subset", runner.subset_params(
+            "adpcm", "tiny", reduced_config(), 10, first, count,
+            baseline_ipc))
+
+    outside = {point.mask for name, point in study.selector_points.items()
+               if name != "slack-dynamic" and point.mask >= CHUNK + 6}
+    assert (1 << 10) - 1 in outside         # Struct-All's full set
+    expected = {chunk_key(0, CHUNK), chunk_key(CHUNK, 6)} | {
+        chunk_key(mask, 1) for mask in outside}
+    stored = {key for key, kind, _ in runner.store.backend.entries()
+              if kind == "subset"}
+    assert stored == expected
+    reread = ArtifactStore(tmp_path)
+    assert reread.get(chunk_key(CHUNK, 6), "subset") == study.points[CHUNK:]

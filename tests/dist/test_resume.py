@@ -146,34 +146,34 @@ class TestResume:
 class TestLimitStudyResume:
     def test_resume_reuses_durable_subset_masks(self, tmp_path):
         """A pool-path rerun over a partly warm store evaluates only the
-        subset masks whose payloads are gone."""
-        from repro.analysis.limit_study import run_limit_study
-        from repro.pipeline.config import reduced_config
+        chunk of subset masks whose payload is gone."""
+        from repro.analysis.limit_study import CHUNK, run_limit_study
+        from repro.pipeline.config import full_config, reduced_config
 
         cache = tmp_path / "cache"
 
         def study(jobs):
             return run_limit_study(Runner(store=ArtifactStore(cache)),
                                    bench="adpcm", input_name="tiny",
-                                   config=reduced_config(), subset_cap=8,
+                                   config=reduced_config(), subset_cap=130,
                                    jobs=jobs).render()
 
-        first = study(jobs=1)
-        store = ArtifactStore(cache)
-        victims = [key for key, kind, _ in store.backend.entries()
-                   if kind == "subset"][:2]
-        assert len(victims) == 2
-        for key in victims:
-            store.backend.delete(key, "subset")
+        first = study(jobs=1)          # three chunks: 64 + 64 + 2 masks
+        runner = Runner(store=ArtifactStore(cache))
+        baseline_ipc = runner.baseline("adpcm", full_config(), "tiny").ipc
+        victim = runner.store.key("subset", runner.subset_params(
+            "adpcm", "tiny", reduced_config(), 10, CHUNK, CHUNK,
+            baseline_ipc))
+        victim_path = runner.store.backend.payload_path(victim, "subset")
+        assert victim_path.exists()
+        runner.store.backend.delete(victim, "subset")
         before = {path: path.stat().st_mtime_ns
                   for path in cache.glob("??/*.pkl")}
         task_fns._RUNNERS.clear()      # workers fork from this process
-        task_fns._SITES.clear()
 
         assert study(jobs=2) == first
         after = set(cache.glob("??/*.pkl"))
-        assert after - set(before) == {
-            store.backend.payload_path(key, "subset") for key in victims}
+        assert after - set(before) == {victim_path}
         for path, mtime in before.items():
             assert path.stat().st_mtime_ns == mtime, path
 

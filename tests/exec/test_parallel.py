@@ -240,3 +240,21 @@ def test_limit_study_parallel_matches_serial(tmp_path):
     assert [dataclasses.astuple(p) for p in parallel.points] == \
         [dataclasses.astuple(p) for p in serial.points]
     assert parallel.render() == serial.render()
+
+
+def test_limit_study_chunks_match_across_job_counts(tmp_path):
+    """Serial and pool sweeps into fresh stores give equal points, equal
+    output and the same store files (three chunks: 64 + 64 + 2)."""
+    from repro.analysis.limit_study import run_limit_study
+    studies, files = [], []
+    for jobs in (1, 2):
+        cache = tmp_path / f"jobs{jobs}"
+        studies.append(run_limit_study(
+            Runner(store=ArtifactStore(cache), jobs=jobs),
+            subset_cap=130, jobs=jobs))
+        files.append(sorted(path.relative_to(cache).as_posix()
+                            for path in cache.glob("??/*.pkl")))
+    serial, parallel = studies
+    assert parallel.points == serial.points
+    assert parallel.render() == serial.render()
+    assert files[0] == files[1]

@@ -92,6 +92,17 @@ def test_empty_or_truncated_population_is_rejected(argv, tmp_path, capsys):
     assert not store.exists()
 
 
+def test_bare_suites_flag_is_rejected(tmp_path, capsys):
+    """A bare ``--suites`` is a usage error, as in ``repro list``."""
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exited:
+        main(["fig1", "--suites", "--cache-dir", str(store)])
+    assert exited.value.code == 2
+    assert "--suites: expected at least one argument" in \
+        capsys.readouterr().err
+    assert not store.exists()
+
+
 def test_unknown_suite_is_rejected(tmp_path, capsys):
     store = tmp_path / "store"
     with pytest.raises(SystemExit) as exited:

@@ -18,6 +18,14 @@ def test_list_rejects_unknown_suite(capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def test_list_rejects_a_bare_suites_flag(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["list", "--suites"])
+    assert exited.value.code == 2
+    assert "--suites: expected at least one argument" in \
+        capsys.readouterr().err
+
+
 def test_run_with_selector(capsys):
     assert main(["run", "epicfilt", "--selector", "struct-all"]) == 0
     out = capsys.readouterr().out
@@ -115,6 +123,24 @@ def test_limit_study_jobs(capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert "FIG8" in captured.out
     assert "temporary store" in captured.err
+
+
+def test_limit_study_prints_store_stats(capsys, tmp_path, monkeypatch):
+    """With a persistent store the study prints the two ``[cache]``
+    lines; a rerun over that store writes nothing and prints the same
+    figure. The temporary store of ``--jobs N`` alone prints none."""
+    argv = ["limit-study", "--cap", "8", "--jobs", "2",
+            "--cache-dir", str(tmp_path / "cache")]
+    assert main(list(argv)) == 0
+    first = capsys.readouterr()
+    assert first.err.count("[cache] ") == 2
+    assert main(list(argv)) == 0
+    rerun = capsys.readouterr()
+    assert rerun.out == first.out
+    assert ", 0 writes" in rerun.err
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    assert main(["limit-study", "--cap", "4", "--jobs", "2"]) == 0
+    assert "[cache]" not in capsys.readouterr().err
 
 
 def test_cache_subcommand(capsys, tmp_path):
