@@ -22,7 +22,9 @@ from ..minigraph.selectors import (
     FixedSetSelector, Selector, SlackProfileSelector, StructAll,
     StructBounded, StructNone, make_plan,
 )
-from ..minigraph.templates import MGSite, build_templates
+from ..minigraph.templates import MGSite
+# Not called here, but benchmarks/e2e/spans.py patches this name.
+from ..minigraph.templates import build_templates
 from ..minigraph.transform import fold_trace
 from ..pipeline.config import MachineConfig, reduced_config
 from ..pipeline.core import OoOCore
@@ -83,12 +85,14 @@ class LimitStudyResult:
 
 def top_nonoverlapping_sites(runner: Runner, bench: str, input_name: str,
                              count: int = 10) -> List[MGSite]:
-    """The ``count`` most frequent, mutually non-overlapping candidates."""
-    trace = runner.trace(bench, input_name)
+    """The ``count`` most frequent, mutually non-overlapping candidates,
+    ranked from the runner's hoisted template sites, which every mask's
+    plan shares (:func:`_mask_planner`)."""
+    counts = runner.trace(bench, input_name).dynamic_count_of()
     candidates = runner.candidates(bench, input_name)
-    templates = build_templates(candidates, trace.dynamic_count_of())
-    sites = [site for template in templates for site in template.sites]
-    sites.sort(key=lambda s: (-s.score_contribution, s.start))
+    hoisted = runner._hoisted_sites(runner._bench(bench).name, input_name,
+                                    input_name, candidates, counts)
+    sites = sorted(hoisted, key=lambda s: (-s.score_contribution, s.start))
     chosen: List[MGSite] = []
     for site in sites:
         if len(chosen) == count:

@@ -37,8 +37,10 @@ import os
 import pickle
 import tempfile
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
@@ -100,6 +102,78 @@ def source_digest(pkg_root: Path,
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
+
+
+def _dumps(value: Any) -> str:
+    """The canonical JSON text a store key hashes."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+class FrozenParams(Mapping):
+    """A read-only mapping of store-key params that carries its own
+    canonical JSON text, encoded on first use.
+
+    A value that many keys share (a machine config's full sizing) is
+    encoded once per process: :meth:`ArtifactStore.key` splices the text
+    in where the mapping stands among the top-level params. Nothing can
+    change the mapping once it is built, so the text cannot go stale:
+    it takes ownership of ``data``, and nested dicts read back as
+    read-only views.
+    """
+
+    __slots__ = ("_data", "_text")
+
+    def __init__(self, data: Dict[str, Any]):
+        self._data = data
+        self._text: Optional[str] = None
+
+    def __getitem__(self, name: str) -> Any:
+        value = self._data[name]
+        return MappingProxyType(value) if isinstance(value, dict) else value
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __repr__(self) -> str:
+        return f"FrozenParams({self._data!r})"
+
+    @property
+    def text(self) -> str:
+        """``json.dumps`` of the mapping in the canonical key form."""
+        if self._text is None:
+            self._text = _dumps(self._data)
+        return self._text
+
+
+def canonical_params(params: Dict[str, Any]) -> str:
+    """``json.dumps(params, sort_keys=True, separators=(",", ":"))``,
+    byte for byte, with each top-level :class:`FrozenParams` value
+    written as the dict it holds.
+
+    Only the rest is encoded here: each frozen value stands in as a
+    placeholder string, which its cached text then replaces. A param
+    that happens to encode as a placeholder falls back to one plain
+    encoding.
+    """
+    texts = []
+    rest = {}
+    for name, value in params.items():
+        if type(value) is FrozenParams:
+            rest[name] = f"\x00{len(texts)}"
+            texts.append(value.text)
+        else:
+            rest[name] = value
+    canonical = _dumps(rest)
+    for i, text in enumerate(texts):
+        token = f'"\\u0000{i}"'
+        if canonical.count(token) != 1:
+            return _dumps({name: value._data if type(value) is FrozenParams
+                           else value for name, value in params.items()})
+        canonical = canonical.replace(token, text)
+    return canonical
 
 
 @dataclass
@@ -353,11 +427,12 @@ class ArtifactStore:
     def key(self, kind: str, params: Dict[str, Any]) -> str:
         """Content address: SHA-256 of kind + canonical params + salt.
 
-        ``params`` must be JSON-serializable; the canonical form sorts
-        keys so dict construction order cannot perturb the address.
+        ``params`` must be JSON-serializable, a :class:`FrozenParams` as
+        a top-level value included; the canonical form
+        (:func:`canonical_params`) sorts keys so dict construction order
+        cannot perturb the address.
         """
-        canonical = json.dumps(params, sort_keys=True, separators=(",", ":"))
-        blob = f"{kind}|{self.salt}|{canonical}".encode()
+        blob = f"{kind}|{self.salt}|{canonical_params(params)}".encode()
         return hashlib.sha256(blob).hexdigest()
 
     # -- lookup / insert ------------------------------------------------------

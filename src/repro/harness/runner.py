@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional
 
-from ..exec.store import ArtifactStore
+from ..exec.store import ArtifactStore, FrozenParams
 from ..isa.interp import Trace, execute
 from ..minigraph.candidates import Candidate, enumerate_candidates
 from ..minigraph.dynamic import MiniGraphPolicy, SlackDynamicPolicy
@@ -74,17 +74,16 @@ class SelectorRun:
 
 
 @lru_cache(maxsize=None)
-def _config_params(config: MachineConfig) -> Dict:
+def _config_params(config: MachineConfig) -> FrozenParams:
     """The complete machine sizing, not just the name: a custom
     ``config.scaled(...)`` must never collide with its namesake.
 
-    Cached per (frozen, hashable) config instance: every memo lookup on
-    a hot path was re-walking the dataclass through ``asdict`` — pure
-    overhead for the handful of configs a process ever touches. Callers
-    treat the returned dict as read-only (it is embedded in store-key
-    params and serialized, never mutated).
+    Cached per (frozen, hashable) config instance, read-only, with its
+    canonical JSON encoded on first use: the handful of configs a
+    process touches are walked through ``asdict`` and encoded once, not
+    once per store key (:meth:`ArtifactStore.key` splices the text in).
     """
-    return asdict(config)
+    return FrozenParams(asdict(config))
 
 
 class Runner:

@@ -13,7 +13,7 @@ operations reinterpret as needed. Register ``r0`` is hardwired to zero.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import List, Optional
 
 from . import opcodes as oc
@@ -101,7 +101,8 @@ class PackedTrace:
     """
 
     __slots__ = ("_objs", "n", "kind", "pc", "op", "opclass", "latency",
-                 "rd", "addr", "taken", "next_pc", "srcs", "srcs_start")
+                 "rd", "addr", "taken", "next_pc", "srcs", "srcs_start",
+                 "__weakref__")
 
     def __init__(self, objs, kind, pc, op, opclass, latency, rd, addr,
                  taken, next_pc, srcs, srcs_start):
@@ -676,22 +677,23 @@ def _pack_execution(insts, pc: array, addr: array,
 
     Every field but ``addr`` and ``taken`` is either fixed by the static
     instruction at ``pc`` or, for ``next_pc``, the pc that retired next
-    (the halt names itself).
+    (the halt names itself). Each instruction's fixed fields are one
+    row of bytes, and so are its sources: the rows of the executed pcs
+    are joined and split back into columns in C, with no Python step
+    per record.
     """
-    ops = [inst.op for inst in insts]
-    opclasses = [inst.opclass for inst in insts]
-    latencies = [inst.latency for inst in insts]
-    rds = [inst.rd if inst.writes_reg else -1 for inst in insts]
-    srcs_of = [inst.srcs for inst in insts]
-    widths = [len(srcs) for srcs in srcs_of]
+    rows = [array("q", (inst.op, inst.opclass, inst.latency,
+                        inst.rd if inst.writes_reg else -1,
+                        len(inst.srcs))).tobytes() for inst in insts]
+    fixed = array("q")
+    fixed.frombytes(b"".join(map(rows.__getitem__, pc)))
+    src_rows = [array("q", inst.srcs).tobytes() for inst in insts]
+    srcs = array("q")
+    srcs.frombytes(b"".join(map(src_rows.__getitem__, pc)))
     next_pc = pc[1:]
     next_pc.append(pc[-1])
     return PackedTrace(
         None, array("b", bytes(len(pc))), pc,
-        array("q", [ops[p] for p in pc]),
-        array("q", [opclasses[p] for p in pc]),
-        array("q", [latencies[p] for p in pc]),
-        array("q", [rds[p] for p in pc]),
-        addr, taken, next_pc,
-        array("q", chain.from_iterable(map(srcs_of.__getitem__, pc))),
-        array("q", accumulate(map(widths.__getitem__, pc), initial=0)))
+        fixed[0::5], fixed[1::5], fixed[2::5], fixed[3::5],
+        addr, taken, next_pc, srcs,
+        array("q", list(accumulate(fixed[4::5], initial=0))))

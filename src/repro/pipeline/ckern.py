@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 import shutil
 import subprocess
@@ -47,6 +48,7 @@ import time
 import weakref
 from array import array
 from functools import lru_cache
+from itertools import compress, islice
 from typing import List, Optional, Sequence, Tuple
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -450,15 +452,11 @@ def marshal(packed) -> Optional[MarshalledTrace]:
     trace exceeds a kernel bound (caller falls back to Python)."""
     n = packed.n
     srcs_start = packed.srcs_start
-    max_srcs = 0
-    for i in range(n):
-        w = srcs_start[i + 1] - srcs_start[i]
-        if w > max_srcs:
-            max_srcs = w
-    if max_srcs > MAX_PRODUCERS:
+    if max(map(operator.sub, islice(srcs_start, 1, None), srcs_start),
+           default=0) > MAX_PRODUCERS:
         return None
 
-    hidx = array("q", [-1] * n) if n else array("q")
+    hidx = array("q", [-1]) * n
     h_tpl = array("q")
     h_nominal = array("q")
     h_outix = array("q")
@@ -479,11 +477,11 @@ def marshal(packed) -> Optional[MarshalledTrace]:
     site_outlined_pc = array("q")
     site_id = array("q")
     kinds = packed.kind
-    for ix in range(n):
-        if kinds[ix] != 1:
-            continue
-        # Only a stream packed from handle objects has handle rows, so
-        # a singleton trace never builds its record view here.
+    # Handle rows (kind 1; a singleton is kind 0) exist only in a stream
+    # packed from handle objects, so a singleton trace skips the loop
+    # and never builds its record view here.
+    handle_rows = compress(range(n), kinds) if 1 in kinds else ()
+    for ix in handle_rows:
         rec = packed.objs[ix]
         site = rec.site
         tpl = rec.template
@@ -552,29 +550,22 @@ def marshal(packed) -> Optional[MarshalledTrace]:
     return MarshalledTrace(struct, keepalive)
 
 
-# Marshalled-trace arena reuse: a batch (and repeat runs over the same
-# PackedTrace, e.g. a selector sweep on one program) shares one flat
-# column view instead of re-marshalling per point. Keyed by trace
-# identity — the strong reference makes the id stable for the lifetime
-# of the entry — and bounded so long multi-program campaigns cannot pin
-# every trace they ever touched.
-_marshal_cache: dict = {}
-_MARSHAL_CACHE_MAX = 8
+#: Each live PackedTrace's arena (or None, over a kernel bound). The
+#: arena holds the trace's columns, never the trace, so the entry goes
+#: with its trace, and with it the column exports.
+_arenas = weakref.WeakKeyDictionary()
 
 
 def marshal_shared(packed) -> Optional[MarshalledTrace]:
-    """Memoizing :func:`marshal`; safe because the kernel reads the
-    columns strictly read-only (points in one batch share the arena)."""
-    key = id(packed)
-    hit = _marshal_cache.get(key)
-    if hit is not None and hit[0] is packed:
-        return hit[1]
-    mtrace = marshal(packed)
-    if mtrace is not None:
-        if len(_marshal_cache) >= _MARSHAL_CACHE_MAX:
-            _marshal_cache.clear()
-        _marshal_cache[key] = (packed, mtrace)
-    return mtrace
+    """Memoizing :func:`marshal`: one arena per trace, for as long as the
+    trace lives, shared by every point that runs it (a batch, a selector
+    sweep over one program). Safe because the kernel reads the columns
+    strictly read-only."""
+    try:
+        return _arenas[packed]
+    except KeyError:
+        mtrace = _arenas[packed] = marshal(packed)
+        return mtrace
 
 
 def fold(packed, pc_map: array, sites: array, ext: array

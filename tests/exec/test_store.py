@@ -1,12 +1,15 @@
 """Artifact store: addressing, hit/miss accounting, corruption recovery."""
 
+import json
 import os
 import pickle
 import tempfile
 
 import pytest
 
-from repro.exec.store import MISS, ArtifactStore, code_version
+from repro.exec.store import (
+    MISS, ArtifactStore, FrozenParams, canonical_params, code_version,
+)
 
 
 def test_key_is_deterministic_and_order_insensitive(tmp_path):
@@ -24,6 +27,31 @@ def test_key_sensitive_to_every_parameter(tmp_path):
     assert store.key("trace", dict(base, max_insts=200)) != key
     assert store.key("trace", dict(base, input="ref")) != key
     assert store.key("baseline", base) != key
+
+
+def test_frozen_params_splice_to_the_plain_encoding():
+    """A key's canonical text is ``json.dumps`` of its params byte for
+    byte whether a value is a FrozenParams or the dict it holds, also
+    when another param encodes exactly like a splice placeholder."""
+    config = {"name": "x", "width": 4, "l2": {"size_bytes": 1024}}
+    frozen = FrozenParams(json.loads(json.dumps(config)))
+    for extra in ({}, {"label": "\x000"}, {"a": ["\x001"], "z": "\x001"}):
+        params = {"bench": "crc32", "config": frozen, "profile": frozen,
+                  "label": None, **extra}
+        plain = dict(params, config=config, profile=config)
+        assert canonical_params(params) == \
+            json.dumps(plain, sort_keys=True, separators=(",", ":"))
+    assert frozen == config and dict(frozen) == config
+
+
+def test_frozen_params_are_read_only():
+    frozen = FrozenParams({"width": 4, "l2": {"size_bytes": 1024}})
+    text = frozen.text
+    with pytest.raises(TypeError):
+        frozen["width"] = 8
+    with pytest.raises(TypeError):
+        frozen["l2"]["size_bytes"] = 8
+    assert frozen.text == text == '{"l2":{"size_bytes":1024},"width":4}'
 
 
 def test_key_sensitive_to_salt(tmp_path):

@@ -44,12 +44,31 @@ STORED = ("pc", "addr", "taken")
 
 FUZZ_MAX_INSTS = 20_000
 PROGRAMS = [("bench", name) for name in BENCHES] + \
-    [("fuzz", seed) for seed in range(50)]
+    [("fuzz", seed) for seed in range(50)] + [("halt", "only"),
+                                               ("cmov", "loop")]
 
 
 def _program(source, key):
     if source == "bench":
         return benchmark(key).program("train"), 2_000_000
+    if source == "halt":
+        # One record: the halt, which is its own next pc.
+        a = Assembler("halt-only")
+        a.halt()
+        return a.build(), 1
+    if source == "cmov":
+        # CMOVZ/CMOVN read three sources, the most an instruction has;
+        # no benchmark or fuzz program uses them.
+        a = Assembler("cmov-loop")
+        a.li("r1", 5)
+        a.label("loop")
+        a.andi("r2", "r1", 1)
+        a.cmovz("r3", "r1", "r2")
+        a.cmovn("r4", "r1", "r2")
+        a.addi("r1", "r1", -1)
+        a.bne("r1", "r0", "loop")
+        a.halt()
+        return a.build(), 1_000
     return FuzzSpec.derive(key).build(), FUZZ_MAX_INSTS
 
 

@@ -222,6 +222,84 @@ def test_kernel_buffers_are_released_without_the_cyclic_collector(
         gc.enable()
 
 
+def test_singleton_arena_is_the_trace_columns(sum_trace):
+    """A trace without handle rows marshals to its own columns, with no
+    handle, constituent or site and every handle index unset."""
+    packed = sum_trace.packed()
+    cols = ckern.marshal(packed).columns()
+    assert (cols["n"], cols["n_handles"], cols["n_sites"]) == \
+        (packed.n, 0, 0)
+    assert cols["hidx"] == [-1] * packed.n
+    for name in ("kind", "pc", "op", "opclass", "latency", "rd", "addr",
+                 "taken", "next_pc", "srcs", "srcs_start"):
+        assert cols[name] == getattr(packed, name).tolist(), name
+
+
+def test_marshal_shared_keeps_one_arena_per_live_trace(monkeypatch,
+                                                       sum_trace):
+    """Every live trace keeps its own arena, however many are alive:
+    each is marshalled once, and asking again returns the same arena."""
+    calls = []
+    marshal = ckern.marshal
+    monkeypatch.setattr(ckern, "marshal",
+                        lambda packed: calls.append(1) or marshal(packed))
+    traces = [PackedTrace.from_records(list(sum_trace.records))
+              for _ in range(20)]
+    arenas = [ckern.marshal_shared(packed) for packed in traces]
+    again = [ckern.marshal_shared(packed) for packed in reversed(traces)]
+    assert all(a is b for a, b in zip(arenas, reversed(again)))
+    assert len({id(arena) for arena in arenas}) == 20
+    assert len(calls) == 20
+
+
+@needs_kernel
+def test_dropping_a_trace_releases_its_shared_arena(sum_trace):
+    """A shared arena lives as long as its trace and no longer: dropping
+    the trace releases the column exports without the cyclic
+    collector."""
+    packed = PackedTrace.from_records(list(sum_trace.records))
+    pc = packed.pc
+    cfg = ckern.pack_config(reduced_config(), True)
+    gc.disable()
+    try:
+        mtrace = ckern.marshal_shared(packed)
+        (point,) = ckern.run_batch([(cfg, mtrace, 10_000_000, 0, 0, None)],
+                                   1)
+        assert point[0] == ckern.RC_OK
+        del mtrace, point
+        with pytest.raises(BufferError):
+            pc.append(0)
+        del packed
+        pc.append(0)
+    finally:
+        gc.enable()
+
+
+@needs_kernel
+def test_trace_over_the_producer_bound_runs_the_python_loop(
+        monkeypatch, sum_trace):
+    """A record with more sources than the kernel's producer bound makes
+    the trace unmarshallable; its core then runs the Python loop, to the
+    stats of a run with the kernel switched off."""
+    records = list(sum_trace.records)
+    ix = next(i for i, rec in enumerate(records) if rec.rd > 0)
+    rec = records[ix]
+    records[ix] = TraceRecord(
+        rec.pc, rec.op, rec.opclass, rec.latency, rec.rd,
+        tuple(range(1, ckern.MAX_PRODUCERS + 2)), rec.addr, rec.taken,
+        rec.next_pc)
+    packed = PackedTrace.from_records(records)
+    assert ckern.marshal(packed) is None
+    assert ckern.marshal_shared(packed) is None
+    core = OoOCore(reduced_config(), packed)
+    assert core._ctrace is None
+    stats = _full_stats(core, core.run())
+    monkeypatch.setenv("REPRO_PURE_PY", "1")
+    reference = OoOCore(reduced_config(), packed)
+    assert stats == _full_stats(reference, reference.run())
+    assert stats["original_committed"] == len(records)
+
+
 def test_pins_type_by_typecode_and_release_on_del():
     """One native call's pins: the element type follows each array's
     typecode, an unknown typecode raises, and ``del`` releases every
