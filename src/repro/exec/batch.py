@@ -121,18 +121,7 @@ def run_batch_wave(tasks: Sequence, threads: int
     if not ckern.available():
         return results
     prepared: List[_Prepared] = []
-    # Prepare in (bench, input) order: plan construction behind
-    # selector points reuses per-program state (hoisted template sites,
-    # packed static columns, profile scoring columns) through bounded
-    # caches, so grouping same-program points keeps those caches hot.
-    # Results are keyed by task id, so the order is otherwise free.
-    def _locality(task):
-        spec = task.args[0]
-        point = spec.get("point")
-        return (point.bench, point.input_name) if point is not None \
-            else (spec["bench"], spec["input"])
-
-    for task in sorted(tasks, key=_locality):
+    for task in tasks:
         try:
             p = _prepare(task)
         except Exception:  # noqa: BLE001 - serial rerun reports it

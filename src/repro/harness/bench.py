@@ -374,8 +374,7 @@ def _plan_point(runner: Runner, bench: str, selector: str,
         ms = {"profile": _ms(start)}
         start = time.perf_counter()
         # Charge the native leg its packed-column build and rehydration.
-        candidates_mod._STATIC_CACHE.clear()
-        candidates_mod._PACK_CACHE.clear()
+        candidates_mod._static.pop(program, None)
         candidates = enumerate_candidates(program,
                                           max_size=runner.max_mg_size)
         listed = list(candidates)

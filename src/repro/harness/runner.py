@@ -104,8 +104,9 @@ class Runner:
         self.jobs = jobs
         # Hoisted template sites per (bench, input, profile_input):
         # enumeration and template grouping are selector-independent,
-        # so the per-selector plan loop shares one build_templates pass
-        # (bounded; in-memory only — sites are cheap to rebuild).
+        # so the per-selector plan loop shares one build_templates pass.
+        # In memory only, for the runner's life: the store's memory
+        # layer keeps the plans that hold these sites as long anyway.
         self._sites_memo: Dict = {}
 
     # -- benchmark helpers -----------------------------------------------------
@@ -427,8 +428,6 @@ class Runner:
             return hit
         templates = build_templates(candidates, freq_counts)
         sites = [site for template in templates for site in template.sites]
-        if len(self._sites_memo) >= 8:
-            self._sites_memo.clear()
         self._sites_memo[key] = sites
         return sites
 
@@ -443,19 +442,11 @@ class Runner:
                      input_name: str = DEFAULT_INPUT,
                      profile_config: Optional[MachineConfig] = None,
                      profile_input: Optional[str] = None,
-                     policy: Optional[MiniGraphPolicy] = None,
                      global_slack: bool = False,
                      label: Optional[str] = None) -> SelectorRun:
-        """Full pipeline for one (program, selector, machine) point.
-
-        Memoized through the store unless a caller-supplied ``policy``
-        carries state the key cannot capture.
-        """
+        """Full pipeline for one (program, selector, machine) point,
+        memoized through the store."""
         bench = self._bench(bench)
-        if policy is not None:
-            return self._run_selector(bench, selector, config, input_name,
-                                      profile_config, profile_input, policy,
-                                      global_slack, label)
         # Key on the *resolved* profiling parameters (the same defaults
         # plan() applies) so an explicit profile_config=reduced_config()
         # and the default share one artifact.
@@ -465,20 +456,15 @@ class Runner:
                                  input_name, resolved_profile,
                                  profile_input or input_name,
                                  global_slack, label)
-        return self.store.get_or_compute(
-            "run", params,
-            lambda: self._run_selector(bench, selector, config, input_name,
-                                       profile_config, profile_input, None,
-                                       global_slack, label))
 
-    def _run_selector(self, bench, selector, config, input_name,
-                      profile_config, profile_input, policy, global_slack,
-                      label) -> SelectorRun:
-        core, finalize = self.selector_prepared(
-            bench, selector, config, input_name=input_name,
-            profile_config=profile_config, profile_input=profile_input,
-            global_slack=global_slack, label=label, policy=policy)
-        return finalize(core.run())
+        def compute() -> SelectorRun:
+            core, finalize = self.selector_prepared(
+                bench, selector, config, input_name=input_name,
+                profile_config=profile_config, profile_input=profile_input,
+                global_slack=global_slack, label=label)
+            return finalize(core.run())
+
+        return self.store.get_or_compute("run", params, compute)
 
     def run_slack_dynamic(self, bench, config: MachineConfig,
                           mode: str = "full",

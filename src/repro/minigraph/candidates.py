@@ -15,6 +15,7 @@ absolute coverage but not the serialization phenomena under study.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from collections.abc import Sequence
 from typing import FrozenSet, List, Optional, Tuple
@@ -117,19 +118,16 @@ class _StaticColumns:
                  "block_start", "block_end")
 
 
-# Static columns are rebuilt per Program object; the id-keyed cache makes
-# repeat enumerations (and scoring column reuse) free without attaching
-# anything to Program itself, which would leak into pickled artifacts.
-_STATIC_CACHE: dict = {}
-_PACK_CACHE: dict = {}
-_CACHE_BOUND = 8
+#: Each live Program's static columns, shared by its enumerations and
+#: scoring calls. Kept off the Program itself, so nothing leaks into
+#: pickled artifacts; the entry goes with its program.
+_static = weakref.WeakKeyDictionary()
 
 
 def _static_columns(program: Program) -> _StaticColumns:
-    key = id(program)
-    hit = _STATIC_CACHE.get(key)
-    if hit is not None and hit[0] is program:
-        return hit[1]
+    cols = _static.get(program)
+    if cols is not None:
+        return cols
     insts = program.instructions
     n = len(insts)
     cols = _StaticColumns()
@@ -147,9 +145,7 @@ def _static_columns(program: Program) -> _StaticColumns:
     blocks = program.basic_blocks()
     cols.block_start = array("q", (b.start for b in blocks))
     cols.block_end = array("q", (b.end for b in blocks))
-    if len(_STATIC_CACHE) >= _CACHE_BOUND:
-        _STATIC_CACHE.clear()
-    _STATIC_CACHE[key] = (program, cols)
+    _static[program] = cols
     return cols
 
 
@@ -219,26 +215,19 @@ class PackedCandidateSet(Sequence):
 
 
 def candidate_columns(candidates) -> Optional[tuple]:
-    """``(n, start, end, ext, out, ser)`` columns for native scoring.
+    """``(n, start, end, ext, out, ser)`` columns for the native scorer
+    (:func:`~repro.minigraph.delay_model.assess_batch`).
 
     Free for a :class:`PackedCandidateSet` (its columns are the native
-    enumerator's output); plain lists — e.g. warm loads from the
-    artifact store — are packed once per list object through a bounded
-    id-keyed cache. Returns None when any candidate exceeds the packed
-    format (the callers then score per candidate in Python).
+    enumerator's output); a plain list — e.g. a warm load from the
+    artifact store — is packed on every call. Returns None when any
+    candidate exceeds the packed format (the scorer then declines, and
+    its caller assesses per candidate in Python).
     """
     if isinstance(candidates, PackedCandidateSet):
         return (candidates.n, candidates.c_start, candidates.c_end,
                 candidates.c_ext, candidates.c_out, candidates.c_ser)
-    key = id(candidates)
-    hit = _PACK_CACHE.get(key)
-    if hit is not None and hit[0] is candidates:
-        return hit[1]
-    cols = _pack_candidate_list(candidates)
-    if len(_PACK_CACHE) >= _CACHE_BOUND:
-        _PACK_CACHE.clear()
-    _PACK_CACHE[key] = (candidates, cols)
-    return cols
+    return _pack_candidate_list(candidates)
 
 
 def _pack_candidate_list(candidates) -> Optional[tuple]:

@@ -167,25 +167,13 @@ def assess(candidate: Candidate, profile: SlackProfile,
 class _ProfileColumns:
     """Flat scoring columns of one :class:`SlackProfile` (native input)."""
 
-    __slots__ = ("n_static", "present", "rel_issue", "src_ready", "slack",
-                 "out_ready", "has_out")
-
-
-# Id-keyed, bounded (profiles are immutable once built; keeping the
-# columns off the SlackProfile object keeps pickled artifacts identical
-# on both paths).
-_PCOL_CACHE: dict = {}
-_PCOL_BOUND = 8
+    __slots__ = ("present", "rel_issue", "src_ready", "slack", "out_ready",
+                 "has_out")
 
 
 def _profile_columns(profile: SlackProfile,
                      n_static: int) -> Optional[_ProfileColumns]:
-    key = id(profile)
-    hit = _PCOL_CACHE.get(key)
-    if hit is not None and hit[0] is profile and hit[1].n_static == n_static:
-        return hit[1]
     cols = _ProfileColumns()
-    cols.n_static = n_static
     cols.present = array("b", bytes(n_static))
     cols.rel_issue = array("d", bytes(8 * n_static))
     cols.src_ready = array("d", [_NEG_INF]) * (n_static * _PLAN_MAX_SRC)
@@ -205,9 +193,6 @@ def _profile_columns(profile: SlackProfile,
         for position, ready in enumerate(entry.src_ready):
             if ready is not None:
                 cols.src_ready[base + position] = ready
-    if len(_PCOL_CACHE) >= _PCOL_BOUND:
-        _PCOL_CACHE.clear()
-    _PCOL_CACHE[key] = (profile, cols)
     return cols
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Type
 
-from .candidates import Candidate, candidate_columns, enumerate_candidates
+from .candidates import Candidate, enumerate_candidates
 from .delay_model import (
     VERDICT_DEGRADES, VERDICT_DELAY_ONLY, VERDICT_PROFILED, VERDICT_SIAL,
     assess, assess_batch,
@@ -111,9 +111,9 @@ class Selector:
         """Shape-safe sites plus the admitted serializing ones.
 
         ``candidates`` is the enumeration the sites were built from, in
-        site-id order; families that can score whole candidate sets
-        natively (Slack-Profile, Read-Port) use its packed columns, the
-        rest ignore it — admission decisions are identical either way.
+        site-id order; Slack-Profile scores the whole set natively off
+        its packed columns, the rest ignore it — admission decisions
+        are identical either way.
         """
         pool = []
         for site in sites:
@@ -360,36 +360,8 @@ class ReadPortAwareSelector(Selector):
     def build_pool(self, sites: Iterable[MGSite], profile,
                    candidates=None) -> List[MGSite]:
         """Shape-safe sites keep a positive post-penalty score; the rest
-        pass :meth:`admit`.
-
-        With ``candidates`` provided, demand and serialization class come
-        from the packed candidate columns (no per-site object walks);
-        the admission decisions are identical to the per-site path.
-        """
-        cols = candidate_columns(candidates) if candidates is not None \
-            else None
-        if cols is not None:
-            n_cand, _start, _end, c_ext, _out, c_ser = cols
-            pool = []
-            for site in sites:
-                sid = site.id
-                if sid >= n_cand:
-                    if (site.candidate.serialization
-                            is SerializationClass.NONE):
-                        if self.score_scale(site) > 0.0:
-                            pool.append(site)
-                    elif self.admit(site, profile):
-                        pool.append(site)
-                    continue
-                pressure = max(0, (c_ext[sid] & 3) - self.port_budget)
-                if c_ser[sid] == 0:  # SER_NONE
-                    penalty = (self.pressure_weight * pressure
-                               / self.MAX_EXT_INPUTS)
-                    if max(0.0, 1.0 - penalty) > 0.0:
-                        pool.append(site)
-                elif c_ser[sid] != 2 and pressure == 0:  # not UNBOUNDED
-                    pool.append(site)
-            return pool
+        pass :meth:`admit`. Each decision reads the site alone, so
+        ``candidates`` is unused."""
         pool = []
         for site in sites:
             if site.candidate.serialization is SerializationClass.NONE:

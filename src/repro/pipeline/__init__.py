@@ -9,7 +9,7 @@ from .config import (
     cross_2way_config, cross_8way_config, cross_dmem4_config, full_config,
     reduced_config,
 )
-from .core import OoOCore, SimulationDeadlock, simulate
+from .core import OoOCore, SimulationDeadlock
 from .pipetrace import PipeTracer, pipetrace
 from .prefetch import NextLinePrefetcher, StridePrefetcher
 from .stats import RunStats
@@ -42,5 +42,4 @@ __all__ = [
     "full_config",
     "pipetrace",
     "reduced_config",
-    "simulate",
 ]

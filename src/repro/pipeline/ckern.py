@@ -659,7 +659,7 @@ def pack_config(config, warm_caches: bool) -> array:
     return cfg
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def pack_config_cached(config, warm_caches: bool) -> array:
     """Memoized :func:`pack_config` (MachineConfig is frozen/hashable).
 

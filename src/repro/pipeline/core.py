@@ -1484,13 +1484,3 @@ class OoOCore:
         if self.collector is not None:
             self.collector.on_finish()
         return stats
-
-
-def simulate(config: MachineConfig, records, policy=None, collector=None,
-             program_name: str = "", warm_caches: bool = True) -> RunStats:
-    """Convenience wrapper: build a core, run it, label the stats."""
-    core = OoOCore(config, records, policy=policy, collector=collector,
-                   warm_caches=warm_caches)
-    result = core.run()
-    result.program_name = program_name
-    return result

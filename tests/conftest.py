@@ -63,6 +63,32 @@ def build_branchy_loop(n: int = 48, name: str = "branchy"):
     return a.build()
 
 
+def build_cmov_loop(n: int = 300, name: str = "cmovloop"):
+    """A loop over CMOVZ/CMOVN, the ISA's only three-source instructions.
+
+    Each CMOV's result is the only live value of its two-instruction
+    window, so Struct-All folds both windows; the CMOVN window reads
+    three external registers.
+    """
+    a = Assembler(name)
+    a.data_zeros(2, label="result")
+    result = a.data_addr("result")
+    a.li("r1", n)
+    a.li("r3", 0)
+    a.li("r4", 0)
+    a.label("loop")
+    a.andi("r2", "r1", 1)
+    a.cmovz("r3", "r1", "r2")
+    a.andi("r5", "r1", 2)
+    a.cmovn("r4", "r3", "r5")
+    a.addi("r1", "r1", -1)
+    a.bne("r1", "r0", "loop")
+    a.st("r3", "r0", result)
+    a.st("r4", "r0", result + 1)
+    a.halt()
+    return a.build()
+
+
 @pytest.fixture(scope="session")
 def sum_loop():
     return build_sum_loop()
@@ -74,6 +100,11 @@ def branchy_loop():
 
 
 @pytest.fixture(scope="session")
+def cmov_loop():
+    return build_cmov_loop()
+
+
+@pytest.fixture(scope="session")
 def sum_trace(sum_loop):
     return execute(sum_loop)
 
@@ -81,6 +112,11 @@ def sum_trace(sum_loop):
 @pytest.fixture(scope="session")
 def branchy_trace(branchy_loop):
     return execute(branchy_loop)
+
+
+@pytest.fixture(scope="session")
+def cmov_trace(cmov_loop):
+    return execute(cmov_loop)
 
 
 @pytest.fixture(scope="session")

@@ -53,6 +53,24 @@ def test_plan_cached_per_selector(runner):
     assert plan_all is not plan_none
 
 
+def test_hoisted_sites_live_as_long_as_the_runner(monkeypatch):
+    """Planning ten (bench, input) keys under a second selector groups
+    no template again: one build_templates pass per key."""
+    from repro.harness import runner as runner_mod
+    calls = []
+    build = runner_mod.build_templates
+    monkeypatch.setattr(runner_mod, "build_templates",
+                        lambda *args: calls.append(args) or build(*args))
+    keys = [(bench, input_name)
+            for bench in ("crc32", "fft", "frag", "eon", "basicmath")
+            for input_name in ("train", "ref")]
+    runner = Runner()
+    for selector in (StructAll(), StructNone()):
+        for bench, input_name in keys:
+            runner.plan(bench, selector, input_name=input_name)
+    assert len(calls) == len(keys)
+
+
 def test_run_selector_result_fields(runner, reduced_cfg):
     run = runner.run_selector("crc32", StructAll(), reduced_cfg)
     assert run.program == "crc32"

@@ -1,7 +1,10 @@
 """Candidate enumeration under the mini-graph interface constraints."""
 
+import gc
+
 from repro.isa import Assembler
 from repro.minigraph import SerializationClass, enumerate_candidates
+from repro.minigraph import candidates as candidates_mod
 
 
 def _program_with_block(body):
@@ -171,3 +174,25 @@ def test_nominal_out_latency_partial_chain():
                      if (c.start, c.end) == (3, 5))
     assert candidate.out_producer_ix == 0
     assert candidate.nominal_out_latency == 1
+
+
+def test_static_columns_live_as_long_as_their_program():
+    """One static column set per live program, however many are alive,
+    and a program's entry goes with the program."""
+    def body(a):
+        a.add("r4", "r1", "r2")
+        a.add("r5", "r4", "r3")
+
+    programs = [_program_with_block(body) for _ in range(10)]
+    first = [candidates_mod._static_columns(program) for program in programs]
+    second = [candidates_mod._static_columns(program)
+              for program in programs]
+    assert all(a is b for a, b in zip(first, second))
+    assert len({id(cols) for cols in first + second}) == len(programs)
+    gc.disable()
+    try:
+        alive = len(candidates_mod._static)
+        programs.pop()
+        assert len(candidates_mod._static) == alive - 1
+    finally:
+        gc.enable()

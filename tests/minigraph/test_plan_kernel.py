@@ -38,7 +38,9 @@ from repro.pipeline import ckern
 from repro.pipeline.config import config_by_name
 from repro.pipeline.core import OoOCore
 from repro.harness.runner import Runner
+from repro.tune.space import DEFAULT_SELECTOR_GRIDS
 from repro.workloads import benchmark
+from tests.conftest import build_cmov_loop
 
 needs_kernel = pytest.mark.skipif(
     not ckern.available(),
@@ -59,15 +61,24 @@ RUNNER = Runner()
 SIZES = [2, 3, 4]
 EXTS = [0, 1, 2, 3]
 
+#: Fuzz seeds, plus the CMOV loop: no fuzz program emits the ISA's
+#: three-source instructions.
+FUZZ_PROGRAMS = [*range(50), "cmov"]
+
 
 def _program(name):
     return benchmark(name).program("train")
 
 
+def _fuzz_program(seed):
+    return build_cmov_loop() if seed == "cmov" \
+        else FuzzSpec.derive(seed).build()
+
+
 def _fresh_enumeration(program, max_size, max_ext):
-    """Enumerate with cold caches so each call pays its full cost."""
-    candidates_mod._STATIC_CACHE.clear()
-    candidates_mod._PACK_CACHE.clear()
+    """Enumerate with the program's static columns dropped, so each call
+    pays its full cost."""
+    candidates_mod._static.pop(program, None)
     return enumerate_candidates(program, max_size=max_size,
                                 max_ext_inputs=max_ext)
 
@@ -154,10 +165,11 @@ def test_enumeration_parity_golden_matrix(name, max_size, max_ext,
 
 
 @needs_kernel
-@pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize("seed", FUZZ_PROGRAMS)
 def test_enumeration_parity_fuzz(seed, monkeypatch):
-    """≥50 fuzz-derived programs agree between the enumerators."""
-    program = FuzzSpec.derive(seed).build()
+    """≥50 fuzz-derived programs and the CMOV loop agree between the
+    enumerators."""
+    program = _fuzz_program(seed)
     native = _fresh_enumeration(program, 4, 3)
     monkeypatch.setenv("REPRO_PURE_PY", "1")
     reference = _fresh_enumeration(program, 4, 3)
@@ -168,11 +180,11 @@ def test_enumeration_parity_fuzz(seed, monkeypatch):
 
 
 @needs_kernel
-@pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize("seed", FUZZ_PROGRAMS)
 def test_fold_arena_parity_fuzz(seed):
-    """The same fuzz programs fold identically in C and in Python:
+    """The same programs fold identically in C and in Python:
     ``repro_fold``'s arena equals ``marshal`` of the reference fold."""
-    program = FuzzSpec.derive(seed).build()
+    program = _fuzz_program(seed)
     trace = execute(program, max_insts=20_000)
     plan = make_plan(program, trace.dynamic_count_of(), StructAll())
     folded = fold_trace(trace, plan)
@@ -244,17 +256,19 @@ def test_scoring_verdicts_match_per_site_assess(name):
                 expected.degrades_sial
 
 
-@needs_kernel
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_read_port_selector_parity(name, monkeypatch):
-    """ReadPortAwareSelector agrees with its per-site path."""
+def test_read_port_pool_ignores_the_candidate_list(name):
+    """Read-Port admits each site off the site itself: handing it the
+    candidate list changes no pool on the tune space's default grid."""
     candidates, profile, sites = _scoring_fixture(name)
-    selector = ReadPortAwareSelector(port_budget=2, pressure_weight=1.0)
-    native = selector.build_pool(sites, profile, candidates)
-    monkeypatch.setenv("REPRO_PURE_PY", "1")
-    reference = selector.build_pool(sites, profile, candidates)
-    monkeypatch.delenv("REPRO_PURE_PY")
-    assert [site.id for site in native] == [site.id for site in reference]
+    grid = DEFAULT_SELECTOR_GRIDS["read-port"]
+    for port_budget in grid["port_budget"]:
+        for pressure_weight in grid["pressure_weight"]:
+            selector = ReadPortAwareSelector(port_budget, pressure_weight)
+            with_list = selector.build_pool(sites, profile, candidates)
+            per_site = selector.build_pool(sites, profile)
+            assert [site.id for site in with_list] == \
+                [site.id for site in per_site], selector.display_name
 
 
 # ---------------------------------------------------------------------

@@ -8,9 +8,11 @@ kernel degrades to the Python loop (never to an error) when unavailable.
 
 import dataclasses
 import gc
+import pickle
 
 import pytest
 
+from repro.isa import opcodes as oc
 from repro.isa.interp import PackedTrace, Trace, TraceRecord
 from repro.minigraph import StructAll, fold_trace, make_plan
 from repro.minigraph.dynamic import MiniGraphPolicy, SlackDynamicPolicy
@@ -67,10 +69,11 @@ def _assert_identical(c, py):
 
 @needs_kernel
 @pytest.mark.parametrize("config_fn", [reduced_config, full_config])
-def test_singleton_run_bit_identical(config_fn, sum_trace):
-    c, py = _run_both(config_fn(), sum_trace.packed())
-    _assert_identical(c, py)
-    assert c["cycles"] > 0 and c["original_committed"] > 0
+def test_singleton_run_bit_identical(config_fn, sum_trace, cmov_trace):
+    for trace in (sum_trace, cmov_trace):
+        c, py = _run_both(config_fn(), trace.packed())
+        _assert_identical(c, py)
+        assert c["cycles"] > 0 and c["original_committed"] > 0
 
 
 @needs_kernel
@@ -82,13 +85,26 @@ def test_branchy_run_bit_identical(warm, branchy_trace):
     assert c["cond_mispredicts"] > 0  # the point of the branchy loop
 
 
-@needs_kernel
-def test_minigraph_run_bit_identical(sum_loop, sum_trace):
-    plan = make_plan(sum_loop, sum_trace.dynamic_count_of(), StructAll())
-    records = fold_trace(sum_trace, plan)
-    c, py = _run_both(full_config(), records)
+def _struct_all_both(program, trace):
+    """Struct-All's plan of ``program``, timed on both paths."""
+    plan = make_plan(program, trace.dynamic_count_of(), StructAll())
+    c, py = _run_both(full_config(), fold_trace(trace, plan))
     _assert_identical(c, py)
     assert c["handles_committed"] > 0
+    return plan
+
+
+@needs_kernel
+def test_minigraph_run_bit_identical(sum_loop, sum_trace, cmov_loop,
+                                     cmov_trace):
+    _struct_all_both(sum_loop, sum_trace)
+    plan = _struct_all_both(cmov_loop, cmov_trace)
+    # The widest handle there is: a three-source CMOV inside a site
+    # with three external inputs.
+    assert any(len(site.candidate.ext_inputs) == 3
+               and any(inst.op in (oc.CMOVZ, oc.CMOVN)
+                       for inst in site.candidate.instructions())
+               for site in plan.sites)
 
 
 @needs_kernel
@@ -145,6 +161,29 @@ def test_tap_capable_observers_keep_the_kernel(sum_loop, sum_trace):
     stats = core.run()
     assert stats.original_committed > 0
     assert len(collector.profile()) > 0
+
+
+@needs_kernel
+def test_tap_profile_of_three_source_instructions(cmov_loop, cmov_trace):
+    """The kernel tap's slack profile of the CMOV loop equals the Python
+    observer loop's, pickle for pickle, three source slots included."""
+    from repro.minigraph.slack import SlackCollector
+    profiles = []
+    for force_python in (False, True):
+        collector = SlackCollector(cmov_loop, config_name="reduced",
+                                   input_name="train")
+        core = OoOCore(reduced_config(), cmov_trace.packed(),
+                       collector=collector, warm_caches=True)
+        assert core._ctrace is not None and core._want_tap
+        if force_python:
+            core._ctrace = None
+            core._want_tap = False
+        core.run()
+        profiles.append(collector.profile())
+    native, reference = profiles
+    assert any(len(entry.src_ready) == 3
+               for entry in native.entries.values())
+    assert pickle.dumps(native) == pickle.dumps(reference)
 
 
 @needs_kernel
