@@ -31,20 +31,16 @@ from .exec import ArtifactStore, resolve_cache_dir
 from .harness.runner import Runner
 from .isa.interp import ExecutionLimitExceeded, MemoryFault
 from .isa.validate import ValidationError
-from .minigraph.selectors import (
-    ReadPortAwareSelector, SlackDynamicSelector, SlackProfileSelector,
-    StructAll, StructBounded, StructNone,
-)
+from .minigraph.selectors import selector_from_spec
 from .pipeline.config import config_by_name
 from .workloads.suite import SUITES, all_benchmarks, benchmark
 
-SELECTORS = {
-    "struct-all": StructAll,
-    "struct-none": StructNone,
-    "struct-bounded": StructBounded,
-    "slack-profile": SlackProfileSelector,
-    "read-port": ReadPortAwareSelector,
-}
+#: The ``--selector`` names of ``run``, ``trace``, ``report``,
+#: ``lint-plan`` and ``metrics``, before each adds ``slack-dynamic`` or
+#: ``none``. A name is a family ``kind``: it resolves through the family
+#: registry (``selector_from_spec({"kind": name})``).
+SELECTORS = ("read-port", "slack-profile", "struct-all", "struct-bounded",
+             "struct-none")
 
 
 def _cmd_list(args) -> int:
@@ -83,14 +79,9 @@ def _cmd_run(args) -> int:
           f"({base.ipc / base_full.ipc:.3f}x of full baseline)")
     if args.selector == "none":
         return 0
-    if args.selector == "slack-dynamic":
-        selector = SlackDynamicSelector()
-        run = runner.run_slack_dynamic(args.benchmark, config,
-                                       input_name=args.input)
-    else:
-        selector = SELECTORS[args.selector]()
-        run = runner.run_selector(args.benchmark, selector, config,
-                                  input_name=args.input)
+    selector = selector_from_spec({"kind": args.selector})
+    run = runner.run_selector(args.benchmark, selector, config,
+                              input_name=args.input)
     plan = runner.plan(args.benchmark, selector, input_name=args.input)
     stats = run.stats
     print(f"  {run.selector:<15s}: IPC {stats.ipc:.3f} "
@@ -113,7 +104,7 @@ def _cmd_trace(args) -> int:
         records = runner.trace(args.benchmark, args.input).packed()
     else:
         from .minigraph.transform import fold_trace
-        selector = SELECTORS[args.selector]()
+        selector = selector_from_spec({"kind": args.selector})
         plan = runner.plan(args.benchmark, selector, input_name=args.input)
         records = fold_trace(runner.trace(args.benchmark, args.input), plan)
     print(pipetrace(config, records, first=args.first, last=args.last))
@@ -140,7 +131,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_report(args) -> int:
     from .analysis.report import suite_report
-    selector = SELECTORS[args.selector]()
+    selector = selector_from_spec({"kind": args.selector})
     report = suite_report(Runner(), selector,
                           limit_per_suite=args.limit_per_suite)
     print(report.render())
@@ -252,11 +243,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_lint_plan(args) -> int:
     from .check.lint import lint_plan
     runner = Runner(budget=args.budget, store=_store_for(args))
-    if args.selector == "slack-dynamic":
-        from .minigraph.selectors import SlackDynamicSelector
-        selector = SlackDynamicSelector()
-    else:
-        selector = SELECTORS[args.selector]()
+    selector = selector_from_spec({"kind": args.selector})
     names = [b.name for b in all_benchmarks()] \
         if args.benchmark == "all" else [args.benchmark]
     failures = 0
@@ -345,27 +332,25 @@ def _cmd_bench(args) -> int:
 def _cmd_metrics(args) -> int:
     import json as _json
 
-    from .minigraph.transform import fold_trace
     from .obs.attribution import AttributionCollector
     from .obs.metrics import run_registry, validate_metrics
-    from .pipeline.core import OoOCore
 
     runner = Runner(store=_store_for(args))
     config = config_by_name(args.config)
-    if args.selector == "none":
-        records = runner.trace(args.benchmark, args.input).packed()
-    else:
-        selector = SELECTORS[args.selector]()
-        plan = runner.plan(args.benchmark, selector, input_name=args.input)
-        records = fold_trace(runner.trace(args.benchmark, args.input), plan)
     # Attach an (empty-handed for selector=none) attribution collector.
     # Whichever path the core picks — the compiled kernel writes every
     # cache/TLB/branch/store-set counter back, the Python loop counts in
     # place — the structures hold real per-run counts for the harvest.
-    core = OoOCore(config, records, warm_caches=True,
-                   attribution=AttributionCollector())
-    stats = core.run()
-    stats.program_name = args.benchmark
+    collector = AttributionCollector()
+    if args.selector == "none":
+        core, finalize = runner.baseline_prepared(
+            args.benchmark, config, args.input, attribution=collector)
+    else:
+        selector = selector_from_spec({"kind": args.selector})
+        core, finalize = runner.selector_prepared(
+            args.benchmark, selector, config, input_name=args.input,
+            attribution=collector)
+    finalize(core.run())
     registry = run_registry(core=core, store=runner.store)
     doc = registry.to_json()
     validate_metrics(doc)
@@ -508,8 +493,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument("--config", default="reduced")
     p_run.add_argument("--input", default="train")
     p_run.add_argument("--selector", default="slack-profile",
-                       choices=sorted(SELECTORS) + ["slack-dynamic",
-                                                    "none"])
+                       choices=[*SELECTORS, "slack-dynamic", "none"])
     _add_cache_flags(p_run)
     p_run.set_defaults(fn=_cmd_run)
 
@@ -518,7 +502,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_trace.add_argument("--config", default="reduced")
     p_trace.add_argument("--input", default="train")
     p_trace.add_argument("--selector", default="none",
-                         choices=sorted(SELECTORS) + ["none"])
+                         choices=[*SELECTORS, "none"])
     p_trace.add_argument("--first", type=int, default=0)
     p_trace.add_argument("--last", type=int, default=32)
     p_trace.set_defaults(fn=_cmd_trace)
@@ -530,7 +514,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_report = sub.add_parser("report",
                               help="per-suite headline breakdown")
     p_report.add_argument("--selector", default="slack-profile",
-                          choices=sorted(SELECTORS))
+                          choices=SELECTORS)
     p_report.add_argument("--limit-per-suite", type=int, default=None)
     p_report.set_defaults(fn=_cmd_report)
 
@@ -569,7 +553,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                           "structural contract")
     p_lint.add_argument("benchmark", help="a benchmark name or 'all'")
     p_lint.add_argument("--selector", default="slack-profile",
-                        choices=sorted(SELECTORS) + ["slack-dynamic"])
+                        choices=[*SELECTORS, "slack-dynamic"])
     p_lint.add_argument("--input", default="train")
     p_lint.add_argument("--budget", type=int, default=512,
                         help="MGT template budget")
@@ -644,7 +628,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_metrics.add_argument("--config", default="reduced")
     p_metrics.add_argument("--input", default="train")
     p_metrics.add_argument("--selector", default="none",
-                           choices=sorted(SELECTORS) + ["none"])
+                           choices=[*SELECTORS, "none"])
     p_metrics.add_argument("--out", default=None, metavar="PATH",
                            help="write the export here instead of stdout")
     _add_cache_flags(p_metrics)

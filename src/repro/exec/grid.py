@@ -19,9 +19,15 @@ code path, and bit-identical results for any ``--jobs`` value.
 
 This module is the only code that turns a :class:`Point` into Runner
 arguments: :func:`point_result` (the memoized run),
-:func:`point_address` (its store address) and :func:`point_prepared`
-(its un-run core for batched dispatch) share one resolution of the
-point's machine, selector, profiling machine and input, and policy.
+:func:`point_address` (its store address), :func:`point_prepared` (its
+un-run core for batched dispatch), :func:`point_plan` and
+:func:`plan_address` (a selector point's plan and its store address)
+and :func:`build_tasks` share one resolution of the point's machine,
+selector, profiling machine and input
+(:func:`~repro.harness.runner.resolve_profiling`), and policy. Every
+node that serves a point carries it in its spec: a baseline or timing
+node under ``point``, a plan node under ``plan`` and a check node
+under ``check``, so no two nodes' specs are equal.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..harness.runner import resolve_profiling
+from ..minigraph.selectors import selector_from_spec
 from . import tasks as task_fns
 from .dag import ExecReport, Scheduler, Task
 
@@ -169,23 +177,32 @@ def point_id(point: Point) -> str:
             f"/{point.global_slack}")
 
 
+def point_selector(point: Point):
+    """The :class:`~repro.minigraph.selectors.Selector` of a selector
+    ``point``, rebuilt from its spec through the family registry."""
+    return selector_from_spec(_thaw(point.selector))
+
+
 def _runner_kwargs(point: Point) -> Dict[str, Any]:
     """``point`` resolved into the keyword arguments of its Runner entries.
 
     Resolved as :meth:`~repro.harness.runner.Runner.run_selector` keys:
-    no profiling machine means ``reduced``, no profiling input means the
-    point's own, and a Slack-Dynamic policy defaults to ``mode="full"``
-    with the outlining penalty.
+    the profiling machine and input through
+    :func:`~repro.harness.runner.resolve_profiling`, and a Slack-Dynamic
+    policy defaults to ``mode="full"`` with the outlining penalty.
     """
     kwargs: Dict[str, Any] = {"config": task_fns._config(point.config),
                               "input_name": point.input_name}
     if point.kind == "selector":
-        kwargs.update(
-            selector=task_fns.selector_from_spec(_thaw(point.selector)),
-            profile_config=task_fns._config(point.profile_config
-                                            or "reduced"),
-            profile_input=point.profile_input or point.input_name,
-            global_slack=point.global_slack)
+        profile_config, profile_input = resolve_profiling(
+            point.input_name,
+            task_fns._config(point.profile_config)
+            if point.profile_config else None,
+            point.profile_input)
+        kwargs.update(selector=point_selector(point),
+                      profile_config=profile_config,
+                      profile_input=profile_input,
+                      global_slack=point.global_slack)
     elif point.kind == "slack-dynamic":
         kwargs.update(mode="full", outlining_penalty=True)
         kwargs.update(point.policy)
@@ -209,6 +226,23 @@ def point_prepared(runner, point: Point):
     """``(core, finalize)`` for ``point``'s run, for batched dispatch."""
     entry = getattr(runner, _ENTRIES[point.kind][1])
     return entry(point.bench, **_runner_kwargs(point))
+
+
+def point_plan(runner, point: Point):
+    """The plan a selector ``point``'s run folds, through ``runner``'s
+    store."""
+    kwargs = _runner_kwargs(point)
+    del kwargs["config"]        # the timing machine: no plan reads it
+    return runner.plan(point.bench, **kwargs)
+
+
+def plan_address(runner, point: Point) -> Tuple[str, Dict]:
+    """The ``(kind, params)`` store address of :func:`point_plan`."""
+    kwargs = _runner_kwargs(point)
+    return "plan", runner.plan_params(
+        point.bench, kwargs["selector"].spec(), kwargs["input_name"],
+        kwargs["profile_config"], kwargs["profile_input"],
+        kwargs["global_slack"])
 
 
 def point_address(runner, point: Point) -> Tuple[str, Dict]:
@@ -269,39 +303,28 @@ def build_tasks(points: Sequence[Point], runner,
             deps=(trace_task(bench, input_name),), stage="profile"))
 
     def plan_task(point: Point) -> str:
-        selector = _thaw(point.selector)
-        profile_config = point.profile_config or "reduced"
-        profile_input = point.profile_input or point.input_name
+        kwargs = _runner_kwargs(point)
+        profile_config = kwargs["profile_config"].name
+        profile_input = kwargs["profile_input"]
         deps = [trace_task(point.bench, point.input_name),
                 trace_task(point.bench, profile_input),
                 candidates_task(point.bench, point.input_name)]
-        if task_fns.selector_from_spec(selector).needs_profile:
+        if kwargs["selector"].needs_profile:
             deps.append(profile_task(point.bench, profile_input,
                                      profile_config, point.global_slack))
-        spec = dict(base, bench=point.bench, input=point.input_name,
-                    selector=selector, profile_config=point.profile_config,
-                    profile_input=point.profile_input,
-                    global_slack=point.global_slack)
         return add(Task(
-            id=f"plan/{point.bench}/{point.input_name}/{_sel_tag(selector)}"
+            id=f"plan/{point.bench}/{point.input_name}"
+               f"/{_sel_tag(_thaw(point.selector))}"
                f"/{profile_config}/{profile_input}/{point.global_slack}",
-            fn=task_fns.run_plan, args=(spec,), deps=tuple(deps),
-            stage="plan"))
+            fn=task_fns.run_plan, args=(dict(base, plan=point),),
+            deps=tuple(deps), stage="plan"))
 
     def check_task(point: Point) -> str:
-        selector = _thaw(point.selector)
-        profile_config = point.profile_config or "reduced"
-        profile_input = point.profile_input or point.input_name
-        spec = dict(base, bench=point.bench, input=point.input_name,
-                    selector=selector, profile_config=point.profile_config,
-                    profile_input=point.profile_input,
-                    global_slack=point.global_slack)
+        plan_id = plan_task(point)
         return add(Task(
-            id=f"check/{point.bench}/{point.input_name}/{_sel_tag(selector)}"
-               f"/{profile_config}/{profile_input}/{point.global_slack}",
-            fn=task_fns.run_check, args=(spec,),
-            deps=(plan_task(point),
-                  trace_task(point.bench, point.input_name)),
+            id=f"check/{plan_id.partition('/')[2]}",
+            fn=task_fns.run_check, args=(dict(base, check=point),),
+            deps=(plan_id, trace_task(point.bench, point.input_name)),
             stage="check", retries=0))
 
     for point in points:

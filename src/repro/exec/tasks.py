@@ -5,10 +5,12 @@ summary dict; the real artifact lands in the on-disk
 :class:`~repro.exec.store.ArtifactStore` shared between the parent and
 all workers, which is how downstream tasks (and the parent's final
 reporting pass) pick it up without shipping multi-megabyte traces over
-the result pipe. A baseline or timing node's spec holds its grid
-:class:`~repro.exec.grid.Point` under ``point``, which
-:mod:`repro.exec.grid` alone turns into Runner arguments; the other
-nodes' specs are JSON-ish (strings, numbers, bools, lists).
+the result pipe. A node that serves a grid
+:class:`~repro.exec.grid.Point` holds it in its spec (a baseline or
+timing node under ``point``, a plan node under ``plan``, a check node
+under ``check``), and :mod:`repro.exec.grid` alone turns it into Runner
+arguments. A trace, candidates or profile node's spec names its
+benchmark and input (and a profile's machine) directly.
 
 Specs carry the runner parameters (``budget``, ``max_mg_size``,
 ``warm_caches``, ``max_insts``, ``cache_dir``); each worker process keeps
@@ -93,18 +95,6 @@ def _config(name: str):
     return config_by_name(name)
 
 
-def selector_from_spec(spec: Dict[str, Any]):
-    """Inverse of :meth:`repro.minigraph.selectors.Selector.spec`.
-
-    Delegates to the family registry in
-    :mod:`repro.minigraph.selectors`, so any registered family — paper
-    selectors and searchable ones alike — round-trips across worker
-    processes.
-    """
-    from ..minigraph import selectors
-    return selectors.selector_from_spec(spec)
-
-
 # -- result summaries ----------------------------------------------------------
 #
 # The small dicts tasks return over the result pipe. Shared with the
@@ -156,15 +146,9 @@ def run_profile(spec: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def run_plan(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Selection plan for one (benchmark, selector) pair."""
-    runner = _runner(spec)
-    plan = runner.plan(
-        spec["bench"], selector_from_spec(spec["selector"]),
-        input_name=spec["input"],
-        profile_config=_config(spec["profile_config"])
-        if spec.get("profile_config") else None,
-        profile_input=spec.get("profile_input"),
-        global_slack=spec.get("global_slack", False))
+    """Selection plan of the spec's selector point."""
+    from .grid import point_plan
+    plan = point_plan(_runner(spec), spec["plan"])
     return {"templates": plan.n_templates}
 
 
@@ -183,7 +167,7 @@ class CheckFailed(RuntimeError):
 
 
 def run_check(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Validation node for one (program, selector) grid point.
+    """Validation node for the spec's selector point.
 
     Replays the already-materialized plan and trace through the
     differential lockstep engine and the plan invariant linter
@@ -192,17 +176,12 @@ def run_check(spec: Dict[str, Any]) -> Dict[str, Any]:
     """
     from ..check.lint import lint_plan
     from ..check.lockstep import lockstep_check
-    runner = _runner(spec)
-    selector = selector_from_spec(spec["selector"])
-    plan = runner.plan(
-        spec["bench"], selector, input_name=spec["input"],
-        profile_config=_config(spec["profile_config"])
-        if spec.get("profile_config") else None,
-        profile_input=spec.get("profile_input"),
-        global_slack=spec.get("global_slack", False))
-    trace = runner.trace(spec["bench"], spec["input"])
+    from .grid import point_plan, point_selector
+    runner, point = _runner(spec), spec["check"]
+    plan = point_plan(runner, point)
+    trace = runner.trace(point.bench, point.input_name)
     report = lockstep_check(trace.program, plan, trace=trace,
-                            selector=selector.name,
+                            selector=point_selector(point).name,
                             max_insts=spec["max_insts"])
     if report.divergence is not None:
         raise CheckFailed(f"lockstep divergence: {report.render()}")
@@ -242,8 +221,8 @@ def task_artifact(runner, task) -> Optional[Tuple[str, Dict]]:
     """The ``(kind, params)`` store address of a DAG node's artifact.
 
     Built with the runner's own ``*_params`` builders from the same
-    resolved arguments the task's compute path passes them: selectors
-    are keyed by their canonical spec, profiling defaults are filled in.
+    resolved arguments the task's compute path passes them; a node that
+    carries a grid point gets its address from :mod:`repro.exec.grid`.
     Returns ``None`` for nodes that are not backed by a store artifact
     (``check`` validation nodes recompute by design) and for
     ``run_subset`` chunks, which the limit study probes itself before
@@ -261,11 +240,8 @@ def task_artifact(runner, task) -> Optional[Tuple[str, Dict]]:
             spec["bench"], _config(spec["config"]), spec["input"],
             spec.get("global_slack", False))
     if stage == "plan":
-        return "plan", runner.plan_params(
-            spec["bench"], selector_from_spec(spec["selector"]).spec(),
-            spec["input"], _config(spec.get("profile_config") or "reduced"),
-            spec.get("profile_input") or spec["input"],
-            spec.get("global_slack", False))
+        from .grid import plan_address
+        return plan_address(runner, spec["plan"])
     if stage in ("baseline", "timing"):
         from .grid import point_address
         return point_address(runner, spec["point"])

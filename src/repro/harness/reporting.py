@@ -56,10 +56,6 @@ def experiment_from_dict(payload: Dict) -> ExperimentResult:
     return result
 
 
-#: Backwards-compatible alias for :func:`experiment_from_dict`.
-dict_to_experiment = experiment_from_dict
-
-
 def save_results(results: List[ExperimentResult],
                  path: Union[str, Path]) -> Path:
     """Write experiments to a JSON archive; returns the path."""

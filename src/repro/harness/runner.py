@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..exec.store import ArtifactStore, FrozenParams
 from ..isa.interp import Trace, execute
@@ -84,6 +84,26 @@ def _config_params(config: MachineConfig) -> FrozenParams:
     once per store key (:meth:`ArtifactStore.key` splices the text in).
     """
     return FrozenParams(asdict(config))
+
+
+#: The machine a plan is profiled on unless its run cross-trains; built
+#: once, as it is frozen and every run may share it.
+_SELF_TRAINED = config_by_name("reduced")
+
+
+def resolve_profiling(input_name: str,
+                      profile_config: Optional[MachineConfig] = None,
+                      profile_input: Optional[str] = None
+                      ) -> Tuple[MachineConfig, str]:
+    """The ``(machine, input)`` a plan is profiled on.
+
+    By default the reduced machine and the run's own input
+    ("self-trained", §5.5); Figure 9 cross-trains by passing either.
+    Every entry that plans, keys or schedules a selector run resolves
+    its profiling arguments here.
+    """
+    return (_SELF_TRAINED if profile_config is None else profile_config,
+            profile_input or input_name)
 
 
 class Runner:
@@ -247,11 +267,18 @@ class Runner:
     # point is set up or summarized because there is only one setup path.
 
     def baseline_prepared(self, bench, config: MachineConfig,
-                          input_name: str = DEFAULT_INPUT):
-        """``(core, finalize)`` for one singleton timing run."""
+                          input_name: str = DEFAULT_INPUT,
+                          attribution=None):
+        """``(core, finalize)`` for one singleton timing run.
+
+        ``attribution`` is handed to the core as is (an
+        :class:`~repro.obs.attribution.AttributionCollector` for
+        ``repro metrics``); the store's runs attach none.
+        """
         bench = self._bench(bench)
         trace = self.trace(bench, input_name)
-        core = OoOCore(config, trace.packed(), warm_caches=self.warm_caches)
+        core = OoOCore(config, trace.packed(), warm_caches=self.warm_caches,
+                       attribution=attribution)
 
         def finalize(stats: RunStats) -> RunStats:
             stats.program_name = bench.name
@@ -291,13 +318,16 @@ class Runner:
                           profile_input: Optional[str] = None,
                           global_slack: bool = False,
                           label: Optional[str] = None,
-                          policy: Optional[MiniGraphPolicy] = None):
+                          policy: Optional[MiniGraphPolicy] = None,
+                          attribution=None):
         """``(core, finalize)`` for one selector timing run (plan, trace
         fold, and core construction — everything but the cycle loop).
 
         A :class:`SlackDynamicSelector` run gets the default
         :class:`SlackDynamicPolicy` unless ``policy`` is given: the
         selector is only the static half of Slack-Dynamic.
+        ``attribution`` is handed to the core as in
+        :meth:`baseline_prepared`.
         """
         bench = self._bench(bench)
         if policy is None and isinstance(selector, SlackDynamicSelector):
@@ -309,7 +339,7 @@ class Runner:
         trace = self.trace(bench, input_name)
         records = fold_trace(trace, plan)
         core = OoOCore(config, records, policy=policy,
-                       warm_caches=self.warm_caches)
+                       warm_caches=self.warm_caches, attribution=attribution)
 
         def finalize(stats: RunStats) -> SelectorRun:
             stats.program_name = bench.name
@@ -373,14 +403,11 @@ class Runner:
         """Mini-graph selection for a benchmark under one selector.
 
         Template frequencies and (for slack selectors) the slack profile
-        come from the *profiling* run: by default the same input on the
-        reduced machine ("self-trained", §5.5); pass ``profile_config`` /
-        ``profile_input`` to cross-train.
+        come from the *profiling* run (:func:`resolve_profiling`).
         """
         bench = self._bench(bench)
-        profile_input = profile_input or input_name
-        if profile_config is None:
-            profile_config = config_by_name("reduced")
+        profile_config, profile_input = resolve_profiling(
+            input_name, profile_config, profile_input)
         params = self.plan_params(bench.name, selector.spec(), input_name,
                                   profile_config, profile_input,
                                   global_slack)
@@ -447,14 +474,13 @@ class Runner:
         """Full pipeline for one (program, selector, machine) point,
         memoized through the store."""
         bench = self._bench(bench)
-        # Key on the *resolved* profiling parameters (the same defaults
-        # plan() applies) so an explicit profile_config=reduced_config()
-        # and the default share one artifact.
-        resolved_profile = profile_config if profile_config is not None \
-            else config_by_name("reduced")
+        # Key on the resolved profiling arguments, so an explicit
+        # profile_config=reduced_config() and the default share one
+        # artifact.
+        profile_config, profile_input = resolve_profiling(
+            input_name, profile_config, profile_input)
         params = self.run_params(bench.name, selector.spec(), config,
-                                 input_name, resolved_profile,
-                                 profile_input or input_name,
+                                 input_name, profile_config, profile_input,
                                  global_slack, label)
 
         def compute() -> SelectorRun:

@@ -29,19 +29,6 @@ OC_NOP = 6
 OC_HALT = 7
 OC_MGH = 8      # mini-graph handle (appears only in transformed streams)
 
-OP_CLASS_NAMES = {
-    OC_SIMPLE: "simple",
-    OC_COMPLEX: "complex",
-    OC_LOAD: "load",
-    OC_STORE: "store",
-    OC_BRANCH: "branch",
-    OC_JUMP: "jump",
-    OC_NOP: "nop",
-    OC_HALT: "halt",
-    OC_MGH: "mgh",
-}
-
-
 class OpInfo(NamedTuple):
     """Static metadata for one opcode."""
 
@@ -134,11 +121,6 @@ def op_name(op: int) -> str:
 def op_class(op: int) -> int:
     """Issue-port class of opcode ``op``."""
     return OP_INFO[op].opclass
-
-
-def op_latency(op: int) -> int:
-    """Nominal execution latency (loads report their L1-hit latency)."""
-    return OP_INFO[op].latency
 
 
 def is_control(op: int) -> bool:

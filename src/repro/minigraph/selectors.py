@@ -101,7 +101,7 @@ class Selector:
         Used both as a content-address component (every parameter that
         can change the selection must appear) and to reconstruct the
         selector in scheduler worker processes
-        (:func:`repro.exec.tasks.selector_from_spec`).
+        (:func:`selector_from_spec`).
         """
         return {"kind": self.kind, **self.params()}
 

@@ -223,50 +223,30 @@ class PointAttribution:
         return sum(1 for s in self.sites if not s.profiled)
 
 
-def _selector_instance(name: str):
-    """Construct one of the five paper selectors by table name."""
-    from ..minigraph.selectors import (
-        SlackDynamicSelector, SlackProfileSelector, StructAll, StructBounded,
-        StructNone,
-    )
-    table = {"struct-all": StructAll, "struct-none": StructNone,
-             "struct-bounded": StructBounded,
-             "slack-profile": SlackProfileSelector,
-             "slack-dynamic": SlackDynamicSelector}
-    try:
-        return table[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown selector {name!r} for attribution "
-            f"(choose from {', '.join(ATTRIBUTION_SELECTORS)})") from None
-
-
 def attribute_point(runner, bench: str, selector_name: str,
                     config) -> PointAttribution:
     """Run one attribution point and join predictions with observations.
 
     Uses the runner's memoized trace/profile/plan artifacts but performs
     the timing run directly (an attribution collector cannot ride a
-    memoized result — the event stream is the product).
+    memoized result — the event stream is the product). The run is set
+    up by :meth:`~repro.harness.runner.Runner.selector_prepared`, which
+    gives a Slack-Dynamic point its default run-time policy.
     """
-    from ..minigraph.transform import fold_trace
-    from ..pipeline.config import config_by_name
-    from ..pipeline.core import OoOCore
+    from ..harness.runner import DEFAULT_INPUT, resolve_profiling
+    from ..minigraph.selectors import selector_from_spec
 
-    selector = _selector_instance(selector_name)
+    if selector_name not in ATTRIBUTION_SELECTORS:
+        raise ValueError(
+            f"unknown selector {selector_name!r} for attribution "
+            f"(choose from {', '.join(ATTRIBUTION_SELECTORS)})")
+    selector = selector_from_spec({"kind": selector_name})
     plan = runner.plan(bench, selector)
-    trace = runner.trace(bench)
-    records = fold_trace(trace, plan)
-    profile = runner.slack_profile(bench, config_by_name("reduced"))
-
-    policy = None
-    if selector_name == "slack-dynamic":
-        from ..minigraph.dynamic import SlackDynamicPolicy
-        policy = SlackDynamicPolicy()
-
+    profile_config, profile_input = resolve_profiling(DEFAULT_INPUT)
+    profile = runner.slack_profile(bench, profile_config, profile_input)
     collector = AttributionCollector()
-    core = OoOCore(config, records, policy=policy,
-                   warm_caches=runner.warm_caches, attribution=collector)
+    core, _ = runner.selector_prepared(bench, selector, config,
+                                       attribution=collector)
     stats = core.run()
 
     point = PointAttribution(selector=selector_name, bench=bench,

@@ -185,12 +185,6 @@ def scheduler_telemetry(writer: TelemetryWriter,
     return on_event
 
 
-def _sanitize_args(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Scalar-only projection of artifact params for span args."""
-    return {k: v for k, v in params.items()
-            if isinstance(v, (str, int, float, bool))}
-
-
 def attach_store_telemetry(store, writer: TelemetryWriter) -> None:
     """Make an :class:`ArtifactStore` narrate its computes and hits.
 

@@ -137,7 +137,6 @@ TAP_HANDLE = 4     # a = serialized | sial << 1, b = last - first_ready
 TAP_CDELAY = 5     # ix = serialized producer handle
 TAP_VALUE = 6      # singleton issue; a = value-ready, b = complete cycle
 TAP_WORDS = 3      # int64 words per event
-TAP_BIG = 1 << 60  # the kernel's "unset" sentinel for out_actual_ready
 
 # tap_flags bits (must match TAPF_* in _ckern.c). Opt-in record families
 # beyond the base catalogue; each costs buffer capacity, so observers

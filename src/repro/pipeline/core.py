@@ -625,13 +625,6 @@ class OoOCore:
     # Select / execute
     # ------------------------------------------------------------------
 
-    def _actual_ready(self, uop: Uop) -> int:
-        ready = 0
-        for producer in uop.producers:
-            if producer.out_actual_ready > ready:
-                ready = producer.out_actual_ready
-        return ready
-
     def _issue_stage(self) -> bool:
         cycle = self._cycle
         counts = [0, 0, 0, 0, 0]
@@ -811,48 +804,6 @@ class OoOCore:
             if free_at <= cycle:
                 return i
         return -1
-
-    def _execute_singleton(self, uop: Uop) -> None:
-        """Reference implementation of singleton issue.
-
-        The issue stage inlines this logic for speed; this method is kept
-        for documentation and as the behavioural spec the inline copy must
-        match (the golden-stats gate holds both to the same results).
-        """
-        cycle = self._cycle
-        uop.issued = True
-        uop.issue_cycle = cycle
-        rec = uop.rec
-        activity = self.activity
-        activity.regfile_reads += len(rec.srcs)
-        if uop.writes:
-            activity.regfile_writes += 1
-        regread = self._regread
-        if uop.is_load:
-            latency = self._load_latency(uop, rec.addr, cycle, rec.pc)
-            uop.out_pred_ready = cycle + self.hierarchy.dl1.latency
-            uop.out_actual_ready = cycle + latency
-            uop.complete_cycle = cycle + regread + latency
-            self.stats.loads_issued += 1
-        elif uop.is_store:
-            uop.store_resolve_cycle = cycle + regread
-            uop.complete_cycle = cycle + regread
-            self._store_resolves.append(uop)
-        else:
-            cls = rec.opclass
-            if cls == _OC_BRANCH or cls == _OC_JUMP:
-                resolve = cycle + rec.latency + regread
-                uop.resolve_cycle = resolve
-                uop.complete_cycle = resolve
-                if rec.rd >= 0:  # jal writes the return address
-                    uop.out_pred_ready = uop.out_actual_ready = \
-                        cycle + rec.latency
-                self._maybe_unblock_fetch(uop)
-            else:
-                latency = rec.latency
-                uop.out_pred_ready = uop.out_actual_ready = cycle + latency
-                uop.complete_cycle = cycle + regread + latency
-        self._notify_consumption(uop)
 
     def _execute_handle(self, uop: Uop, pipe: int) -> None:
         cycle = self._cycle

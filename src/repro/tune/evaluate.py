@@ -8,7 +8,8 @@ experiments``: ``--jobs N`` fans out worker processes over a persistent
 store, ``--jobs threads:N`` keeps the run in-process and turns each
 scheduler wave into one batched native kernel call. Afterwards the
 reduction reads the same points back through
-:func:`~repro.exec.grid.point_result` and finds every artifact already
+:func:`~repro.exec.grid.point_result` and
+:func:`~repro.exec.grid.point_plan` and finds every artifact already
 present, so objectives come from each point's
 stored :class:`~repro.harness.runner.SelectorRun` (IPC and coverage)
 and its stored plan (read-port demand and templates) at warm-hit cost.
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exec.grid import (
-    Point, baseline_point, point_id, point_result, run_points, selector_point,
+    Point, baseline_point, point_id, point_plan, point_result, run_points,
+    selector_point,
 )
 from ..harness.runner import Runner
 from .space import Trial
@@ -133,8 +135,6 @@ class Evaluator:
                 points: Sequence[Point], max_insts: int) -> TrialEval:
         """Read one trial's points and their same-machine baselines back
         from the warm store into objectives."""
-        from ..exec.tasks import selector_from_spec
-        selector = selector_from_spec(trial.selector_spec)
         per_bench: List[Dict[str, Any]] = []
         coverages: List[float] = []
         ratios: List[float] = []
@@ -143,8 +143,7 @@ class Evaluator:
             base = point_result(runner, baseline_point(
                 point.bench, point.config, point.input_name))
             run = point_result(runner, point)
-            plan = runner.plan(point.bench, selector,
-                               input_name=point.input_name)
+            plan = point_plan(runner, point)
             ratio = run.ipc / base.ipc if base.ipc else 0.0
             demand = plan_read_ports(plan)
             per_bench.append({"bench": point.bench, "ipc": run.ipc,

@@ -11,7 +11,7 @@ the test suite checks directly).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 #: ``(attribute, sense)`` pairs over :class:`~repro.tune.evaluate.TrialEval`.
 OBJECTIVES: Tuple[Tuple[str, str], ...] = (
@@ -73,7 +73,3 @@ def crowding_order(frontier: Sequence,
                 getattr(entry, "trial_id", ""))
     return sorted(frontier, key=key)
 
-
-def frontier_docs(frontier: Sequence) -> List[Dict]:
-    """JSON documents for a frontier (reports, committed artifacts)."""
-    return [entry.to_doc() for entry in crowding_order(frontier)]

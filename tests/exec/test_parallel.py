@@ -1,7 +1,9 @@
 """End-to-end engine tests: grid dedup, parallel determinism, cache reuse."""
 
 import dataclasses
+import json
 import shutil
+from collections import Counter
 
 import pytest
 
@@ -9,14 +11,14 @@ from repro.exec.grid import (
     baseline_point, build_tasks, dynamic_point, run_points, selector_point,
 )
 from repro.exec.store import ArtifactStore
-from repro.exec.tasks import selector_from_spec
+from repro.exec.tasks import task_artifact
 from repro.harness.experiments import EXPERIMENTS, fig1, grid_points
 from repro.harness.runner import Runner
 from repro.minigraph.selectors import (
-    SlackProfileSelector, StructAll, StructNone,
+    SlackProfileSelector, StructAll, StructNone, selector_from_spec,
 )
 from repro.pipeline.config import config_by_name, full_config, reduced_config
-from repro.workloads import all_benchmarks
+from repro.workloads import all_benchmarks, benchmark
 
 BENCHES = ("crc32", "adpcm")
 
@@ -144,6 +146,42 @@ def test_figure_reads_only_what_its_grid_scheduled(name, tmp_path):
     assert (stats.puts, stats.misses) == before
     assert text == EXPERIMENTS[name](Runner(), benches).render(
         full_tables=True)
+
+
+@pytest.mark.parametrize("name", ["fig6", "fig7", "fig9-machines",
+                                  "fig9-inputs"])
+def test_node_addresses_are_the_keys_their_tasks_store(name, tmp_path):
+    """Every store-backed node's address is the key its task writes, for
+    self- and cross-trained points alike: after a ``check`` run the DAG's
+    addresses and the store's keys are one set."""
+    runner = Runner(max_insts=60_000, store=ArtifactStore(tmp_path))
+    points = grid_points(name, [benchmark("crc32")])
+    report = run_points(runner, points, jobs=1, check=True)
+    assert not report.failures
+    addresses = set()
+    for task in build_tasks(points, runner, check=True):
+        address = task_artifact(runner, task)
+        if address is not None:
+            kind, params = address
+            addresses.add((runner.store.key(kind, params), kind))
+    stored = {(key, kind) for key, kind, _ in runner.store.backend.entries()}
+    assert addresses == stored
+
+
+def test_plan_and_check_specs_equal_no_other_spec():
+    """A plan or check node holds its point under a key of its own, so
+    its spec, as JSON with points as text, is unique in the DAG."""
+    benches = all_benchmarks(suites=["comm"])[:2]
+    tasks = build_tasks(grid_points("fig6", benches), Runner(), check=True)
+
+    def text(task):
+        return json.dumps(task.args[0], sort_keys=True, default=str)
+
+    counts = Counter(text(task) for task in tasks)
+    shared = [task.id for task in tasks
+              if task.stage in ("plan", "check") and counts[text(task)] > 1]
+    assert {task.stage for task in tasks} >= {"plan", "check"}
+    assert shared == []
 
 
 def test_corrupt_payloads_are_recomputed_where_they_are_read(

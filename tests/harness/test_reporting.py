@@ -4,8 +4,8 @@ import pytest
 
 from repro.harness.experiments import ExperimentResult
 from repro.harness.reporting import (
-    dict_to_experiment, experiment_from_dict, experiment_to_dict,
-    load_experiment, load_results, markdown_table, save_results,
+    experiment_from_dict, experiment_to_dict, load_experiment, load_results,
+    markdown_table, save_results,
 )
 from repro.harness.scurve import SCurve
 
@@ -23,7 +23,7 @@ def _sample_result():
 def test_roundtrip_via_dict():
     result = _sample_result()
     payload = experiment_to_dict(result)
-    back = dict_to_experiment(payload)
+    back = experiment_from_dict(payload)
     assert back.name == result.name
     assert back.notes == result.notes
     original = result.groups["performance"][0]
@@ -71,8 +71,6 @@ def test_experiment_from_dict_full_roundtrip():
             assert copy.median == original.median
             assert copy.minimum == original.minimum
             assert copy.maximum == original.maximum
-    # The alias remains the same callable.
-    assert dict_to_experiment is experiment_from_dict
 
 
 def test_load_experiment_single(tmp_path):

@@ -289,6 +289,47 @@ def test_attribution_unknown_selector_is_one_line_error(capsys):
     assert "unknown selector" in err
 
 
+# -- the selector names each subcommand accepts --------------------------------
+
+_FAMILIES = ["read-port", "slack-profile", "struct-all", "struct-bounded",
+             "struct-none"]
+
+
+@pytest.mark.parametrize("command, names", [
+    (["run", "crc32"], _FAMILIES + ["slack-dynamic", "none"]),
+    (["trace", "crc32"], _FAMILIES + ["none"]),
+    (["report"], _FAMILIES),
+    (["lint-plan", "crc32"], _FAMILIES + ["slack-dynamic"]),
+    (["metrics", "crc32"], _FAMILIES + ["none"]),
+], ids=["run", "trace", "report", "lint-plan", "metrics"])
+def test_selector_choices_per_subcommand(capsys, command, names):
+    with pytest.raises(SystemExit) as exited:
+        main(command + ["--selector", "psychic"])
+    assert exited.value.code == 2
+    choices = ", ".join(repr(name) for name in names)
+    assert f"invalid choice: 'psychic' (choose from {choices})" in \
+        capsys.readouterr().err
+
+
+def test_attribution_rejects_a_family_outside_its_five(capsys):
+    """``read-port`` is a registered family, but not an attribution
+    selector."""
+    assert main(["attribution", "--benchmarks", "crc32",
+                 "--selectors", "read-port"]) == 2
+    assert capsys.readouterr().err == (
+        "repro: error: unknown selector 'read-port' for attribution "
+        "(choose from struct-all, struct-none, struct-bounded, "
+        "slack-profile, slack-dynamic)\n")
+
+
+def test_fuzz_selector_names(capsys):
+    assert main(["fuzz", "--selectors", "psychic"]) == 2
+    assert capsys.readouterr().err == (
+        "repro: error: unknown selector(s) psychic (choose from "
+        "read-port, slack-dynamic, slack-profile, struct-all, "
+        "struct-bounded, struct-none)\n")
+
+
 def test_telemetry_validates_experiments_output(capsys, tmp_path):
     trace = tmp_path / "trace.jsonl"
     assert main(["experiments", "fig1", "--suites", "comm", "--limit", "1",
