@@ -9,7 +9,7 @@ every figure of the paper's evaluation.
 Quickstart::
 
     from repro import isa, pipeline, minigraph
-    from repro.harness import run_program
+    from repro.harness import Runner
 """
 
 __version__ = "1.0.0"

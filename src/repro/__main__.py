@@ -13,8 +13,7 @@ Subcommands::
     python -m repro attribution --benchmarks crc32 # predicted-vs-observed
     python -m repro telemetry trace.jsonl      # validate a telemetry file
 
-`experiments` forwards to :mod:`repro.harness.experiments`; everything
-else is a thin veneer over the library API so each command doubles as a
+Each command is a thin veneer over the library API, so it doubles as a
 usage example. Commands that simulate accept ``--cache-dir`` (or honor
 ``$REPRO_CACHE_DIR``) to persist intermediates in the content-addressed
 artifact store of :mod:`repro.exec`; rerunning a killed command with the
@@ -25,9 +24,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager, nullcontext
 from typing import List, Optional
 
 from .exec import ArtifactStore, resolve_cache_dir
+from .harness.experiments import EXPERIMENTS, grid_points
 from .harness.runner import Runner
 from .isa.interp import ExecutionLimitExceeded, MemoryFault
 from .isa.validate import ValidationError
@@ -66,6 +67,58 @@ def _add_cache_flags(parser) -> None:
                              "(default: $REPRO_CACHE_DIR, else none)")
     parser.add_argument("--no-cache", action="store_true",
                         help="memory-only memoization")
+
+
+@contextmanager
+def _run_store(args, jobs: int):
+    """The store of a command that schedules: ``--cache-dir``, else
+    ``$REPRO_CACHE_DIR``, unless ``--no-cache``.
+
+    Pool workers hand artifacts back through the store, so ``jobs > 1``
+    without a disk store runs over a scratch directory, deleted on exit.
+    A persistent store prints its two ``[cache]`` lines when the block
+    finishes.
+    """
+    store = _store_for(args)
+    if jobs > 1 and not store.persistent:
+        import tempfile
+        print(f"repro: no --cache-dir; the --jobs {jobs} workers share a "
+              f"temporary store, deleted on exit", file=sys.stderr)
+        with tempfile.TemporaryDirectory(prefix="repro-exec-") as scratch:
+            yield ArtifactStore(scratch)
+        return
+    yield store
+    if store.persistent:
+        print(store.stats.render(), file=sys.stderr)
+
+
+def _add_telemetry_flag(parser) -> None:
+    parser.add_argument("--telemetry", default=None, metavar="PATH",
+                        help="write run telemetry (manifest + Chrome "
+                             "trace-event JSONL) to PATH; see "
+                             "docs/observability.md")
+
+
+@contextmanager
+def _telemetry(path, store, **manifest):
+    """A writer to ``path`` (``--telemetry``), attached to ``store``;
+    ``None`` without a path. ``manifest`` holds the fields of
+    :func:`~repro.obs.telemetry.run_manifest`. On exit, also a failed
+    one, the writer is closed and its ``[telemetry]`` line printed."""
+    if not path:
+        yield None
+        return
+    from .obs.telemetry import (
+        TelemetryWriter, attach_store_telemetry, run_manifest,
+    )
+    telemetry = TelemetryWriter(path, run_manifest(**manifest))
+    attach_store_telemetry(store, telemetry)
+    try:
+        yield telemetry
+    finally:
+        telemetry.close()
+        print(f"[telemetry] {telemetry.events_written} events -> "
+              f"{telemetry.path}", file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
@@ -138,52 +191,84 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _cmd_experiments(args) -> int:
+    import time
+
+    from .exec import ProgressPrinter, TaskError
+    from .exec.grid import parse_jobs, run_points
+    jobs, threads = parse_jobs(args.jobs)
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be >= 1, got {args.limit}")
+    benches = all_benchmarks(suites=args.suites,
+                             include_synthetic=not args.no_synthetic)
+    benches = benches[:args.limit]
+    if not benches:
+        raise ValueError("no benchmark matches the --suites and "
+                         "--no-synthetic filters")
+    names = sorted(EXPERIMENTS) if args.experiment == "all" \
+        else [args.experiment]
+    results = []
+    # A failed --check leaves the store's block by exception, so it
+    # prints no [cache] lines.
+    try:
+        with _run_store(args, jobs) as store, \
+                _telemetry(args.telemetry, store,
+                           label=f"experiments-{args.experiment}",
+                           argv=args.argv) as telemetry:
+            runner = Runner(budget=args.budget, store=store, jobs=jobs)
+            for name in names:
+                start = time.time()
+                points = grid_points(name, benches) \
+                    if jobs > 1 or threads or args.check else []
+                if points:
+                    on_event = None if args.quiet else ProgressPrinter()
+                    if telemetry is not None:
+                        from .obs.telemetry import scheduler_telemetry
+                        on_event = scheduler_telemetry(telemetry, on_event)
+                    report = run_points(runner, points, jobs=jobs,
+                                        on_event=on_event, check=args.check,
+                                        raise_on_failure=args.check,
+                                        threads=threads)
+                    if not args.quiet:
+                        print(report.render(), file=sys.stderr)
+                with nullcontext() if telemetry is None \
+                        else telemetry.span(name, "experiment"):
+                    result = EXPERIMENTS[name](runner, benches)
+                results.append(result)
+                print(result.render(full_tables=args.full_tables))
+                if args.plot:
+                    from .harness.plot import plot_scurves
+                    for group, curves in result.groups.items():
+                        print()
+                        print(plot_scurves(curves, title=group,
+                                           reference=1.0))
+                print(f"[{name}: {time.time() - start:.1f}s, "
+                      f"{len(benches)} programs]\n")
+    except TaskError as error:
+        print(f"experiments: check failed: {error}", file=sys.stderr)
+        return 1
+    if args.save_json:
+        from .harness.reporting import save_results
+        path = save_results(results, args.save_json)
+        print(f"[saved {len(results)} experiment(s) to {path}]",
+              file=sys.stderr)
+    return 0
+
+
 def _cmd_limit_study(args) -> int:
     from .analysis.limit_study import run_limit_study
     from .exec.grid import parse_jobs
     parse_jobs(args.jobs)          # --jobs < 1 is a one-line error
     if args.cap is not None and args.cap < 1:
         raise ValueError(f"bad --cap value {args.cap}: must be >= 1")
-    store = _store_for(args)
-    telemetry = None
-    if getattr(args, "telemetry", None):
-        from .obs.telemetry import (
-            TelemetryWriter, attach_store_telemetry, run_manifest,
-        )
-        telemetry = TelemetryWriter(args.telemetry,
-                                    run_manifest(label="limit-study"))
-
-    def study(runner):
-        if telemetry is None:
-            return run_limit_study(runner, subset_cap=args.cap,
-                                   jobs=args.jobs)
-        attach_store_telemetry(runner.store, telemetry)
-        with telemetry.span("limit-study", "experiment",
-                            args={"jobs": args.jobs}):
-            return run_limit_study(runner, subset_cap=args.cap,
-                                   jobs=args.jobs)
-
-    try:
-        if args.jobs > 1 and not store.persistent:
-            # Pool workers load the trace from the store, so the sweep
-            # needs a persistent one; say that it is thrown away.
-            print(f"limit-study: no --cache-dir; the --jobs {args.jobs} "
-                  f"workers share a temporary store, deleted on exit",
-                  file=sys.stderr)
-            import tempfile
-            with tempfile.TemporaryDirectory(
-                    prefix="repro-exec-") as scratch:
-                result = study(Runner(store=ArtifactStore(scratch)))
-        else:
-            result = study(Runner(store=store))
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-            print(f"[telemetry] {telemetry.events_written} events -> "
-                  f"{telemetry.path}", file=sys.stderr)
+    with _run_store(args, args.jobs) as store, \
+            _telemetry(args.telemetry, store,
+                       label="limit-study") as telemetry:
+        with nullcontext() if telemetry is None else telemetry.span(
+                "limit-study", "experiment", args={"jobs": args.jobs}):
+            result = run_limit_study(Runner(store=store),
+                                     subset_cap=args.cap, jobs=args.jobs)
     print(result.render())
-    if store.persistent:
-        print(store.stats.render(), file=sys.stderr)
     return 0
 
 
@@ -292,27 +377,14 @@ def _cmd_bench(args) -> int:
         (QUICK_SELECTORS if args.quick and mode == "kips" else None)
     config = config_by_name(args.config) if args.config else None
     runner = Runner(store=_store_for(args))
-    telemetry = None
-    if args.telemetry:
-        from .obs.telemetry import (
-            TelemetryWriter, attach_store_telemetry, run_manifest,
-        )
-        telemetry = TelemetryWriter(
-            args.telemetry,
-            run_manifest(config=config or config_by_name("reduced"),
-                         label=args.label))
-        attach_store_telemetry(runner.store, telemetry)
-    try:
+    with _telemetry(args.telemetry, runner.store,
+                    config=config or config_by_name("reduced"),
+                    label=args.label) as telemetry:
         report = run_bench(benchmarks, selectors, config=config,
                            label=args.label, repeat=args.repeat,
                            runner=runner, telemetry=telemetry,
                            log=lambda line: print(line, file=sys.stderr),
                            mode=mode)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-            print(f"[telemetry] {telemetry.events_written} events -> "
-                  f"{telemetry.path}", file=sys.stderr)
     print(report.render())
     print(f"wrote {write_report(report, args.out)}")
     failures = check_speedups(report, min_speedup=args.min_speedup)
@@ -410,12 +482,13 @@ def _cmd_tune(args) -> int:
     jobs, threads = parse_jobs(args.jobs)
     log = None if args.quiet \
         else (lambda line: print(line, file=sys.stderr))
-    result = run_tune(
-        space, strategy=args.strategy, trials=args.trials,
-        seed=args.seed, store=_store_for(args), budget=args.budget,
-        jobs=jobs, threads=threads, max_insts=args.max_insts,
-        halving_eta=args.halving_eta,
-        halving_min_insts=args.halving_min_insts, log=log)
+    with _run_store(args, jobs) as store:
+        result = run_tune(
+            space, strategy=args.strategy, trials=args.trials,
+            seed=args.seed, store=store, budget=args.budget,
+            jobs=jobs, threads=threads, max_insts=args.max_insts,
+            halving_eta=args.halving_eta,
+            halving_min_insts=args.halving_min_insts, log=log)
     print(result.render())
     if args.out:
         doc = tune_doc(space, result.evals, result.frontier,
@@ -474,10 +547,6 @@ def _cmd_cache(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "experiments":
-        from .harness.experiments import main as experiments_main
-        return experiments_main(argv[1:])
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Serialization-aware mini-graphs (MICRO 2006 "
@@ -518,14 +587,51 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_report.add_argument("--limit-per-suite", type=int, default=None)
     p_report.set_defaults(fn=_cmd_report)
 
+    p_exp = sub.add_parser(
+        "experiments", help="regenerate paper figures",
+        description="Regenerate a paper figure's data series.")
+    p_exp.add_argument("experiment", choices=[*sorted(EXPERIMENTS), "all"])
+    p_exp.add_argument("--suites", nargs="+", default=None, choices=SUITES,
+                       help="restrict to suites")
+    p_exp.add_argument("--limit", type=int, default=None,
+                       help="use only the first N benchmarks")
+    p_exp.add_argument("--no-synthetic", action="store_true")
+    p_exp.add_argument("--full-tables", action="store_true",
+                       help="print complete S-curve tables")
+    p_exp.add_argument("--plot", action="store_true",
+                       help="draw terminal S-curve plots per group")
+    p_exp.add_argument("--budget", type=int, default=512,
+                       help="MGT template budget")
+    p_exp.add_argument("--jobs", type=str, default="1",
+                       help="worker processes for the experiment grid "
+                            "(1 = serial in-process), or 'threads:N' for "
+                            "batched native dispatch: each wave of ready "
+                            "timing points runs as one C call over N "
+                            "threads (in-process, no persistent store "
+                            "needed; see docs/performance.md)")
+    p_exp.add_argument("--quiet", action="store_true",
+                       help="suppress the scheduler progress stream on "
+                            "stderr (telemetry, if enabled, still "
+                            "records every event)")
+    p_exp.add_argument("--check", action="store_true",
+                       help="add a lockstep+lint validation node per "
+                            "(program, selector) point; any divergence "
+                            "fails the run (see docs/correctness.md)")
+    _add_cache_flags(p_exp)
+    p_exp.add_argument("--save-json", default=None, metavar="PATH",
+                       help="archive the regenerated curves as JSON "
+                            "(see repro.harness.reporting)")
+    _add_telemetry_flag(p_exp)
+    # The telemetry manifest records the words after "experiments".
+    p_exp.set_defaults(fn=_cmd_experiments, argv=argv[1:])
+
     p_limit = sub.add_parser("limit-study",
                              help="Figure 8 exhaustive study")
     p_limit.add_argument("--cap", type=int, default=None,
                          help="truncate the subset sweep")
     p_limit.add_argument("--jobs", type=int, default=1,
                          help="worker processes for the subset sweep")
-    p_limit.add_argument("--telemetry", default=None, metavar="PATH",
-                         help="write run telemetry JSONL to PATH")
+    _add_telemetry_flag(p_limit)
     _add_cache_flags(p_limit)
     p_limit.set_defaults(fn=_cmd_limit_study)
 
@@ -603,9 +709,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_bench.add_argument("--tolerance", type=float, default=0.20,
                          help="allowed fractional KIPS regression "
                               "(default 0.20)")
-    p_bench.add_argument("--telemetry", default=None, metavar="PATH",
-                         help="write run telemetry JSONL to PATH "
-                              "(bench spans + runner phases)")
+    _add_telemetry_flag(p_bench)
     mode = p_bench.add_mutually_exclusive_group()
     mode.add_argument("--batch", action="store_true",
                       help="batched native dispatch vs one pool task per "
@@ -716,11 +820,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "(trace profile candidates plan baseline "
                               "run run-dynamic subset)")
     p_cache.set_defaults(fn=_cmd_cache)
-
-    # "experiments" is documented here even though it is dispatched above.
-    sub.add_parser("experiments",
-                   help="regenerate paper figures "
-                        "(see repro.harness.experiments)")
 
     args = parser.parse_args(argv)
     try:

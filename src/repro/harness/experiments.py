@@ -20,14 +20,12 @@ reproduction targets; see EXPERIMENTS.md.
 
 Run from the command line::
 
-    python -m repro.harness.experiments fig6 --suites spec media --limit 10
+    python -m repro experiments fig6 --suites spec media --limit 10
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -37,7 +35,6 @@ from ..exec.grid import (
 from ..minigraph.selectors import (
     SlackProfileSelector, StructAll, StructBounded, StructNone,
 )
-from ..workloads.suite import SUITES, all_benchmarks
 from .runner import Runner
 from .scurve import SCurve, relative, render_scurves, summarize
 
@@ -69,16 +66,6 @@ class ExperimentResult:
             lines.append("")
             lines.extend(self.notes)
         return "\n".join(lines)
-
-
-def _population(suites: Optional[Sequence[str]] = None,
-                limit: Optional[int] = None,
-                include_synthetic: bool = True) -> list:
-    benches = all_benchmarks(suites=suites,
-                             include_synthetic=include_synthetic)
-    if limit is not None:
-        benches = benches[:limit]
-    return benches
 
 
 # ---------------------------------------------------------------------------
@@ -323,147 +310,6 @@ def grid_points(name: str, benches) -> List[Point]:
     return figure.points(benches) if isinstance(figure, Figure) else []
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point: regenerate one figure (or all) and print it."""
-    parser = argparse.ArgumentParser(
-        description="Regenerate a paper figure's data series.")
-    parser.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["all"])
-    parser.add_argument("--suites", nargs="+", default=None, choices=SUITES,
-                        help="restrict to suites")
-    parser.add_argument("--limit", type=int, default=None,
-                        help="use only the first N benchmarks")
-    parser.add_argument("--no-synthetic", action="store_true")
-    parser.add_argument("--full-tables", action="store_true",
-                        help="print complete S-curve tables")
-    parser.add_argument("--plot", action="store_true",
-                        help="draw terminal S-curve plots per group")
-    parser.add_argument("--budget", type=int, default=512,
-                        help="MGT template budget")
-    parser.add_argument("--jobs", type=str, default="1",
-                        help="worker processes for the experiment grid "
-                             "(1 = serial in-process), or 'threads:N' for "
-                             "batched native dispatch: each wave of ready "
-                             "timing points runs as one C call over N "
-                             "threads (in-process, no persistent store "
-                             "needed; see docs/performance.md)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress the scheduler progress stream on "
-                             "stderr (telemetry, if enabled, still "
-                             "records every event)")
-    parser.add_argument("--check", action="store_true",
-                        help="add a lockstep+lint validation node per "
-                             "(program, selector) point; any divergence "
-                             "fails the run (see docs/correctness.md)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="persistent artifact store directory "
-                             "(default: $REPRO_CACHE_DIR, else none)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore --cache-dir/$REPRO_CACHE_DIR; "
-                             "memory-only memoization")
-    parser.add_argument("--save-json", default=None, metavar="PATH",
-                        help="archive the regenerated curves as JSON "
-                             "(see repro.harness.reporting)")
-    parser.add_argument("--telemetry", default=None, metavar="PATH",
-                        help="write run telemetry (manifest + Chrome "
-                             "trace-event JSONL) to PATH; see "
-                             "docs/observability.md")
-    args = parser.parse_args(argv)
-
-    from ..exec import ArtifactStore, ProgressPrinter, resolve_cache_dir
-    from ..exec.grid import parse_jobs, run_points
-
-    try:
-        jobs, threads = parse_jobs(args.jobs)
-    except ValueError as error:
-        print(f"experiments: {error}", file=sys.stderr)
-        return 2
-    if args.limit is not None and args.limit < 1:
-        print(f"experiments: --limit must be >= 1, got {args.limit}",
-              file=sys.stderr)
-        return 2
-    benches = _population(args.suites, args.limit,
-                          include_synthetic=not args.no_synthetic)
-    if not benches:
-        print("experiments: no benchmark matches the --suites and "
-              "--no-synthetic filters", file=sys.stderr)
-        return 2
-    cache_dir = resolve_cache_dir(args.cache_dir, args.no_cache)
-    scratch = None
-    if jobs > 1 and cache_dir is None:
-        # Workers hand artifacts back through the store, so parallel
-        # execution needs a disk layer even when the user asked for no
-        # persistent cache; use a run-scoped scratch directory.
-        import tempfile
-        scratch = tempfile.TemporaryDirectory(prefix="repro-exec-")
-        cache_dir = scratch.name
-
-    runner = Runner(budget=args.budget,
-                    store=ArtifactStore(cache_dir),
-                    jobs=jobs)
-    telemetry = None
-    if args.telemetry:
-        from ..obs.telemetry import (attach_store_telemetry, run_manifest,
-                                     scheduler_telemetry, TelemetryWriter)
-        telemetry = TelemetryWriter(
-            args.telemetry,
-            run_manifest(label=f"experiments-{args.experiment}",
-                         argv=argv if argv is not None else sys.argv[1:]))
-        attach_store_telemetry(runner.store, telemetry)
-    names = sorted(EXPERIMENTS) if args.experiment == "all" \
-        else [args.experiment]
-    results = []
-    try:
-        for name in names:
-            start = time.time()
-            if jobs > 1 or threads or args.check:
-                points = grid_points(name, benches)
-                if points:
-                    from ..exec.dag import TaskError
-                    on_event = None if args.quiet else ProgressPrinter()
-                    if telemetry is not None:
-                        on_event = scheduler_telemetry(telemetry, on_event)
-                    try:
-                        report = run_points(runner, points, jobs=jobs,
-                                            on_event=on_event,
-                                            check=args.check,
-                                            raise_on_failure=args.check,
-                                            threads=threads)
-                    except TaskError as error:
-                        print(f"experiments: check failed: {error}",
-                              file=sys.stderr)
-                        return 1
-                    if not args.quiet:
-                        print(report.render(), file=sys.stderr)
-            if telemetry is not None:
-                with telemetry.span(name, "experiment"):
-                    result = EXPERIMENTS[name](runner, benches)
-            else:
-                result = EXPERIMENTS[name](runner, benches)
-            results.append(result)
-            print(result.render(full_tables=args.full_tables))
-            if args.plot:
-                from .plot import plot_scurves
-                for group, curves in result.groups.items():
-                    print()
-                    print(plot_scurves(curves, title=group, reference=1.0))
-            print(f"[{name}: {time.time() - start:.1f}s, "
-                  f"{len(benches)} programs]\n")
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-            print(f"[telemetry] {telemetry.events_written} events -> "
-                  f"{telemetry.path}", file=sys.stderr)
-        if scratch is not None:
-            scratch.cleanup()
-    if runner.store.persistent and scratch is None:
-        print(runner.store.stats.render(), file=sys.stderr)
-    if args.save_json:
-        from .reporting import save_results
-        path = save_results(results, args.save_json)
-        print(f"[saved {len(results)} experiment(s) to {path}]",
-              file=sys.stderr)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    from ..__main__ import main
+    sys.exit(main(["experiments", *sys.argv[1:]]))

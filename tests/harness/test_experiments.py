@@ -2,10 +2,9 @@
 
 import pytest
 
+from repro.__main__ import main
 from repro.harness import Runner
-from repro.harness.experiments import (
-    EXPERIMENTS, fig1, fig3, fig9_inputs, main,
-)
+from repro.harness.experiments import EXPERIMENTS, fig1, fig3, fig9_inputs
 from repro.workloads import all_benchmarks
 
 
@@ -68,7 +67,7 @@ def test_render_full_tables(shared_runner, small_population):
 
 
 def test_cli_smoke(capsys):
-    code = main(["fig1", "--suites", "comm", "--limit", "2"])
+    code = main(["experiments", "fig1", "--suites", "comm", "--limit", "2"])
     assert code == 0
     out = capsys.readouterr().out
     assert "FIG1" in out
@@ -84,11 +83,12 @@ def test_empty_or_truncated_population_is_rejected(argv, tmp_path, capsys):
     print an all-zero figure or silently drop programs, is a one-line
     error before any store is opened."""
     store = tmp_path / "store"
-    assert main(["fig1", *argv, "--cache-dir", str(store)]) == 2
+    assert main(["experiments", "fig1", *argv,
+                 "--cache-dir", str(store)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("experiments: ")
+    assert captured.err.startswith("repro: error: ")
     assert not store.exists()
 
 
@@ -96,7 +96,7 @@ def test_bare_suites_flag_is_rejected(tmp_path, capsys):
     """A bare ``--suites`` is a usage error, as in ``repro list``."""
     store = tmp_path / "store"
     with pytest.raises(SystemExit) as exited:
-        main(["fig1", "--suites", "--cache-dir", str(store)])
+        main(["experiments", "fig1", "--suites", "--cache-dir", str(store)])
     assert exited.value.code == 2
     assert "--suites: expected at least one argument" in \
         capsys.readouterr().err
@@ -106,7 +106,8 @@ def test_bare_suites_flag_is_rejected(tmp_path, capsys):
 def test_unknown_suite_is_rejected(tmp_path, capsys):
     store = tmp_path / "store"
     with pytest.raises(SystemExit) as exited:
-        main(["fig1", "--suites", "bogus", "--cache-dir", str(store)])
+        main(["experiments", "fig1", "--suites", "bogus",
+              "--cache-dir", str(store)])
     assert exited.value.code == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
     assert not store.exists()

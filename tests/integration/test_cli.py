@@ -143,6 +143,26 @@ def test_limit_study_prints_store_stats(capsys, tmp_path, monkeypatch):
     assert "[cache]" not in capsys.readouterr().err
 
 
+def test_tune_pool_without_a_cache_dir(capsys, monkeypatch):
+    """``tune --jobs 2`` without a store runs over a scratch one, as
+    ``experiments`` and ``limit-study`` do, and prints the serial
+    run's trial table."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    argv = ["tune", "--selectors", "struct-all", "--configs", "reduced",
+            "--benchmarks", "crc32", "--max-insts", "20000"]
+
+    def table(out):
+        return out[:out.index("\ntune: ")]
+
+    assert main(argv) == 0
+    serial = capsys.readouterr()
+    assert main(argv + ["--jobs", "2"]) == 0
+    pooled = capsys.readouterr()
+    assert "temporary store" in pooled.err
+    assert "temporary store" not in serial.err
+    assert table(pooled.out) == table(serial.out)
+
+
 def test_cache_subcommand(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     assert main(["run", "crc32", "--selector", "none",

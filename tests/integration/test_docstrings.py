@@ -3,6 +3,8 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import repro
 
@@ -48,3 +50,32 @@ def test_public_methods_documented_on_key_classes():
             if name.startswith("_") or not inspect.isfunction(member):
                 continue
             assert inspect.getdoc(member), f"{cls.__name__}.{name}"
+
+
+#: One single-line ``from repro... import a, b as c`` statement.
+_DOCUMENTED_IMPORT = re.compile(
+    r"^\s*(?:>>> )?from (repro[\w.]*) import ([\w ,]+?)\s*$", re.M)
+
+
+def test_documented_imports_resolve():
+    """Every import the docs and module docstrings show names an
+    attribute or a submodule of its module."""
+    root = Path(repro.__file__).resolve().parents[2]
+    pages = [root / "README.md", root / "DESIGN.md",
+             *sorted((root / "docs").glob("*.md"))]
+    texts = [(page.name, page.read_text()) for page in pages]
+    texts += [(module.__name__, module.__doc__ or "")
+              for module in [repro, *_walk_modules()]]
+    broken = []
+    for where, text in texts:
+        for match in _DOCUMENTED_IMPORT.finditer(text):
+            module = importlib.import_module(match.group(1))
+            for name in match.group(2).split(","):
+                name = name.split(" as ")[0].strip()
+                if hasattr(module, name):
+                    continue
+                try:
+                    importlib.import_module(f"{module.__name__}.{name}")
+                except ModuleNotFoundError:
+                    broken.append(f"{where}: {match.group(0).strip()}")
+    assert not broken, broken

@@ -342,7 +342,9 @@ def test_plan_kernel_counters_advance():
 @needs_kernel
 @pytest.mark.parametrize("name", ["crc32", "fft"])
 def test_global_fold_bit_identical(name, monkeypatch):
-    """repro_global_fold == the Python tap decode, profile for profile."""
+    """repro_global_fold == a ``REPRO_PURE_PY`` run's in-loop observer,
+    profile for profile (the Python tap decode is
+    ``test_declined_global_fold_decodes_in_python``)."""
     from repro.analysis.global_slack import GlobalSlackCollector
 
     program = _program(name)

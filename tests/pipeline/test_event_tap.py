@@ -166,6 +166,40 @@ def test_global_slack_profile_bit_identical(runner, bench):
 
 
 @needs_kernel
+@pytest.mark.parametrize("bench", WORKLOADS)
+def test_declined_global_fold_decodes_in_python(runner, bench, monkeypatch):
+    """When ``ckern.global_fold`` declines, the kernel's tap is decoded
+    and the global backward DP runs in Python; with
+    ``ckern.profile_build`` declined too, so is the local profile. Each
+    leg keeps the kernel run and returns the native run's profiles and
+    the ``REPRO_PURE_PY`` run's, pickle for pickle."""
+    def pickles():
+        core, global_profile, _ = _run_global_profile(runner, bench,
+                                                      force_python=False)
+        return core, [pickle.dumps(profile,
+                                   protocol=pickle.HIGHEST_PROTOCOL)
+                      for profile in (core.collector.profile(),
+                                      global_profile)]
+
+    core, native = pickles()
+    assert core.collector._tap_folded is not None
+    with monkeypatch.context() as env:
+        env.setenv("REPRO_PURE_PY", "1")
+        core, pure = pickles()
+        assert not core._want_tap
+    assert pure == native
+    for declined in ("global_fold", "profile_build"):
+        monkeypatch.setattr(ckern, declined, lambda *args: None)
+        core, decoded = pickles()
+        collector = core.collector
+        assert core._want_tap and collector._tap_folded is None
+        assert collector._tap_global is not None
+        assert (collector._packed_acc is None) == \
+            (declined == "profile_build")
+        assert decoded == native
+
+
+@needs_kernel
 def test_both_observers_share_one_tap_run(runner):
     """Slack + attribution can decode the same event log from one run."""
     plan = runner.plan("crc32", StructAll())
