@@ -109,7 +109,7 @@ def _telemetry(path, store, **manifest):
         yield None
         return
     from .obs.telemetry import (
-        TelemetryWriter, attach_store_telemetry, run_manifest,
+        TelemetryWriter, attach_store_telemetry, count_events, run_manifest,
     )
     telemetry = TelemetryWriter(path, run_manifest(**manifest))
     attach_store_telemetry(store, telemetry)
@@ -117,7 +117,7 @@ def _telemetry(path, store, **manifest):
         yield telemetry
     finally:
         telemetry.close()
-        print(f"[telemetry] {telemetry.events_written} events -> "
+        print(f"[telemetry] {count_events(telemetry.path)} events -> "
               f"{telemetry.path}", file=sys.stderr)
 
 

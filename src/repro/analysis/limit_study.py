@@ -242,16 +242,19 @@ def run_limit_study(runner: Optional[Runner] = None, bench: str = "adpcm",
 
     ``subset_cap`` truncates the exhaustive sweep (tests use small caps);
     the full Figure 8 sweep needs ``2 ** n_candidates`` evaluations.
-    A cap below 1 raises :class:`ValueError` before any work.
+    A cap below 1 raises :class:`ValueError` before any work, and so
+    does ``jobs > 1`` without a persistent artifact store on ``runner``
+    (:func:`~repro.exec.grid.require_pool_store`).
     The sweep is read chunk by chunk through the store
-    (:func:`evaluate_chunk_cached`). With ``jobs > 1`` (and a persistent
-    artifact store on ``runner`` and a *named* machine configuration)
-    the chunks the store lacks are first computed on worker processes;
-    results are identical to the serial path.
+    (:func:`evaluate_chunk_cached`). With ``jobs > 1`` and a *named*
+    machine configuration the chunks the store lacks are first computed
+    on worker processes; results are identical to the serial path.
     """
+    from ..exec.grid import require_pool_store
     if subset_cap is not None and subset_cap < 1:
         raise ValueError(f"subset_cap must be >= 1, got {subset_cap}")
     runner = runner or Runner()
+    require_pool_store(runner, jobs)
     config = config or reduced_config()
     sites = top_nonoverlapping_sites(runner, bench, input_name,
                                      n_candidates)
@@ -271,8 +274,7 @@ def run_limit_study(runner: Optional[Runner] = None, bench: str = "adpcm",
         n_subsets = min(n_subsets, subset_cap)
     chunks = [(first, min(CHUNK, n_subsets - first))
               for first in range(0, n_subsets, CHUNK)]
-    if (jobs > 1 and runner.store.persistent
-            and config.name in NAMED_CONFIGS):
+    if jobs > 1 and config.name in NAMED_CONFIGS:
         _compute_missing_chunks(runner, bench, input_name, config,
                                 n_candidates, chunks, baseline_ipc, jobs)
     for first, count in chunks:

@@ -395,6 +395,17 @@ def prune_cached(runner, tasks: Sequence[Task]
     return kept, pruned
 
 
+def require_pool_store(runner, jobs: int) -> None:
+    """Raise :class:`ValueError` when ``jobs > 1`` workers would have no
+    persistent store: they hand every artifact back through it. One
+    contract for every library entry that starts a pool
+    (:func:`run_points`, ``analysis.limit_study.run_limit_study``)."""
+    if jobs > 1 and not runner.store.persistent:
+        raise ValueError(
+            "parallel execution needs a persistent store: construct the "
+            "Runner with ArtifactStore(cache_dir) or use --cache-dir")
+
+
 def run_points(runner, points: Sequence[Point], jobs: int,
                on_event: Optional[Callable[[Dict], None]] = None,
                raise_on_failure: bool = False,
@@ -426,10 +437,7 @@ def run_points(runner, points: Sequence[Point], jobs: int,
     """
     if threads > 0:
         jobs = 1
-    if jobs > 1 and not runner.store.persistent:
-        raise ValueError(
-            "parallel execution needs a persistent store: construct the "
-            "Runner with ArtifactStore(cache_dir) or use --cache-dir")
+    require_pool_store(runner, jobs)
     tasks = build_tasks(points, runner, check=check)
     kept, pruned = prune_cached(runner, tasks)
     scheduler = Scheduler(jobs=jobs, on_event=on_event, threads=threads)

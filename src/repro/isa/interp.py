@@ -8,6 +8,11 @@ against its own branch predictors and caches.
 
 Values are 64-bit; registers hold the unsigned representation and signed
 operations reinterpret as needed. Register ``r0`` is hardwired to zero.
+Registers and memory hold Python ints, though, and a program may load a
+negative data word: bitwise operations then leave values outside
+``[0, 2**64)`` (always within ``[-2**64, 2**64)``), which later
+operations read as they are. The compiled kernel holds the same exact
+values (:func:`execute`).
 """
 
 from __future__ import annotations
@@ -199,8 +204,8 @@ class PackedTrace:
 
 
 #: The columns execution decides and their in-memory typecodes, in the
-#: order a stored :class:`Trace` lists them; :func:`_pack_execution`
-#: derives every other column from the program.
+#: order a stored :class:`Trace` lists them; :func:`_gather` derives
+#: every other column from the program.
 _COLUMNS = (("pc", "q"), ("addr", "q"), ("taken", "b"))
 
 #: Stored typecodes from narrowest to widest; a column is stored in the
@@ -237,7 +242,7 @@ class Trace:
     pickles as its program, input name, final memory and the ``pc``,
     ``addr`` and ``taken`` columns, each narrowed to the smallest
     integer typecode that holds it. It unpickles straight back to the
-    in-memory columns without building a record: :func:`_pack_execution`
+    in-memory columns without building a record: :func:`_gather`
     rebuilds the other columns from the program, as :func:`execute` does.
     So ``Trace(program, records)`` round-trips only when its records are
     the ones :func:`execute` would write for ``program``.
@@ -298,8 +303,7 @@ class Trace:
         self.program = program
         self.input_name = state["input_name"]
         self.final_memory = state["final_memory"]
-        self._packed = _pack_execution(program.instructions, pc, addr,
-                                       taken)
+        self._packed = _gather(program.instructions, pc, addr, taken)
 
     def __len__(self) -> int:
         return self._packed.n
@@ -498,7 +502,19 @@ def execute(program: Program, max_insts: int = 2_000_000,
     raises :class:`ExecutionLimitExceeded`. With ``capture_memory`` the
     final memory image is attached to the trace (used by transformation
     passes to verify semantics preservation).
+
+    The compiled kernel runs the program when it can
+    (:func:`repro.pipeline.ckern.execute`, which holds the same Python
+    ints this loop holds); the loop below is its reference and runs
+    whenever the kernel is unavailable or declines.
     """
+    from ..pipeline import ckern
+    native = ckern.execute(program, max_insts, regs_init, capture_memory)
+    if native is not None:
+        pcs, addrs, takens, final_memory = native
+        return Trace(program, _gather(program.instructions, pcs, addrs,
+                                      takens),
+                     input_name=input_name, final_memory=final_memory)
     insts = program.instructions
     n_insts = len(insts)
     memory = list(program.data) + [0] * (program.memory_words
@@ -506,7 +522,7 @@ def execute(program: Program, max_insts: int = 2_000_000,
     regs = list(regs_init) if regs_init is not None else [0] * 32
     regs[0] = 0
     # Per retired instruction, only the fields that vary between
-    # instances of one static instruction; _pack_execution adds the rest.
+    # instances of one static instruction; _gather adds the rest.
     pcs = array("q")
     addrs = array("q")
     takens = array("b")
@@ -666,9 +682,22 @@ def execute(program: Program, max_insts: int = 2_000_000,
     pc_append(pc)
     addr_append(-1)
     taken_append(0)
-    return Trace(program, _pack_execution(insts, pcs, addrs, takens),
+    return Trace(program, _gather(insts, pcs, addrs, takens),
                  input_name=input_name,
                  final_memory=memory if capture_memory else None)
+
+
+def _gather(insts, pc: array, addr: array, taken: array) -> PackedTrace:
+    """The complete columns of an executed trace: the kernel's gather
+    (:func:`repro.pipeline.ckern.gather`), else :func:`_pack_execution`,
+    its reference."""
+    from ..pipeline import ckern
+    fixed = ckern.gather(insts, pc)
+    if fixed is None:
+        return _pack_execution(insts, pc, addr, taken)
+    op, opclass, latency, rd, next_pc, srcs, srcs_start = fixed
+    return PackedTrace(None, array("b", bytes(len(pc))), pc, op, opclass,
+                       latency, rd, addr, taken, next_pc, srcs, srcs_start)
 
 
 def _pack_execution(insts, pc: array, addr: array,

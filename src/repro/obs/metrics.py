@@ -289,8 +289,9 @@ def collect_ckern(registry: MetricsRegistry, counters=None) -> None:
     ``repro_run_batch`` calls ran, how many points they covered, how
     many points fell back to per-point execution), the previously
     silent event-tap overflow retries, reference-path trace folds,
-    Slack-Dynamic runs completed in C or rerun in Python, and the calls
-    and nanoseconds spent inside each native entry point
+    Slack-Dynamic runs completed in C or rerun in Python, functional
+    traces the kernel declined, and the calls and nanoseconds spent
+    inside each native entry point
     (``ckern.<entry>.calls`` / ``ckern.<entry>.ns``). Pass a mapping to
     harvest a snapshot; the default reads the live module counters.
     """
@@ -336,6 +337,9 @@ def collect_ckern(registry: MetricsRegistry, counters=None) -> None:
     registry.counter("ckern.policy_fallbacks",
                      "Kernel-accepted Slack-Dynamic runs rerun in "
                      "Python").inc(counters.get("policy_fallbacks", 0))
+    registry.counter("ckern.execute_fallbacks",
+                     "Functional traces the kernel declined to execute "
+                     "or gather").inc(counters.get("execute_fallbacks", 0))
     for entry in ckern.ENTRY_POINTS:
         registry.counter(f"ckern.{entry}.calls",
                          f"Native {entry} calls").inc(

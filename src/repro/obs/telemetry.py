@@ -258,6 +258,17 @@ def validate_telemetry(lines: Iterable[str]) -> Dict[str, Any]:
             "instants": instants, "cats": cats}
 
 
+def count_events(path) -> int:
+    """The events a telemetry file holds: its lines after the manifest.
+
+    A pooled run's workers append to the file their parent opened, so
+    this, not the parent's :attr:`TelemetryWriter.events_written`, is
+    the run's count.
+    """
+    with open(path) as handle:
+        return sum(1 for line in handle if line.strip()) - 1
+
+
 def validate_file(path) -> Dict[str, Any]:
     """Validate a telemetry file on disk (see :func:`validate_telemetry`)."""
     path = Path(path)

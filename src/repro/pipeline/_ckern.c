@@ -2078,7 +2078,7 @@ static void tap_fold(const int64_t *events, int64_t n_words,
  * RC_LAYOUT. Either way the caller runs the Python reference fold.
  *
  * The arena lives in one malloc block sized exactly by a counting pass
- * (``*block`` receives it; release with repro_fold_free). D's columns
+ * (``*block`` receives it; release with repro_free). D's columns
  * point into it and are never written after this call returns. */
 enum {
     FS_START, FS_END, FS_HANDLE_PC, FS_TPL, FS_NOMINAL, FS_OUTIX,
@@ -2294,7 +2294,9 @@ done:
     return rc;
 }
 
-void repro_fold_free(void *block) {
+/* Release a block a kernel entry allocated: repro_fold's arena, or a
+ * column repro_execute wrote. */
+void repro_free(void *block) {
     free(block);
 }
 
@@ -2851,3 +2853,298 @@ done:
     free(s_val); free(s_cix); free(s_cgen); free(fill);
     return rc;
 }
+
+/* ------------------------------------------------------------------ */
+/* functional traces: repro_execute and repro_gather                  */
+/* ------------------------------------------------------------------ */
+/* Ports of isa/interp.py, which remains the behavioural reference:
+ * repro_execute is the loop of execute() and writes the three columns
+ * execution decides (pc, addr, taken); repro_gather is
+ * _pack_execution and derives the other columns of a trace, fresh or
+ * loaded from the store, from the static instructions. */
+
+/* Words per static instruction in repro_gather's table: op, opclass,
+ * latency, rd (-1 unless it writes a register), and the offset and
+ * count of its sources in the flat source list. */
+#define GATHER_ROW 6
+
+/* The columns the program fixes, for the executed pcs: one table row
+ * per record, its sources appended to ``srcs`` (CSR offsets in
+ * ``srcs_start``, n + 1 entries), and ``next_pc`` the pc that retired
+ * next (the last record, the halt, names itself). Returns the number
+ * of sources written, or -RC_UNSUPPORTED on a pc outside the program
+ * or a source list longer than ``srcs_cap``. */
+int64_t repro_gather(const int64_t *rows, const int64_t *static_srcs,
+                     int64_t n_static, const int64_t *pc, int64_t n,
+                     int64_t *op, int64_t *opclass, int64_t *latency,
+                     int64_t *rd, int64_t *next_pc, int64_t *srcs,
+                     int64_t srcs_cap, int64_t *srcs_start) {
+    int64_t total = 0;
+    srcs_start[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t p = pc[i];
+        if (p < 0 || p >= n_static) return -RC_UNSUPPORTED;
+        const int64_t *row = rows + p * GATHER_ROW;
+        op[i] = row[0];
+        opclass[i] = row[1];
+        latency[i] = row[2];
+        rd[i] = row[3];
+        if (row[5] > srcs_cap - total) return -RC_UNSUPPORTED;
+        for (int64_t k = 0; k < row[5]; k++)
+            srcs[total++] = static_srcs[row[4] + k];
+        srcs_start[i + 1] = total;
+        next_pc[i] = i + 1 < n ? pc[i + 1] : p;
+    }
+    return total;
+}
+
+#ifdef __SIZEOF_INT128__
+/* Registers and memory words hold the exact Python ints execute()
+ * holds, not their 64-bit images: a program may load a negative data
+ * word, and Python then computes with values outside [0, 2^64) (for
+ * example ``-2 ^ to_unsigned(imm)`` is below -2^63). Every value a
+ * register can hold lies in [-2^64, 2^64): masked results in
+ * [0, 2^64), data words and regs_init in int64, and bitwise ops on
+ * 65-bit two's-complement values stay there. to_signed moves that range
+ * to [-2^64 - 2^63, 2^63). So an __int128 holds each value exactly, and
+ * its bitwise ops, arithmetic right shifts and comparisons agree with
+ * Python's ints. The products of MULH and FMUL and the true division of
+ * DIV and REM are exact only on narrower operands; anything wider
+ * declines (below). */
+typedef __int128 i128;
+
+#define EX_TWO63 (((i128)1) << 63)
+#define EX_TWO64 (((i128)1) << 64)
+#define EX_TWO53 (((i128)1) << 53)
+
+/* Opcodes of the functional interpreter; ckern.EXEC_OPS lists their
+ * mnemonics in this order, and an opcode outside it (MGH) has code -1. */
+enum {
+    EX_ADD, EX_SUB, EX_AND, EX_OR, EX_XOR, EX_NOR, EX_SLL, EX_SRL, EX_SRA,
+    EX_SLT, EX_SLTU, EX_SEQ, EX_CMOVZ, EX_CMOVN,
+    EX_ADDI, EX_ANDI, EX_ORI, EX_XORI, EX_SLLI, EX_SRLI, EX_SRAI,
+    EX_SLTI, EX_SEQI, EX_LI,
+    EX_MUL, EX_MULH, EX_DIV, EX_REM, EX_FADD, EX_FMUL,
+    EX_LD, EX_ST,
+    EX_BEQ, EX_BNE, EX_BLT, EX_BGE, EX_BLTU, EX_BGEU, EX_JMP, EX_JAL,
+    EX_JR,
+    EX_NOP, EX_HALT,
+    EX_COUNT
+};
+
+/* Words per static instruction in repro_execute's table: opcode code,
+ * rd (-1 for none), three sources (0-padded) and the immediate. */
+#define EXEC_ROW 6
+
+/* to_signed: bit 63 is the sign of the 64-bit word, for any int. */
+static i128 ex_signed(i128 v) {
+    return (v & EX_TWO63) ? v - EX_TWO64 : v;
+}
+
+/* to_unsigned: the low 64 bits. */
+static i128 ex_unsigned(i128 v) {
+    return (i128)(uint64_t)v;
+}
+
+/* Whether a conditional branch is taken. */
+static int ex_taken(int64_t code, i128 a, i128 b) {
+    switch (code) {
+    case EX_BEQ: return a == b;
+    case EX_BNE: return a != b;
+    case EX_BLT: return ex_signed(a) < ex_signed(b);
+    case EX_BGE: return ex_signed(a) >= ex_signed(b);
+    case EX_BLTU: return a < b;
+    default: return a >= b;                           /* EX_BGEU */
+    }
+}
+
+typedef struct {
+    int64_t *pc, *addr;
+    int8_t *taken;
+    int64_t n, cap;
+} ExecCols;
+
+static int ex_append(ExecCols *c, int64_t pc, int64_t addr, int taken) {
+    if (c->n == c->cap) {
+        int64_t cap = c->cap ? 2 * c->cap : 4096;
+        int64_t *p = (int64_t *)realloc(c->pc, (size_t)cap * 8);
+        if (!p) return 0;
+        c->pc = p;
+        p = (int64_t *)realloc(c->addr, (size_t)cap * 8);
+        if (!p) return 0;
+        c->addr = p;
+        int8_t *t = (int8_t *)realloc(c->taken, (size_t)cap);
+        if (!t) return 0;
+        c->taken = t;
+        c->cap = cap;
+    }
+    c->pc[c->n] = pc;
+    c->addr[c->n] = addr;
+    c->taken[c->n] = (int8_t)taken;
+    c->n++;
+    return 1;
+}
+
+/* execute(): run from pc 0 with ``regs_init`` (32 words, or NULL for
+ * zeros) and the data words at address 0 until the halt retires.
+ * Returns the number of records, the columns in ``*pc_out``,
+ * ``*addr_out`` and ``*taken_out`` (release each with repro_free);
+ * with ``mem_lo`` and ``mem_neg`` (``memory_words`` entries each) also
+ * the final memory, each word as its low 64 bits and whether it is
+ * negative. Returns -RC_NOMEM, or -RC_UNSUPPORTED where the Python
+ * loop raises or computes beyond the exact range: the instruction
+ * limit, a pc outside the program, a load or store beyond
+ * ``memory_words``, MULH or FMUL on an operand outside [0, 2^64), DIV
+ * or REM on a signed operand beyond +-2^53 (Python divides through a
+ * correctly rounded double, which is exact only there), or an opcode
+ * without a code. The caller then reruns the Python loop, which
+ * raises or computes what it always did. */
+int64_t repro_execute(const int64_t *rows, int64_t n_insts,
+                      const int64_t *data, int64_t n_data,
+                      int64_t memory_words, const int64_t *regs_init,
+                      int64_t max_insts, int64_t **pc_out,
+                      int64_t **addr_out, int8_t **taken_out,
+                      uint64_t *mem_lo, int8_t *mem_neg) {
+    *pc_out = *addr_out = NULL;
+    *taken_out = NULL;
+    if (n_data < 0 || memory_words < n_data) return -RC_UNSUPPORTED;
+    for (int64_t i = 0; i < n_insts; i++) {
+        const int64_t *row = rows + i * EXEC_ROW;
+        if (row[0] < -1 || row[0] >= EX_COUNT || row[1] < -1 ||
+            row[1] >= 32)
+            return -RC_UNSUPPORTED;
+        for (int k = 2; k < 5; k++)
+            if (row[k] < 0 || row[k] >= 32) return -RC_UNSUPPORTED;
+    }
+    i128 *mem = (i128 *)calloc((size_t)(memory_words ? memory_words : 1),
+                               sizeof(i128));
+    if (!mem) return -RC_NOMEM;
+    for (int64_t i = 0; i < n_data; i++) mem[i] = data[i];
+    i128 regs[32];
+    for (int k = 0; k < 32; k++) regs[k] = regs_init ? regs_init[k] : 0;
+    regs[0] = 0;
+
+    ExecCols c = {NULL, NULL, NULL, 0, 0};
+    int64_t rc = -RC_UNSUPPORTED;
+    i128 pc = 0;
+    int64_t retired = 0;
+    for (;;) {
+        if (retired >= max_insts) goto done;          /* limit */
+        if (pc < 0 || pc >= n_insts) goto done;       /* control fault */
+        const int64_t *row = rows + (int64_t)pc * EXEC_ROW;
+        int64_t rd = row[1];
+        i128 a = regs[row[2]], b = regs[row[3]], c3 = regs[row[4]];
+        int64_t imm = row[5];
+        int64_t addr = -1;
+        int taken = 0, writes = 1;
+        i128 next_pc = pc + 1;
+        i128 value = 0;
+        switch (row[0]) {
+        case EX_ADD: value = ex_unsigned(a + b); break;
+        case EX_ADDI: value = ex_unsigned(a + imm); break;
+        case EX_SUB: value = ex_unsigned(a - b); break;
+        case EX_AND: value = a & b; break;
+        case EX_OR: value = a | b; break;
+        case EX_XOR: value = a ^ b; break;
+        case EX_NOR: value = ex_unsigned(~(a | b)); break;
+        case EX_SLL: value = (i128)((uint64_t)a << (int)(b & 63)); break;
+        case EX_SRL: value = a >> (int)(b & 63); break;
+        case EX_SRA: value = ex_unsigned(ex_signed(a) >> (int)(b & 63));
+            break;
+        case EX_SLT: value = ex_signed(a) < ex_signed(b); break;
+        case EX_SLTU: value = a < b; break;
+        case EX_SEQ: value = a == b; break;
+        case EX_ANDI: value = a & ex_unsigned(imm); break;
+        case EX_ORI: value = a | ex_unsigned(imm); break;
+        case EX_XORI: value = a ^ ex_unsigned(imm); break;
+        case EX_SLLI: value = (i128)((uint64_t)a << (imm & 63)); break;
+        case EX_SRLI: value = a >> (imm & 63); break;
+        case EX_SRAI: value = ex_unsigned(ex_signed(a) >> (imm & 63));
+            break;
+        case EX_SLTI: value = ex_signed(a) < imm; break;
+        case EX_SEQI: value = ex_signed(a) == imm; break;
+        case EX_LI: value = ex_unsigned(imm); break;
+        case EX_CMOVZ: value = b == 0 ? a : c3; break;
+        case EX_CMOVN: value = b != 0 ? a : c3; break;
+        case EX_MUL: value = (i128)((uint64_t)a * (uint64_t)b); break;
+        case EX_MULH:
+        case EX_FMUL:
+            /* Signed 64-bit operands keep the product below 2^127. */
+            if (a < 0 || a >= EX_TWO64 || b < 0 || b >= EX_TWO64) goto done;
+            value = ex_unsigned((ex_signed(a) * ex_signed(b)) >>
+                                (row[0] == EX_MULH ? 64 : 16));
+            break;
+        case EX_DIV:
+        case EX_REM: {
+            i128 sb = ex_signed(b);
+            if (sb == 0) { value = 0; break; }
+            i128 sa = ex_signed(a);
+            if (sa > EX_TWO53 || sa < -EX_TWO53 || sb > EX_TWO53 ||
+                sb < -EX_TWO53)
+                goto done;
+            /* int(sa / sb): true division, truncated toward zero. */
+            int64_t q = (int64_t)((double)(int64_t)sa / (double)(int64_t)sb);
+            value = ex_unsigned(row[0] == EX_DIV ? (i128)q
+                                                 : sa - (i128)q * sb);
+            break;
+        }
+        case EX_FADD: value = ex_unsigned(a + b); break;
+        case EX_LD:
+        case EX_ST: {
+            uint64_t ea = (uint64_t)(a + imm);
+            if (ea >= (uint64_t)memory_words) goto done;  /* memory fault */
+            addr = (int64_t)ea;
+            if (row[0] == EX_LD) {
+                value = mem[addr];
+            } else {
+                mem[addr] = b;
+                writes = 0;
+            }
+            break;
+        }
+        case EX_BEQ: case EX_BNE: case EX_BLT:
+        case EX_BGE: case EX_BLTU: case EX_BGEU:
+            taken = ex_taken(row[0], a, b);
+            if (taken) next_pc = imm;
+            writes = 0;
+            break;
+        case EX_JMP: taken = 1; writes = 0; next_pc = imm; break;
+        case EX_JAL: taken = 1; value = pc + 1; next_pc = imm; break;
+        case EX_JR: taken = 1; writes = 0; next_pc = a; break;
+        case EX_NOP: writes = 0; break;
+        case EX_HALT:
+            /* The halt retires too: no address, not taken. */
+            rc = ex_append(&c, (int64_t)pc, -1, 0) ? c.n : -RC_NOMEM;
+            goto done;
+        default:                                      /* no code (MGH) */
+            goto done;
+        }
+        if (writes && rd > 0) regs[rd] = value;
+        if (!ex_append(&c, (int64_t)pc, addr, taken)) {
+            rc = -RC_NOMEM;
+            goto done;
+        }
+        retired++;
+        pc = next_pc;
+    }
+
+done:
+    if (rc > 0) {
+        if (mem_lo && mem_neg) {
+            for (int64_t i = 0; i < memory_words; i++) {
+                mem_lo[i] = (uint64_t)mem[i];
+                mem_neg[i] = mem[i] < 0;
+            }
+        }
+        *pc_out = c.pc;
+        *addr_out = c.addr;
+        *taken_out = c.taken;
+    } else {
+        free(c.pc);
+        free(c.addr);
+        free(c.taken);
+    }
+    free(mem);
+    return rc;
+}
+#endif /* __SIZEOF_INT128__ */

@@ -26,7 +26,9 @@ per-site state in and out as int64 arrays. This module
   singleton columns and a per-site plan table (:func:`fold`),
 * copies the kernel's counters back into the core's ``RunStats`` /
   ``ActivityCounters`` / hierarchy objects so callers cannot tell which
-  path ran.
+  path ran,
+* executes programs and gathers their trace columns for
+  :func:`repro.isa.interp.execute` (:func:`execute`, :func:`gather`).
 
 The Python implementation remains the behavioural reference: the golden
 stats gate, ``tests/pipeline/test_ckern.py`` and the lockstep fuzzer hold
@@ -149,6 +151,7 @@ TAP_FLAG_GLOBAL = 1  # TAP_VALUE records for the global-slack backward DP
 MAX_PRODUCERS = 8
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
+_U64P = ctypes.POINTER(ctypes.c_uint64)
 _I8P = ctypes.POINTER(ctypes.c_int8)
 _DBLP = ctypes.POINTER(ctypes.c_double)
 
@@ -197,7 +200,7 @@ class _CBatchPoint(ctypes.Structure):
 
 #: Native entry points, each timed around its ctypes call alone.
 ENTRY_POINTS = ("fold", "run_batch", "profile_build", "plan_enumerate",
-                "plan_score", "global_fold")
+                "plan_score", "global_fold", "execute", "gather")
 
 # Dispatch/fallback tallies, harvested post-hoc by
 # ``repro.obs.metrics.collect_ckern`` (pure counters: reading or
@@ -217,6 +220,8 @@ counters = {
     "scoring_calls": 0,               # repro_score_candidates calls
     "global_folds_native": 0,         # repro_global_fold successes
     "plan_fallbacks": 0,       # plan-kernel calls degraded to Python
+    # Functional traces (repro_execute / repro_gather).
+    "execute_fallbacks": 0,    # traces the Python interpreter built
 }
 # Time inside C: ``<entry>_calls`` and ``<entry>_ns`` per entry point.
 for _entry in ENTRY_POINTS:
@@ -324,8 +329,8 @@ def _load():
             ctypes.POINTER(_CTrace), _I64P, ctypes.c_int64,  # trace, pc_map
             _I64P, ctypes.c_int64, _I64P, ctypes.c_int64,    # sites, ext
             ctypes.POINTER(_CTrace), ctypes.POINTER(ctypes.c_void_p)]
-        lib.repro_fold_free.restype = None
-        lib.repro_fold_free.argtypes = [ctypes.c_void_p]
+        lib.repro_free.restype = None
+        lib.repro_free.argtypes = [ctypes.c_void_p]
         lib.repro_run_batch.restype = ctypes.c_int64
         lib.repro_run_batch.argtypes = [ctypes.POINTER(_CBatchPoint),
                                         ctypes.c_int64, ctypes.c_int64]
@@ -357,6 +362,24 @@ def _load():
             _I64P, ctypes.c_int64, ctypes.c_int64,       # event log
             _I8P, _I64P, ctypes.c_int64,                 # kind, pc, n
             ctypes.c_int64, _DBLP, _DBLP, _I64P]         # cap, aggregates
+        lib.repro_gather.restype = ctypes.c_int64
+        lib.repro_gather.argtypes = [
+            _I64P, _I64P, ctypes.c_int64,                # static table
+            _I64P, ctypes.c_int64,                       # pc column
+            _I64P, _I64P, _I64P, _I64P, _I64P,           # op..next_pc
+            _I64P, ctypes.c_int64, _I64P]                # srcs (CSR)
+        # Built only where the compiler has __int128 (the exact values
+        # of execute()); elsewhere every trace is executed in Python.
+        if hasattr(lib, "repro_execute"):
+            lib.repro_execute.restype = ctypes.c_int64
+            lib.repro_execute.argtypes = [
+                _I64P, ctypes.c_int64,                   # static table
+                _I64P, ctypes.c_int64, ctypes.c_int64,   # data, memory
+                _I64P, ctypes.c_int64,                   # regs, limit
+                ctypes.POINTER(ctypes.c_void_p),         # pc, addr and
+                ctypes.POINTER(ctypes.c_void_p),         # taken columns
+                ctypes.POINTER(ctypes.c_void_p),
+                _U64P, _I8P]                             # final memory
     except (OSError, AttributeError):
         _lib_failed = True
         return None
@@ -393,7 +416,7 @@ def _ptr(buf, ptr_type):
 #: The ctypes element and pointer type of each array typecode a kernel
 #: entry takes.
 _PIN_TYPES = {"q": (ctypes.c_int64, _I64P), "b": (ctypes.c_int8, _I8P),
-              "d": (ctypes.c_double, _DBLP)}
+              "d": (ctypes.c_double, _DBLP), "Q": (ctypes.c_uint64, _U64P)}
 
 
 class _Pins(list):
@@ -599,7 +622,7 @@ def fold(packed, pc_map: array, sites: array, ext: array
     if rc != RC_OK:
         return None
     mtrace = MarshalledTrace(struct, None)
-    weakref.finalize(mtrace, lib.repro_fold_free, block.value)
+    weakref.finalize(mtrace, lib.repro_free, block.value)
     return mtrace
 
 
@@ -951,3 +974,137 @@ def global_fold(events: array, n_words: int, n_committed: int,
         return None
     counters["global_folds_native"] += 1
     return int(rc), sums, mins, counts
+
+
+# ---------------------------------------------------------------------
+# Functional traces
+# ---------------------------------------------------------------------
+#
+# ``repro_execute`` runs a program as ``isa.interp.execute`` does and
+# ``repro_gather`` derives a trace's columns as ``_pack_execution``
+# does; both Python functions stay as the reference and run whenever
+# these wrappers return None.
+
+#: The opcodes ``repro_execute`` runs, by mnemonic, in the order of the
+#: EX_* enum in _ckern.c. Any other opcode (the mini-graph handle) has
+#: code -1, and the kernel declines a program that reaches one.
+EXEC_OPS = ("add", "sub", "and", "or", "xor", "nor", "sll", "srl", "sra",
+            "slt", "sltu", "seq", "cmovz", "cmovn",
+            "addi", "andi", "ori", "xori", "slli", "srli", "srai",
+            "slti", "seqi", "li",
+            "mul", "mulh", "div", "rem", "fadd", "fmul",
+            "ld", "st",
+            "beq", "bne", "blt", "bge", "bltu", "bgeu", "jmp", "jal", "jr",
+            "nop", "halt")
+
+
+@lru_cache(maxsize=None)
+def _exec_codes() -> tuple:
+    """The EX_* code of every opcode, indexed by opcode."""
+    from ..isa.opcodes import OP_INFO
+    return tuple(EXEC_OPS.index(info.name) if info.name in EXEC_OPS
+                 else -1 for info in OP_INFO)
+
+
+def _take(block: ctypes.c_void_p, code: str, n: int) -> array:
+    """The ``n``-entry column the kernel allocated at ``block``, copied
+    into an array; the block is freed."""
+    col = array(code)
+    col.frombytes(ctypes.string_at(block, n * col.itemsize))
+    _lib.repro_free(block)
+    return col
+
+
+def execute(program, max_insts: int, regs_init, capture_memory: bool
+            ) -> Optional[tuple]:
+    """Run ``program`` in C, as :func:`repro.isa.interp.execute` runs it.
+
+    Returns the ``pc``, ``addr`` and ``taken`` columns and the final
+    memory (a list of the Python ints ``execute`` holds, or None without
+    ``capture_memory``). Returns None when the kernel is unavailable or
+    declines, counting each decline in ``execute_fallbacks``; the caller
+    then runs the Python loop, which raises or computes what it always
+    did. The kernel declines an immediate, data word or ``regs_init``
+    value outside int64, a ``regs_init`` shorter than 32 words, and
+    whatever ``repro_execute`` declines: a fault, the instruction limit,
+    a MULH or FMUL operand outside ``[0, 2**64)``, a DIV or REM signed
+    operand beyond ``+-2**53`` and an opcode it has no code for.
+    """
+    if not available() or not hasattr(_lib, "repro_execute"):
+        return None
+    insts = program.instructions
+    codes = _exec_codes()
+    rows = array("q")
+    try:
+        for inst in insts:
+            srcs = (*inst.srcs, 0, 0, 0)
+            rows.extend((codes[inst.op], -1 if inst.rd is None else inst.rd,
+                         srcs[0], srcs[1], srcs[2], inst.imm))
+        data = array("q", program.data)
+        regs = None if regs_init is None else array("q", regs_init)
+        fits = regs is None or len(regs) >= 32
+    except (OverflowError, TypeError):  # a value array('q') cannot hold
+        fits = False
+    if not fits:
+        counters["execute_fallbacks"] += 1
+        return None
+    words = program.memory_words
+    # The final memory, each word as its low 64 bits and a sign flag.
+    memory = (array("Q", bytes(8 * words)), array("b", bytes(words))) \
+        if capture_memory else None
+    cols = (ctypes.c_void_p(), ctypes.c_void_p(), ctypes.c_void_p())
+    pin = _Pins()
+    n = _native("execute", _lib.repro_execute, pin(rows), len(insts),
+                pin(data), len(data), words,
+                None if regs is None else pin(regs), max_insts,
+                *map(ctypes.byref, cols),
+                *(map(pin, memory) if memory else (None, None)))
+    del pin
+    if n <= 0:
+        counters["execute_fallbacks"] += 1
+        return None
+    pc, addr, taken = (_take(block, code, n)
+                       for block, code in zip(cols, "qqb"))
+    final_memory = None
+    if memory:
+        low, negative = memory
+        final_memory = low.tolist()
+        for i in compress(range(words), negative):
+            final_memory[i] -= 1 << 64
+    return pc, addr, taken, final_memory
+
+
+def gather(insts, pc: array) -> Optional[tuple]:
+    """The columns the program fixes, gathered in C for the executed
+    ``pc`` column, as :func:`repro.isa.interp._pack_execution` builds
+    them: ``op``, ``opclass``, ``latency``, ``rd``, ``next_pc``,
+    ``srcs`` and ``srcs_start``. None when the kernel is unavailable or
+    declines a ``pc`` outside the program (counted in
+    ``execute_fallbacks``)."""
+    if not available():
+        return None
+    rows = array("q")
+    static_srcs = array("q")
+    width = 0
+    for inst in insts:
+        srcs = inst.srcs
+        rows.extend((inst.op, inst.opclass, inst.latency,
+                     inst.rd if inst.writes_reg else -1,
+                     len(static_srcs), len(srcs)))
+        static_srcs.extend(srcs)
+        width = max(width, len(srcs))
+    n = len(pc)
+    fixed = [array("q", bytes(8 * n)) for _ in range(5)]
+    srcs = array("q", bytes(8 * n * width))
+    srcs_start = array("q", bytes(8 * (n + 1)))
+    pin = _Pins()
+    total = _native("gather", _lib.repro_gather, pin(rows),
+                    pin(static_srcs), len(insts), pin(pc), n,
+                    *map(pin, fixed), pin(srcs), len(srcs),
+                    pin(srcs_start))
+    del pin
+    if total < 0:
+        counters["execute_fallbacks"] += 1
+        return None
+    del srcs[total:]
+    return (*fixed, srcs, srcs_start)

@@ -222,6 +222,16 @@ def test_parallel_requires_persistent_store():
         run_points(Runner(), _points(), jobs=2)
 
 
+def test_limit_study_pool_requires_persistent_store():
+    """The limit study keeps run_points' contract: a pool without a disk
+    store raises before any work instead of running serially."""
+    from repro.analysis.limit_study import run_limit_study
+    runner = Runner()
+    with pytest.raises(ValueError, match="persistent"):
+        run_limit_study(runner, subset_cap=8, jobs=2)
+    assert runner.store.stats.misses == 0
+
+
 def test_runner_key_includes_max_insts(tmp_path):
     """The seed's memo-key bug: traces keyed without max_insts aliased.
 

@@ -363,6 +363,20 @@ def test_telemetry_validates_experiments_output(capsys, tmp_path):
     assert "runner=" in out
 
 
+def test_telemetry_line_counts_pool_workers_events(capsys, tmp_path):
+    """The ``[telemetry] N events`` line counts the events the file
+    holds, the pool workers' included, as ``repro telemetry`` does."""
+    trace = tmp_path / "trace.jsonl"
+    assert main(["experiments", "fig1", "--suites", "comm", "--limit", "2",
+                 "--jobs", "2", "--telemetry", str(trace)]) == 0
+    line, = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("[telemetry]")]
+    assert main(["telemetry", str(trace)]) == 0
+    out = capsys.readouterr().out
+    events = int(out.split("OK (")[1].split(" events")[0])
+    assert line == f"[telemetry] {events} events -> {trace}"
+
+
 def test_telemetry_rejects_corrupt_file(capsys, tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"name": "e", "cat": "c", "ph": "i", "ts": 0}\n')

@@ -1,15 +1,21 @@
 """Traces as columns: parity with the record objects, the stored form,
-and a cold path that builds no record.
+a cold path that builds no record, and the kernel against the Python
+interpreter.
 
 ``execute`` writes a trace straight into its ``PackedTrace`` columns;
 ``Trace.records`` is a view built on first read. A stored trace is its
 ``pc``, ``addr`` and ``taken`` columns, each narrowed to the smallest
 typecode holding it; loading widens them back and rebuilds the other
-eight columns from the program, without building a record.
+eight columns from the program, without building a record. The
+compiled kernel executes and gathers the columns where it can; the
+Python interpreter is its reference on every program of the population
+and on random programs.
 """
 
 import pickle
+import random
 from array import array
+from collections import Counter
 from itertools import cycle
 
 import pytest
@@ -18,16 +24,20 @@ from repro.check.fuzz import FuzzSpec
 from repro.exec.store import ArtifactStore
 from repro.harness.runner import Runner
 from repro.isa import Assembler
+from repro.isa import opcodes as oc
+from repro.isa.instruction import Instruction
 from repro.isa.interp import (
     MachineState, PackedTrace, Trace, TraceRecord, execute,
 )
+from repro.isa.program import Program
 from repro.minigraph.selectors import SlackProfileSelector, StructAll
 from repro.minigraph.transform import fold_trace
 from repro.pipeline import ckern
 from repro.pipeline.core import OoOCore
-from repro.workloads.suite import benchmark
+from repro.workloads.suite import all_benchmarks, benchmark
 
 from ..pipeline.test_batch_kernel import BENCHES, _full_stats
+from .test_interp import outcome, pure_python
 
 needs_kernel = pytest.mark.skipif(
     not ckern.available(),
@@ -270,3 +280,114 @@ def test_python_loop_on_loaded_trace(tmp_path, monkeypatch, reduced_cfg):
         got = OoOCore(reduced_cfg, stream(loaded), warm_caches=True)
         assert got._ctrace is None
         assert _full_stats(got, got.run()) == _full_stats(want, want.run())
+
+
+def _pickled(trace):
+    return pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+@pytest.mark.parametrize("bench", [b.name for b in all_benchmarks()])
+def test_population_kernel_matches_reference(bench):
+    """Every program/input pair of the population (157) runs in the
+    kernel without a decline and gives the Python interpreter's columns
+    and final memory, before and after a pickle round trip, and the same
+    pickled bytes. Eight programs start with negative data words, so the
+    kernel computes with values outside [0, 2**64) here."""
+    for input_name in benchmark(bench).inputs:
+        program = benchmark(bench).program(input_name)
+        before = ckern.counters["execute_fallbacks"]
+        native, got = outcome(program, capture_memory=True)
+        if ckern.available():
+            assert ckern.counters["execute_fallbacks"] == before
+        with pure_python():
+            reference, want = outcome(program, capture_memory=True)
+            stored = _pickled(reference)
+        assert got == want
+        assert _pickled(native) == stored
+        _assert_columns(pickle.loads(stored).packed(), native.packed())
+
+
+#: Random programs in :func:`test_random_programs_match_reference`.
+RANDOM_PROGRAMS = 1200
+RANDOM_LENGTH = 40
+
+#: Every opcode a source program may hold (all but the handle).
+SOURCE_OPS = [op for op, info in enumerate(oc.OP_INFO)
+              if info.opclass != oc.OC_MGH]
+
+
+def _random_word(rng):
+    """A data word, register or immediate value: small, an edge of the
+    int64 and double ranges, any int64, and rarely one beyond int64."""
+    roll = rng.random()
+    if roll < 0.4:
+        return rng.randint(-8, 8)
+    if roll < 0.6:
+        return rng.choice([-(1 << 63), (1 << 63) - 1, -1, 1 << 53,
+                           -(1 << 53), (1 << 53) + 1, 1 << 32, -(1 << 31)])
+    if roll < 0.997:
+        return rng.randint(-(1 << 63), (1 << 63) - 1)
+    return rng.randint(1 << 63, (1 << 64) - 1)
+
+
+def _random_program(rng):
+    """A 40-instruction program over every source opcode and registers
+    r0-r7: mostly forward branch and jump targets, mostly in-bounds
+    memory accesses off r0, and a few ``jr``s, wild targets, wild
+    addresses and out-of-int64 values, so that runs end in a halt, a
+    fault, the instruction limit or a kernel decline."""
+    data = [_random_word(rng) for _ in range(rng.randint(0, 12))]
+    words = len(data) + rng.randint(1, 8)
+    insts = []
+    for pc in range(RANDOM_LENGTH):
+        op = rng.choice(SOURCE_OPS)
+        info = oc.OP_INFO[op]
+        roll = rng.random()
+        if op == oc.JR and roll < 0.9:
+            insts.append(Instruction(oc.NOP))
+            continue
+        srcs = [rng.randint(0, 7) for _ in range(info.n_src)]
+        if info.opclass in (oc.OC_BRANCH, oc.OC_JUMP):
+            imm = rng.randint(pc + 1, RANDOM_LENGTH) if roll < 0.9 \
+                else rng.randint(-2, RANDOM_LENGTH + 2)
+        elif info.opclass in (oc.OC_LOAD, oc.OC_STORE):
+            if roll < 0.8:
+                srcs[0] = 0
+            imm = rng.randint(0, words) if roll < 0.9 \
+                else rng.randint(-(1 << 63), (1 << 63) - 1)
+        elif roll < 0.6:
+            imm = rng.randint(-70, 70)
+        elif roll < 0.998:
+            imm = _random_word(rng)
+        else:
+            imm = rng.choice([1 << 63, -(1 << 63) - 1])
+        insts.append(Instruction(op, rng.randint(0, 7) if info.writes_reg
+                                 else None, tuple(srcs),
+                                 imm if info.has_imm else 0))
+    insts.append(Instruction(oc.HALT))
+    regs = [_random_word(rng) for _ in range(32)] \
+        if rng.random() < 0.5 else None
+    return Program("random", insts, data, memory_words=words), regs
+
+
+def test_random_programs_match_reference():
+    """Seeded random programs: the kernel gives the Python interpreter's
+    columns and final memory, or both raise the same exception with the
+    same text; most run in the kernel, the rest decline."""
+    rng = random.Random(20061209)
+    kinds = Counter()
+    for _ in range(RANDOM_PROGRAMS):
+        program, regs = _random_program(rng)
+        before = ckern.counters["execute_fallbacks"]
+        native, got = outcome(program, max_insts=300, regs_init=regs,
+                              capture_memory=True)
+        kinds[type(native).__name__,
+              ckern.counters["execute_fallbacks"] - before] += 1
+        with pure_python():
+            _reference, want = outcome(program, max_insts=300,
+                                       regs_init=regs, capture_memory=True)
+        assert got == want, program.listing()
+    if ckern.available():
+        assert kinds["Trace", 0] > RANDOM_PROGRAMS / 2
+        assert kinds["Trace", 1] and kinds["MemoryFault", 1] and \
+            kinds["ExecutionLimitExceeded", 1]
