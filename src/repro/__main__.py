@@ -817,8 +817,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="prune: drop artifacts older than this")
     p_cache.add_argument("--kinds", nargs="*", default=None,
                          help="prune: restrict to artifact kinds "
-                              "(trace profile candidates plan baseline "
-                              "run run-dynamic subset)")
+                              "(profile baseline run run-dynamic subset; "
+                              "an older store also holds trace "
+                              "candidates plan)")
     p_cache.set_defaults(fn=_cmd_cache)
 
     args = parser.parse_args(argv)

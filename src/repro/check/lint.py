@@ -72,9 +72,9 @@ def _lint_site(program: Program, site, live_out_sets,
                         f"program of {n} instructions")
         return
     if cand.program is not program:
-        # Plans round-trip through the pickled artifact store, so object
-        # identity cannot be required — but the constituent instructions
-        # must match the program being checked.
+        # A plan built over another copy of the program (a pickled plan,
+        # or a program built again) cannot share its objects — but the
+        # constituent instructions must match the program being checked.
         for pc in range(cand.start, cand.end):
             if cand.program.instructions[pc].render() \
                     != program.instructions[pc].render():

@@ -47,8 +47,8 @@ def is_batchable(task) -> bool:
 
     Every timing node: baselines, slack profiles, and selector and
     Slack-Dynamic timing runs (a descriptor carries the run-time
-    policy's state). Every other stage (trace, candidates, plan,
-    check) is not a cycle loop at all.
+    policy's state). The one other stage, ``check``, is not a cycle
+    loop at all.
     """
     return task.fn in (task_fns.run_baseline, task_fns.run_profile,
                        task_fns.run_timing)

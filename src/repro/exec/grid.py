@@ -1,13 +1,16 @@
 """Experiment grids as deduplicated task DAGs.
 
 A figure regeneration is a set of :class:`Point`\\ s — (benchmark ×
-selector × machine) timing runs plus their baselines. Each point expands
-into the pipeline chain ``trace → [profile] → candidates → plan →
-timing``, but the upstream nodes are shared: every selector on a
-benchmark reuses one trace and one candidate enumeration, every
-slack selector on the same profiling machine reuses one profile, and the
-full-machine baseline every figure normalizes against exists exactly
-once. :func:`build_tasks` performs that deduplication by constructing
+selector × machine) timing runs plus their baselines. Only results are
+DAG nodes: a selector point is one ``timing`` node that depends on the
+``profile`` node its plan needs, if it needs one, and a baseline or a
+profile depends on nothing. Every timing node computes its own trace,
+candidates and plan in whichever process runs it (the runner memoizes
+them, see :mod:`repro.harness.runner`); they cost less to compute than
+to store. Shared nodes are built once: every slack selector on the same
+profiling machine reuses one profile, and the full-machine baseline
+every figure normalizes against exists exactly once.
+:func:`build_tasks` performs that deduplication by constructing
 deterministic task ids from the parameters themselves.
 
 :func:`run_points` schedules only the nodes whose output is missing and
@@ -20,14 +23,13 @@ code path, and bit-identical results for any ``--jobs`` value.
 This module is the only code that turns a :class:`Point` into Runner
 arguments: :func:`point_result` (the memoized run),
 :func:`point_address` (its store address), :func:`point_prepared` (its
-un-run core for batched dispatch), :func:`point_plan` and
-:func:`plan_address` (a selector point's plan and its store address)
-and :func:`build_tasks` share one resolution of the point's machine,
-selector, profiling machine and input
+un-run core for batched dispatch), :func:`point_plan` (a selector
+point's plan) and :func:`build_tasks` share one resolution of the
+point's machine, selector, profiling machine and input
 (:func:`~repro.harness.runner.resolve_profiling`), and policy. Every
 node that serves a point carries it in its spec: a baseline or timing
-node under ``point``, a plan node under ``plan`` and a check node
-under ``check``, so no two nodes' specs are equal.
+node under ``point`` and a check node under ``check``, so no two
+nodes' specs are equal.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def _sel_tag(selector: Dict[str, Any]) -> str:
 
     :func:`build_tasks` deduplicates by task id, so two selectors that
     differ in any hyperparameter must map to distinct tags — otherwise
-    one of their plan/check/timing nodes is silently dropped. The kind
+    one of their check/timing nodes is silently dropped. The kind
     (plus variant, where present) keeps ids readable; a short digest of
     the full canonical spec covers every other knob (``unprofiled_ok``,
     the read-port hyperparameters, ``fixed-set`` site lists, ...).
@@ -229,20 +231,11 @@ def point_prepared(runner, point: Point):
 
 
 def point_plan(runner, point: Point):
-    """The plan a selector ``point``'s run folds, through ``runner``'s
-    store."""
+    """The plan a selector ``point``'s run folds, memoized in
+    ``runner``."""
     kwargs = _runner_kwargs(point)
     del kwargs["config"]        # the timing machine: no plan reads it
     return runner.plan(point.bench, **kwargs)
-
-
-def plan_address(runner, point: Point) -> Tuple[str, Dict]:
-    """The ``(kind, params)`` store address of :func:`point_plan`."""
-    kwargs = _runner_kwargs(point)
-    return "plan", runner.plan_params(
-        point.bench, kwargs["selector"].spec(), kwargs["input_name"],
-        kwargs["profile_config"], kwargs["profile_input"],
-        kwargs["global_slack"])
 
 
 def point_address(runner, point: Point) -> Tuple[str, Dict]:
@@ -264,15 +257,16 @@ def point_address(runner, point: Point) -> Tuple[str, Dict]:
 
 def build_tasks(points: Sequence[Point], runner,
                 check: bool = False) -> List[Task]:
-    """Expand points into a deduplicated trace→profile→plan→timing DAG.
+    """Expand points into a deduplicated DAG of results: baselines,
+    profiles and the timing runs that depend on them.
 
     With ``check`` every selector and slack-dynamic point also gets a
     validation node (stage ``check``, deduplicated per (program,
     selector, plan parameters)) that replays the plan through the
     lockstep engine and the invariant linter and fails the run on any
-    divergence (:func:`repro.exec.tasks.run_check`). Check nodes depend
-    only on the plan and trace, so they run concurrently with the timing
-    runs they vouch for.
+    divergence (:func:`repro.exec.tasks.run_check`). A check node
+    depends only on the profile its plan needs, so it runs concurrently
+    with the timing runs it vouches for.
     """
     base = task_fns.runner_params(runner)
     table: Dict[str, Task] = {}
@@ -281,73 +275,45 @@ def build_tasks(points: Sequence[Point], runner,
         table.setdefault(task.id, task)
         return task.id
 
-    def trace_task(bench: str, input_name: str) -> str:
-        spec = dict(base, bench=bench, input=input_name)
-        return add(Task(id=f"trace/{bench}/{input_name}",
-                        fn=task_fns.run_trace, args=(spec,), stage="trace"))
-
-    def candidates_task(bench: str, input_name: str) -> str:
-        spec = dict(base, bench=bench, input=input_name)
-        return add(Task(
-            id=f"candidates/{bench}/{input_name}/{runner.max_mg_size}",
-            fn=task_fns.run_candidates, args=(spec,),
-            deps=(trace_task(bench, input_name),), stage="candidates"))
-
     def profile_task(bench: str, input_name: str, config: str,
                      global_slack: bool) -> str:
         spec = dict(base, bench=bench, input=input_name, config=config,
                     global_slack=global_slack)
         return add(Task(
             id=f"profile/{bench}/{input_name}/{config}/{global_slack}",
-            fn=task_fns.run_profile, args=(spec,),
-            deps=(trace_task(bench, input_name),), stage="profile"))
-
-    def plan_task(point: Point) -> str:
-        kwargs = _runner_kwargs(point)
-        profile_config = kwargs["profile_config"].name
-        profile_input = kwargs["profile_input"]
-        deps = [trace_task(point.bench, point.input_name),
-                trace_task(point.bench, profile_input),
-                candidates_task(point.bench, point.input_name)]
-        if kwargs["selector"].needs_profile:
-            deps.append(profile_task(point.bench, profile_input,
-                                     profile_config, point.global_slack))
-        return add(Task(
-            id=f"plan/{point.bench}/{point.input_name}"
-               f"/{_sel_tag(_thaw(point.selector))}"
-               f"/{profile_config}/{profile_input}/{point.global_slack}",
-            fn=task_fns.run_plan, args=(dict(base, plan=point),),
-            deps=tuple(deps), stage="plan"))
-
-    def check_task(point: Point) -> str:
-        plan_id = plan_task(point)
-        return add(Task(
-            id=f"check/{plan_id.partition('/')[2]}",
-            fn=task_fns.run_check, args=(dict(base, check=point),),
-            deps=(plan_id, trace_task(point.bench, point.input_name)),
-            stage="check", retries=0))
+            fn=task_fns.run_profile, args=(spec,), stage="profile"))
 
     for point in points:
         spec = dict(base, point=point)
         if point.kind == "baseline":
             add(Task(id=point_id(point),
                      fn=task_fns.run_baseline, args=(spec,),
-                     deps=(trace_task(point.bench, point.input_name),),
                      stage="baseline"))
             continue
         # Slack-Dynamic folds the same Struct-All-pool plan as its
         # static selector point; its run-time policy never alters the
-        # folded record stream, so one plan and one check cover both.
+        # folded record stream, so one check covers both.
         plan_point = point if point.kind == "selector" else selector_point(
             point.bench, {"kind": "slack-dynamic"}, point.config,
             point.input_name)
+        kwargs = _runner_kwargs(plan_point)
+        profile_config = kwargs["profile_config"].name
+        profile_input = kwargs["profile_input"]
+        deps: Tuple[str, ...] = ()
+        if kwargs["selector"].needs_profile:
+            deps = (profile_task(point.bench, profile_input, profile_config,
+                                 plan_point.global_slack),)
         if check:
-            check_task(plan_point)
+            add(Task(
+                id=f"check/{point.bench}/{point.input_name}"
+                   f"/{_sel_tag(_thaw(plan_point.selector))}"
+                   f"/{profile_config}/{profile_input}"
+                   f"/{plan_point.global_slack}",
+                fn=task_fns.run_check, args=(dict(base, check=plan_point),),
+                deps=deps, stage="check", retries=0))
         add(Task(id=point_id(point),
                  fn=task_fns.run_timing, args=(spec,),
-                 deps=(plan_task(plan_point),
-                       trace_task(point.bench, point.input_name)),
-                 stage="timing"))
+                 deps=deps, stage="timing"))
     return list(table.values())
 
 
@@ -425,9 +391,9 @@ def run_points(runner, points: Sequence[Point], jobs: int,
     (program, selector) point; a divergence fails the run (see
     :func:`build_tasks`).
 
-    Worker processes load functional traces from the store like every
-    other artifact: each worker's runner unpickles a trace once and
-    keeps it in its memory layer for the tasks that follow.
+    Worker processes compute their own functional traces, candidates
+    and plans, none of which is a store artifact: each worker's runner
+    builds one once and memoizes it for the tasks that follow.
 
     ``threads`` (from ``--jobs threads:N``, see :func:`parse_jobs`)
     selects batched native dispatch instead of process fan-out: the

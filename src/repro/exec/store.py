@@ -1,22 +1,25 @@
 """Persistent content-addressed artifact store.
 
-Every expensive intermediate of the experiment pipeline — functional
-traces, slack profiles, candidate enumerations, selection plans, timing
-runs — is an *artifact*: a pickled Python object addressed by the SHA-256
-of its complete parameter set (benchmark, input, machine configuration,
+Every result of the experiment pipeline that costs more to recompute
+than to read back — slack profiles, timing runs, limit-study chunks — is
+an *artifact*: a pickled Python object addressed by the SHA-256 of its
+complete parameter set (benchmark, input, machine configuration,
 selector parameters, budget, ``max_mg_size``, ``max_insts``, …) plus a
 code-version salt derived from the simulator sources. Because the key
 covers everything the value depends on, a key either names exactly one
 value or nothing: there is no invalidation protocol, only misses.
+Functional traces, candidate enumerations and selection plans are no
+artifacts: the :class:`~repro.harness.runner.Runner` memoizes them in
+its own process, as they cost less to compute than to store.
 
 The store is two-layered. An in-memory dict gives object *identity*
-within a process (``runner.trace(b) is runner.trace(b)``), preserving the
-old ``Runner`` memoization contract; an optional on-disk layer persists
-artifacts across processes and interpreter restarts and is what lets
-scheduler worker processes share upstream work. Disk writes are atomic
-(temp file + ``os.replace``) so a crashed or killed worker can never
-publish a torn artifact, and unreadable payloads are treated as misses
-and deleted rather than propagated.
+within a process (``runner.baseline(b, c) is runner.baseline(b, c)``);
+an optional on-disk layer persists artifacts across processes and
+interpreter restarts and is what lets scheduler worker processes share
+their results. Disk writes are atomic (temp file + ``os.replace``) so a
+crashed or killed worker can never publish a torn artifact, and
+unreadable payloads are treated as misses and deleted rather than
+propagated.
 
 The disk layer, :class:`ArtifactBackend`, owns the blob layout::
 

@@ -1,25 +1,24 @@
 """Picklable task payloads executed inside scheduler worker processes.
 
 Every function here takes one plain-dict ``spec`` and returns a *small*
-summary dict; the real artifact lands in the on-disk
+summary dict; the real artifact (a profile, a timing run or a
+limit-study chunk) lands in the on-disk
 :class:`~repro.exec.store.ArtifactStore` shared between the parent and
 all workers, which is how downstream tasks (and the parent's final
-reporting pass) pick it up without shipping multi-megabyte traces over
-the result pipe. A node that serves a grid
+reporting pass) pick it up. A node that serves a grid
 :class:`~repro.exec.grid.Point` holds it in its spec (a baseline or
-timing node under ``point``, a plan node under ``plan``, a check node
-under ``check``), and :mod:`repro.exec.grid` alone turns it into Runner
-arguments. A trace, candidates or profile node's spec names its
-benchmark and input (and a profile's machine) directly.
+timing node under ``point``, a check node under ``check``), and
+:mod:`repro.exec.grid` alone turns it into Runner arguments. A profile
+node's spec names its benchmark, input and machine directly.
 
 Specs carry the runner parameters (``budget``, ``max_mg_size``,
 ``warm_caches``, ``max_insts``, ``cache_dir``); each worker process keeps
 one :class:`~repro.harness.runner.Runner` per distinct parameter set so
-that repeated tasks in the same worker also share the in-memory layer.
-That is how workers get functional traces too: the first task that
-needs one loads it from the store, and later tasks in the same process
-hit the memory layer. While :func:`repro.exec.grid.run_points` runs,
-the entry for its caller's parameters is the caller's own runner
+that repeated tasks in the same worker also share its memo. That is
+how workers get functional traces, candidates and plans, none of which
+is stored: the first task that needs one computes it, and later tasks
+in the same process reuse it. While :func:`repro.exec.grid.run_points`
+runs, the entry for its caller's parameters is the caller's own runner
 (:func:`bound_runner`).
 
 :func:`task_artifact` names the store address of each task's artifact;
@@ -71,9 +70,9 @@ def bound_runner(runner) -> Iterator[None]:
     """Make ``runner`` the task runner for its params inside the block.
 
     Tasks then compute in the caller's runner, so their artifacts land
-    in its memory layer and a replay through it hits, memory-only
-    stores included. Pool workers forked inside the block inherit the
-    binding; the previous entry comes back on exit.
+    in its store's memory layer and a replay through it hits,
+    memory-only stores included. Pool workers forked inside the block
+    inherit the binding; the previous entry comes back on exit.
     """
     key = _runner_key(runner_params(runner))
     previous = _RUNNERS.get(key)
@@ -119,14 +118,17 @@ def timing_summary(run) -> Dict[str, Any]:
 
 # -- pipeline-stage tasks ------------------------------------------------------
 
+# No DAG node runs this, but benchmarks/e2e/spans.py patches this name.
 def run_trace(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Materialize the functional trace artifact for one benchmark."""
+    """The functional trace of one benchmark, in the spec's runner."""
     trace = _runner(spec).trace(spec["bench"], spec["input"])
     return {"records": len(trace)}
 
 
+# No DAG node runs this, but benchmarks/e2e/spans.py patches this name.
 def run_candidates(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Materialize the candidate enumeration artifact."""
+    """The candidate enumeration of one benchmark, in the spec's
+    runner."""
     candidates = _runner(spec).candidates(spec["bench"], spec["input"])
     return {"candidates": len(candidates)}
 
@@ -145,8 +147,9 @@ def run_profile(spec: Dict[str, Any]) -> Dict[str, Any]:
     return profile_summary(profile)
 
 
+# No DAG node runs this, but benchmarks/e2e/spans.py patches this name.
 def run_plan(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Selection plan of the spec's selector point."""
+    """Selection plan of the spec's selector point (under ``plan``)."""
     from .grid import point_plan
     plan = point_plan(_runner(spec), spec["plan"])
     return {"templates": plan.n_templates}
@@ -169,8 +172,8 @@ class CheckFailed(RuntimeError):
 def run_check(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Validation node for the spec's selector point.
 
-    Replays the already-materialized plan and trace through the
-    differential lockstep engine and the plan invariant linter
+    Replays the point's plan and trace (memoized in the runner) through
+    the differential lockstep engine and the plan invariant linter
     (:mod:`repro.check`); raises :class:`CheckFailed` on the first
     divergence or lint issue, which fails the experiment run.
     """
@@ -230,18 +233,10 @@ def task_artifact(runner, task) -> Optional[Tuple[str, Dict]]:
     """
     spec = task.args[0] if task.args else {}
     stage = task.stage
-    if stage == "trace":
-        return "trace", runner.trace_params(spec["bench"], spec["input"])
-    if stage == "candidates":
-        return "candidates", runner.candidates_params(spec["bench"],
-                                                      spec["input"])
     if stage == "profile":
         return "profile", runner.profile_params(
             spec["bench"], _config(spec["config"]), spec["input"],
             spec.get("global_slack", False))
-    if stage == "plan":
-        from .grid import plan_address
-        return plan_address(runner, spec["plan"])
     if stage in ("baseline", "timing"):
         from .grid import point_address
         return point_address(runner, spec["point"])

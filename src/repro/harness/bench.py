@@ -295,7 +295,7 @@ def _batch_point(runner: Runner, benchmarks: Sequence[str], selector: str,
     name = f"batch/{selector}"
     threads = max(1, min(8, (os.cpu_count() or 2) - 1))
     matrix = [(bench, config) for bench in benchmarks for config in configs]
-    # Set-up first, so traces and plans are stored before the pool reads.
+    # Set-up first, so profiles are stored before the pool reads.
     cores = [_prepared(runner, bench, selector, config)[0]
              for bench, config in matrix]
 
@@ -414,7 +414,7 @@ def run_bench(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
 
     ``selectors`` defaults to the mode's; ``config`` to the reduced
     machine, or for ``batch`` to reduced and full. ``batch`` pool
-    workers load traces from the runner's store, so without a
+    workers load slack profiles from the runner's store, so without a
     persistent one it runs over a scratch directory.
     ``telemetry`` optionally takes a
     :class:`~repro.obs.telemetry.TelemetryWriter`: every point becomes
@@ -429,7 +429,7 @@ def run_bench(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
     if runner is None:
         runner = Runner()
     if mode == "batch" and not runner.store.persistent:
-        # The pool workers load traces from the store: give them one.
+        # The pool workers load profiles from the store: give them one.
         import tempfile
 
         from ..exec.store import ArtifactStore

@@ -1,16 +1,21 @@
 """Experiment runner: composes tracing, profiling, selection, and timing.
 
-A :class:`Runner` memoizes every expensive intermediate (functional traces,
-slack profiles, candidate enumerations, selection plans, timing runs)
-through a content-addressed :class:`~repro.exec.store.ArtifactStore`.
-Every memo key includes *all* parameters the value depends on —
-benchmark, input, machine configuration (full sizing, not just the name),
-selector parameters, ``budget``, ``max_mg_size``, ``max_insts``,
-``warm_caches`` — plus a code-version salt, so a key can never alias two
-different results. By default the store is memory-only and dies with the
-process (the historical behavior); pass ``store=ArtifactStore(cache_dir)``
-to persist artifacts across runs and share them with scheduler workers
-(see :mod:`repro.exec`).
+A :class:`Runner` memoizes every expensive intermediate in one of two
+places, by what it costs to recompute. Slack profiles and timing runs
+are *results*: each is memoized through a content-addressed
+:class:`~repro.exec.store.ArtifactStore` under a key that includes *all*
+parameters the value depends on — benchmark, input, machine
+configuration (full sizing, not just the name), selector parameters,
+``budget``, ``max_mg_size``, ``max_insts``, ``warm_caches`` — plus a
+code-version salt, so a key can never alias two different results.
+Functional traces, candidate enumerations and selection plans are
+*inputs* that cost less to compute than to pickle, write and read back:
+the runner memoizes them in its own process for as long as it lives
+(``runner.trace(b) is runner.trace(b)``), and each process that needs
+one computes it. By default the store is memory-only and dies with the
+process; pass ``store=ArtifactStore(cache_dir)`` to persist results
+across runs and share them with scheduler workers (see
+:mod:`repro.exec`).
 
 The mini-graph flow for one (program, selector, machine) run:
 
@@ -25,9 +30,10 @@ The mini-graph flow for one (program, selector, machine) run:
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..exec.store import ArtifactStore, FrozenParams
 from ..isa.interp import Trace, execute
@@ -56,7 +62,7 @@ class SelectorRun:
     variants (e.g. ``ideal-slack-dynamic-sial``) are passed into the
     constructor via :meth:`Runner.run_selector`'s ``label``. The plan the
     run timed is its input, not part of its outcome: :meth:`Runner.plan`
-    with the run's own arguments returns it (the ``plan`` artifact).
+    with the run's own arguments returns it.
     """
 
     program: str
@@ -122,36 +128,34 @@ class Runner:
         #: Degree of process fan-out used by drivers that schedule their
         #: own work through :mod:`repro.exec` (e.g. the limit study).
         self.jobs = jobs
-        # Hoisted template sites per (bench, input, profile_input):
-        # enumeration and template grouping are selector-independent,
-        # so the per-selector plan loop shares one build_templates pass.
-        # In memory only, for the runner's life: the store's memory
-        # layer keeps the plans that hold these sites as long anyway.
-        self._sites_memo: Dict = {}
+        # Traces, candidate lists, plans and hoisted template sites, in
+        # this process only and for the runner's life (_memoized).
+        self._memo: Dict[Tuple, Any] = {}
 
     # -- benchmark helpers -----------------------------------------------------
 
     def _bench(self, bench) -> Benchmark:
         return benchmark(bench) if isinstance(bench, str) else bench
 
+    def _memoized(self, key: Tuple, compute: Callable[[], Any]) -> Any:
+        """``compute()`` once per ``key`` for the runner's life.
+
+        The memo of the values that are no store artifact: a trace, a
+        candidate list or a plan costs less to compute than to pickle,
+        write and unpickle, so each process computes its own.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     # -- artifact-key params ---------------------------------------------------
     #
-    # Every memoized phase builds its store key from one of the builders
+    # Every stored phase builds its store key from one of the builders
     # below, and nothing else: external probes (the DAG pruner, see
     # :func:`repro.exec.grid.prune_cached`) construct the identical
     # params to ask "is this artifact already materialized?" without
     # computing anything.
     # Adding a parameter to a compute path means adding it here, once.
-
-    def trace_params(self, bench_name: str, input_name: str) -> Dict:
-        """Store-key params for :meth:`trace`."""
-        return {"bench": bench_name, "input": input_name,
-                "max_insts": self.max_insts}
-
-    def candidates_params(self, bench_name: str, input_name: str) -> Dict:
-        """Store-key params for :meth:`candidates`."""
-        return {"bench": bench_name, "input": input_name,
-                "max_mg_size": self.max_mg_size}
 
     def baseline_params(self, bench_name: str,
                         config: MachineConfig, input_name: str) -> Dict:
@@ -166,19 +170,6 @@ class Runner:
         """Store-key params for :meth:`slack_profile`."""
         return {"bench": bench_name, "input": input_name,
                 "config": _config_params(config),
-                "global_slack": global_slack,
-                "warm_caches": self.warm_caches,
-                "max_insts": self.max_insts}
-
-    def plan_params(self, bench_name: str, selector_spec: Dict,
-                    input_name: str, profile_config: MachineConfig,
-                    profile_input: str, global_slack: bool) -> Dict:
-        """Store-key params for :meth:`plan` (resolved profiling args)."""
-        return {"bench": bench_name, "selector": selector_spec,
-                "input": input_name,
-                "profile_config": _config_params(profile_config),
-                "profile_input": profile_input,
-                "budget": self.budget, "max_mg_size": self.max_mg_size,
                 "global_slack": global_slack,
                 "warm_caches": self.warm_caches,
                 "max_insts": self.max_insts}
@@ -226,32 +217,29 @@ class Runner:
                 "max_insts": self.max_insts}
 
     def trace(self, bench, input_name: str = DEFAULT_INPUT) -> Trace:
-        """Functional (singleton) trace of a benchmark."""
+        """Functional (singleton) trace of a benchmark, memoized in the
+        runner."""
         bench = self._bench(bench)
-        params = self.trace_params(bench.name, input_name)
-
-        def compute() -> Trace:
-            program = bench.program(input_name)
-            return execute(program, max_insts=self.max_insts,
-                           input_name=input_name)
-
-        return self.store.get_or_compute("trace", params, compute)
+        return self._memoized(
+            ("trace", bench.name, input_name),
+            lambda: execute(bench.program(input_name),
+                            max_insts=self.max_insts, input_name=input_name))
 
     def candidates(self, bench,
                    input_name: str = DEFAULT_INPUT) -> List[Candidate]:
-        """Memoized candidate enumeration for a benchmark program."""
+        """Candidate enumeration of a benchmark program, memoized in the
+        runner."""
         bench = self._bench(bench)
-        params = self.candidates_params(bench.name, input_name)
 
         def compute() -> List[Candidate]:
-            program = bench.program(input_name)
-            # Materialize: the native enumerator returns a lazy packed
-            # set, but the stored artifact must be the same plain list
-            # the Python reference produces (byte-identical pickles).
-            return list(enumerate_candidates(program,
+            # Materialize: the native enumerator returns a lazily
+            # rehydrating set, and every caller gets the plain list the
+            # Python reference returns, whichever path enumerated.
+            return list(enumerate_candidates(bench.program(input_name),
                                              max_size=self.max_mg_size))
 
-        return self.store.get_or_compute("candidates", params, compute)
+        return self._memoized(("candidates", bench.name, input_name),
+                              compute)
 
     # -- timing runs --------------------------------------------------------------
 
@@ -400,7 +388,8 @@ class Runner:
              profile_config: Optional[MachineConfig] = None,
              profile_input: Optional[str] = None,
              global_slack: bool = False) -> MiniGraphPlan:
-        """Mini-graph selection for a benchmark under one selector.
+        """Mini-graph selection for a benchmark under one selector,
+        memoized in the runner.
 
         Template frequencies and (for slack selectors) the slack profile
         come from the *profiling* run (:func:`resolve_profiling`).
@@ -408,9 +397,9 @@ class Runner:
         bench = self._bench(bench)
         profile_config, profile_input = resolve_profiling(
             input_name, profile_config, profile_input)
-        params = self.plan_params(bench.name, selector.spec(), input_name,
-                                  profile_config, profile_input,
-                                  global_slack)
+        key = ("plan", bench.name,
+               json.dumps(selector.spec(), sort_keys=True), input_name,
+               profile_config, profile_input, global_slack)
 
         def compute() -> MiniGraphPlan:
             profile = None
@@ -436,7 +425,7 @@ class Runner:
                 budget=self.budget, max_size=self.max_mg_size,
                 candidates=candidates, sites=sites)
 
-        return self.store.get_or_compute("plan", params, compute)
+        return self._memoized(key, compute)
 
     def _hoisted_sites(self, bench_name: str, input_name: str,
                        profile_input: str, candidates, freq_counts):
@@ -449,14 +438,13 @@ class Runner:
         pickled sites normalize those pcs (``MGSite.__getstate__``), so
         plans built from reused sites are bit-identical to fresh ones.
         """
-        key = (bench_name, input_name, profile_input, self.max_mg_size)
-        hit = self._sites_memo.get(key)
-        if hit is not None:
-            return hit
-        templates = build_templates(candidates, freq_counts)
-        sites = [site for template in templates for site in template.sites]
-        self._sites_memo[key] = sites
-        return sites
+        def compute():
+            templates = build_templates(candidates, freq_counts)
+            return [site for template in templates
+                    for site in template.sites]
+
+        return self._memoized(("sites", bench_name, input_name,
+                               profile_input), compute)
 
     @staticmethod
     def _align_counts(program, counts: List[int]) -> List[int]:

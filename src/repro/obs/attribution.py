@@ -227,7 +227,7 @@ def attribute_point(runner, bench: str, selector_name: str,
                     config) -> PointAttribution:
     """Run one attribution point and join predictions with observations.
 
-    Uses the runner's memoized trace/profile/plan artifacts but performs
+    Uses the runner's memoized trace, profile and plan but performs
     the timing run directly (an attribution collector cannot ride a
     memoized result — the event stream is the product). The run is set
     up by :meth:`~repro.harness.runner.Runner.selector_prepared`, which

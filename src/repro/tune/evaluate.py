@@ -8,11 +8,12 @@ experiments``: ``--jobs N`` fans out worker processes over a persistent
 store, ``--jobs threads:N`` keeps the run in-process and turns each
 scheduler wave into one batched native kernel call. Afterwards the
 reduction reads the same points back through
-:func:`~repro.exec.grid.point_result` and
-:func:`~repro.exec.grid.point_plan` and finds every artifact already
-present, so objectives come from each point's
-stored :class:`~repro.harness.runner.SelectorRun` (IPC and coverage)
-and its stored plan (read-port demand and templates) at warm-hit cost.
+:func:`~repro.exec.grid.point_result` and finds every result already
+present, so objectives come from each point's stored
+:class:`~repro.harness.runner.SelectorRun` (IPC and coverage) at
+warm-hit cost, and from its plan (read-port demand and templates),
+which :func:`~repro.exec.grid.point_plan` computes in the runner unless
+the runner already holds it.
 
 Repeated or overlapping trials — across batches, strategies, rungs with
 the same trace length, or whole re-runs — hit the store rather than the
@@ -102,7 +103,7 @@ class Evaluator:
         Returns the results by trial id and the ids of the trials the
         store served: every timing node of theirs was pruned, so none
         ran now. One ``run_points`` call covers the whole batch, so the
-        DAG scheduler deduplicates shared traces/candidates/profiles
+        DAG scheduler deduplicates shared baselines and profiles
         across trials and the batched dispatcher packs every ready
         timing node of a wave into one native call.
         """

@@ -60,12 +60,13 @@ def warm_runner(tmp_path_factory):
 
 
 def test_every_store_backed_node_has_an_address(warm_runner):
+    """Every node but ``check`` is a stored result; traces, candidates
+    and plans are no nodes at all."""
     tasks = build_tasks(PROBE_POINTS, warm_runner, check=True)
     addressed = {t.stage: task_fns.task_artifact(warm_runner, t) is not None
                  for t in tasks}
-    assert addressed["trace"] and addressed["baseline"]
-    assert addressed["plan"] and addressed["timing"]
-    assert not addressed["check"]          # recomputes by design
+    assert addressed == {"baseline": True, "profile": True, "timing": True,
+                         "check": False}   # a check recomputes by design
 
 
 def test_cold_dag_keeps_everything():

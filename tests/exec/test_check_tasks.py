@@ -33,8 +33,11 @@ def test_build_tasks_adds_check_nodes():
     for task in checks:
         # Deterministic: a divergence cannot heal on retry.
         assert task.retries == 0
-        stages = {by_id[dep].stage for dep in task.deps}
-        assert stages == {"plan", "trace"}
+        # A check computes its own trace and plan: it waits only for the
+        # profile its plan reads, if the selector needs one.
+        stages = [by_id[dep].stage for dep in task.deps]
+        assert stages == (["profile"] if "/slack-profile" in task.id
+                          else []), task.id
 
 
 def test_check_nodes_dedup_with_dynamic_points():

@@ -8,7 +8,8 @@ from collections import Counter
 import pytest
 
 from repro.exec.grid import (
-    baseline_point, build_tasks, dynamic_point, run_points, selector_point,
+    baseline_point, build_tasks, dynamic_point, point_address, point_id,
+    run_points, selector_point,
 )
 from repro.exec.store import ArtifactStore
 from repro.exec.tasks import task_artifact
@@ -17,7 +18,7 @@ from repro.harness.runner import Runner
 from repro.minigraph.selectors import (
     SlackProfileSelector, StructAll, StructNone, selector_from_spec,
 )
-from repro.pipeline.config import config_by_name, full_config, reduced_config
+from repro.pipeline.config import full_config, reduced_config
 from repro.workloads import all_benchmarks, benchmark
 
 BENCHES = ("crc32", "adpcm")
@@ -54,25 +55,32 @@ def _collect(runner):
 
 
 def test_grid_dedups_shared_upstream_nodes():
+    """Only results are nodes: a baseline or profile depends on nothing,
+    and a timing run only on the profile its plan reads, shared by
+    every point that reads it."""
     runner = Runner()
     tasks = build_tasks(_points(), runner)
     by_stage = {}
     for task in tasks:
-        by_stage.setdefault(task.stage, []).append(task.id)
-    # One trace and one candidate enumeration per benchmark, shared by
-    # every selector; one profile each (slack-profile's reduced trainer).
-    assert len(by_stage["trace"]) == len(BENCHES)
-    assert len(by_stage["candidates"]) == len(BENCHES)
+        by_stage.setdefault(task.stage, []).append(task)
+    assert set(by_stage) == {"baseline", "profile", "timing"}
+    # One profile per benchmark: slack-profile's reduced trainer.
     assert len(by_stage["profile"]) == len(BENCHES)
-    # struct-all + slack-profile + slack-dynamic plans per benchmark.
-    assert len(by_stage["plan"]) == 3 * len(BENCHES)
+    for task in by_stage["baseline"] + by_stage["profile"]:
+        assert task.deps == ()
+    profiled = [task for task in by_stage["timing"] if task.deps]
+    assert len(profiled) == len(BENCHES)
+    for task in profiled:
+        assert "/slack-profile" in task.id
+        (dep,) = task.deps
+        assert dep.startswith("profile/")
     assert len(set(task.id for task in tasks)) == len(tasks)
 
 
 def test_parallel_and_serial_are_identical(tmp_path):
-    """Pool workers load traces from the store. Two inputs: a cold
-    parent runner, and one that already holds its traces in memory
-    when ``run_points`` starts; neither may change what workers compute.
+    """Pool workers compute their own traces. Two inputs: a cold parent
+    runner, and one that already holds its traces in memory when
+    ``run_points`` starts; neither may change what workers compute.
     """
     serial = _collect(Runner())
 
@@ -129,6 +137,26 @@ def test_warm_rerun_schedules_nothing_and_loads_no_upstream(fig1_store):
     assert runner.store.stats.puts == 0
 
 
+def test_cold_store_holds_only_results(tmp_path):
+    """A cold pool run stores results, not inputs: no trace, candidate
+    list or plan reaches the disk, and a fresh runner over the same
+    directory prints the same figures without a write."""
+    benches = all_benchmarks(suites=["comm"])[:2]
+    names = ("fig1", "fig6")
+    points = [point for name in names for point in grid_points(name, benches)]
+    runner = Runner(store=ArtifactStore(tmp_path))
+    report = run_points(runner, points, jobs=2)
+    assert not report.failures
+    texts = [EXPERIMENTS[name](runner, benches).render(full_tables=True)
+             for name in names]
+    assert set(runner.store.disk_summary()) == {
+        "baseline", "profile", "run", "run-dynamic"}
+    replay = Runner(store=ArtifactStore(tmp_path))
+    assert [EXPERIMENTS[name](replay, benches).render(full_tables=True)
+            for name in names] == texts
+    assert replay.store.stats.puts == 0
+
+
 @pytest.mark.parametrize("name", ["fig1", "fig3", "fig6", "fig7",
                                   "fig9-machines", "fig9-inputs"])
 def test_figure_reads_only_what_its_grid_scheduled(name, tmp_path):
@@ -168,27 +196,32 @@ def test_node_addresses_are_the_keys_their_tasks_store(name, tmp_path):
     assert addresses == stored
 
 
-def test_plan_and_check_specs_equal_no_other_spec():
-    """A plan or check node holds its point under a key of its own, so
-    its spec, as JSON with points as text, is unique in the DAG."""
+def test_no_two_nodes_share_a_spec():
+    """Every node's spec, as JSON with points as text (the key traced
+    telemetry files a task's spans under), is unique in its DAG: in
+    every figure's grid, with and without check nodes."""
     benches = all_benchmarks(suites=["comm"])[:2]
-    tasks = build_tasks(grid_points("fig6", benches), Runner(), check=True)
 
     def text(task):
         return json.dumps(task.args[0], sort_keys=True, default=str)
 
-    counts = Counter(text(task) for task in tasks)
-    shared = [task.id for task in tasks
-              if task.stage in ("plan", "check") and counts[text(task)] > 1]
-    assert {task.stage for task in tasks} >= {"plan", "check"}
-    assert shared == []
+    stages = set()
+    for name in sorted(EXPERIMENTS):
+        for check in (False, True):
+            tasks = build_tasks(grid_points(name, benches), Runner(),
+                                check=check)
+            counts = Counter(text(task) for task in tasks)
+            shared = [task.id for task in tasks if counts[text(task)] > 1]
+            assert shared == [], (name, check)
+            stages.update(task.stage for task in tasks)
+    assert stages == {"baseline", "profile", "timing", "check"}
 
 
 def test_corrupt_payloads_are_recomputed_where_they_are_read(
         fig1_store, tmp_path):
     """Probes never read a payload, so a truncated one is found by the
-    reader: a pruned ``run`` by the figure replay, and a ``trace`` by
-    the scheduled task whose timing artifact is missing."""
+    reader: a pruned ``run`` by the figure replay, and a ``profile`` by
+    the scheduled timing task whose ``run`` artifact is missing."""
     source, benches, cold_text = fig1_store
     cache = tmp_path / "store"
     shutil.copytree(source, cache)
@@ -199,20 +232,21 @@ def test_corrupt_payloads_are_recomputed_where_they_are_read(
         payload = store.backend.payload_path(key, kind)
         payload.write_bytes(payload.read_bytes()[:10])
 
+    bench = benches[0].name
+    profiled = selector_point(bench, SlackProfileSelector(), "reduced")
+    run_key = store.key(*point_address(keys, profiled))
     truncate(next(key for key, kind, _ in store.backend.entries()
-                  if kind == "run"), "run")
-    bench, config = benches[0].name, "reduced"
-    truncate(store.key("trace", keys.trace_params(bench, "train")), "trace")
-    baseline_key = store.key("baseline", keys.baseline_params(
-        bench, config_by_name(config), "train"))
-    assert store.contains(baseline_key, "baseline")
-    store.backend.delete(baseline_key, "baseline")
+                  if kind == "run" and key != run_key), "run")
+    truncate(store.key("profile", keys.profile_params(
+        bench, reduced_config(), "train", False)), "profile")
+    assert store.contains(run_key, "run")
+    store.backend.delete(run_key, "run")
 
     runner = Runner(store=ArtifactStore(cache))
     report = run_points(runner, grid_points("fig1", benches), jobs=1,
                         threads=2)
-    assert set(report.results) == {f"baseline/{bench}/train/{config}"}
-    assert runner.store.stats.corrupt_dropped == 1    # the trace
+    assert set(report.results) == {point_id(profiled)}
+    assert runner.store.stats.corrupt_dropped == 1    # the profile
     assert fig1(runner, benches).render(full_tables=True) == cold_text
     assert runner.store.stats.corrupt_dropped == 2    # and the run
 
@@ -233,28 +267,32 @@ def test_limit_study_pool_requires_persistent_store():
 
 
 def test_runner_key_includes_max_insts(tmp_path):
-    """The seed's memo-key bug: traces keyed without max_insts aliased.
+    """The seed's memo-key bug: artifacts keyed without max_insts aliased.
 
     Two runners with different instruction limits sharing one store must
-    produce two distinct trace artifacts, not alias the first one.
+    produce two distinct baseline artifacts, not alias the first one.
     """
     store = ArtifactStore(tmp_path / "cache")
     first = Runner(max_insts=1_000_000, store=store)
     second = Runner(max_insts=2_000_000, store=store)
-    first.trace("crc32")
-    second.trace("crc32")
+    first.baseline("crc32", reduced_config())
+    second.baseline("crc32", reduced_config())
     assert store.stats.misses == 2  # no aliasing: both were computed
-    assert store.disk_summary()["trace"]["count"] == 2
+    assert store.disk_summary()["baseline"]["count"] == 2
 
 
 def test_runner_cross_process_cache_reuse(tmp_path):
+    """A second runner over the same directory reads the first one's
+    result from disk; each runner computes its own trace."""
     first = Runner(store=ArtifactStore(tmp_path / "cache"))
-    trace = first.trace("crc32")
+    stats = first.baseline("crc32", reduced_config())
     second = Runner(store=ArtifactStore(tmp_path / "cache"))
-    again = second.trace("crc32")
-    assert again is not trace  # different store instance...
-    assert len(again.records) == len(trace.records)  # ...same artifact
+    again = second.baseline("crc32", reduced_config())
+    assert again is not stats  # different store instance...
+    assert again.cycles == stats.cycles  # ...same artifact
     assert second.store.stats.disk_hits == 1
+    assert second.trace("crc32") is not first.trace("crc32")
+    assert second.store.stats.lookups == 1
 
 
 def test_selector_run_is_frozen():

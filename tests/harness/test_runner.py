@@ -131,7 +131,7 @@ def test_slack_dynamic_selector_gets_its_policy(runner, reduced_cfg):
 
 def test_stored_timing_runs_hold_no_plan(tmp_path, reduced_cfg):
     """A stored ``run`` or ``run-dynamic`` payload is the run's outcome:
-    the plan it timed is only in the ``plan`` artifact."""
+    the plan it timed is memoized in the runner and stored nowhere."""
     runner = Runner(store=ArtifactStore(tmp_path))
     runner.run_selector("crc32", StructAll(), reduced_cfg)
     runner.run_slack_dynamic("crc32", reduced_cfg)
@@ -143,7 +143,9 @@ def test_stored_timing_runs_hold_no_plan(tmp_path, reduced_cfg):
         assert isinstance(run, SelectorRun), kind
         assert [f.name for f in dataclasses.fields(run)] == \
             ["program", "selector", "config", "stats"]
-    assert len(list(tmp_path.glob("??/*.plan.pkl"))) == 2
+    assert sorted(runner.store.disk_summary()) == ["run", "run-dynamic"]
+    assert runner.plan("crc32", StructAll()).sites
+    assert runner.store.stats.lookups == 2
 
 
 def test_budget_respected():

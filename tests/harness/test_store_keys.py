@@ -1,6 +1,7 @@
 """Store keys are pinned: every ``Runner.*_params`` builder, run through
 ``ArtifactStore.key`` under a fixed salt, gives the digest recorded
-here.
+here. Traces, candidate lists and plans are no store artifacts, so
+they have no builder and no pinned key.
 
 A key is the SHA-256 of ``kind|salt|canonical params``. The canonical
 text is ``json.dumps(params, sort_keys=True, separators=(",", ":"))``,
@@ -14,9 +15,9 @@ import pytest
 
 from repro.exec.store import ArtifactStore
 from repro.harness import Runner
-from repro.minigraph import SlackProfileSelector, StructAll
+from repro.minigraph import StructAll
 from repro.minigraph.selectors import FixedSetSelector
-from repro.pipeline import cross_2way_config, full_config, reduced_config
+from repro.pipeline import full_config, reduced_config
 from repro.pipeline.config import CacheConfig
 
 SALT = "pinned-store-keys"
@@ -34,20 +35,12 @@ def _cases():
     full, reduced, scaled = full_config(), reduced_config(), _scaled()
     fixed = FixedSetSelector({42, 3, 17}).spec()
     return {
-        "trace": ("trace", plain.trace_params("crc32", "train")),
-        "candidates": ("candidates",
-                       knobs.candidates_params("adpcm", "tiny")),
         "baseline-full": ("baseline",
                           plain.baseline_params("crc32", full, "train")),
         "baseline-reduced": ("baseline", knobs.baseline_params(
             "adpcm", reduced, "tiny")),
         "profile-scaled-global": ("profile", plain.profile_params(
             "gzip", scaled, "ref", True)),
-        "plan-struct-all": ("plan", plain.plan_params(
-            "crc32", StructAll().spec(), "train", reduced, "train", False)),
-        "plan-cross-trained": ("plan", knobs.plan_params(
-            "crc32", SlackProfileSelector().spec(), "train",
-            cross_2way_config(), "ref", True)),
         "run-full": ("run", plain.run_params(
             "crc32", StructAll().spec(), full, "train", reduced, "train",
             False, None)),
@@ -70,12 +63,6 @@ PINNED = {
         "844e2a0459b3204457e187bc4d3d41d59d36c8861936f4091c0bb8dfa819b4b1",
     "baseline-reduced":
         "83a37f3e56cb0eacac8d5d1e0007f5b261d239c40e8f8a243b9c78e5c358fd22",
-    "candidates":
-        "8c2a913322f6aee5ab8daf65e60c4b944328e1660572b64ae843b9987b2ce491",
-    "plan-cross-trained":
-        "0804a6737b027799f2f18afe3c91f7043b0619bb95d4ea9632cd898694a491f0",
-    "plan-struct-all":
-        "03663e146167c151426f2a643186593eee0f2238614b75fe2aa1b42ae8c0ae7d",
     "profile-scaled-global":
         "2135c24abedb70ce230001c7f18f506855b3ec12a3ed498a1cbcd6b1c5215eb2",
     "run-dynamic-kwargs":
@@ -88,8 +75,6 @@ PINNED = {
         "102d47c2206377b09aba084c44c05d76afd59bf83dba010e199857571dbfc6c9",
     "subset":
         "74892634bb62031af19dfa80096218dcad78a452d9c2008461033ab78cd7404d",
-    "trace":
-        "3d30e2af90043634fc50e9365c165cf8b3f78979fb96ee76602b7efab3415163",
 }
 
 

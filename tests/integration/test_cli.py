@@ -170,9 +170,16 @@ def test_cache_subcommand(capsys, tmp_path):
     capsys.readouterr()
     assert main(["cache", "stats", "--cache-dir", cache]) == 0
     out = capsys.readouterr().out
-    assert "trace" in out and "baseline" in out
+    # Results only: the run computed its trace without storing it.
+    assert "baseline" in out and "trace" not in out
     assert main(["cache", "prune", "--cache-dir", cache,
                  "--kinds", "trace"]) == 0
+    assert "pruned 0 artifacts" in capsys.readouterr().out
+    assert main(["cache", "prune", "--cache-dir", cache,
+                 "--kinds", "baseline"]) == 0
+    assert "pruned 2 artifacts" in capsys.readouterr().out
+    assert main(["run", "crc32", "--selector", "none",
+                 "--cache-dir", cache]) == 0
     assert main(["cache", "clear", "--cache-dir", cache]) == 0
     capsys.readouterr()
     assert main(["cache", "stats", "--cache-dir", cache]) == 0

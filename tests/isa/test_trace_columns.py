@@ -1,9 +1,9 @@
-"""Traces as columns: parity with the record objects, the stored form,
+"""Traces as columns: parity with the record objects, the pickled form,
 a cold path that builds no record, and the kernel against the Python
 interpreter.
 
 ``execute`` writes a trace straight into its ``PackedTrace`` columns;
-``Trace.records`` is a view built on first read. A stored trace is its
+``Trace.records`` is a view built on first read. A pickled trace is its
 ``pc``, ``addr`` and ``taken`` columns, each narrowed to the smallest
 typecode holding it; loading widens them back and rebuilds the other
 eight columns from the program, without building a record. The
@@ -12,6 +12,7 @@ Python interpreter is its reference on every program of the population
 and on random programs.
 """
 
+import io
 import pickle
 import random
 from array import array
@@ -22,6 +23,7 @@ import pytest
 
 from repro.check.fuzz import FuzzSpec
 from repro.exec.store import ArtifactStore
+from repro.harness import runner as runner_module
 from repro.harness.runner import Runner
 from repro.isa import Assembler
 from repro.isa import opcodes as oc
@@ -180,13 +182,12 @@ class _StateUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
-def test_stored_trace_holds_only_what_execution_decided(tmp_path):
-    """The store's trace payload is the program, input name, final
-    memory and the narrowed pc/addr/taken columns, nothing derived."""
-    trace = Runner(store=ArtifactStore(tmp_path)).trace("crc32")
-    (path,) = tmp_path.glob("??/*.trace.pkl")
-    with open(path, "rb") as f:
-        state = _StateUnpickler(f).load().state
+def test_stored_trace_holds_only_what_execution_decided():
+    """A pickled trace is the program, input name, final memory and the
+    narrowed pc/addr/taken columns, nothing derived."""
+    trace = execute(benchmark("crc32").program("train"),
+                    input_name="train")
+    state = _StateUnpickler(io.BytesIO(_pickled(trace))).load().state
     assert set(state) == {"program", "input_name", "final_memory",
                           "columns"}
     assert state["input_name"] == "train"
@@ -217,23 +218,24 @@ def _pc_past_program(columns, program):
 def test_inconsistent_stored_trace_is_recomputed(tmp_path, monkeypatch,
                                                  corrupt):
     """Columns that cannot be an execution of the program never reach
-    the rebuild or the kernel: the load raises ValueError, the store
-    drops the payload and the trace is recomputed."""
-    writer = Runner(store=ArtifactStore(tmp_path))
-    trace = writer.trace("crc32")
+    the rebuild or the kernel: the load raises ValueError, so a store
+    that holds such a payload drops it and its reader recomputes."""
+    trace = execute(benchmark("crc32").program("train"))
     state = trace.__getstate__()
     columns = dict(zip(STORED, state["columns"]))
     corrupt(columns, trace.program)
     state["columns"] = tuple(columns.values())
-    key = writer.store.key("trace", writer.trace_params("crc32", "train"))
     with monkeypatch.context() as patch:
         patch.setattr(Trace, "__getstate__", lambda self: state)
-        writer.store.put(key, trace, kind="trace")
+        payload = _pickled(trace)
     with pytest.raises(ValueError):
-        pickle.loads(writer.store.backend.read(key, "trace"))
+        pickle.loads(payload)
 
     store = ArtifactStore(tmp_path)
-    trace = Runner(store=store).trace("crc32")
+    params = {"bench": "crc32", "input": "train"}
+    store.backend.write(store.key("trace", params), payload, "trace")
+    trace = store.get_or_compute(
+        "trace", params, lambda: execute(benchmark("crc32").program("train")))
     assert store.stats.corrupt_dropped == 1
     _assert_columns(trace.packed(),
                     execute(benchmark("crc32").program("train")).packed())
@@ -247,15 +249,18 @@ def test_execute_builds_no_records(sum_loop, record_objects):
 
 
 @needs_kernel
-def test_store_loaded_trace_runs_without_records(tmp_path, reduced_cfg,
+def test_store_loaded_trace_runs_without_records(monkeypatch, reduced_cfg,
                                                  record_objects):
-    """A trace loaded from disk drives a baseline, a slack profile, a
-    plan and a kernel selector point without one record object."""
-    Runner(store=ArtifactStore(tmp_path)).trace("crc32")
-    runner = Runner(store=ArtifactStore(tmp_path))
+    """A trace loaded from its pickled form drives a baseline, a slack
+    profile, a plan and a kernel selector point without one record
+    object."""
+    loaded = pickle.loads(_pickled(execute(benchmark("crc32").program(
+        "train"), input_name="train")))
+    monkeypatch.setattr(runner_module, "execute",
+                        lambda program, **kwargs: loaded)
+    runner = Runner()
     record_objects.update(TraceRecord=0, MGHandleRecord=0)
-    trace = runner.trace("crc32")
-    assert runner.store.stats.disk_hits == 1
+    assert runner.trace("crc32") is loaded
     runner.baseline("crc32", reduced_cfg)
     runner.slack_profile("crc32", reduced_cfg)
     selector = SlackProfileSelector()
@@ -263,16 +268,15 @@ def test_store_loaded_trace_runs_without_records(tmp_path, reduced_cfg,
     run = runner.run_selector("crc32", selector, reduced_cfg)
     assert run.stats.handles_committed > 0
     assert record_objects == {"TraceRecord": 0, "MGHandleRecord": 0}
-    assert trace.packed()._objs is None
+    assert loaded.packed()._objs is None
 
 
-def test_python_loop_on_loaded_trace(tmp_path, monkeypatch, reduced_cfg):
+def test_python_loop_on_loaded_trace(monkeypatch, reduced_cfg):
     """The reference loop reads a loaded trace's record view: same stats
     as on the trace execute() returned, singleton and folded."""
     monkeypatch.setenv("REPRO_PURE_PY", "1")
     local = execute(benchmark("crc32").program("train"))
-    Runner(store=ArtifactStore(tmp_path)).trace("crc32")
-    loaded = Runner(store=ArtifactStore(tmp_path)).trace("crc32")
+    loaded = pickle.loads(_pickled(local))
     assert loaded.packed()._objs is None
     plan = Runner().plan("crc32", StructAll())
     for stream in (lambda t: t.packed(), lambda t: fold_trace(t, plan)):
