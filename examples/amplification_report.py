@@ -13,9 +13,8 @@ Run:  python examples/amplification_report.py [benchmark]
 import argparse
 
 from repro.isa.interp import execute
-from repro.minigraph import (
-    SlackProfileSelector, fold_trace, make_plan, reschedule,
-)
+from repro.minigraph import SlackProfileSelector, fold_trace, make_plan
+from repro.minigraph.schedule import reschedule
 from repro.minigraph.slack import SlackCollector
 from repro.pipeline import amplification_report, reduced_config
 from repro.pipeline.core import OoOCore

@@ -14,6 +14,4 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from . import isa, minigraph, pipeline  # noqa: F401
-
 __all__ = ["isa", "minigraph", "pipeline", "__version__"]

@@ -1,13 +1,13 @@
-"""Analysis tools: the Figure 8 limit study, global slack, suite reports."""
+"""Analysis tools: the Figure 8 limit study, global slack, suite reports.
 
-from .global_slack import GlobalSlackCollector, compare_profiles
+The global-slack collector (:mod:`repro.analysis.global_slack`) and the
+suite reports (:mod:`repro.analysis.report`) are imported from their
+modules; the package imports only the limit study.
+"""
+
 from .limit_study import (
     LimitStudyResult, SubsetPoint, run_limit_study, top_nonoverlapping_sites,
 )
-from .report import SuiteReport, SuiteRow, compare_selectors_by_suite, \
-    suite_report
 
-__all__ = ["GlobalSlackCollector", "LimitStudyResult", "SubsetPoint",
-           "SuiteReport", "SuiteRow", "compare_profiles",
-           "compare_selectors_by_suite", "run_limit_study", "suite_report",
+__all__ = ["LimitStudyResult", "SubsetPoint", "run_limit_study",
            "top_nonoverlapping_sites"]

@@ -202,11 +202,13 @@ def _compute_missing_chunks(runner: Runner, bench: str, input_name: str,
                             baseline_ipc: float, jobs: int) -> None:
     """Evaluate the chunks the store lacks on a pool of ``jobs`` workers.
 
-    One ``run_subset`` task per missing chunk. Workers load the trace
-    and candidates from the runner's persistent store, once per worker
-    process, and publish each chunk there. A chunk whose task failed
-    stays missing, for the caller's read to recompute; a warm store
-    starts no pool.
+    One ``run_subset`` task per missing chunk. Workers inherit through
+    the fork the program the caller built in
+    :func:`top_nonoverlapping_sites`, but not its runner: each worker's
+    own runner computes the trace and candidates, once per worker
+    process, and publishes each chunk to the persistent store. A chunk
+    whose task failed stays missing, for the caller's read to
+    recompute; a warm store starts no pool.
     """
     from ..exec import tasks as task_fns
     from ..exec.dag import Scheduler, Task

@@ -36,9 +36,6 @@ times at the end.
 from __future__ import annotations
 
 import time
-from concurrent.futures import (CancelledError, FIRST_COMPLETED, Future,
-                                ProcessPoolExecutor, wait)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
@@ -361,8 +358,13 @@ class Scheduler:
         of them (at least one), which its worker runs in order; each
         task still gets its own outcome, retries and event.
         """
-        # Built per run, inside :meth:`run`: forked workers inherit the
+        # Imported here, so a serial or batched run never loads the pool
+        # machinery (multiprocessing, logging, socket). The pool is built
+        # per run, inside :meth:`run`: forked workers inherit the
         # parent's state as of this call.
+        from concurrent.futures import (CancelledError, FIRST_COMPLETED,
+                                        Future, ProcessPoolExecutor, wait)
+        from concurrent.futures.process import BrokenProcessPool
         pool = ProcessPoolExecutor(max_workers=self.jobs)
         depth = 2 * self.jobs
         # future → the (task, attempt) pairs it carries, in order.

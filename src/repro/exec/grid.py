@@ -39,6 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..harness.runner import resolve_profiling
 from ..minigraph.selectors import selector_from_spec
+from ..workloads.suite import benchmark
 from . import tasks as task_fns
 from .dag import ExecReport, Scheduler, Task
 
@@ -361,6 +362,22 @@ def prune_cached(runner, tasks: Sequence[Task]
     return kept, pruned
 
 
+def _programs_read(task: Task) -> List[Tuple[str, str]]:
+    """The ``(benchmark, input)`` pairs whose programs a
+    :func:`build_tasks` node builds: its point's input and, for a
+    selector point's plan, the profiling input."""
+    spec = task.args[0]
+    point = spec.get("point") or spec.get("check")
+    if point is None:               # a profile node
+        return [(spec["bench"], spec["input"])]
+    pairs = [(point.bench, point.input_name)]
+    if point.kind == "selector":
+        _, profile_input = resolve_profiling(
+            point.input_name, profile_input=point.profile_input)
+        pairs.append((point.bench, profile_input))
+    return pairs
+
+
 def require_pool_store(runner, jobs: int) -> None:
     """Raise :class:`ValueError` when ``jobs > 1`` workers would have no
     persistent store: they hand every artifact back through it. One
@@ -393,7 +410,10 @@ def run_points(runner, points: Sequence[Point], jobs: int,
 
     Worker processes compute their own functional traces, candidates
     and plans, none of which is a store artifact: each worker's runner
-    builds one once and memoizes it for the tasks that follow.
+    builds one once and memoizes it for the tasks that follow. The
+    programs they read are built here first, once per ``(benchmark,
+    input)`` pair (:func:`_programs_read`), so the forked workers inherit
+    them and their builder modules.
 
     ``threads`` (from ``--jobs threads:N``, see :func:`parse_jobs`)
     selects batched native dispatch instead of process fan-out: the
@@ -406,6 +426,10 @@ def run_points(runner, points: Sequence[Point], jobs: int,
     require_pool_store(runner, jobs)
     tasks = build_tasks(points, runner, check=check)
     kept, pruned = prune_cached(runner, tasks)
+    if jobs > 1:
+        for bench, input_name in dict.fromkeys(
+                pair for task in kept for pair in _programs_read(task)):
+            benchmark(bench).program(input_name)
     scheduler = Scheduler(jobs=jobs, on_event=on_event, threads=threads)
     with task_fns.bound_runner(runner):
         report = scheduler.run(kept, raise_on_failure=raise_on_failure)

@@ -4,8 +4,6 @@ models, slack profiling, and the outlining transform."""
 from .candidates import Candidate, enumerate_candidates
 from .delay_model import DelayAssessment, assess
 from .dynamic import MiniGraphPolicy, SlackDynamicPolicy
-from .schedule import SchedulingError, reschedule, schedule_block, \
-    verify_equivalence
 from .selection import MiniGraphPlan, empty_plan, select
 from .selectors import (
     FixedSetSelector, Selector, SlackDynamicSelector, SlackProfileSelector,
@@ -30,7 +28,6 @@ __all__ = [
     "MiniGraphPolicy",
     "MiniGraphTable",
     "ProfileEntry",
-    "SchedulingError",
     "Selector",
     "SerializationClass",
     "SlackCollector",
@@ -50,8 +47,5 @@ __all__ = [
     "fold_records",
     "fold_trace",
     "make_plan",
-    "reschedule",
-    "schedule_block",
     "select",
-    "verify_equivalence",
 ]

@@ -10,7 +10,6 @@ from .config import (
     reduced_config,
 )
 from .core import OoOCore, SimulationDeadlock
-from .pipetrace import PipeTracer, pipetrace
 from .prefetch import NextLinePrefetcher, StridePrefetcher
 from .stats import RunStats
 from .storesets import StoreSets
@@ -27,7 +26,6 @@ __all__ = [
     "NAMED_CONFIGS",
     "NextLinePrefetcher",
     "OoOCore",
-    "PipeTracer",
     "ReturnAddressStack",
     "RunStats",
     "SimulationDeadlock",
@@ -40,6 +38,5 @@ __all__ = [
     "cross_8way_config",
     "cross_dmem4_config",
     "full_config",
-    "pipetrace",
     "reduced_config",
 ]

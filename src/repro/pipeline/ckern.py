@@ -44,7 +44,6 @@ import hashlib
 import operator
 import os
 import shutil
-import subprocess
 import tempfile
 import time
 import weakref
@@ -293,6 +292,7 @@ def _build() -> Optional[str]:
             os.makedirs(cache_dir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
             os.close(fd)
+            import subprocess  # only here: a cached kernel loads without it
             # Prefer the threaded build (repro_run_batch fans out over a
             # pthread pool); toolchains without pthreads still get the
             # full kernel with an in-call serial batch loop.

@@ -6,7 +6,6 @@ import random
 
 from ..isa.assembler import Assembler
 from ..isa.program import Program
-from .suite import Benchmark, register
 
 
 def _crc32_table() -> list:
@@ -294,17 +293,3 @@ def zrle(input_name: str) -> Program:
     a.st("r15", "r0", result)
     a.halt()
     return a.build()
-
-
-register(Benchmark("crc32", "comm", crc32,
-                   description="table-driven CRC32"))
-register(Benchmark("rsenc", "comm", rs_gf_encode,
-                   description="Reed-Solomon GF(256) parity"))
-register(Benchmark("drr", "comm", drr_sched,
-                   description="deficit round robin scheduler"))
-register(Benchmark("ipchk", "comm", ipchk,
-                   description="IP one's-complement checksum"))
-register(Benchmark("red", "comm", red_queue,
-                   description="RED queue management"))
-register(Benchmark("zrle", "comm", zrle,
-                   description="zero run-length encoding"))

@@ -11,7 +11,6 @@ import random
 from ..isa.assembler import Assembler
 from ..isa.instruction import REG_RA
 from ..isa.program import Program
-from .suite import Benchmark, register
 
 
 def qsort_kernel(input_name: str) -> Program:
@@ -445,21 +444,3 @@ def susan_threshold(input_name: str) -> Program:
     a.st("r15", "r0", result)
     a.halt()
     return a.build()
-
-
-register(Benchmark("qsort", "embedded", qsort_kernel,
-                   description="insertion sort + weighted checksum"))
-register(Benchmark("dijkstra", "embedded", dijkstra_kernel,
-                   description="dense-graph shortest paths"))
-register(Benchmark("sha", "embedded", sha_mix,
-                   description="rotate-xor-add mixing rounds"))
-register(Benchmark("stringsearch", "embedded", stringsearch,
-                   description="brute-force substring search"))
-register(Benchmark("bitcount", "embedded", bitcount,
-                   description="multi-strategy population counts"))
-register(Benchmark("fft", "embedded", fft_fixed,
-                   description="fixed-point radix-2 butterflies"))
-register(Benchmark("basicmath", "embedded", basicmath,
-                   description="Euclid GCD with call/return"))
-register(Benchmark("susan", "embedded", susan_threshold,
-                   description="image neighbourhood thresholding"))

@@ -7,7 +7,6 @@ import random
 
 from ..isa.assembler import Assembler
 from ..isa.program import Program
-from .suite import Benchmark, register
 
 
 def twolf_swap(input_name: str) -> Program:
@@ -427,21 +426,3 @@ def patricia_trie(input_name: str) -> Program:
     a.st("r15", "r0", result)
     a.halt()
     return a.build()
-
-
-register(Benchmark("twolf", "spec", twolf_swap,
-                   description="annealing swap-delta evaluation"))
-register(Benchmark("vortex", "spec", vortex_db,
-                   description="keyed record store insert/lookup"))
-register(Benchmark("pegwit", "media", pegwit_modmul,
-                   description="square-and-multiply modexp"))
-register(Benchmark("mpegidct", "media", mpeg_idct,
-                   description="shift-add 1-D IDCT"))
-register(Benchmark("rtr", "comm", rtr_lookup,
-                   description="radix-tree route lookup"))
-register(Benchmark("frag", "comm", frag_rewrite,
-                   description="packet fragmentation"))
-register(Benchmark("blowfish", "embedded", blowfish_rounds,
-                   description="Feistel rounds with S-boxes"))
-register(Benchmark("patricia", "embedded", patricia_trie,
-                   description="bit-trie walk"))

@@ -6,7 +6,6 @@ import random
 
 from ..isa.assembler import Assembler
 from ..isa.program import Program
-from .suite import Benchmark, register
 
 
 def eon_march(input_name: str) -> Program:
@@ -517,25 +516,3 @@ def tiff_dither(input_name: str) -> Program:
     a.st("r15", "r0", result)
     a.halt()
     return a.build()
-
-
-register(Benchmark("eon", "spec", eon_march,
-                   description="integer voxel ray marching"))
-register(Benchmark("gap", "spec", gap_permute,
-                   description="permutation composition"))
-register(Benchmark("mesa", "media", mesa_span,
-                   description="fixed-point span rasterizer"))
-register(Benchmark("g721pred", "media", g721_predictor,
-                   description="sign-sign LMS predictor update"))
-register(Benchmark("cast", "comm", cast_rounds,
-                   description="mixed-operation cipher rounds"))
-register(Benchmark("tcp", "comm", tcp_statemachine,
-                   description="connection state machine"))
-register(Benchmark("rijndael", "embedded", rijndael_round,
-                   description="S-box round with xor diffusion"))
-register(Benchmark("ispell", "embedded", ispell_probe,
-                   description="dictionary hash probing"))
-register(Benchmark("madsynth", "embedded", mad_synth,
-                   description="windowed multiply-accumulate"))
-register(Benchmark("tiffdither", "embedded", tiff_dither,
-                   description="1-D error-diffusion dithering"))

@@ -27,9 +27,6 @@ from typing import List, Optional, Sequence
 
 from ..isa.assembler import Assembler
 from ..isa.program import Program
-from .suite import Benchmark, register
-
-N_SYNTHETIC = 32
 
 PROFILES = ("compute", "memory", "branchy", "serial")
 
@@ -227,8 +224,3 @@ def synth_builder(seed: int):
         return synth_program(seed, input_name)
 
     return build
-
-
-for _seed in range(1, N_SYNTHETIC + 1):
-    register(Benchmark(f"synth{_seed:02d}", "synth", synth_builder(_seed),
-                       description="generated loop nest"))

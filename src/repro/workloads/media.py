@@ -10,7 +10,6 @@ import random
 
 from ..isa.assembler import Assembler
 from ..isa.program import Program
-from .suite import Benchmark, register
 
 # IMA ADPCM tables (standard).
 _STEP_TABLE = [
@@ -399,18 +398,3 @@ def epic_filter(input_name: str) -> Program:
     a.st("r15", "r0", result)
     a.halt()
     return a.build()
-
-
-register(Benchmark("adpcm", "media", adpcm_enc,
-                   inputs=("train", "ref", "tiny"),
-                   description="IMA ADPCM encoder (Figure 8 benchmark)"))
-register(Benchmark("adpcm_dec", "media", adpcm_dec,
-                   description="IMA ADPCM decoder"))
-register(Benchmark("jpegdct", "media", jpeg_dct,
-                   description="shift-add 8-point DCT"))
-register(Benchmark("gsmlpc", "media", gsm_autocorr,
-                   description="GSM LPC autocorrelation"))
-register(Benchmark("g721quant", "media", g721_quant,
-                   description="G.721 log-domain quantization"))
-register(Benchmark("epicfilt", "media", epic_filter,
-                   description="EPIC two-tap wavelet filter"))

@@ -12,7 +12,6 @@ import random
 
 from ..isa.assembler import Assembler
 from ..isa.program import Program
-from .suite import Benchmark, register
 
 
 def mcf_chase(input_name: str) -> Program:
@@ -395,21 +394,3 @@ def perl_hash(input_name: str) -> Program:
     a.st("r15", "r0", result)
     a.halt()
     return a.build()
-
-
-register(Benchmark("mcf", "spec", mcf_chase,
-                   description="pointer chasing over shuffled arcs"))
-register(Benchmark("gzip", "spec", gzip_match,
-                   description="LZ77 longest-match search"))
-register(Benchmark("bzip2", "spec", bzip2_mtf,
-                   description="move-to-front transform"))
-register(Benchmark("gcc", "spec", gcc_dispatch,
-                   description="table-driven opcode dispatch"))
-register(Benchmark("parser", "spec", parser_tokens,
-                   description="tokenizer with word histogram"))
-register(Benchmark("crafty", "spec", crafty_bits,
-                   description="bitboard popcounts and shifts"))
-register(Benchmark("vpr", "spec", vpr_cost,
-                   description="placement bounding-box cost"))
-register(Benchmark("perlbmk", "spec", perl_hash,
-                   description="open-addressed hashing"))

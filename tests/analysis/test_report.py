@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import SuiteRow, compare_selectors_by_suite, \
+from repro.analysis.report import SuiteRow, compare_selectors_by_suite, \
     suite_report
 from repro.harness import Runner
 from repro.minigraph import StructAll

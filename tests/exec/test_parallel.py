@@ -19,7 +19,7 @@ from repro.minigraph.selectors import (
     SlackProfileSelector, StructAll, StructNone, selector_from_spec,
 )
 from repro.pipeline.config import full_config, reduced_config
-from repro.workloads import all_benchmarks, benchmark
+from repro.workloads import Benchmark, all_benchmarks, benchmark
 
 BENCHES = ("crc32", "adpcm")
 
@@ -99,6 +99,29 @@ def test_parallel_and_serial_are_identical(tmp_path):
         stats = replay.store.stats
         assert stats.misses == 0
         assert stats.hit_rate == 1.0
+
+
+def test_pool_builds_each_program_once_before_it_forks(tmp_path,
+                                                        monkeypatch):
+    """A pooled run builds, in the parent and once per (benchmark,
+    input), the programs its nodes read: a point's own input and a
+    selector point's profiling input. Forked workers inherit them."""
+    built = []
+    program = Benchmark.program
+
+    def counted(self, input_name="train"):
+        built.append((self.name, input_name))
+        return program(self, input_name)
+
+    monkeypatch.setattr(Benchmark, "program", counted)
+    points = [baseline_point("crc32", "full", "ref"),
+              selector_point("crc32", SlackProfileSelector(), "reduced",
+                             "ref", profile_input="train"),
+              dynamic_point("crc32", "reduced", "ref")]
+    report = run_points(Runner(store=ArtifactStore(tmp_path)), points,
+                        jobs=2)
+    assert not report.failures
+    assert built == [("crc32", "ref"), ("crc32", "train")]
 
 
 def test_jobs_one_scheduler_matches_direct_calls(tmp_path):

@@ -5,12 +5,11 @@ pickle them; cross-process/cross-attempt state goes through sentinel
 files in ``tmp_path``.
 """
 
+import concurrent.futures
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.exec import dag
 from repro.exec.dag import ProgressPrinter, Scheduler, Task, TaskError
 
 
@@ -152,13 +151,16 @@ def _recording_pool(monkeypatch):
     """Record each pool submission as its tasks' ``(fn name, args)``."""
     submissions = []
 
-    class RecordingPool(ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, calls):
             submissions.append([(task_fn.__name__, args)
                                 for task_fn, args in calls])
             return super().submit(fn, calls)
 
-    monkeypatch.setattr(dag, "ProcessPoolExecutor", RecordingPool)
+    # The scheduler imports the class from concurrent.futures when its
+    # pool starts.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     return submissions
 
 
